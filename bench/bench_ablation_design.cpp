@@ -87,13 +87,13 @@ int main() {
     double detected_at = -1;
     for (int t = 0; t < 120; ++t) {
       world.simulator().run_for(Duration::s(1));
-      if (world.brokerd()->reputation().telco_score("btelco-0") < 0.5) {
+      if (world.broker_cluster()->reputation().telco_score("btelco-0") < 0.5) {
         detected_at = world.simulator().now().to_seconds();
         break;
       }
     }
     std::printf("%14d %14llu %22.1f %12s\n", interval_s,
-                static_cast<unsigned long long>(world.brokerd()->reports_received()),
+                static_cast<unsigned long long>(world.broker_cluster()->reports_received()),
                 detected_at, detected_at > 0 ? "yes" : "no");
   }
   std::printf("(shorter reporting cycles catch a 1.5x over-reporter proportionally\n"

@@ -1,5 +1,5 @@
 // Fig.7 — Attachment latency breakdown by module, Magma baseline (BL) vs
-// CellBricks (CB), with the SubscriberDB/Brokerd placed locally, in
+// CellBricks (CB), with the SubscriberDB/broker placed locally, in
 // "us-west-1", or "us-east-1".
 //
 // Reproduces: BL pays two round-trips to the SubscriberDB (AIR + ULR); CB

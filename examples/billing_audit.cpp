@@ -59,7 +59,7 @@ int main() {
     std::printf("user streams via the dishonest btelco-0 for 40 s...\n");
     drive_traffic(world, 1, Duration::s(40));
 
-    const auto& rep = world.brokerd()->reputation();
+    const auto& rep = world.broker_cluster()->reputation();
     std::printf("broker compared report pairs: mismatches for btelco-0: %llu, "
                 "reputation: %.2f\n",
                 static_cast<unsigned long long>(rep.mismatches("btelco-0")),
@@ -87,7 +87,7 @@ int main() {
     drive_traffic(world, 1, Duration::s(35));
     drive_traffic(world, 2, Duration::s(35));
 
-    const auto& rep = world.brokerd()->reputation();
+    const auto& rep = world.broker_cluster()->reputation();
     std::printf("mismatches recorded: btelco-0: %llu, btelco-1: %llu\n",
                 static_cast<unsigned long long>(rep.mismatches("btelco-0")),
                 static_cast<unsigned long long>(rep.mismatches("btelco-1")));

@@ -34,7 +34,7 @@ int main() {
   // The broker enforces it in its authorization hook — bTelcos delegate
   // policy to brokers (qos/policy split of §4.1), and reputation still
   // applies on top.
-  auto& reputation = world.brokerd()->reputation();
+  const auto& reputation = world.broker_cluster()->reputation();
   (void)reputation;
 
   std::printf("employee walks from the metro cell onto campus...\n\n");
@@ -62,7 +62,7 @@ int main() {
   std::printf("provider switches: %llu (public <-> enterprise, no roaming agreement)\n",
               static_cast<unsigned long long>(world.handovers()));
   std::printf("sessions issued by the one broker: %llu\n\n",
-              static_cast<unsigned long long>(world.brokerd()->sessions_issued()));
+              static_cast<unsigned long long>(world.broker_cluster()->sessions_issued()));
 
   std::printf("Today this requires neutral-host contracts or dual SIMs; in CellBricks the\n"
               "campus cell is just another bTelco that the employee's broker authorizes.\n");

@@ -24,7 +24,7 @@ int main() {
   World world(cfg);
   auto& sim = world.simulator();
 
-  // 1. Attach to bTelco #0 via SAP (UE -> bTelco -> brokerd -> back).
+  // 1. Attach to bTelco #0 via SAP (UE -> bTelco -> broker -> back).
   world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) {
     if (!r.ok()) {
       std::printf("attach failed: %s\n", r.error().c_str());
@@ -84,8 +84,8 @@ int main() {
   std::printf("\ntotal: %.1f / %.1f KB delivered; broker issued %llu sessions; "
               "billing reports received: %llu\n",
               received / 1e3, sent / 1e3,
-              static_cast<unsigned long long>(world.brokerd()->sessions_issued()),
-              static_cast<unsigned long long>(world.brokerd()->reports_received()));
+              static_cast<unsigned long long>(world.broker_cluster()->sessions_issued()),
+              static_cast<unsigned long long>(world.broker_cluster()->reports_received()));
   std::printf("%s\n", received > at_switch ? "OK: the connection survived the provider switch."
                                            : "ERROR: transfer stalled!");
   return received > at_switch ? 0 : 1;

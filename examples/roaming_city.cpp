@@ -68,14 +68,14 @@ int main() {
 
   std::printf("\n--- broker's view (billing & reputation) ---\n");
   std::printf("sessions issued: %llu   reports received: %llu   rejected: %llu\n",
-              static_cast<unsigned long long>(world.brokerd()->sessions_issued()),
-              static_cast<unsigned long long>(world.brokerd()->reports_received()),
-              static_cast<unsigned long long>(world.brokerd()->reports_rejected()));
+              static_cast<unsigned long long>(world.broker_cluster()->sessions_issued()),
+              static_cast<unsigned long long>(world.broker_cluster()->reports_received()),
+              static_cast<unsigned long long>(world.broker_cluster()->reports_rejected()));
   for (std::size_t i = 0; i < world.n_btelcos(); ++i) {
     const std::string id = world.btelco(i)->id();
     std::printf("  %-10s reputation %.2f, mismatches %llu\n", id.c_str(),
-                world.brokerd()->reputation().telco_score(id),
-                static_cast<unsigned long long>(world.brokerd()->reputation().mismatches(id)));
+                world.broker_cluster()->reputation().telco_score(id),
+                static_cast<unsigned long long>(world.broker_cluster()->reputation().mismatches(id)));
   }
   std::printf("\nEvery hop above crossed a provider boundary with no roaming agreement —\n"
               "authentication and billing ran through the broker instead.\n");

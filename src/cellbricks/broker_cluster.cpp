@@ -94,7 +94,7 @@ BrokerShard::BrokerShard(BrokerCluster& cluster, std::size_t index, net::Node& n
       config_(config),
       queue_(node.simulator()),
       rng_(node.simulator().rng().fork(0xB20CE2 + 0x51AD * (index + 1))),
-      state_(config.broker.reputation),
+      state_(config.broker.reputation, config.broker.test_skip_report_dedup),
       cur_stream_(index) {
   node_.bind_udp(kBrokerPort, [this](const net::Packet& p) { handle_client(p); });
   node_.bind_udp(kBrokerClusterPort, [this](const net::Packet& p) { handle_cluster(p); });
@@ -103,6 +103,11 @@ BrokerShard::BrokerShard(BrokerCluster& cluster, std::size_t index, net::Node& n
 void BrokerShard::add_subscriber(const std::string& id_u, crypto::RsaPublicKey key) {
   subscriber_keys_[id_u] = key;
   sap_.add_subscriber(id_u, std::move(key));
+}
+
+void BrokerShard::remove_subscriber(const std::string& id_u) {
+  subscriber_keys_.erase(id_u);
+  sap_.remove_subscriber(id_u);
 }
 
 void BrokerShard::add_telco(const std::string& id_t, crypto::RsaPublicKey key) {
@@ -144,10 +149,18 @@ void BrokerShard::handle_client(const net::Packet& packet) {
   try {
     ByteReader peek(payload);
     const auto type = static_cast<BrokerMsg>(peek.u8());
-    if (type != BrokerMsg::AuthReq && type != BrokerMsg::Report) return;
+    if (type != BrokerMsg::AuthReq && type != BrokerMsg::Report &&
+        type != BrokerMsg::ResumeNotify) {
+      return;
+    }
     const Duration service = type == BrokerMsg::AuthReq ? config_.broker.sap_service_time
                                                         : config_.broker.report_service_time;
-    if (type == BrokerMsg::AuthReq) obs::inc(obs::counter("broker.sap.requests"));
+    if (type == BrokerMsg::AuthReq) {
+      sap_busy_ += service;
+      obs::inc(obs::counter("broker.sap.requests"));
+    }
+    // SAP latency = queueing behind earlier requests + service time, measured
+    // on the broker's own clock from packet arrival to reply readiness.
     const TimePoint arrived = node_.simulator().now();
     queue_.submit(service, [this, payload = std::move(payload), from, arrived, type] {
       if (crashed_ || recovering_) return;
@@ -158,8 +171,10 @@ void BrokerShard::handle_client(const net::Packet& packet) {
           handle_auth(from, r);
           obs::observe(obs::histogram("broker.sap_latency_ms"),
                        (node_.simulator().now() - arrived).to_millis());
-        } else {
+        } else if (type == BrokerMsg::Report) {
           handle_report(from, r);
+        } else {
+          handle_resume_notify(from, r);
         }
       } catch (const std::out_of_range&) {
         CB_LOG(Warn, "broker-shard") << "malformed message dropped";
@@ -248,8 +263,11 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
   const Bytes sealed = r.bytes();
   const TimePoint now = node_.simulator().now();
 
+  // Answered before the (expensive) unseal. Keyed per requester, so a UE's
+  // seq space and a bTelco's cannot collide (both start at 1).
   const auto cache_key = std::make_pair(endpoint_key(from), seq);
   if (auto cached = report_ack_cache_.find(cache_key); cached != report_ack_cache_.end()) {
+    ++report_ack_cache_hits_;
     obs::inc(obs::counter("broker.reports.ack_cache_hits"));
     reply(from, cached->second.payload);
     return;
@@ -257,6 +275,8 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
 
   auto opened = sap_.open_box(sealed);
   if (!opened) {
+    // No ACK: an in-flight corruption may have mangled the box, in which
+    // case the sender's retransmission of the clean copy will succeed.
     ++reports_rejected_;
     obs::inc(obs::counter("broker.reports.rejected"));
     return;
@@ -310,14 +330,15 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
     if (sit == state_.sessions().end()) {
       // Unknown here (replication lag for a session issued elsewhere, or
       // junk). No ACK: the client's retransmission gives the log time to
-      // catch up — same contract as the single broker's unknown-session
-      // rejection, but self-healing.
+      // catch up.
       ++reports_rejected_;
       obs::inc(obs::counter("broker.reports.rejected"));
       return;
     }
-    if ((type == Reporter::Ue && reporter_id != sit->second.id_u) ||
-        (type == Reporter::Telco && reporter_id != sit->second.id_t)) {
+    // The reporter must be a party of the session. Every bTelco that ever
+    // served it stays one, so a pre-resume bTelco's late report still pairs.
+    const SettlementState::SessionInfo& session = sit->second;
+    if (type == Reporter::Ue ? reporter_id != session.id_u : !session.has_telco(reporter_id)) {
       ++reports_rejected_;
       obs::inc(obs::counter("broker.reports.rejected"));
       return;
@@ -328,10 +349,14 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
     ack.u64(seq);
     Bytes ack_payload = ack.take();
 
+    // Dedup BEFORE authoring: a retransmitted report (lost ACK, eager retry
+    // timer, a UE that re-attached under a new address) must not inflate
+    // the billed usage.
     const auto dedup_key =
         std::make_tuple(report.session_id, report.period, static_cast<int>(type));
-    if (state_.report_seen(report.session_id, report.period, type) ||
-        state_.pair_decided(report.session_id, report.period)) {
+    if (!config_.broker.test_skip_report_dedup &&
+        (state_.report_seen(report.session_id, report.period, type) ||
+         state_.pair_decided(report.session_id, report.period))) {
       if (uncommitted_reports_.contains(dedup_key)) return;  // first copy not committed yet
       ++reports_deduped_;
       obs::inc(obs::counter("broker.reports.deduped"));
@@ -345,8 +370,8 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
     e.session_id = report.session_id;
     e.period = report.period;
     e.reporter = type;
-    e.id_u = sit->second.id_u;
-    e.id_t = sit->second.id_t;
+    e.id_u = session.id_u;
+    e.id_t = type == Reporter::Telco ? reporter_id : session.id_t();
     e.time_ns = now.nanos();
     e.report = report;
 
@@ -359,12 +384,75 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
              uncommitted_reports_.erase(dedup_key);
              report_ack_cache_[cache_key] =
                  CachedReply{ack_payload, node_.simulator().now()};
+             if (!state_.pair_decided(std::get<0>(dedup_key), std::get<1>(dedup_key))) {
+               report_ack_keys_[dedup_key] = cache_key;
+             }
              reply(from, std::move(ack_payload));
            });
   } catch (const std::out_of_range&) {
     ++reports_rejected_;
     obs::inc(obs::counter("broker.reports.rejected"));
   }
+}
+
+void BrokerShard::handle_resume_notify(const net::EndPoint& from, ByteReader& r) {
+  const std::uint64_t txn = r.u64();
+  const Bytes sealed = r.bytes();
+  auto opened = sap_.open_box(sealed);
+  if (!opened) return;  // no ack: a clean retransmission may still succeed
+  ByteReader inner(opened.value());
+  const Bytes body = inner.bytes();
+  auto cert = crypto::Certificate::deserialize(inner.bytes());
+  const Bytes sig = inner.bytes();
+  if (!cert) return;
+  const crypto::Certificate& cert_t = cert.value();
+
+  ByteReader br(body);
+  const std::string id_t = br.str();
+  const std::uint64_t session_id = br.u64();
+  const Bytes ticket_id = br.bytes();
+
+  // The notifying bTelco may have NEVER authed a session through this
+  // broker (that is the point of resumption), so it authenticates with its
+  // CA certificate, exactly like an authReqT.
+  const TimePoint now = node_.simulator().now();
+  if (cert_t.subject() != id_t) return;
+  if (!crypto::CertificateAuthority::verify_signature(cert_t, sap_.ca_key())) return;
+  if (now < cert_t.not_before() || now > cert_t.not_after()) return;
+  if (!cert_t.key().verify(body, sig)) return;
+  telco_keys_[id_t] = cert_t.key();
+
+  SettlementEntry e;
+  e.kind = SettlementEntry::Kind::ResumeNotified;
+  e.session_id = session_id;
+  e.id_t = id_t;
+  e.time_ns = now.nanos();
+  auto sit = state_.sessions().find(session_id);
+  if (sit == state_.sessions().end()) {
+    // A ticket for a session this broker never issued: order teardown.
+    e.revoke = true;
+  } else {
+    // Re-check the subscriber against the suspect list: reputation may have
+    // turned since the ticket was minted (revocation-on-suspect).
+    e.id_u = sit->second.id_u;
+    e.revoke = state_.reputation().is_suspect(e.id_u);
+  }
+  const bool revoke = e.revoke;
+  if (revoke) {
+    obs::inc(obs::counter("broker.resume.revocations"));
+    CB_LOG(Info, "broker-shard") << "resume of session " << session_id << " at " << id_t
+                                 << " revoked (ticket " << to_hex(ticket_id) << ")";
+  }
+  obs::inc(obs::counter("broker.resume.notified"));
+  obs::trace(now, obs::TraceType::SapAuthOk, session_id);
+
+  ByteWriter ack;
+  ack.u8(static_cast<std::uint8_t>(BrokerMsg::ResumeNotifyAck));
+  ack.u64(txn);
+  ack.u8(revoke ? 1 : 0);
+  author(std::move(e), [this, from, ack_payload = ack.take()]() mutable {
+    reply(from, std::move(ack_payload));
+  });
 }
 
 void BrokerShard::reply(const net::EndPoint& to, Bytes payload, std::uint16_t src_port) {
@@ -610,6 +698,15 @@ void BrokerShard::apply_entry(std::size_t stream, std::uint64_t index,
   (void)stream;
   (void)index;
   state_.apply(e);
+  if (e.kind == SettlementEntry::Kind::VerdictPaired ||
+      e.kind == SettlementEntry::Kind::VerdictMissing) {
+    for (Reporter side : {Reporter::Ue, Reporter::Telco}) {
+      auto it = report_ack_keys_.find({e.session_id, e.period, static_cast<int>(side)});
+      if (it == report_ack_keys_.end()) continue;
+      if (e.kind == SettlementEntry::Kind::VerdictMissing) report_ack_cache_.erase(it->second);
+      report_ack_keys_.erase(it);
+    }
+  }
   // Owner-side pairing rides the fold so every path into the log — local
   // ingest, replicated append, takeover catch-up — drives pairing uniformly.
   if (e.kind == SettlementEntry::Kind::ReportIngested && !crashed_ && !recovering_ &&
@@ -638,7 +735,7 @@ void BrokerShard::try_pair(std::uint64_t session_id, std::uint32_t period) {
   e.session_id = session_id;
   e.period = period;
   e.id_u = ue_it->second.id_u;
-  e.id_t = ue_it->second.id_t;
+  e.id_t = t_it->second.id_t;  // the bTelco that served this period
   e.time_ns = now.nanos();
   e.mismatch = v.mismatch;
   e.degree = v.degree;
@@ -797,11 +894,12 @@ void BrokerShard::crash() {
   // commit and cache. The node's config and the subscriber DB (durable by
   // assumption) survive; pre-crash counters stay for observability.
   log_ = SettlementLog();
-  state_ = SettlementState(config_.broker.reputation);
+  state_ = SettlementState(config_.broker.reputation, config_.broker.test_skip_report_dedup);
   pending_appends_.clear();
   uncommitted_reports_.clear();
   auth_reply_cache_.clear();
   report_ack_cache_.clear();
+  report_ack_keys_.clear();
   fetch_last_.clear();
   for (auto& p : peers_) p = PeerView{};
   obs::inc(obs::counter("broker.cluster.crashes"));
@@ -870,6 +968,10 @@ void BrokerCluster::add_subscriber(const std::string& id_u, crypto::RsaPublicKey
   for (auto& s : shards_) s->add_subscriber(id_u, key);
 }
 
+void BrokerCluster::remove_subscriber(const std::string& id_u) {
+  for (auto& s : shards_) s->remove_subscriber(id_u);
+}
+
 void BrokerCluster::add_telco(const std::string& id_t, crypto::RsaPublicKey key) {
   for (auto& s : shards_) s->add_telco(id_t, key);
 }
@@ -884,32 +986,6 @@ void BrokerCluster::observe_author(std::size_t stream, std::uint64_t index,
                       [this](std::size_t, std::uint64_t, const SettlementEntry& ent) {
                         observer_state_.apply(ent);
                       });
-}
-
-std::uint64_t BrokerCluster::sessions_issued() const {
-  return observer_state_.sessions_issued();
-}
-
-std::uint64_t BrokerCluster::reports_ingested() const {
-  return observer_state_.reports_folded();
-}
-
-std::uint64_t BrokerCluster::reports_deduped() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->reports_deduped();
-  return n;
-}
-
-std::uint64_t BrokerCluster::redirects_sent() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards_) n += s->redirects_sent();
-  return n;
-}
-
-std::size_t BrokerCluster::nonces_seen() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->nonces_seen();
-  return n;
 }
 
 }  // namespace cb::cellbricks

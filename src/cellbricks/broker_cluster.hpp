@@ -1,15 +1,19 @@
-// Sharded broker cluster (DESIGN.md §12): N broker shards own disjoint
-// subscriber-bucket ranges via rendezvous hashing and replicate a shared
-// append-only settlement log (settlement_log.hpp) so report pairing,
-// verdicts, and reputation survive any single shard's crash.
+// The broker (DESIGN.md §12): one logical cloud service that authenticates
+// SAP attaches, verifies ticket resumptions, and settles billing by pairing
+// the signed UE and bTelco reports (§4.3). It runs as N broker shards that
+// own disjoint subscriber-bucket ranges via rendezvous hashing and
+// replicate a shared append-only settlement log (settlement_log.hpp), so
+// report pairing, verdicts, and reputation survive any single shard's
+// crash. The single broker is a one-shard cluster: it has no peers, so
+// every commit is immediate.
 //
 // Protocol sketch (single-decree, leader-per-entry over the ACKed UDP
 // transport — the author of an entry is its leader):
 //   * Every shard authors to its own stream and pushes Append messages to
 //     all peers, retransmitting until each live peer AppendAcks. An entry is
 //     COMMITTED once every currently-live peer has stored it; client-visible
-//     effects (AuthOk, ReportAck) are withheld until commit, so an acked
-//     verdict can never be lost to a single crash.
+//     effects (AuthOk, ReportAck, ResumeNotifyAck) are withheld until
+//     commit, so an acked verdict can never be lost to a single crash.
 //   * Heartbeats double as the failure detector and the anti-entropy
 //     vector: they advertise per-stream applied lengths, and a peer that is
 //     behind issues Fetch -> Chunk catch-up reads. This one mechanism covers
@@ -19,19 +23,70 @@
 //     straight from the replica) and expire unpaired reports from the
 //     *logged* ingest time. Brief double-ownership windows are harmless:
 //     verdict content is deterministic and the fold dedups on apply.
+//   * A ResumeNotify is authored by whichever shard receives it: it only
+//     adds a bTelco party to the session, which the fold accepts from any
+//     stream in any order.
 //   * A restarted shard comes back empty, authors to a FRESH stream (no
 //     index reuse), and stays in `recovering` — acking replication but
 //     ignoring clients — until it has caught up with every live peer.
 #pragma once
 
-#include <deque>
+#include <functional>
 #include <memory>
-#include <optional>
+#include <set>
 
-#include "cellbricks/brokerd.hpp"
+#include "cellbricks/sap.hpp"
 #include "cellbricks/settlement_log.hpp"
+#include "net/node.hpp"
+#include "sim/service_queue.hpp"
 
 namespace cb::cellbricks {
+
+/// Client-facing broker port (SAP auth, reports, ticket resumptions).
+inline constexpr std::uint16_t kBrokerPort = 4500;
+
+/// Wire message types on the broker port.
+enum class BrokerMsg : std::uint8_t {
+  AuthReq = 1,     // u64 txn, bytes authReqT
+  AuthOk = 2,      // u64 txn, bytes authRespT, bytes authRespU
+  AuthErr = 3,     // u64 txn, str reason
+  Report = 4,      // u64 seq, bytes sealed{str reporter_id, u8 type, bytes report, bytes sig}
+  ReportAck = 5,   // u64 seq — broker ack for a decoded+authenticated report
+  Redirect = 6,    // u64 seq, u16 bucket, u16 owner — stale-route reply from a
+                   // broker shard that does not own the session's bucket
+  ResumeNotify = 7,     // u64 txn, bytes sealed{bytes body{str id_t, u64 session_id,
+                        // bytes ticket_id}, bytes cert_t, bytes sig_t(body)} — a bTelco
+                        // honoured a resumption ticket locally (off the attach path)
+  ResumeNotifyAck = 8,  // u64 txn, u8 revoke — revoke=1 orders the bTelco to tear the
+                        // resumed session down (suspect subscriber / unknown session)
+};
+
+/// Per-shard broker service knobs.
+struct BrokerConfig {
+  /// Per-SAP-request processing time (includes crypto; Fig.7 calibration:
+  /// 8.25 ms so CB totals 24.5 ms of processing per attach).
+  Duration sap_service_time = Duration::millis(8.25);
+  /// Report (and resume-notify) ingestion is cheaper.
+  Duration report_service_time = Duration::millis(1.0);
+  /// Default subscriber plan handed to bTelcos as qosInfo.
+  QosInfo default_qos{};
+  ReputationConfig reputation{};
+  /// How long a report waits for its counterpart before the broker gives
+  /// up on pairing and charges the absent side with a "missing
+  /// counterpart" reputation verdict.
+  Duration pair_timeout = Duration::s(45);
+  /// Idempotent-reply cache retention: long enough to cover any bTelco
+  /// retransmission schedule, short enough to bound memory.
+  Duration reply_cache_ttl = Duration::s(30);
+  /// Housekeeping sweep cadence (pair timeouts + reply-cache eviction).
+  Duration gc_interval = Duration::s(5);
+  /// TEST HOOK (fuzzer planted-violation harness): accumulate retransmitted
+  /// reports even when the (session, period, reporter) dedup filter has
+  /// already seen them. Re-introduces the report double-count bug on
+  /// purpose so the check layer can prove it detects, shrinks, and replays
+  /// it. Never set outside tests.
+  bool test_skip_report_dedup = false;
+};
 
 /// UDP port for shard<->shard replication traffic (client traffic stays on
 /// kBrokerPort).
@@ -96,13 +151,13 @@ class ShardRouter {
 
 class BrokerCluster;
 
-/// One broker shard: client-facing SAP + report ingestion on kBrokerPort
-/// (same wire protocol as Brokerd, plus BrokerMsg::Redirect), replication on
-/// kBrokerClusterPort, and the settlement fold as its only billing state.
+/// One broker shard: client-facing SAP, report, and resume-notify service
+/// on kBrokerPort, replication on kBrokerClusterPort, and the settlement
+/// fold as its only billing state.
 class BrokerShard {
  public:
   struct Config {
-    Brokerd::Config broker{};
+    BrokerConfig broker{};
     Duration heartbeat_interval = Duration::millis(500);
     /// Missed heartbeat intervals before a peer is considered dead.
     int miss_threshold = 3;
@@ -121,6 +176,7 @@ class BrokerShard {
   net::Node& node() { return node_; }
 
   void add_subscriber(const std::string& id_u, crypto::RsaPublicKey key);
+  void remove_subscriber(const std::string& id_u);
   /// Pre-register a bTelco's report-signing key (normally learned from the
   /// auth certificate; registered cluster-wide so a report can be verified
   /// at a shard that never served that bTelco's attach).
@@ -153,15 +209,22 @@ class BrokerShard {
   std::uint64_t auth_denied() const { return auth_denied_; }
   std::uint64_t takeovers() const { return takeovers_; }
   Duration busy_time() const { return queue_.busy_time(); }
+  /// Processing time spent on SAP requests only (Fig.7 breakdown).
+  Duration sap_busy_time() const { return sap_busy_; }
   std::size_t nonces_seen() const { return sap_.nonces_seen(); }
+  std::size_t reply_cache_size() const { return auth_reply_cache_.size(); }
+  /// Report retransmissions answered from the idempotent ack cache.
+  std::uint64_t report_ack_cache_hits() const { return report_ack_cache_hits_; }
+  std::size_t report_ack_cache_size() const { return report_ack_cache_.size(); }
 
  private:
   friend class BrokerCluster;
 
-  // Client path (mirrors Brokerd).
+  // Client path.
   void handle_client(const net::Packet& packet);
   void handle_auth(const net::EndPoint& from, ByteReader& r);
   void handle_report(const net::EndPoint& from, ByteReader& r);
+  void handle_resume_notify(const net::EndPoint& from, ByteReader& r);
   void reply(const net::EndPoint& to, Bytes payload, std::uint16_t src_port = kBrokerPort);
 
   // Replication path.
@@ -236,24 +299,34 @@ class BrokerShard {
   sim::EventHandle sweep_timer_;
   std::uint64_t ownership_sig_ = 0;  // hash of last ownership set
 
-  // Client reply caches (same idempotency contract as Brokerd).
+  // Client reply caches, keyed (requester, txn/seq): a retransmission of a
+  // lost response is answered idempotently instead of tripping the nonce
+  // replay check or re-running ingestion. TTL-evicted by the sweeper.
   struct CachedReply {
     Bytes payload;  // empty while the backing entry awaits commit
     TimePoint at;
   };
   std::map<std::pair<std::uint64_t, std::uint64_t>, CachedReply> auth_reply_cache_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, CachedReply> report_ack_cache_;
+  /// Ack-cache key of each acked report still awaiting its verdict. A
+  /// missing-counterpart verdict evicts the cached ack too: a late
+  /// retransmit must be re-judged against the post-expiry state, not
+  /// answered from a cache entry the verdict superseded.
+  std::map<SettlementState::PendingKey, std::pair<std::uint64_t, std::uint64_t>>
+      report_ack_keys_;
 
   bool crashed_ = false;
   bool recovering_ = false;
   std::uint64_t incarnation_ = 0;
   std::vector<bool> hb_seen_since_restart_;
 
+  Duration sap_busy_ = Duration::zero();
   std::uint64_t sessions_issued_ = 0;
   std::uint64_t reports_received_ = 0;
   std::uint64_t reports_rejected_ = 0;
   std::uint64_t reports_ingested_ = 0;
   std::uint64_t reports_deduped_ = 0;
+  std::uint64_t report_ack_cache_hits_ = 0;
   std::uint64_t redirects_sent_ = 0;
   std::uint64_t auth_denied_ = 0;
   std::uint64_t takeovers_ = 0;
@@ -266,7 +339,8 @@ class BrokerShard {
 class BrokerCluster {
  public:
   explicit BrokerCluster(BrokerShard::Config config)
-      : config_(config), observer_state_(config.broker.reputation) {}
+      : config_(config),
+        observer_state_(config.broker.reputation, config.broker.test_skip_report_dedup) {}
 
   /// Add one shard hosted on `node`. All shards must share the broker
   /// keypair/certificate so clients seal to a single broker identity.
@@ -284,6 +358,7 @@ class BrokerCluster {
   /// Cluster-wide registration (broker-issued material, present on every
   /// shard — the "durable subscriber DB" of DESIGN.md §12).
   void add_subscriber(const std::string& id_u, crypto::RsaPublicKey key);
+  void remove_subscriber(const std::string& id_u);
   void add_telco(const std::string& id_t, crypto::RsaPublicKey key);
   void set_plan(const std::string& id_u, QosInfo qos);
 
@@ -296,17 +371,32 @@ class BrokerCluster {
   const SettlementLog& observer_log() const { return observer_log_; }
 
   // Cluster-wide aggregates (world/chaos/bench accounting).
-  std::uint64_t sessions_issued() const;
-  std::uint64_t reports_ingested() const;
-  std::uint64_t reports_deduped() const;
+  const ReputationSystem& reputation() const { return observer_state_.reputation(); }
+  std::uint64_t sessions_issued() const { return observer_state_.sessions_issued(); }
+  std::uint64_t reports_ingested() const { return observer_state_.reports_folded(); }
   std::uint64_t pairs_compared() const { return observer_state_.verdicts_paired(); }
   std::uint64_t unpaired_expired() const { return observer_state_.verdicts_missing(); }
-  std::uint64_t redirects_sent() const;
-  std::size_t nonces_seen() const;
+  /// Ticket resumptions bTelcos reported, and how many were ordered torn
+  /// down (suspect subscriber or unknown session).
+  std::uint64_t resumes_notified() const { return observer_state_.resumes_notified(); }
+  std::uint64_t resume_revocations() const { return observer_state_.resume_revocations(); }
+  std::uint64_t reports_received() const { return sum(&BrokerShard::reports_received); }
+  std::uint64_t reports_rejected() const { return sum(&BrokerShard::reports_rejected); }
+  std::uint64_t reports_deduped() const { return sum(&BrokerShard::reports_deduped); }
+  std::uint64_t redirects_sent() const { return sum(&BrokerShard::redirects_sent); }
+  std::size_t nonces_seen() const { return sum(&BrokerShard::nonces_seen); }
+  Duration sap_busy_time() const { return sum(&BrokerShard::sap_busy_time); }
 
  private:
   friend class BrokerShard;
   void observe_author(std::size_t stream, std::uint64_t index, const SettlementEntry& e);
+  /// A per-shard counter summed over every shard.
+  template <typename T>
+  T sum(T (BrokerShard::*counter)() const) const {
+    T total{};
+    for (const auto& s : shards_) total += ((*s).*counter)();
+    return total;
+  }
 
   BrokerShard::Config config_;
   std::vector<std::unique_ptr<BrokerShard>> shards_;

@@ -15,15 +15,13 @@
 #include <vector>
 
 #include "cellbricks/billing.hpp"
-#include "cellbricks/brokerd.hpp"
+#include "cellbricks/broker_cluster.hpp"
 #include "cellbricks/sap.hpp"
 #include "cellbricks/ticket.hpp"
 #include "net/network.hpp"
 #include "sim/service_queue.hpp"
 
 namespace cb::cellbricks {
-
-class ShardRouter;
 
 class Btelco {
  public:

@@ -3,7 +3,7 @@
 // One round trip, UE → bTelco → broker → bTelco → UE, replacing the shared-
 // secret EPS-AKA with public-key authentication among mutually untrusting
 // parties. Message construction/verification is pure logic here (fully unit
-// testable); the network actors in ue_agent/btelco/brokerd move the bytes.
+// testable); the network actors in ue_agent/btelco/broker_cluster move the bytes.
 //
 // Faithful to Fig.2/Fig.3:
 //   UE:     authVec = (idU, idB, idT, n); encrypt with pkB; sign with skU;
@@ -143,7 +143,7 @@ class SapBroker {
 
   const std::string& id_b() const { return id_b_; }
   const crypto::Certificate& certificate() const { return cert_; }
-  /// CA root the broker validates bTelco certificates against (brokerd also
+  /// CA root the broker validates bTelco certificates against (the broker also
   /// checks ResumeNotify certificates with it).
   const crypto::RsaPublicKey& ca_key() const { return ca_key_; }
 

@@ -80,6 +80,7 @@ Bytes SettlementEntry::serialize() const {
   w.u64(static_cast<std::uint64_t>(delta));
   w.u64(ue_dl_bytes);
   w.u64(telco_dl_bytes);
+  w.u8(revoke ? 1 : 0);
   return w.take();
 }
 
@@ -88,7 +89,7 @@ Result<SettlementEntry> SettlementEntry::deserialize(BytesView data) {
     ByteReader r(data);
     SettlementEntry e;
     e.kind = static_cast<Kind>(r.u8());
-    if (e.kind < Kind::SessionIssued || e.kind > Kind::VerdictMissing) {
+    if (e.kind < Kind::SessionIssued || e.kind > Kind::ResumeNotified) {
       return Result<SettlementEntry>::err("settlement entry: bad kind");
     }
     e.session_id = r.u64();
@@ -109,6 +110,7 @@ Result<SettlementEntry> SettlementEntry::deserialize(BytesView data) {
     e.delta = static_cast<std::int64_t>(r.u64());
     e.ue_dl_bytes = r.u64();
     e.telco_dl_bytes = r.u64();
+    e.revoke = r.u8() != 0;
     if (!r.done()) return Result<SettlementEntry>::err("settlement entry: trailing bytes");
     return e;
   } catch (const std::out_of_range&) {
@@ -192,41 +194,64 @@ std::size_t SettlementLog::gap_buffered() const {
 
 // --- SettlementState fold ---------------------------------------------------
 
+namespace {
+// Join time of a party learned only from a report (folded before the entry
+// that named it a party): below every logged time, so it never displaces
+// the serving bTelco.
+constexpr std::int64_t kJoinedByReport = -1;
+}  // namespace
+
+const std::string& SettlementState::SessionInfo::id_t() const {
+  // join() gives every session at least one party.
+  return std::max_element(telcos.begin(), telcos.end(), [](const auto& a, const auto& b) {
+           return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+         })->first;
+}
+
 std::uint64_t SettlementState::seen_key(std::uint64_t sid, std::uint32_t period, Reporter side) {
   (void)sid;
   return (static_cast<std::uint64_t>(period) << 1) | static_cast<std::uint64_t>(side);
 }
 
+SettlementState::SessionInfo& SettlementState::join(const SettlementEntry& e,
+                                                    std::int64_t joined_ns) {
+  auto [it, inserted] = sessions_.try_emplace(e.session_id);
+  if (inserted) {  // entries of other streams may precede the SessionIssued
+    it->second.id_u = e.id_u;
+    ++sessions_issued_;
+  }
+  auto [party, added] = it->second.telcos.try_emplace(e.id_t, joined_ns);
+  if (!added) party->second = std::max(party->second, joined_ns);
+  return it->second;
+}
+
 void SettlementState::apply(const SettlementEntry& e) {
   switch (e.kind) {
-    case SettlementEntry::Kind::SessionIssued: {
-      auto [it, inserted] = sessions_.try_emplace(e.session_id);
-      if (inserted) {
-        it->second.id_u = e.id_u;
-        it->second.id_t = e.id_t;
-        ++sessions_issued_;
-      }
+    case SettlementEntry::Kind::SessionIssued:
+      join(e, e.time_ns);
       break;
-    }
+    case SettlementEntry::Kind::ResumeNotified:
+      ++resumes_notified_;
+      if (e.revoke) ++resume_revocations_;
+      if (!e.id_u.empty()) join(e, e.time_ns);
+      break;
     case SettlementEntry::Kind::ReportIngested: {
       // Idempotent across streams: during a failover window the old owner's
       // log and the takeover shard's log can both carry the same report.
       auto key = std::make_pair(e.session_id, seen_key(e.session_id, e.period, e.reporter));
-      if (!seen_reports_.insert(key).second) {
+      const bool fresh = seen_reports_.insert(key).second;
+      if (!fresh && !skip_report_dedup_) {
         ++reports_refolded_;
         break;
       }
       ++reports_folded_;
-      auto [sit, inserted] = sessions_.try_emplace(e.session_id);
-      if (inserted) {  // report folded before its SessionIssued (other stream)
-        sit->second.id_u = e.id_u;
-        sit->second.id_t = e.id_t;
-        ++sessions_issued_;
-      }
+      SessionInfo& session = join(e, kJoinedByReport);
+      if (fresh) ++session.reports;
+      ++session.accumulations;
       if (e.reporter == Reporter::Ue) {
-        sit->second.ue_dl_bytes += e.report.dl_bytes;
+        session.ue_dl_bytes += e.report.dl_bytes;
       } else {
-        sit->second.telco_dl_bytes += e.report.dl_bytes;
+        session.telco_dl_bytes += e.report.dl_bytes;
       }
       if (!pair_decided(e.session_id, e.period)) {
         pending_[{e.session_id, e.period, static_cast<int>(e.reporter)}] =
@@ -259,6 +284,9 @@ void SettlementState::apply(const SettlementEntry& e) {
         if (session) {
           ++session->pairs_compared;
           if (e.mismatch) ++session->mismatches;
+          session->ue_paired_bytes += e.ue_dl_bytes;
+          session->telco_paired_bytes += e.telco_dl_bytes;
+          session->paired_threshold += e.threshold;
         }
       } else {
         ++verdicts_missing_;

@@ -1,14 +1,15 @@
 // Replicated settlement log for the sharded broker (DESIGN.md §12).
 //
 // Every broker shard authors an append-only stream of SettlementEntry
-// records (sessions issued, reports ingested, billing verdicts) and
-// replicates it to its peers over the cluster transport. The entire billing
-// brain — report pairing, dedup, reputation, per-session byte aggregates —
-// is expressed as a deterministic FOLD over the union of all streams
-// (SettlementState::apply), so any replica that holds the same log prefix
-// holds byte-identical settlement state. That is what makes shard failover
-// safe: a takeover shard re-drives pairing straight out of its replica and
-// the (session, period) decided-set makes replayed verdicts idempotent.
+// records (sessions issued, ticket resumptions, reports ingested, billing
+// verdicts) and replicates it to its peers over the cluster transport. The
+// entire billing brain — report pairing, dedup, reputation, per-session
+// byte aggregates — is expressed as a deterministic FOLD over the union of
+// all streams (SettlementState::apply), so any replica that holds the same
+// log prefix holds byte-identical settlement state. That is what makes shard
+// failover safe: a takeover shard re-drives pairing straight out of its
+// replica and the (session, period) decided-set makes replayed verdicts
+// idempotent. A one-shard broker runs the same fold with no replicas.
 //
 // Also home to the UE-id -> bucket -> shard routing helpers shared by the
 // broker cluster and the client-side ShardRouter.
@@ -62,6 +63,8 @@ struct SettlementEntry {
     ReportIngested = 2,  // authenticated traffic report accepted at the owner
     VerdictPaired = 3,   // both halves aligned: Fig.5 comparison outcome
     VerdictMissing = 4,  // pair timeout: `reporter` names the absent side
+    ResumeNotified = 5,  // bTelco `id_t` resumed the session from a ticket;
+                         // `id_u` is empty when the session was unknown
   };
 
   Kind kind = Kind::SessionIssued;
@@ -80,6 +83,7 @@ struct SettlementEntry {
   std::int64_t delta = 0;
   std::uint64_t ue_dl_bytes = 0;      // paired byte totals for conservation
   std::uint64_t telco_dl_bytes = 0;
+  bool revoke = false;                // ResumeNotified: teardown ordered
 
   Bytes serialize() const;
   static Result<SettlementEntry> deserialize(BytesView data);
@@ -139,17 +143,39 @@ class SettlementLog {
 /// sets, which is what makes failover-era double-authoring harmless.
 class SettlementState {
  public:
-  explicit SettlementState(ReputationConfig reputation = {}) : reputation_(reputation) {}
+  /// `skip_report_dedup` is a TEST HOOK (BrokerConfig::test_skip_report_dedup):
+  /// duplicate reports are accumulated again instead of absorbed.
+  explicit SettlementState(ReputationConfig reputation = {}, bool skip_report_dedup = false)
+      : reputation_(reputation), skip_report_dedup_(skip_report_dedup) {}
 
   void apply(const SettlementEntry& e);
 
   struct SessionInfo {
     std::string id_u;
-    std::string id_t;
+    /// bTelco parties: the issuer plus every bTelco that resumed the
+    /// session, each with the latest logged time it joined. Parties are
+    /// only ever added (a grow-only max-register), so replicas agree in
+    /// any interleaving, and a pre-resume bTelco's late report still pairs.
+    std::map<std::string, std::int64_t> telcos;
     std::uint64_t ue_dl_bytes = 0;
     std::uint64_t telco_dl_bytes = 0;
     std::uint64_t pairs_compared = 0;
     std::uint64_t mismatches = 0;
+    /// Distinct (period, reporter) reports folded, and the times the byte
+    /// counters were bumped: equal unless a duplicate slipped past dedup
+    /// (the billing.dedup invariant).
+    std::uint64_t reports = 0;
+    std::uint64_t accumulations = 0;
+    /// Byte totals restricted to paired periods, plus the summed Fig.5
+    /// tolerance of those pairs: with no mismatch flagged,
+    /// |telco_paired - ue_paired| <= paired_threshold (billing.conservation).
+    std::uint64_t ue_paired_bytes = 0;
+    std::uint64_t telco_paired_bytes = 0;
+    double paired_threshold = 0.0;
+
+    /// The serving bTelco: the party that joined last (ties by id).
+    const std::string& id_t() const;
+    bool has_telco(const std::string& id) const { return telcos.contains(id); }
   };
   struct PendingReport {
     TrafficReport report;
@@ -192,11 +218,18 @@ class SettlementState {
   /// Duplicate verdicts whose content DISAGREED with the applied one — the
   /// broker.settlement_verdict_unique invariant requires this to stay 0.
   std::uint64_t verdict_conflicts() const { return verdict_conflicts_; }
+  /// Ticket resumptions logged, and how many were ordered torn down.
+  std::uint64_t resumes_notified() const { return resumes_notified_; }
+  std::uint64_t resume_revocations() const { return resume_revocations_; }
 
  private:
   static std::uint64_t seen_key(std::uint64_t sid, std::uint32_t period, Reporter side);
+  /// Create the session on first sight and add `e.id_t` as a party that
+  /// joined at `joined_ns`.
+  SessionInfo& join(const SettlementEntry& e, std::int64_t joined_ns);
 
   ReputationSystem reputation_;
+  bool skip_report_dedup_ = false;
   std::unordered_map<std::uint64_t, SessionInfo> sessions_;
   std::map<PendingKey, PendingReport> pending_;
   std::map<PairKey, VerdictSig> decided_;
@@ -209,6 +242,8 @@ class SettlementState {
   std::uint64_t verdicts_missing_ = 0;
   std::uint64_t verdicts_deduped_ = 0;
   std::uint64_t verdict_conflicts_ = 0;
+  std::uint64_t resumes_notified_ = 0;
+  std::uint64_t resume_revocations_ = 0;
 };
 
 }  // namespace cb::cellbricks

@@ -27,8 +27,6 @@
 
 namespace cb::cellbricks {
 
-class ShardRouter;
-
 /// UDP port the UE agent sources reports from and receives broker ACKs on.
 inline constexpr std::uint16_t kUeReportPort = 4599;
 

@@ -72,20 +72,15 @@ void install_attach_invariants(InvariantEngine& engine, scenario::World& world) 
 
   engine.add("attach.resume_billing", When::EndOnly, [w](Reporter& r) {
     // Resumption must never mint a session the broker cannot bill: every
-    // audited resume points at a broker-issued record. Sharded worlds never
-    // enable resumption (the shard protocol has no ResumeNotify), so the
-    // single-broker view is the only one consulted.
-    auto* broker = w->brokerd();
+    // audited resume points at a broker-issued record in the settlement log.
     for (std::size_t i = 0; i < w->n_btelcos(); ++i) {
       auto* t = w->btelco(i);
-      if (broker != nullptr) {
-        for (const auto& a : t->ticket_audit()) {
-          if (!broker->sessions().contains(a.session_id)) {
-            std::ostringstream s;
-            s << t->id() << ": resumed session " << a.session_id
-              << " has no broker-issued billing record";
-            r.fail(s.str());
-          }
+      for (const auto& a : t->ticket_audit()) {
+        if (!w->broker_cluster()->observer().sessions().contains(a.session_id)) {
+          std::ostringstream s;
+          s << t->id() << ": resumed session " << a.session_id
+            << " has no broker-issued billing record";
+          r.fail(s.str());
         }
       }
       // Revocation settled: once the run ends, a revoked pseudonym may not

@@ -32,7 +32,7 @@ scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   scenario::WorldConfig w;
   w.arch = scenario::Architecture::CellBricks;
   // The protocol axis overrides the architecture (EPC protocols build the
-  // MNO world); SapResume degrades to Sap inside World on sharded brokers.
+  // MNO world).
   switch (s.attach_protocol) {
     case 0: w.protocol = scenario::AttachProtocol::EpsAka; break;
     case 1: w.protocol = scenario::AttachProtocol::Aka5g; break;
@@ -50,7 +50,7 @@ scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   w.report_interval = Duration::seconds(s.report_interval_s);
   w.telco0_overreport = s.telco0_overreport;
   w.ue_underreport = s.ue_underreport;
-  w.broker_config.test_skip_report_dedup = s.plant_dedup_bug;
+  w.shard_config.broker.test_skip_report_dedup = s.plant_dedup_bug;
   w.broker_shards = s.broker_shards;
   // Measurement axis: channel noise + policy (radio seed derives from the
   // world seed inside World).
@@ -95,7 +95,9 @@ sim::FaultPlan bind_faults(const scenario::FuzzScenario& s, scenario::World& wor
         });
         break;
       case scenario::FuzzFault::Kind::ShardKill: {
-        if (world.broker_cluster() == nullptr) break;  // single-broker world
+        // A lone shard has no replica to recover from (and MNO worlds have
+        // no broker at all).
+        if (world.broker_cluster() == nullptr || world.broker_cluster()->n_shards() < 2) break;
         const std::size_t i =
             std::min(f.telco, world.broker_cluster()->n_shards() - 1);
         plan.window(
@@ -156,9 +158,7 @@ RunReport run_scenario(const scenario::FuzzScenario& s, const RunOptions& option
   install_world_invariants(engine, world, &probe);
   install_attach_invariants(engine, world);
   install_ran_invariants(engine, world);
-  if (world.broker_cluster() != nullptr) {
-    install_settlement_invariants(engine, world);
-  }
+  install_settlement_invariants(engine, world);
 
   const TimePoint horizon = TimePoint::zero() + Duration::seconds(s.duration_s);
   engine.arm(sim, options.check_cadence, horizon);
@@ -197,9 +197,11 @@ RunReport run_scenario(const scenario::FuzzScenario& s, const RunOptions& option
   report.violations = engine.violations();
   report.checks_run = engine.checks_run();
   report.events_executed = sim.events_executed();
-  report.sessions_issued = world.broker_sessions_issued();
-  report.reports_ingested = world.broker_reports_ingested();
-  report.pairs_compared = world.broker_pairs_compared();
+  if (const auto* broker = world.broker_cluster()) {
+    report.sessions_issued = broker->sessions_issued();
+    report.reports_ingested = broker->reports_ingested();
+    report.pairs_compared = broker->pairs_compared();
+  }
   report.fault_log_entries = chaos.log().size();
   report.ue_attached_at_end = world.ue_agent() != nullptr ? world.ue_agent()->attached()
                                                           : world.ue_nas()->attached();

@@ -1,6 +1,5 @@
-// Settlement-log invariants for sharded-broker worlds (DESIGN.md §12).
-//
-// Installed only when the world runs a BrokerCluster (broker_shards > 1):
+// Settlement-log invariants for every CellBricks world (DESIGN.md §12); on
+// a one-shard broker the replica checks hold trivially.
 //
 //   broker.settlement_prefix_agreement — every shard's applied prefix of
 //       every stream chain-hashes identically to the observer fold's copy

@@ -67,13 +67,16 @@ void install_world_invariants(InvariantEngine& engine, scenario::World& world,
     }
   });
 
+  // The broker invariants read the cluster's observer fold: the auditor's
+  // view of every authored settlement entry, at any shard count and across
+  // shard crashes.
   engine.add("sap.session_backed", When::Periodic, [w](Reporter& r) {
-    auto* broker = w->brokerd();
+    auto* broker = w->broker_cluster();
     if (!broker) return;
     for (std::size_t i = 0; i < w->n_btelcos(); ++i) {
       auto* t = w->btelco(i);
       for (std::uint64_t sid : t->session_ids()) {
-        if (!broker->sessions().contains(sid)) {
+        if (!broker->observer().sessions().contains(sid)) {
           std::ostringstream s;
           s << t->id() << ": installed session " << sid
             << " has no broker-issued record (no signed verdict backs it)";
@@ -86,7 +89,7 @@ void install_world_invariants(InvariantEngine& engine, scenario::World& world,
   engine.add("sap.nonce_unique", When::Periodic,
              [w, prev = std::make_shared<std::pair<std::size_t, std::uint64_t>>(
                      0, 0)](Reporter& r) mutable {
-               auto* broker = w->brokerd();
+               auto* broker = w->broker_cluster();
                if (!broker) return;
                const std::size_t nonces = broker->nonces_seen();
                const std::uint64_t issued = broker->sessions_issued();
@@ -103,13 +106,13 @@ void install_world_invariants(InvariantEngine& engine, scenario::World& world,
              });
 
   engine.add("billing.dedup", When::Periodic, [w](Reporter& r) {
-    auto* broker = w->brokerd();
+    auto* broker = w->broker_cluster();
     if (!broker) return;
-    for (const auto& [sid, rec] : broker->sessions()) {
-      if (rec.accumulations != rec.seen.size()) {
+    for (const auto& [sid, rec] : broker->observer().sessions()) {
+      if (rec.accumulations != rec.reports) {
         std::ostringstream s;
         s << "session " << sid << ": " << rec.accumulations
-          << " accumulations for " << rec.seen.size()
+          << " accumulations for " << rec.reports
           << " distinct (period, reporter) keys — a retransmitted report was "
              "double-counted";
         r.fail(s.str());
@@ -118,9 +121,9 @@ void install_world_invariants(InvariantEngine& engine, scenario::World& world,
   });
 
   engine.add("billing.conservation", When::Periodic, [w](Reporter& r) {
-    auto* broker = w->brokerd();
+    auto* broker = w->broker_cluster();
     if (!broker) return;
-    for (const auto& [sid, rec] : broker->sessions()) {
+    for (const auto& [sid, rec] : broker->observer().sessions()) {
       if (rec.mismatches != 0) continue;  // flagged pairs may diverge freely
       const double telco = static_cast<double>(rec.telco_paired_bytes);
       const double ue = static_cast<double>(rec.ue_paired_bytes);
@@ -138,7 +141,7 @@ void install_world_invariants(InvariantEngine& engine, scenario::World& world,
   engine.add(
       "reputation.honest", When::Periodic,
       [w, prev = std::make_shared<std::map<std::string, double>>()](Reporter& r) mutable {
-        auto* broker = w->brokerd();
+        auto* broker = w->broker_cluster();
         if (!broker) return;
         const auto& rep = broker->reputation();
         const bool honest_world = w->config().telco0_overreport == 1.0 &&

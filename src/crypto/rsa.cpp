@@ -6,9 +6,9 @@
 
 namespace cb::crypto {
 
-// PKCS#1 v1.5 type-1 block: 0x00 0x01 FF..FF 0x00 || digest. Public so the
-// batch verifier screens against the exact encoding sign/verify use.
-Bytes pkcs1_signature_block(BytesView message, std::size_t width) {
+namespace {
+// PKCS#1 v1.5 type-1 block: 0x00 0x01 FF..FF 0x00 || digest.
+Bytes signature_block(BytesView message, std::size_t width) {
   const Bytes digest = sha256(message);
   if (width < digest.size() + 11) throw std::invalid_argument("rsa: modulus too small to sign");
   Bytes em(width, 0xFF);
@@ -17,11 +17,6 @@ Bytes pkcs1_signature_block(BytesView message, std::size_t width) {
   em[width - digest.size() - 1] = 0x00;
   std::copy(digest.begin(), digest.end(), em.end() - static_cast<std::ptrdiff_t>(digest.size()));
   return em;
-}
-
-namespace {
-Bytes signature_block(BytesView message, std::size_t width) {
-  return pkcs1_signature_block(message, width);
 }
 }  // namespace
 

@@ -16,12 +16,6 @@
 
 namespace cb::crypto {
 
-/// PKCS#1 v1.5 type-1 encoding of sha256(message) at `width` bytes — the
-/// exact block sign() exponentiates and verify() compares against. Exposed
-/// for the batch verifier (crypto/batch_verify.hpp), which must screen
-/// products of these blocks, not a re-derived encoding.
-Bytes pkcs1_signature_block(BytesView message, std::size_t width);
-
 /// Public half of an RSA key pair; copyable value type.
 class RsaPublicKey {
  public:

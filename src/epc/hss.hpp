@@ -3,7 +3,7 @@
 // Serves two S6A-style requests over UDP — Authentication Information
 // Request (AIR) and Update Location Request (ULR). The standard attach makes
 // BOTH round-trips (TS 29.272); CellBricks' SAP replaces them with a single
-// round-trip to brokerd, which is where Fig.7's latency win comes from.
+// round-trip to the broker, which is where Fig.7's latency win comes from.
 #pragma once
 
 #include <string>

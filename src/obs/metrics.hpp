@@ -13,9 +13,7 @@
 //
 // Cost model: instrumentation sites acquire handles (`obs::Counter*`) from
 // the active registry; with no registry installed the handles are null and
-// every record operation is one predictable branch (~0 cost). Defining
-// CB_OBS_COMPILED_OUT turns the helpers into constant-null stubs the
-// optimizer deletes entirely.
+// every record operation is one predictable branch (~0 cost).
 //
 // Determinism rules (see DESIGN.md §9): record sim-time quantities only —
 // never wall clock, never thread ids — and never schedule events or draw
@@ -162,15 +160,8 @@ class ScopedRegistry {
 };
 
 // --- Instrumentation-site helpers ------------------------------------------
-// Null-safe: with no active registry (or CB_OBS_COMPILED_OUT) they cost one
-// branch or nothing at all.
+// Null-safe: with no active registry they cost one branch.
 
-#ifdef CB_OBS_COMPILED_OUT
-inline Counter* counter(std::string_view) { return nullptr; }
-inline Gauge* gauge(std::string_view) { return nullptr; }
-inline Histogram* histogram(std::string_view) { return nullptr; }
-inline void trace(TimePoint, TraceType, std::uint64_t = 0, std::uint64_t = 0) {}
-#else
 inline Counter* counter(std::string_view name) {
   Registry* r = active();
   return r ? &r->counter(name) : nullptr;
@@ -186,7 +177,6 @@ inline Histogram* histogram(std::string_view name) {
 inline void trace(TimePoint at, TraceType type, std::uint64_t a = 0, std::uint64_t b = 0) {
   if (Registry* r = active()) r->trace().record(at, type, a, b);
 }
-#endif
 
 inline void inc(Counter* c, std::uint64_t n = 1) {
   if (c) c->inc(n);

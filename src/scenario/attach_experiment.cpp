@@ -73,7 +73,7 @@ AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rt
   const double denom = std::max(1.0, static_cast<double>(cycles));
   if (arch == Architecture::CellBricks) {
     out.agw_core_ms = (world.btelco(0)->busy_time().to_millis() +
-                       world.brokerd()->sap_busy_time().to_millis()) /
+                       world.broker_cluster()->sap_busy_time().to_millis()) /
                       denom;
     out.enb_ms = world.ue_agent()->enb_busy_time().to_millis() / denom;
     out.ue_ms = world.ue_agent()->ue_busy_time().to_millis() / denom;
@@ -114,7 +114,8 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
     cellbricks::SapBroker sap_broker("broker", std::move(broker_keys), broker_cert,
                                      ca.public_key());
     const crypto::RsaPublicKey broker_pk = broker_cert.key();
-    cellbricks::Brokerd brokerd(*cloud, std::move(sap_broker));
+    cellbricks::BrokerCluster broker(cellbricks::BrokerShard::Config{});
+    broker.add_shard(*cloud, std::move(sap_broker));
 
     auto telco_keys = crypto::RsaKeyPair::generate(key_rng, 512);
     auto telco_cert = ca.issue("telco", telco_keys.public_key(), TimePoint::zero(), forever);
@@ -134,7 +135,7 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
     std::vector<StormUe> ues;
     for (int i = 0; i < n_ues; ++i) {
       const std::string id = "user-" + std::to_string(i);
-      brokerd.add_subscriber(id, ue_keys.public_key());
+      broker.add_subscriber(id, ue_keys.public_key());
       net::Node* node = network.add_node("ue-" + std::to_string(i));
       net::Link* radio = network.connect(node, tower, net::LinkParams{.rate_bps = 50e6});
       ues.push_back({node, radio,
@@ -143,6 +144,7 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
                                                          broker_pk)});
     }
     network.recompute_routes();
+    broker.start();
 
     Rng rng = sim.rng().fork(0x99);
     for (auto& ue : ues) {

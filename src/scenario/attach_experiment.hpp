@@ -1,6 +1,6 @@
 // Fig.7 experiment harness: measure end-to-end attachment latency (radio
 // legs excluded, as in the paper) under both architectures, with the
-// SubscriberDB/brokerd placed "local", in "us-west-1", or in "us-east-1",
+// SubscriberDB/broker placed "local", in "us-west-1", or in "us-east-1",
 // and break the latency down by module.
 #pragma once
 
@@ -27,7 +27,7 @@ struct AttachBreakdown {
   Architecture arch;
   AttachProtocol protocol = AttachProtocol::Default;
   double total_ms = 0.0;      // mean end-to-end attach latency (full attaches)
-  double agw_core_ms = 0.0;   // AGW + SubscriberDB/brokerd processing
+  double agw_core_ms = 0.0;   // AGW + SubscriberDB/broker processing
   double enb_ms = 0.0;        // eNB relay processing
   double ue_ms = 0.0;         // UE processing
   double other_ms = 0.0;      // remainder: dominated by AGW<->cloud RTT
@@ -54,7 +54,7 @@ AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rt
                                       std::uint64_t seed = 1);
 
 /// Concurrent attach storm: `n_ues` all request attachment at once; returns
-/// mean and p99 latency (scaling claim of §6 / queueing at brokerd).
+/// mean and p99 latency (scaling claim of §6 / queueing at the broker).
 struct AttachStorm {
   int n_ues = 0;
   double mean_ms = 0.0;

@@ -54,13 +54,14 @@ ChaosResult run_chaos(const ChaosConfig& config) {
       if (cell != 0) world.ran_map().site(cell).radio_link->set_up(false);
     });
   }
+  cellbricks::BrokerCluster& broker = *world.broker_cluster();
   for (const auto& k : config.shard_kills) {
-    if (world.broker_cluster() == nullptr) continue;  // single-broker world
-    const std::size_t i = std::min(k.shard, world.broker_cluster()->n_shards() - 1);
+    // A lone shard has no replica to recover from.
+    if (broker.n_shards() < 2) continue;
+    const std::size_t i = std::min(k.shard, broker.n_shards() - 1);
     plan.window(
         "kill:broker-shard-" + std::to_string(i), k.start, k.duration,
-        [&world, i] { world.broker_cluster()->crash_shard(i); },
-        [&world, i] { world.broker_cluster()->restart_shard(i); });
+        [&broker, i] { broker.crash_shard(i); }, [&broker, i] { broker.restart_shard(i); });
   }
   for (const auto& w : config.wan_degrades) {
     auto apply = [&world](double loss, double corrupt) {
@@ -129,10 +130,10 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   }
   result.orphan_sessions = sessions_at_end - (result.ue_attached_at_end ? 1 : 0);
 
-  result.reports_ingested = world.broker_reports_ingested();
-  result.reports_deduped = world.broker_reports_deduped();
-  result.unpaired_expired = world.broker_unpaired_expired();
-  result.pairs_compared = world.broker_pairs_compared();
+  result.reports_ingested = broker.reports_ingested();
+  result.reports_deduped = broker.reports_deduped();
+  result.unpaired_expired = broker.unpaired_expired();
+  result.pairs_compared = broker.pairs_compared();
   result.pair_completion =
       result.reports_ingested > 0
           ? 2.0 * static_cast<double>(result.pairs_compared) /

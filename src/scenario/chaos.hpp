@@ -47,7 +47,8 @@ struct ChaosConfig {
   };
   /// Broker shard `shard` crashes at `start` (log, fold, and in-flight
   /// commits wiped) and restarts `duration` later in recovering state.
-  /// Requires world.broker_shards > 1; ignored on single-broker worlds.
+  /// Requires world.broker_shards > 1; ignored on one-shard worlds, where
+  /// no replica survives to recover from.
   struct ShardKill {
     std::size_t shard = 0;
     TimePoint start;

@@ -59,7 +59,7 @@ struct FuzzScenario {
   /// Traffic phase mode: fluid-only, or hybrid with a mid-run fault window
   /// that exercises the fluid -> packet -> fluid fidelity boundary.
   bool fluid_hybrid = false;
-  /// Broker deployment: 1 = single Brokerd (default), 2/4/8 = a sharded
+  /// Broker deployment: 1 = one shard (default), 2/4/8 = a sharded
   /// BrokerCluster with the replicated settlement log (DESIGN.md §12) —
   /// sampled occasionally so the settlement invariants see chaos too.
   int broker_shards = 1;
@@ -68,8 +68,7 @@ struct FuzzScenario {
   /// default). Sampled occasionally so the attach conformance invariants
   /// run under the same chaos schedules as the billing ones.
   int attach_protocol = 2;
-  /// SAP resumption tickets (attach_protocol == 2 only; the world degrades
-  /// it to plain SAP on sharded deployments).
+  /// SAP resumption tickets (attach_protocol == 2 only).
   bool resume_ticket = false;
   /// Measurement-channel axis (ran::ChannelConfig): log-normal shadowing
   /// sigma (0 = the pure-path-loss engine), its spatial decorrelation
@@ -84,7 +83,7 @@ struct FuzzScenario {
   int l3_filter_k = 0;  // 3GPP L3 filter k; 0 = no smoothing
   std::vector<FuzzFault> faults;
   /// TEST HOOK passthrough: re-introduce the broker's report double-count
-  /// bug (Brokerd::Config::test_skip_report_dedup) so the checker's
+  /// bug (BrokerConfig::test_skip_report_dedup) so the checker's
   /// detect/shrink/replay path can be exercised end to end.
   bool plant_dedup_bug = false;
 };

@@ -1,7 +1,6 @@
 #include "scenario/world.hpp"
 
 #include "common/log.hpp"
-#include "obs/metrics.hpp"
 
 namespace cb::scenario {
 
@@ -24,16 +23,6 @@ World::World(WorldConfig config) : config_(config), sim_(config.seed), network_(
     config_.arch = Architecture::Mno;
   } else {
     config_.arch = Architecture::CellBricks;
-  }
-  // The shard replication protocol has no ResumeNotify: degrade to plain
-  // SAP rather than serve resumes the settlement log would never see.
-  if (protocol_ == AttachProtocol::SapResume && config_.broker_shards > 1) {
-    protocol_ = AttachProtocol::Sap;
-    resume_degraded_ = true;
-    obs::inc(obs::counter("world.sap_resume_degraded"));
-    CB_LOG(Warn, "world") << "sap_resume degraded to sap: sharded broker ("
-                          << config_.broker_shards
-                          << " shards) has no ResumeNotify";
   }
   build_topology();
   if (config_.arch == Architecture::Mno) {
@@ -156,54 +145,47 @@ void World::build_cellbricks() {
   const TimePoint not_after = TimePoint::zero() + Duration::s(86400 * 365);
 
   // Broker identity: one keypair/certificate regardless of shard count, so
-  // clients always seal to "broker-0". Key generation order (CA, broker,
-  // UE, telcos) is identical in both deployment shapes — the single-shard
-  // path stays bit-compatible with the pre-sharding engine.
+  // clients always seal to "broker-0".
   auto broker_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
   auto broker_cert =
       ca_->issue("broker-0", broker_keys.public_key(), TimePoint::zero(), not_after);
   auto ue_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
   const crypto::RsaPublicKey broker_pk = broker_cert.key();
 
-  net::EndPoint broker_ep{cloud_addr_, cellbricks::kBrokerPort};
   Bytes ticket_key;  // non-empty = resumption federation is live
+  if (protocol_ == AttachProtocol::SapResume) {
+    // STEK drawn from its own fork, only in resume worlds: plain-SAP
+    // streams stay bit-identical. Every shard mints and honours tickets
+    // under the same key.
+    ticket_key = sim_.rng().fork(0x71C7).random_bytes(32);
+  }
+  auto sap_broker = [&] {
+    cellbricks::SapBroker sap("broker-0", broker_keys, broker_cert, ca_->public_key());
+    if (!ticket_key.empty()) sap.enable_resume(ticket_key, config_.ticket_ttl);
+    return sap;
+  };
+  broker_cluster_ = std::make_unique<cellbricks::BrokerCluster>(config_.shard_config);
   if (config_.broker_shards <= 1) {
-    cellbricks::SapBroker sap_broker("broker-0", std::move(broker_keys), broker_cert,
-                                     ca_->public_key());
-    if (protocol_ == AttachProtocol::SapResume) {
-      // STEK drawn from its own fork, only in resume worlds: plain-SAP
-      // streams stay bit-identical.
-      ticket_key = sim_.rng().fork(0x71C7).random_bytes(32);
-      sap_broker.enable_resume(ticket_key, config_.ticket_ttl);
-    }
-    cellbricks::Brokerd::Config bcfg = config_.broker_config;
-    brokerd_ = std::make_unique<cellbricks::Brokerd>(*cloud_, std::move(sap_broker), bcfg);
-    brokerd_->add_subscriber("user-001", ue_keys.public_key());
+    broker_cluster_->add_shard(*cloud_, sap_broker());
   } else {
     // Shard hosts hang off the cloud hub: tower -> cloud -> shard-i adds one
     // fast intra-region hop on top of the configured cloud RTT; shard<->shard
     // replication crosses the hub the same way.
-    cellbricks::BrokerShard::Config scfg = config_.shard_config;
-    scfg.broker = config_.broker_config;
-    broker_cluster_ = std::make_unique<cellbricks::BrokerCluster>(scfg);
     for (int i = 0; i < config_.broker_shards; ++i) {
       net::Node* host = network_.add_node("broker-shard-" + std::to_string(i));
       network_.register_address(net::Ipv4Addr(2, 2, 2, static_cast<std::uint8_t>(10 + i)),
                                 host);
       network_.connect(cloud_, host,
                        net::LinkParams{.rate_bps = 10e9, .delay = Duration::us(250)});
-      shard_nodes_.push_back(host);
-      broker_cluster_->add_shard(
-          *host, cellbricks::SapBroker("broker-0", broker_keys, broker_cert,
-                                       ca_->public_key()));
+      broker_cluster_->add_shard(*host, sap_broker());
     }
     network_.recompute_routes();
-    broker_cluster_->add_subscriber("user-001", ue_keys.public_key());
-    broker_cluster_->start();
     shard_router_ = std::make_unique<cellbricks::ShardRouter>(
         broker_cluster_->client_endpoints());
-    broker_ep = broker_cluster_->client_endpoints().front();
   }
+  broker_cluster_->add_subscriber("user-001", ue_keys.public_key());
+  broker_cluster_->start();
+  const net::EndPoint broker_ep = broker_cluster_->client_endpoints().front();
 
   // One bTelco per tower (the paper's extreme single-tower providers).
   for (int i = 0; i < config_.n_towers; ++i) {
@@ -212,7 +194,7 @@ void World::build_cellbricks() {
     auto cert = ca_->issue(id_t, keys.public_key(), TimePoint::zero(), not_after);
     // Cluster-wide key registration: a shard that never served this bTelco's
     // attach must still be able to verify its report signatures.
-    if (broker_cluster_) broker_cluster_->add_telco(id_t, keys.public_key());
+    broker_cluster_->add_telco(id_t, keys.public_key());
     cellbricks::SapTelco sap_telco(id_t, std::move(keys), std::move(cert), ca_->public_key());
     cellbricks::Btelco::Config tcfg = config_.btelco_config;
     tcfg.ip_subnet = static_cast<std::uint8_t>(100 + i);

@@ -6,8 +6,8 @@
 //                the UE IP; handovers are network-driven (X2 path switch);
 //                apps run over plain TCP. The paper's baseline.
 //   CellBricks — every tower is an independent bTelco (the §6.2 extreme
-//                design point); SAP + brokerd; host-driven mobility; apps
-//                run over MPTCP.
+//                design point); SAP + the broker; host-driven mobility;
+//                apps run over MPTCP.
 //
 // Both share identical geometry, radio model, rate policy, and WAN delays,
 // so any app-level difference is attributable to the architecture.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "cellbricks/broker_cluster.hpp"
-#include "cellbricks/brokerd.hpp"
 #include "cellbricks/btelco.hpp"
 #include "cellbricks/ue_agent.hpp"
 #include "epc/hss.hpp"
@@ -43,9 +42,7 @@ enum class Architecture { Mno, CellBricks };
 ///   Sap        CellBricks SAP (one broker round-trip).
 ///   SapResume  SAP plus broker-minted resumption tickets: re-attaches are
 ///              verified locally at the bTelco, no broker on the critical
-///              path. Requires the single-broker deployment — with
-///              broker_shards > 1 it degrades to plain Sap (the shard
-///              replication protocol has no ResumeNotify; DESIGN.md §14).
+///              path; the broker logs each resumption (DESIGN.md §14).
 enum class AttachProtocol { Default = 0, EpsAka, Aka5g, Sap, SapResume };
 
 /// Canonical spelling of the protocol axis (bench JSON keys, cbfuzz
@@ -70,7 +67,7 @@ struct WorldConfig {
   std::uint64_t seed = 1;
   /// Number of towers along the route (route length = spacing * (n-1)).
   int n_towers = 12;
-  /// AGW/bTelco <-> cloud (SubscriberDB/brokerd) round-trip time.
+  /// AGW/bTelco <-> cloud (SubscriberDB/broker) round-trip time.
   Duration cloud_rtt = Duration::millis(7.2);  // "us-west-1"
   /// RSA modulus for CellBricks entities (512 keeps setup fast; crypto cost
   /// in the simulated timeline comes from the calibrated proc profiles).
@@ -92,17 +89,15 @@ struct WorldConfig {
   /// pre-measurement engine. `radio_config.channel.seed` 0 means "derive
   /// from the world seed".
   ran::UeRadioConfig radio_config{};
-  /// Broker deployment size. 1 = the classic single Brokerd on the cloud
-  /// host (default; bit-identical to the pre-sharding engine). >1 = a
-  /// BrokerCluster of that many shards on dedicated hosts behind the cloud
-  /// hub, with clients routing via a ShardRouter (DESIGN.md §12).
+  /// Broker deployment size. 1 = one shard on the cloud host (default).
+  /// >1 = that many shards on dedicated hosts behind the cloud hub, with
+  /// clients routing via a ShardRouter (DESIGN.md §12).
   int broker_shards = 1;
-  /// Cluster timing knobs (heartbeats, append retry, ...) when
-  /// broker_shards > 1; the `broker` member is overridden by broker_config.
-  cellbricks::BrokerShard::Config shard_config{};
   /// Base component configs (chaos experiments tighten timeouts here); the
   /// world-level fields above override the corresponding members on top.
-  cellbricks::Brokerd::Config broker_config{};
+  /// `shard_config.broker` holds the broker service knobs; the rest are
+  /// cluster timing knobs (heartbeats, append retry, ...).
+  cellbricks::BrokerShard::Config shard_config{};
   cellbricks::Btelco::Config btelco_config{};
   cellbricks::UeAgent::Config ue_config{};
 };
@@ -127,7 +122,8 @@ class World {
   net::Network& network() { return network_; }
   net::Node* ue_node() { return ue_; }
   net::Node* server_node() { return server_; }
-  /// Fault-injection surface: the broker host, the tower<->cloud control
+  /// Fault-injection surface: the cloud host (the one-shard broker's
+  /// host; the hub in front of a sharded broker), the tower<->cloud control
   /// links, and the radio map (chaos experiments flip these up/down).
   net::Node* cloud_node() { return cloud_; }
   net::Link* cloud_link(std::size_t i) { return cloud_links_[i]; }
@@ -138,11 +134,8 @@ class World {
 
   ran::UeRadio& radio() { return *radio_; }
   const WorldConfig& config() const { return config_; }
-  /// The protocol actually built (Default/degraded cases resolved).
+  /// The protocol actually built (Default resolved).
   AttachProtocol protocol() const { return protocol_; }
-  /// True when SapResume was requested but the sharded broker forced a
-  /// degrade to plain Sap (logged + counted; conformance matrix flags it).
-  bool resume_degraded() const { return resume_degraded_; }
 
   /// Handover statistics (MTTHO for Table 1).
   std::uint64_t handovers() const;
@@ -151,35 +144,8 @@ class World {
   const Summary* attach_latencies_ms() const;
 
   // Architecture internals (exposed for experiments and examples).
-  cellbricks::Brokerd* brokerd() { return brokerd_.get(); }
-  /// Sharded deployments (broker_shards > 1); null otherwise — exactly one
-  /// of brokerd()/broker_cluster() is set in CellBricks mode.
+  /// The broker (CellBricks worlds; null under Mno).
   cellbricks::BrokerCluster* broker_cluster() { return broker_cluster_.get(); }
-  cellbricks::ShardRouter* shard_router() { return shard_router_.get(); }
-  net::Node* shard_node(std::size_t i) { return shard_nodes_.at(i); }
-
-  // Broker-side billing aggregates that read the same regardless of
-  // deployment shape (experiments/check/chaos accounting).
-  std::uint64_t broker_sessions_issued() const {
-    return broker_cluster_ ? broker_cluster_->sessions_issued()
-                           : (brokerd_ ? brokerd_->sessions_issued() : 0);
-  }
-  std::uint64_t broker_reports_ingested() const {
-    return broker_cluster_ ? broker_cluster_->reports_ingested()
-                           : (brokerd_ ? brokerd_->reports_ingested() : 0);
-  }
-  std::uint64_t broker_reports_deduped() const {
-    return broker_cluster_ ? broker_cluster_->reports_deduped()
-                           : (brokerd_ ? brokerd_->reports_deduped() : 0);
-  }
-  std::uint64_t broker_unpaired_expired() const {
-    return broker_cluster_ ? broker_cluster_->unpaired_expired()
-                           : (brokerd_ ? brokerd_->unpaired_expired() : 0);
-  }
-  std::uint64_t broker_pairs_compared() const {
-    return broker_cluster_ ? broker_cluster_->pairs_compared()
-                           : (brokerd_ ? brokerd_->pairs_compared_total() : 0);
-  }
   cellbricks::UeAgent* ue_agent() { return ue_agent_.get(); }
   cellbricks::Btelco* btelco(std::size_t i) { return btelcos_[i].get(); }
   std::size_t n_btelcos() const { return btelcos_.size(); }
@@ -198,7 +164,6 @@ class World {
 
   WorldConfig config_;
   AttachProtocol protocol_ = AttachProtocol::Default;
-  bool resume_degraded_ = false;
   sim::Simulator sim_;
   net::Network network_;
 
@@ -231,10 +196,8 @@ class World {
 
   // CellBricks side.
   std::unique_ptr<crypto::CertificateAuthority> ca_;
-  std::unique_ptr<cellbricks::Brokerd> brokerd_;
   std::unique_ptr<cellbricks::BrokerCluster> broker_cluster_;
   std::unique_ptr<cellbricks::ShardRouter> shard_router_;
-  std::vector<net::Node*> shard_nodes_;
   std::vector<std::unique_ptr<cellbricks::Btelco>> btelcos_;
   std::unordered_map<ran::CellId, cellbricks::Btelco*> telco_by_cell_;
   std::unique_ptr<cellbricks::UeAgent> ue_agent_;

@@ -1,5 +1,5 @@
 // A single-server FIFO service queue: models the serial processing capacity
-// of a control-plane component (MME, HSS, brokerd). Used both to inject the
+// of a control-plane component (MME, HSS, broker). Used both to inject the
 // calibrated per-message processing delays of Fig.7 and to produce queueing
 // behaviour under attach storms (the scale benchmark).
 #pragma once

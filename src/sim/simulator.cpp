@@ -53,14 +53,12 @@ bool Simulator::step(const TimePoint* deadline) {
     if (deadline && top.at > *deadline) return false;
     const Event ev = top;
     queue_.pop();
-#ifndef CB_CHECK_COMPILED_OUT
     if (probe_) {
       ++probe_->executed;
       if (ev.at < now_) ++probe_->past_events;
       if (ev.at < probe_->last_pop) ++probe_->order_regressions;
       probe_->last_pop = ev.at;
     }
-#endif
     now_ = ev.at;
     auto& slot = pool_->slots[ev.slot];
     InplaceFn fn = std::move(slot.fn);

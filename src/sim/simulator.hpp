@@ -87,7 +87,7 @@ class EventHandle {
 /// Engine-health observation point for the invariant checker (src/check).
 /// A Simulator carries an optional probe pointer; when none is installed the
 /// per-event cost is one predictable null-check branch (the same contract as
-/// the obs layer's handles), and CB_CHECK_COMPILED_OUT removes even that.
+/// the obs layer's handles).
 /// The probe only *counts* — it never mutates engine state — so installing
 /// one cannot perturb event order or the chaos golden fingerprints.
 struct EngineProbe {
@@ -148,14 +148,10 @@ class Simulator {
 
   /// Install (or remove, with nullptr) the engine-health probe. The caller
   /// keeps ownership; the probe must outlive the simulator or be removed
-  /// first. No-op under CB_CHECK_COMPILED_OUT.
+  /// first.
   void set_probe(EngineProbe* probe) {
-#ifndef CB_CHECK_COMPILED_OUT
     probe_ = probe;
     if (probe_) probe_->last_pop = now_;
-#else
-    (void)probe;
-#endif
   }
 
  private:
@@ -182,9 +178,7 @@ class Simulator {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::shared_ptr<detail::EventPool> pool_;
   Rng rng_;
-#ifndef CB_CHECK_COMPILED_OUT
   EngineProbe* probe_ = nullptr;
-#endif
 };
 
 }  // namespace cb::sim

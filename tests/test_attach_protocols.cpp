@@ -2,9 +2,10 @@
 //
 // Every protocol on the axis — eps_aka | 5g_aka | sap | sap_resume — runs
 // through the SAME seeded scenario matrix (clean attach, handover re-attach,
-// broker/HSS unreachable, mid-attach chaos window) under the full invariant
-// catalogue, and each cell must come back (i) violation-free and (ii)
-// bit-stable: two runs of the same seed produce identical fingerprints.
+// broker/HSS unreachable, mid-attach chaos window) at 1 and 4 broker shards
+// under the full invariant catalogue, and each cell must come back (i)
+// violation-free and (ii) bit-stable: two runs of the same seed produce
+// identical fingerprints.
 // World-level tests then check what the scenario runner cannot see from the
 // outside: the 5G key-agreement transcript (KSEAF equality across the air
 // interface), the calibrated latency ordering between protocols, resolution
@@ -17,7 +18,6 @@
 
 #include "cellbricks/ticket.hpp"
 #include "check/runner.hpp"
-#include "obs/metrics.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/world.hpp"
 
@@ -41,20 +41,39 @@ struct ProtocolCase {
   bool resume;  // FuzzScenario::resume_ticket
 };
 
-constexpr ProtocolCase kProtocols[] = {
-    {"eps_aka", 0, false},
-    {"5g_aka", 1, false},
-    {"sap", 2, false},
-    {"sap_resume", 2, true},
+struct MatrixCase {
+  ProtocolCase protocol;
+  int broker_shards;
+  std::string label(const char* scenario) const {
+    return std::string(scenario) + "/" + protocol.name + "/shards=" +
+           std::to_string(broker_shards);
+  }
 };
+
+// Every protocol at one and at four broker shards (the EPC worlds build no
+// broker and ignore the shard count).
+std::vector<MatrixCase> matrix_cases() {
+  constexpr ProtocolCase kProtocols[] = {
+      {"eps_aka", 0, false},
+      {"5g_aka", 1, false},
+      {"sap", 2, false},
+      {"sap_resume", 2, true},
+  };
+  std::vector<MatrixCase> cases;
+  for (int shards : {1, 4}) {
+    for (const ProtocolCase& p : kProtocols) cases.push_back({p, shards});
+  }
+  return cases;
+}
 
 // Common geometry: 3 bTelcos 400 m apart, UE at 25 m/s -> cell crossings at
 // ~8 s and ~24 s, so a 30 s horizon exercises two re-attaches.
-FuzzScenario matrix_scenario(const ProtocolCase& p) {
+FuzzScenario matrix_scenario(const MatrixCase& c) {
   FuzzScenario s;
   s.seed = 1234;
-  s.attach_protocol = p.code;
-  s.resume_ticket = p.resume;
+  s.attach_protocol = c.protocol.code;
+  s.resume_ticket = c.protocol.resume;
+  s.broker_shards = c.broker_shards;
   s.n_towers = 3;
   s.night = false;
   s.speed_mps = 25.0;
@@ -82,46 +101,46 @@ check::RunReport expect_conformant(const FuzzScenario& s, const std::string& lab
 }
 
 TEST(AttachMatrix, CleanAttach) {
-  for (const ProtocolCase& p : kProtocols) {
-    FuzzScenario s = matrix_scenario(p);
+  for (const MatrixCase& c : matrix_cases()) {
+    FuzzScenario s = matrix_scenario(c);
     s.speed_mps = 1.0;  // never leaves the first cell: pure attach + idle
     s.duration_s = 20.0;
-    expect_conformant(s, std::string("clean/") + p.name, /*require_attached=*/true);
+    expect_conformant(s, c.label("clean"), /*require_attached=*/true);
   }
 }
 
 TEST(AttachMatrix, HandoverReattach) {
-  for (const ProtocolCase& p : kProtocols) {
-    FuzzScenario s = matrix_scenario(p);
+  for (const MatrixCase& c : matrix_cases()) {
+    const ProtocolCase& p = c.protocol;
+    FuzzScenario s = matrix_scenario(c);
     s.app = 2;  // ping keeps the user plane observable across re-attaches
-    const check::RunReport r =
-        expect_conformant(s, std::string("handover/") + p.name, /*require_attached=*/true);
+    const check::RunReport r = expect_conformant(s, c.label("handover"), /*require_attached=*/true);
     // Plain SAP re-runs the broker round-trip per crossing (one session per
     // attach); sap_resume keeps the ORIGINAL session across resumed
     // re-attaches — billing continuity is the differential signature of the
     // ticket path. The EPC variants never touch the broker.
     if (p.code != 2) {
-      EXPECT_EQ(r.sessions_issued, 0u) << p.name;
+      EXPECT_EQ(r.sessions_issued, 0u) << c.label("handover");
     } else if (p.resume) {
-      EXPECT_EQ(r.sessions_issued, 1u) << p.name;
+      EXPECT_EQ(r.sessions_issued, 1u) << c.label("handover");
     } else {
-      EXPECT_GE(r.sessions_issued, 2u) << p.name;
+      EXPECT_GE(r.sessions_issued, 2u) << c.label("handover");
     }
   }
 }
 
 TEST(AttachMatrix, BrokerUnreachableWindow) {
-  // The cloud host (brokerd for SAP, HSS for the EPC protocols) goes dark
+  // The cloud host (the broker for SAP, HSS for the EPC protocols) goes dark
   // across the first cell crossing; recovery/backoff must re-attach once the
   // window lifts, and the run must stay invariant-clean throughout.
-  for (const ProtocolCase& p : kProtocols) {
-    FuzzScenario s = matrix_scenario(p);
+  for (const MatrixCase& c : matrix_cases()) {
+    FuzzScenario s = matrix_scenario(c);
     FuzzFault outage;
     outage.kind = FuzzFault::Kind::BrokerOutage;
     outage.start_s = 6.0;
     outage.duration_s = 10.0;
     s.faults.push_back(outage);
-    expect_conformant(s, std::string("broker-outage/") + p.name, /*require_attached=*/true);
+    expect_conformant(s, c.label("broker-outage"), /*require_attached=*/true);
   }
 }
 
@@ -130,8 +149,8 @@ TEST(AttachMatrix, MidAttachChaosWindow) {
   // in-flight when the control path dies), then a radio drop and a provider
   // crash later in the drive. Liveness at the horizon is not promised under
   // an unhealed radio fault — determinism and invariant-cleanliness are.
-  for (const ProtocolCase& p : kProtocols) {
-    FuzzScenario s = matrix_scenario(p);
+  for (const MatrixCase& c : matrix_cases()) {
+    FuzzScenario s = matrix_scenario(c);
     FuzzFault outage;
     outage.kind = FuzzFault::Kind::BrokerOutage;
     outage.start_s = 7.5;
@@ -145,13 +164,23 @@ TEST(AttachMatrix, MidAttachChaosWindow) {
     crash.duration_s = 4.0;
     crash.telco = 2;
     s.faults = {outage, drop, crash};
-    expect_conformant(s, std::string("chaos/") + p.name, /*require_attached=*/false);
+    expect_conformant(s, c.label("chaos"), /*require_attached=*/false);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Key-agreement transcripts and calibrated ordering (world level)
 // ---------------------------------------------------------------------------
+
+// A three-tower sap_resume drive: crossings at ~8 s and ~24 s.
+WorldConfig resume_drive() {
+  WorldConfig cfg;
+  cfg.protocol = AttachProtocol::SapResume;
+  cfg.seed = 11;
+  cfg.n_towers = 3;
+  cfg.route = RouteSpec{"resume", false, 25.0, 400.0, ran::RatePolicy::day()};
+  return cfg;
+}
 
 WorldConfig small_world(AttachProtocol protocol, std::uint64_t seed) {
   WorldConfig cfg;
@@ -223,7 +252,7 @@ TEST(ProtocolResolution, DefaultFollowsArchitectureAndOverridesWin) {
     cfg.arch = scenario::Architecture::CellBricks;
     World world(cfg);
     EXPECT_EQ(world.protocol(), AttachProtocol::Sap);
-    EXPECT_NE(world.brokerd(), nullptr);
+    EXPECT_NE(world.broker_cluster(), nullptr);
   }
   {
     // A non-Default protocol overrides the architecture knob entirely.
@@ -232,35 +261,33 @@ TEST(ProtocolResolution, DefaultFollowsArchitectureAndOverridesWin) {
     World world(cfg);
     EXPECT_EQ(world.protocol(), AttachProtocol::EpsAka);
     EXPECT_NE(world.mme(), nullptr);
-    EXPECT_EQ(world.brokerd(), nullptr);
+    EXPECT_EQ(world.broker_cluster(), nullptr);
   }
 }
 
-TEST(ProtocolResolution, ShardedBrokerDegradesResumeToSap) {
-  obs::Registry metrics;
-  obs::ScopedRegistry install(&metrics);
-  WorldConfig cfg = small_world(AttachProtocol::SapResume, 5);
-  cfg.broker_shards = 2;
+TEST(ProtocolResolution, ShardedBrokerResumesTickets) {
+  // Ticket resumption runs through the settlement log, so a sharded broker
+  // serves sap_resume as it is: the drive keeps its one session, and every
+  // resume is logged at whichever shard received its ResumeNotify.
+  WorldConfig cfg = resume_drive();
+  cfg.broker_shards = 4;
   World world(cfg);
-  EXPECT_EQ(world.protocol(), AttachProtocol::Sap);
-  EXPECT_NE(world.broker_cluster(), nullptr);
-  EXPECT_EQ(world.brokerd(), nullptr);
-  // The degrade is flagged and counted, never silent.
-  EXPECT_TRUE(world.resume_degraded());
-  const obs::Counter* degraded = metrics.find_counter("world.sap_resume_degraded");
-  ASSERT_NE(degraded, nullptr);
-  EXPECT_EQ(degraded->value(), 1u);
+  world.start();
+  world.simulator().run_for(Duration::s(30));
 
-  // A plain-SAP sharded world reports no degrade.
-  WorldConfig plain = small_world(AttachProtocol::Sap, 5);
-  plain.broker_shards = 2;
-  EXPECT_FALSE(World(plain).resume_degraded());
-  // Nor does a single-broker resume world.
-  EXPECT_FALSE(World(small_world(AttachProtocol::SapResume, 5)).resume_degraded());
+  EXPECT_EQ(world.protocol(), AttachProtocol::SapResume);
+  const cellbricks::BrokerCluster& broker = *world.broker_cluster();
+  ASSERT_EQ(broker.n_shards(), 4u);
+  const auto* ue = world.ue_agent();
+  EXPECT_EQ(broker.sessions_issued(), 1u);
+  EXPECT_GE(ue->resumes_succeeded(), 2u);
+  EXPECT_EQ(broker.resumes_notified(), ue->resumes_succeeded());
+  EXPECT_EQ(broker.resume_revocations(), 0u);
 }
 
-// Regression: the degraded combination must still run a full scenario clean —
-// billing pairs on the sharded settlement path and every invariant holds.
+// Regression: sap_resume on a sharded broker (a combination that used to be
+// degraded to plain SAP) must run a full scenario clean — billing pairs on
+// the sharded settlement path and every invariant holds.
 TEST(ProtocolResolution, DegradedResumeScenarioStillPairsBilling) {
   scenario::FuzzScenario s;
   s.seed = 20260808;
@@ -270,18 +297,18 @@ TEST(ProtocolResolution, DegradedResumeScenarioStillPairsBilling) {
   s.duration_s = 60.0;
   s.report_interval_s = 5.0;
   s.app = 1;
-  s.resume_ticket = true;  // requests SapResume...
-  s.broker_shards = 2;     // ...which the sharded broker degrades to Sap
+  s.resume_ticket = true;
+  s.broker_shards = 2;
   const check::RunReport report = check::run_scenario(s, check::RunOptions{});
   for (const auto& v : report.violations) {
     ADD_FAILURE() << v.invariant << " @" << v.at.to_seconds() << "s: " << v.detail;
   }
-  EXPECT_GT(report.pairs_compared, 0u) << "degraded world must still settle billing";
+  EXPECT_GT(report.pairs_compared, 0u) << "sharded resume world must still settle billing";
   EXPECT_TRUE(report.ue_attached_at_end);
-  // The differential signature of the degrade: plain SAP issues one session
-  // per attach, so the drive's cell crossings mint fresh sessions — a live
-  // ticket path would have kept the original session across re-attaches.
-  EXPECT_GE(report.sessions_issued, 2u) << "resume tickets must not be honored when degraded";
+  // The differential signature of live tickets: plain SAP mints one session
+  // per attach, so the drive's cell crossings would mint fresh sessions; a
+  // resumed re-attach keeps the original session.
+  EXPECT_EQ(report.sessions_issued, 1u) << "resume tickets must be honored on a sharded broker";
 }
 
 TEST(ProtocolResolution, ToStringCoversTheAxis) {
@@ -297,12 +324,7 @@ TEST(ProtocolResolution, ToStringCoversTheAxis) {
 // ---------------------------------------------------------------------------
 
 TEST(ResumeLifecycle, HandoverDriveResumesAndAuditsStayClean) {
-  WorldConfig cfg;
-  cfg.protocol = AttachProtocol::SapResume;
-  cfg.seed = 11;
-  cfg.n_towers = 3;
-  cfg.route = RouteSpec{"resume", false, 25.0, 400.0, ran::RatePolicy::day()};
-  World world(cfg);
+  World world(resume_drive());
   world.start();
   world.simulator().run_for(Duration::s(30));
 
@@ -334,9 +356,39 @@ TEST(ResumeLifecycle, HandoverDriveResumesAndAuditsStayClean) {
     audited += world.btelco(i)->resumes_served();
   }
   EXPECT_EQ(audited, ue->resumes_succeeded());
-  ASSERT_NE(world.brokerd(), nullptr);
-  EXPECT_EQ(world.brokerd()->resumes_notified(), ue->resumes_succeeded());
-  EXPECT_EQ(world.brokerd()->resume_revocations(), 0u);
+  ASSERT_NE(world.broker_cluster(), nullptr);
+  EXPECT_EQ(world.broker_cluster()->resumes_notified(), ue->resumes_succeeded());
+  EXPECT_EQ(world.broker_cluster()->resume_revocations(), 0u);
+}
+
+TEST(ResumeLifecycle, PreResumeTelcoLateReportStillPairs) {
+  // Tower-0's control path is down across the first crossing, so its final
+  // report for the pre-resume period retransmits only after tower-1's
+  // ResumeNotify reached the broker. tower-0 is still a party of the
+  // session: the report is ingested and pairs with the UE's half, and no
+  // bTelco is charged with a missing report.
+  World world(resume_drive());
+  sim::Simulator& sim = world.simulator();
+  sim.schedule_at(TimePoint::zero() + Duration::s(6),
+                  [&world] { world.cloud_link(0)->set_up(false); });
+  sim.schedule_at(TimePoint::zero() + Duration::s(11),
+                  [&world] { world.cloud_link(0)->set_up(true); });
+  world.start();
+  sim.run_for(Duration::s(70));
+
+  const cellbricks::BrokerCluster& broker = *world.broker_cluster();
+  ASSERT_GE(world.ue_agent()->resumes_succeeded(), 1u);
+  ASSERT_EQ(broker.sessions_issued(), 1u);
+  const auto& session = broker.observer().sessions().begin()->second;
+  EXPECT_TRUE(session.has_telco("btelco-0"));
+  EXPECT_TRUE(session.has_telco("btelco-1"));
+  EXPECT_EQ(world.btelco(0)->reports_abandoned(), 0u);
+  EXPECT_EQ(broker.reports_rejected(), 0u) << "the pre-resume bTelco's late report was refused";
+  EXPECT_EQ(broker.unpaired_expired(), 0u);
+  for (std::size_t i = 0; i < world.n_btelcos(); ++i) {
+    EXPECT_EQ(broker.reputation().missing_reports(world.btelco(i)->id()), 0u)
+        << world.btelco(i)->id() << " charged with a missing report";
+  }
 }
 
 // The pure-layer half of the ticket matrix: replayed / expired / forged

@@ -1,9 +1,8 @@
-// Sharded broker cluster (DESIGN.md §12): routing, settlement-log fold,
-// replication determinism, and crash-mid-pair failover coverage.
+// Broker cluster (DESIGN.md §12): routing, settlement-log fold, replication
+// determinism, crash-mid-pair failover, and one-shard housekeeping.
 #include <gtest/gtest.h>
 
 #include "cellbricks/broker_cluster.hpp"
-#include "cellbricks/brokerd.hpp"
 #include "cellbricks/settlement_log.hpp"
 #include "crypto/box.hpp"
 #include "net/network.hpp"
@@ -265,13 +264,13 @@ TEST(BrokerClusterFailover, SameSeedRunsAreBitIdentical) {
   EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
-// --- Brokerd ack-cache / pair-expiry interaction (regression) --------------
+// --- Broker ack-cache / pair-expiry interaction (regression) ---------------
 
 namespace {
 
-/// Minimal single-broker wire harness: one Brokerd, one client node speaking
-/// raw BrokerMsg packets, no bTelco/UE agents in between.
-struct BrokerdHarness {
+/// Minimal single-broker wire harness: a one-shard cluster, one client node
+/// speaking raw BrokerMsg packets, no bTelco/UE agents in between.
+struct BrokerHarness {
   sim::Simulator sim{1};
   net::Network network{sim};
   net::Node* broker_node = nullptr;
@@ -281,11 +280,11 @@ struct BrokerdHarness {
   std::unique_ptr<SapUe> ue;
   std::unique_ptr<SapTelco> telco;
   crypto::Certificate broker_cert;
-  std::unique_ptr<Brokerd> brokerd;
+  std::unique_ptr<BrokerCluster> cluster;
   Rng rng{99};
   std::vector<Bytes> received;  // every packet the client got
 
-  explicit BrokerdHarness(Brokerd::Config bcfg) {
+  explicit BrokerHarness(BrokerConfig bcfg) {
     Rng key_rng = sim.rng().fork(0xCA11);
     ca = std::make_unique<crypto::CertificateAuthority>("cb-root", key_rng, 512);
     const TimePoint not_after = TimePoint::zero() + Duration::s(86400);
@@ -307,10 +306,14 @@ struct BrokerdHarness {
                                  broker_cert.key());
     telco = std::make_unique<SapTelco>("t-0", std::move(telco_keys), std::move(telco_cert),
                                        ca->public_key());
-    SapBroker sap("broker-0", std::move(broker_keys), broker_cert, ca->public_key());
-    sap.add_subscriber("user-9", ue->public_key());
-    brokerd = std::make_unique<Brokerd>(*broker_node, std::move(sap), bcfg);
-    brokerd->add_subscriber("user-9", ue->public_key());
+    BrokerShard::Config scfg;
+    scfg.broker = bcfg;
+    cluster = std::make_unique<BrokerCluster>(scfg);
+    cluster->add_shard(*broker_node,
+                       SapBroker("broker-0", std::move(broker_keys), broker_cert,
+                                 ca->public_key()));
+    cluster->add_subscriber("user-9", ue->public_key());
+    cluster->start();
     client_node->bind_udp(4599, [this](const net::Packet& p) {
       received.push_back(Bytes(p.payload.view().begin(), p.payload.view().end()));
     });
@@ -369,6 +372,8 @@ struct BrokerdHarness {
     return w.take();
   }
 
+  BrokerShard& shard() { return cluster->shard(0); }
+
   std::size_t acks_received() const {
     std::size_t n = 0;
     for (const Bytes& msg : received) {
@@ -386,41 +391,41 @@ TEST(BrokerHousekeeping, PairExpiryEvictsReportAckCacheEntry) {
   // re-processed (hitting the dedup filter and earning a fresh ack), not
   // answered from an ack cache whose decision the missing-counterpart
   // verdict superseded.
-  Brokerd::Config bcfg;
+  BrokerConfig bcfg;
   bcfg.pair_timeout = Duration::s(5);
   bcfg.gc_interval = Duration::s(1);
   bcfg.reply_cache_ttl = Duration::s(120);  // TTL alone would NOT evict below
-  BrokerdHarness h(bcfg);
+  BrokerHarness h(bcfg);
   const std::uint64_t sid = h.attach();
   ASSERT_NE(sid, 0u);
 
   const Bytes wire = h.report_wire(sid, /*seq=*/1, /*period=*/0);
   h.send(wire);
   h.sim.run_for(Duration::millis(100));
-  EXPECT_EQ(h.brokerd->reports_ingested(), 1u);
-  EXPECT_EQ(h.brokerd->report_ack_cache_size(), 1u);
+  EXPECT_EQ(h.shard().reports_ingested(), 1u);
+  EXPECT_EQ(h.shard().report_ack_cache_size(), 1u);
   EXPECT_EQ(h.acks_received(), 1u);
 
   // A prompt retransmit is answered from the cache.
   h.send(wire);
   h.sim.run_for(Duration::millis(100));
-  EXPECT_EQ(h.brokerd->report_ack_cache_hits(), 1u);
+  EXPECT_EQ(h.shard().report_ack_cache_hits(), 1u);
   EXPECT_EQ(h.acks_received(), 2u);
 
   // The telco counterpart never arrives: the pair expires, and the eviction
   // must take the cached ack with it even though its TTL is nowhere near.
   h.sim.run_for(Duration::s(8));
-  EXPECT_EQ(h.brokerd->unpaired_expired(), 1u);
-  EXPECT_EQ(h.brokerd->pending_report_count(), 0u);
-  EXPECT_EQ(h.brokerd->report_ack_cache_size(), 0u);
+  EXPECT_EQ(h.cluster->unpaired_expired(), 1u);
+  EXPECT_EQ(h.cluster->observer().pending().size(), 0u);
+  EXPECT_EQ(h.shard().report_ack_cache_size(), 0u);
 
   // The late retransmit is re-processed: dedup filter (not cache hit), and
   // the sender still gets an ack so it stops retransmitting.
   h.send(wire);
   h.sim.run_for(Duration::millis(100));
-  EXPECT_EQ(h.brokerd->report_ack_cache_hits(), 1u) << "served from a stale cache entry";
-  EXPECT_EQ(h.brokerd->reports_deduped(), 1u);
-  EXPECT_EQ(h.brokerd->reports_ingested(), 1u) << "billing double-count";
+  EXPECT_EQ(h.shard().report_ack_cache_hits(), 1u) << "served from a stale cache entry";
+  EXPECT_EQ(h.shard().reports_deduped(), 1u);
+  EXPECT_EQ(h.shard().reports_ingested(), 1u) << "billing double-count";
   EXPECT_EQ(h.acks_received(), 3u);
 }
 

@@ -33,7 +33,7 @@ TEST(CellBricksAttach, EndToEndOverControlPath) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(ip.valid());
   EXPECT_TRUE(world.ue_node()->has_address(ip));
-  EXPECT_EQ(world.brokerd()->sessions_issued(), 1u);
+  EXPECT_EQ(world.broker_cluster()->sessions_issued(), 1u);
   EXPECT_EQ(world.btelco(0)->active_sessions(), 1u);
 }
 
@@ -146,11 +146,11 @@ TEST(CellBricksBilling, HonestPartiesProduceMatchingReports) {
                                    world.simulator());
   world.simulator().run_for(Duration::s(35));  // several 10 s report periods
 
-  EXPECT_GT(world.brokerd()->reports_received(), 2u);
-  EXPECT_EQ(world.brokerd()->reports_rejected(), 0u);
+  EXPECT_GT(world.broker_cluster()->reports_received(), 2u);
+  EXPECT_EQ(world.broker_cluster()->reports_rejected(), 0u);
   // All compared pairs matched; the bTelco's reputation is intact.
-  EXPECT_DOUBLE_EQ(world.brokerd()->reputation().telco_score("btelco-0"), 1.0);
-  EXPECT_EQ(world.brokerd()->reputation().mismatches("btelco-0"), 0u);
+  EXPECT_DOUBLE_EQ(world.broker_cluster()->reputation().telco_score("btelco-0"), 1.0);
+  EXPECT_EQ(world.broker_cluster()->reputation().mismatches("btelco-0"), 0u);
 }
 
 TEST(CellBricksBilling, OverReportingTelcoIsCaughtAndEventuallyRefused) {
@@ -169,8 +169,8 @@ TEST(CellBricksBilling, OverReportingTelcoIsCaughtAndEventuallyRefused) {
   world.simulator().run_for(Duration::s(70));
 
   // Mismatches accumulated; btelco-0's score decayed.
-  EXPECT_GT(world.brokerd()->reputation().mismatches("btelco-0"), 2u);
-  EXPECT_LT(world.brokerd()->reputation().telco_score("btelco-0"), 0.5);
+  EXPECT_GT(world.broker_cluster()->reputation().mismatches("btelco-0"), 2u);
+  EXPECT_LT(world.broker_cluster()->reputation().telco_score("btelco-0"), 0.5);
   // The broker now refuses to authorize attachments via btelco-0...
   world.ue_agent()->detach();
   world.simulator().run_for(Duration::s(1));
@@ -184,7 +184,7 @@ TEST(CellBricksBilling, OverReportingTelcoIsCaughtAndEventuallyRefused) {
   world.simulator().run_for(Duration::s(10));
   EXPECT_TRUE(ok2);
   // The honest user was NOT blamed.
-  EXPECT_FALSE(world.brokerd()->reputation().is_suspect("user-001"));
+  EXPECT_FALSE(world.broker_cluster()->reputation().is_suspect("user-001"));
 }
 
 TEST(CellBricksBilling, UnderReportingUeFlaggedAcrossTelcos) {
@@ -216,14 +216,14 @@ TEST(CellBricksBilling, UnderReportingUeFlaggedAcrossTelcos) {
   }
   // Mismatches against two distinct bTelcos: the user lands on the suspect
   // list (the bTelcos' own honesty is what exonerates them).
-  EXPECT_TRUE(world.brokerd()->reputation().is_suspect("user-001"));
+  EXPECT_TRUE(world.broker_cluster()->reputation().is_suspect("user-001"));
 }
 
 TEST(CellBricksAttach, BrokerDenialLeavesRadioDown) {
   // A failed attach must fully unwind: no IP, no session, and the radio
   // bearer back down (it is optimistically raised before SAP runs).
   World world(static_cb_config(1));
-  world.brokerd()->remove_subscriber("user-001");
+  world.broker_cluster()->remove_subscriber("user-001");
   bool failed = false;
   world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) { failed = !r.ok(); });
   world.simulator().run_for(Duration::s(5));
@@ -250,8 +250,8 @@ TEST(CellBricksAttach, FinalReportSurvivesDetachViaRetransmission) {
   ASSERT_TRUE(re);
   // Nothing is stuck in the retransmission queue, nothing was rejected.
   EXPECT_EQ(world.ue_agent()->outstanding_reports(), 0u);
-  EXPECT_EQ(world.brokerd()->reports_rejected(), 0u);
-  EXPECT_GE(world.brokerd()->reports_ingested(), 2u);
+  EXPECT_EQ(world.broker_cluster()->reports_rejected(), 0u);
+  EXPECT_GE(world.broker_cluster()->reports_ingested(), 2u);
 }
 
 TEST(CellBricksScale, ManySequentialAttachesAllSucceed) {
@@ -270,7 +270,7 @@ TEST(CellBricksScale, ManySequentialAttachesAllSucceed) {
     world.simulator().run_for(Duration::ms(100));
   }
   EXPECT_EQ(ok, 20);
-  EXPECT_EQ(world.brokerd()->sessions_issued(), 20u);
+  EXPECT_EQ(world.broker_cluster()->sessions_issued(), 20u);
 }
 
 }  // namespace

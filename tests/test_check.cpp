@@ -330,5 +330,18 @@ TEST(Shrink, PlantedDedupBugIsCaughtShrunkAndReplays) {
   EXPECT_EQ(parsed.at("replay").as_string(), replay_command("repro.json"));
 }
 
+TEST(Shrink, PlantedDedupBugIsCaughtOnAFourShardBroker) {
+  // The plant lives in the settlement fold, and billing.dedup reads the
+  // cluster's observer fold, so the invariant is armed at any shard count.
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 8 && !found; ++seed) {
+    scenario::FuzzScenario s = scenario::random_scenario(seed);
+    s.plant_dedup_bug = true;
+    s.broker_shards = 4;
+    found = violates(run_scenario(s), "billing.dedup");
+  }
+  EXPECT_TRUE(found) << "no 4-shard seed in [1,8] tripped billing.dedup";
+}
+
 }  // namespace
 }  // namespace cb::check

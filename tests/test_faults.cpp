@@ -248,12 +248,13 @@ TEST(ReliableReports, DuplicatesAreFilteredBeforeBilling) {
   world.simulator().run_for(Duration::s(11));
   ASSERT_TRUE(attached);
 
-  EXPECT_GT(world.brokerd()->reports_deduped() + world.brokerd()->report_ack_cache_hits(), 0u);
-  EXPECT_GT(world.brokerd()->reports_ingested(), 0u);
-  EXPECT_EQ(world.brokerd()->reports_rejected(), 0u);
+  const cellbricks::BrokerCluster& broker = *world.broker_cluster();
+  EXPECT_GT(broker.reports_deduped() + broker.shard(0).report_ack_cache_hits(), 0u);
+  EXPECT_GT(broker.reports_ingested(), 0u);
+  EXPECT_EQ(broker.reports_rejected(), 0u);
   // Double-counted UE bytes would show up as billing mismatches.
-  EXPECT_EQ(world.brokerd()->reputation().mismatches("btelco-0"), 0u);
-  EXPECT_DOUBLE_EQ(world.brokerd()->reputation().telco_score("btelco-0"), 1.0);
+  EXPECT_EQ(broker.reputation().mismatches("btelco-0"), 0u);
+  EXPECT_DOUBLE_EQ(broker.reputation().telco_score("btelco-0"), 1.0);
   // Every ACKed report left the retransmission queue.
   EXPECT_EQ(world.ue_agent()->outstanding_reports(), 0u);
 }
@@ -286,7 +287,7 @@ TEST(ReliableReports, MalformedAndTruncatedPacketsAreDropped) {
   send_to_broker(Bytes(3, 0x7F));
 
   world.simulator().run_for(Duration::s(1));
-  EXPECT_GE(world.brokerd()->reports_rejected(), 1u);
+  EXPECT_GE(world.broker_cluster()->reports_rejected(), 1u);
   // The broker survived and still serves SAP + reports.
   world.ue_agent()->detach();
   world.simulator().run_for(Duration::s(1));
@@ -319,26 +320,26 @@ TEST(SessionGc, VanishedUeIsReclaimedByInactivityTimeout) {
 
 TEST(BrokerHousekeeping, ReplyCacheIsTtlBounded) {
   WorldConfig cfg = static_cb_config(1);
-  cfg.broker_config.reply_cache_ttl = Duration::s(2);
-  cfg.broker_config.gc_interval = Duration::s(1);
+  cfg.shard_config.broker.reply_cache_ttl = Duration::s(2);
+  cfg.shard_config.broker.gc_interval = Duration::s(1);
   World world(cfg);
 
   bool attached = false;
   world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) { attached = r.ok(); });
   world.simulator().run_for(Duration::s(1));
   ASSERT_TRUE(attached);
-  EXPECT_GE(world.brokerd()->reply_cache_size(), 1u);
+  EXPECT_GE(world.broker_cluster()->shard(0).reply_cache_size(), 1u);
 
   world.simulator().run_for(Duration::s(5));
-  EXPECT_EQ(world.brokerd()->reply_cache_size(), 0u);
+  EXPECT_EQ(world.broker_cluster()->shard(0).reply_cache_size(), 0u);
 }
 
 TEST(BrokerHousekeeping, UnpairedReportExpiresIntoMissingVerdict) {
   WorldConfig cfg = static_cb_config(1);
   cfg.btelco_config.session_timeout = Duration::s(5);
   cfg.btelco_config.gc_interval = Duration::s(1);
-  cfg.broker_config.pair_timeout = Duration::s(10);
-  cfg.broker_config.gc_interval = Duration::s(2);
+  cfg.shard_config.broker.pair_timeout = Duration::s(10);
+  cfg.shard_config.broker.gc_interval = Duration::s(2);
   World world(cfg);
 
   bool attached = false;
@@ -350,11 +351,12 @@ TEST(BrokerHousekeeping, UnpairedReportExpiresIntoMissingVerdict) {
   // can never arrive; after pair_timeout the broker charges the absent side.
   world.ran_map().site(1).radio_link->set_up(false);
   world.simulator().run_for(Duration::s(30));
-  EXPECT_GE(world.brokerd()->unpaired_expired(), 1u);
-  EXPECT_GE(world.brokerd()->reputation().missing_reports("user-001"), 1u);
-  EXPECT_EQ(world.brokerd()->pending_report_count(), 0u);
+  const cellbricks::BrokerCluster& broker = *world.broker_cluster();
+  EXPECT_GE(broker.unpaired_expired(), 1u);
+  EXPECT_GE(broker.reputation().missing_reports("user-001"), 1u);
+  EXPECT_EQ(broker.observer().pending().size(), 0u);
   // A vanished UE is not tampering evidence.
-  EXPECT_FALSE(world.brokerd()->reputation().is_suspect("user-001"));
+  EXPECT_FALSE(broker.reputation().is_suspect("user-001"));
 }
 
 // --- Full chaos scenario ----------------------------------------------

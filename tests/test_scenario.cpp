@@ -111,7 +111,7 @@ TEST(AttachExperiment, BreakdownMatchesCalibratedProfiles) {
   EXPECT_NEAR(bl.enb_ms, 3.0, 0.2);
   EXPECT_NEAR(bl.ue_ms, 2.0, 0.2);
   const auto cb = run_attach_experiment(Architecture::CellBricks, Duration::millis(0.5), 10);
-  EXPECT_NEAR(cb.agw_core_ms, 21.25, 0.5);  // 2 x 6.5 ms AGW + 8.25 ms brokerd
+  EXPECT_NEAR(cb.agw_core_ms, 21.25, 0.5);  // 2 x 6.5 ms AGW + 8.25 ms broker
   EXPECT_NEAR(cb.ue_ms, 2.5, 0.2);
 }
 
@@ -122,7 +122,7 @@ TEST(AttachStorm, AllCompleteAndLatencyGrowsWithLoad) {
                                            Duration::millis(7.2), 0.0);
   EXPECT_EQ(small.completed, 5);
   EXPECT_EQ(big.completed, 40);
-  EXPECT_GT(big.p99_ms, small.p99_ms * 3);  // queueing at brokerd
+  EXPECT_GT(big.p99_ms, small.p99_ms * 3);  // queueing at the broker
 }
 
 TEST(AttachStorm, SurvivesControlPathLoss) {
@@ -150,7 +150,7 @@ TEST(WorldWiring, CellBricksBuildsOneBtelcoPerTower) {
   cfg.route = RouteSpec{"t", false, 10.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
   World world(cfg);
-  ASSERT_NE(world.brokerd(), nullptr);
+  ASSERT_NE(world.broker_cluster(), nullptr);
   ASSERT_EQ(world.n_btelcos(), 6u);
   // Each tower owns its own bTelco with a distinct SAP identity and its own
   // control path to the cloud (the fault surface indexes them 1:1).
@@ -169,7 +169,7 @@ TEST(WorldWiring, MnoHasNoBrokerAndNoBtelcos) {
   cfg.route = RouteSpec{"t", false, 10.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
   World world(cfg);
-  EXPECT_EQ(world.brokerd(), nullptr);
+  EXPECT_EQ(world.broker_cluster(), nullptr);
   EXPECT_EQ(world.n_btelcos(), 0u);
 }
 
