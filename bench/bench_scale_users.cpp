@@ -28,6 +28,12 @@
 //   --json           also write machine-readable results + wall-clock to FILE
 //   --no-metrics     run with observability disabled (instrumentation-
 //                    overhead baseline for tools/bench.sh)
+//
+// The storm sweep reports process CPU seconds (every pool thread) beside its
+// wall time: tools/bench.sh's instrumentation-overhead guard compares CPU
+// seconds, which hypervisor steal on a shared VM does not inflate.
+#include <time.h>
+
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -80,6 +86,13 @@ double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// CPU seconds consumed so far by the whole process (all threads).
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// Peak RSS (VmHWM) in MB from /proc/self/status; 0 when unavailable.
@@ -262,6 +275,7 @@ int main(int argc, char** argv) {
 
   ThreadUse threads_used;
   const auto wall_start = std::chrono::steady_clock::now();
+  const double cpu_start = process_cpu_s();
   TrialRunner runner;
   {
     auto timed_storm = [&](const StormPoint& p) {
@@ -285,6 +299,7 @@ int main(int argc, char** argv) {
   // comparable; the fluid axis gets its own timer.
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  const double cpu_s = process_cpu_s() - cpu_start;
 
   // Fluid scale curve + agreement gates — sequential on purpose (see header).
   std::vector<FluidPoint> curve;
@@ -374,8 +389,9 @@ int main(int argc, char** argv) {
     std::printf("  => %s\n", agreement.pass ? "PASS" : "FAIL");
   }
 
-  std::printf("\nwall-clock: %.3f s storms on %u threads (%u-thread pool)%s\n", wall_s,
-              threads_used.count(), runner.thread_count(), smoke ? " (smoke mode)" : "");
+  std::printf("\nwall-clock: %.3f s storms (%.3f s CPU) on %u threads (%u-thread pool)%s\n",
+              wall_s, cpu_s, threads_used.count(), runner.thread_count(),
+              smoke ? " (smoke mode)" : "");
   if (fluid_axis) std::printf("wall-clock: %.3f s fluid curve + agreement gate\n", fluid_wall_s);
   if (metrics_enabled) std::printf("%s\n", metrics.digest().c_str());
 
@@ -386,9 +402,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"scale_users\",\n  \"mode\": \"%s\",\n"
-                 "  \"wall_s\": %.3f,\n  \"threads\": %u,\n  \"thread_pool\": %u,\n"
-                 "  \"points\": [\n",
-                 smoke ? "smoke" : "full", wall_s, threads_used.count(),
+                 "  \"wall_s\": %.3f,\n  \"cpu_s\": %.4f,\n  \"threads\": %u,\n"
+                 "  \"thread_pool\": %u,\n  \"points\": [\n",
+                 smoke ? "smoke" : "full", wall_s, cpu_s, threads_used.count(),
                  runner.thread_count());
     bool first = true;
     auto emit = [&](const StormPoint& p) {

@@ -22,14 +22,18 @@ Link* Network::connect(Node* a, Node* b, const LinkParams& a_to_b, const LinkPar
 
 void Network::register_address(Ipv4Addr addr, Node* owner, bool proxy_only) {
   if (!addr.valid()) throw std::invalid_argument("register_address: invalid");
-  address_owner_[addr] = owner;
+  Node*& current = address_owner_[addr];
+  if (current != nullptr && current != owner) current->remove_address(addr);
+  current = owner;
   if (!proxy_only) owner->add_address(addr);
+  note_pending(addr);
 }
 
 void Network::unregister_address(Ipv4Addr addr) {
   if (auto it = address_owner_.find(addr); it != address_owner_.end()) {
     it->second->remove_address(addr);
     address_owner_.erase(it);
+    note_pending(addr);
   }
 }
 
@@ -45,16 +49,88 @@ Ipv4Addr Network::alloc_address(std::uint8_t subnet_high8) {
   return Ipv4Addr(static_cast<std::uint32_t>(subnet_high8) << 24 | next);
 }
 
+Network::RoutedLink Network::routed(const Link& link) {
+  return {link.is_up(), link.params(link.endpoint_a()).delay.nanos(),
+          link.params(link.endpoint_b()).delay.nanos()};
+}
+
+void Network::note_pending(Ipv4Addr addr) {
+  if (all_pairs_runs_ > 0) pending_.push_back(addr);
+}
+
 void Network::recompute_routes() {
-  // Dijkstra from each node over up links; weight = propagation delay + a
-  // tiny hop cost so zero-delay meshes still prefer fewer hops.
+  if (only_pending_changed()) {
+    apply_pending();
+  } else {
+    run_all_pairs();
+  }
+  pending_.clear();
+}
+
+bool Network::only_pending_changed() const {
+  if (all_pairs_runs_ == 0 || nodes_.size() != routed_nodes_ ||
+      links_.size() != routed_links_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (routed(*links_[i]) != routed_links_[i]) return false;
+  }
+  for (Ipv4Addr addr : pending_) {
+    const Node* owner = owner_of(addr);
+    if (owner != nullptr && !owner_column_.contains(owner)) return false;
+  }
+  return true;
+}
+
+void Network::apply_pending() {
+  // The graph is the one the last all-pairs run saw, so its first hops
+  // still hold; only these addresses' entries can differ. An owner's own
+  // entry in its column is null (Dijkstra never relaxes its source), which
+  // clears the route there just as the full run skips it.
+  const std::size_t n = nodes_.size();
+  for (Ipv4Addr addr : pending_) {
+    const Node* owner = owner_of(addr);
+    Link* const* hops =
+        owner != nullptr ? owner_hops_.data() + owner_column_.at(owner) * n : nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      Link* hop = hops != nullptr ? hops[i] : nullptr;
+      if (hop != nullptr) {
+        nodes_[i]->set_route(addr, hop);
+      } else {
+        nodes_[i]->clear_route(addr);
+      }
+    }
+  }
+}
+
+void Network::run_all_pairs() {
+  ++all_pairs_runs_;
   std::unordered_map<const Node*, std::size_t> index;
   for (std::size_t i = 0; i < nodes_.size(); ++i) index[nodes_[i].get()] = i;
-
   const std::size_t n = nodes_.size();
+
+  // Each registered address with the index of its owner, and one cached
+  // first-hop column per distinct owner.
+  std::vector<std::pair<Ipv4Addr, std::size_t>> targets;
+  std::vector<std::size_t> column_owner;
+  owner_column_.clear();
+  for (const auto& [addr, owner] : address_owner_) {
+    auto oit = index.find(owner);
+    if (oit == index.end()) continue;
+    targets.emplace_back(addr, oit->second);
+    if (owner_column_.try_emplace(owner, column_owner.size()).second) {
+      column_owner.push_back(oit->second);
+    }
+  }
+  owner_hops_.assign(column_owner.size() * n, nullptr);
+
+  // Dijkstra from each node over up links; weight = propagation delay + a
+  // tiny hop cost so zero-delay meshes still prefer fewer hops.
+  std::vector<double> dist(n);
+  std::vector<Link*> first_hop(n);
   for (std::size_t src = 0; src < n; ++src) {
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<Link*> first_hop(n, nullptr);
+    dist.assign(n, std::numeric_limits<double>::infinity());
+    first_hop.assign(n, nullptr);
     using QEntry = std::pair<double, std::size_t>;
     std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
     dist[src] = 0.0;
@@ -79,15 +155,20 @@ void Network::recompute_routes() {
       }
     }
 
+    for (std::size_t col = 0; col < column_owner.size(); ++col) {
+      owner_hops_[col * n + src] = first_hop[column_owner[col]];
+    }
     Node* source = nodes_[src].get();
     source->clear_host_routes();
-    for (const auto& [addr, owner] : address_owner_) {
-      if (owner == source) continue;
-      auto oit = index.find(owner);
-      if (oit == index.end()) continue;
-      if (Link* hop = first_hop[oit->second]) source->set_route(addr, hop);
+    for (const auto& [addr, owner] : targets) {
+      if (owner == src) continue;
+      if (Link* hop = first_hop[owner]) source->set_route(addr, hop);
     }
   }
+
+  routed_nodes_ = n;
+  routed_links_.clear();
+  for (const auto& link : links_) routed_links_.push_back(routed(*link));
 }
 
 }  // namespace cb::net

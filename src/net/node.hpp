@@ -59,6 +59,8 @@ class Node {
   /// Remove per-destination routes but keep the default route (used by the
   /// routing oracle so host-configured defaults survive recomputation).
   void clear_host_routes();
+  /// Per-destination routes, default route excluded (read-only view).
+  const std::unordered_map<Ipv4Addr, Link*>& host_routes() const { return routes_; }
 
   /// Inspect/steer transit packets before routing. Return true if the hook
   /// consumed the packet (it forwarded or dropped it itself).

@@ -1,9 +1,18 @@
 // Unit tests for the simulated network layer: links (delay/rate/loss/queue),
-// node forwarding, routing, proxy anchors, and dynamic re-addressing.
+// node forwarding, routing, proxy anchors, and dynamic re-addressing, plus
+// the all-pairs oracle property test for incremental routing.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <queue>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "test_seed.hpp"
 
 namespace cb::net {
 namespace {
@@ -309,6 +318,268 @@ TEST(Node, UdpPortBindingRules) {
   const std::uint16_t e2 = n->alloc_port();
   EXPECT_NE(e1, e2);
   EXPECT_GE(e1, 49152);
+}
+
+TEST(Network, ReRegisteringAtAnotherOwnerMovesTheAddress) {
+  // An address registered over a live registration belongs to the new
+  // owner alone: the old owner must stop delivering it locally, on both the
+  // full and the incremental routing path.
+  TwoNodes t;
+  t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
+  t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
+  t.network.connect(t.a, t.b, LinkParams{.delay = Duration::ms(1)});
+  const Ipv4Addr moving(10, 0, 0, 9);
+  t.network.register_address(moving, t.a);
+  t.network.recompute_routes();
+  ASSERT_TRUE(t.a->has_address(moving));
+
+  t.network.register_address(moving, t.b);
+  t.network.recompute_routes();
+  EXPECT_EQ(t.network.owner_of(moving), t.b);
+  EXPECT_FALSE(t.a->has_address(moving));
+  EXPECT_TRUE(t.b->has_address(moving));
+  EXPECT_EQ(t.network.all_pairs_runs(), 1u);  // b owned an address already
+
+  int at_a = 0, at_b = 0;
+  t.a->bind_udp(80, [&](const Packet&) { ++at_a; });
+  t.b->bind_udp(80, [&](const Packet&) { ++at_b; });
+  t.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {moving, 80}, 10));
+  t.sim.run();
+  EXPECT_EQ(at_a, 0);
+  EXPECT_EQ(at_b, 1);
+}
+
+TEST(Routing, SessionAnchorsOnAStarTakeNoAllPairsRun) {
+  // The attach-storm shape: one gateway hub with 200 UE leaves. Anchoring
+  // a session /32 at the hub must not rerun all-pairs Dijkstra; a link
+  // toggle or a delay change must (one run each), a rate-only change not.
+  sim::Simulator sim;
+  Network net(sim);
+  Node* hub = net.add_node("hub");
+  net.register_address(Ipv4Addr(4, 0, 0, 1), hub);
+  std::vector<Node*> leaves;
+  std::vector<Link*> radios;
+  for (int i = 0; i < 200; ++i) {
+    leaves.push_back(net.add_node("ue-" + std::to_string(i)));
+    radios.push_back(net.connect(leaves.back(), hub, LinkParams{.rate_bps = 50e6}));
+  }
+  net.recompute_routes();
+  EXPECT_EQ(net.all_pairs_runs(), 1u);
+
+  std::vector<Ipv4Addr> sessions;
+  for (int i = 0; i < 200; ++i) {
+    sessions.push_back(net.alloc_address(100));
+    net.register_address(sessions.back(), hub, /*proxy_only=*/true);
+    net.recompute_routes();
+  }
+  EXPECT_EQ(net.all_pairs_runs(), 1u);
+  for (std::size_t i = 0; i < leaves.size(); i += 37) {
+    for (Ipv4Addr ip : sessions) {
+      auto it = leaves[i]->host_routes().find(ip);
+      ASSERT_NE(it, leaves[i]->host_routes().end());
+      EXPECT_EQ(it->second, radios[i]);
+    }
+  }
+  EXPECT_TRUE(hub->host_routes().find(sessions.front()) == hub->host_routes().end());
+
+  radios[7]->set_up(false);
+  net.recompute_routes();
+  EXPECT_EQ(net.all_pairs_runs(), 2u);
+  EXPECT_TRUE(leaves[7]->host_routes().empty());
+
+  LinkParams slower{.rate_bps = 50e6, .delay = Duration::ms(1)};
+  radios[3]->set_params(hub, slower);
+  net.recompute_routes();
+  EXPECT_EQ(net.all_pairs_runs(), 3u);
+
+  LinkParams faster = slower;
+  faster.rate_bps = 100e6;
+  radios[3]->set_params(hub, faster);
+  net.recompute_routes();
+  EXPECT_EQ(net.all_pairs_runs(), 3u);
+}
+
+using RouteTable = std::unordered_map<Ipv4Addr, Link*>;
+
+/// The reference router: Dijkstra from every node over up links (weight =
+/// propagation delay + a 1 ns hop cost), then one host route per registered
+/// address toward its owner. This is the original all-pairs
+/// Network::recompute_routes, kept as the oracle for the incremental one.
+std::vector<RouteTable> all_pairs_oracle(const Network& net,
+                                         const std::vector<Ipv4Addr>& addresses) {
+  const auto& nodes = net.nodes();
+  std::unordered_map<const Node*, std::size_t> index;
+  for (std::size_t i = 0; i < nodes.size(); ++i) index[nodes[i].get()] = i;
+
+  const std::size_t n = nodes.size();
+  std::vector<RouteTable> tables(n);
+  for (std::size_t src = 0; src < n; ++src) {
+    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    std::vector<Link*> first_hop(n, nullptr);
+    using QEntry = std::pair<double, std::size_t>;
+    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+    dist[src] = 0.0;
+    pq.push({0.0, src});
+
+    while (!pq.empty()) {
+      auto [d, u] = pq.top();
+      pq.pop();
+      if (d > dist[u]) continue;
+      for (Link* link : nodes[u]->links()) {
+        if (!link->is_up()) continue;
+        Node* peer = link->peer(nodes[u].get());
+        auto pit = index.find(peer);
+        if (pit == index.end()) continue;
+        const std::size_t v = pit->second;
+        const double w = link->params(nodes[u].get()).delay.to_seconds() + 1e-9;
+        if (dist[u] + w < dist[v]) {
+          dist[v] = dist[u] + w;
+          first_hop[v] = (u == src) ? link : first_hop[u];
+          pq.push({dist[v], v});
+        }
+      }
+    }
+
+    for (Ipv4Addr addr : addresses) {
+      Node* owner = net.owner_of(addr);
+      if (owner == nullptr || owner == nodes[src].get()) continue;
+      auto oit = index.find(owner);
+      if (oit == index.end()) continue;
+      if (Link* hop = first_hop[oit->second]) tables[src][addr] = hop;
+    }
+  }
+  return tables;
+}
+
+TEST(Routing, IncrementalRoutesMatchAllPairsOracle) {
+  // Seeded random churn on small meshes with zero-delay links (so equal-
+  // cost ties occur): register, unregister, move to another owner, proxy-
+  // only anchors, link up/down, delay changes, rate-only changes, and nodes
+  // (some isolated) and links added after a run. After every
+  // recompute_routes() each node's host routes must equal the all-pairs
+  // oracle's, whichever path (full or incremental) the network took.
+  constexpr int kSeeds = 40;
+  constexpr int kOps = 160;
+  constexpr std::size_t kMaxNodes = 12;
+  const Duration delays[] = {Duration::zero(), Duration::zero(), Duration::ms(1),
+                             Duration::ms(2), Duration::ms(3)};
+  std::uint64_t calls = 0, full_runs = 0;
+  for (int s = 0; s < kSeeds; ++s) {
+    const std::uint64_t seed = cb::test::seed_or(500) + static_cast<std::uint64_t>(s);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    sim::Simulator sim(seed);
+    Network net(sim);
+    Rng rng(seed);
+    std::vector<Node*> nodes;
+    std::vector<Link*> links;
+    auto random_params = [&] {
+      LinkParams p;
+      p.delay = delays[rng.next_below(std::size(delays))];
+      p.rate_bps = rng.chance(0.5) ? 0.0 : 1e6 * static_cast<double>(1 + rng.next_below(100));
+      return p;
+    };
+    auto add_node = [&] {
+      nodes.push_back(net.add_node(std::string("n").append(std::to_string(nodes.size()))));
+      return nodes.back();
+    };
+    auto random_node = [&] { return nodes[rng.next_below(nodes.size())]; };
+    auto connect_random = [&](Node* a) {
+      Node* b = random_node();
+      while (b == a) b = random_node();
+      if (rng.chance(0.3)) {
+        links.push_back(net.connect(a, b, random_params(), random_params()));
+      } else {
+        links.push_back(net.connect(a, b, random_params()));
+      }
+    };
+
+    const std::size_t n0 = 4 + rng.next_below(5);
+    for (std::size_t i = 0; i < n0; ++i) {
+      Node* node = add_node();
+      if (i > 0) connect_random(node);
+    }
+    for (std::size_t extra = rng.next_below(n0); extra > 0; --extra) connect_random(random_node());
+
+    std::vector<Ipv4Addr> addresses;
+    for (std::uint8_t i = 1; i <= 10; ++i) addresses.push_back(Ipv4Addr(10, 0, 0, i));
+    auto random_address = [&] { return addresses[rng.next_below(addresses.size())]; };
+    for (std::size_t i = 0; i < 3; ++i) {
+      net.register_address(random_address(), random_node(), rng.chance(0.3));
+    }
+
+    auto check = [&](int op) {
+      net.recompute_routes();
+      ++calls;
+      const std::vector<RouteTable> expected = all_pairs_oracle(net, addresses);
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_TRUE(nodes[i]->host_routes() == expected[i])
+            << "node " << nodes[i]->name() << " diverged from the oracle after op " << op
+            << " (" << nodes[i]->host_routes().size() << " routes vs "
+            << expected[i].size() << " expected)";
+      }
+    };
+    check(-1);
+
+    for (int op = 0; op < kOps; ++op) {
+      switch (rng.next_below(14)) {
+        case 0: case 1: case 2: case 3:  // register (fresh, or re-register anywhere)
+          net.register_address(random_address(), random_node(), rng.chance(0.3));
+          break;
+        case 4: case 5: {  // move a live address to a different owner
+          const Ipv4Addr addr = random_address();
+          Node* from = net.owner_of(addr);
+          if (from == nullptr) break;
+          Node* to = random_node();
+          while (to == from) to = random_node();
+          net.register_address(addr, to, rng.chance(0.3));
+          EXPECT_FALSE(from->has_address(addr));
+          break;
+        }
+        case 6: case 7:  // unregister
+          net.unregister_address(random_address());
+          break;
+        case 8: {  // link toggle
+          Link* link = links[rng.next_below(links.size())];
+          link->set_up(!link->is_up());
+          break;
+        }
+        case 9: {  // delay change in one direction
+          Link* link = links[rng.next_below(links.size())];
+          Node* from = rng.chance(0.5) ? link->endpoint_a() : link->endpoint_b();
+          LinkParams p = link->params(from);
+          p.delay = delays[rng.next_below(std::size(delays))];
+          link->set_params(from, p);
+          break;
+        }
+        case 10: {  // rate-only change
+          Link* link = links[rng.next_below(links.size())];
+          Node* from = rng.chance(0.5) ? link->endpoint_a() : link->endpoint_b();
+          LinkParams p = link->params(from);
+          p.rate_bps = 1e6 * static_cast<double>(1 + rng.next_below(100));
+          link->set_params(from, p);
+          break;
+        }
+        case 11:  // a node (sometimes isolated) or a link added after a run
+          if (nodes.size() < kMaxNodes) {
+            Node* node = add_node();
+            if (rng.chance(0.7)) connect_random(node);
+          } else {
+            connect_random(random_node());
+          }
+          break;
+        default:  // no change: an idle recompute
+          break;
+      }
+      if (rng.chance(0.6)) {
+        check(op);
+        if (HasFatalFailure()) return;
+      }
+    }
+    full_runs += net.all_pairs_runs();
+  }
+  // Both paths must have been exercised, the incremental one substantially.
+  EXPECT_GT(full_runs, static_cast<std::uint64_t>(kSeeds));
+  EXPECT_GT(calls - full_runs, calls / 4);
 }
 
 }  // namespace
