@@ -11,13 +11,10 @@ namespace cb::cellbricks {
 
 namespace {
 
-/// Decorrelated-jitter backoff (see ue_agent.cpp): next delay uniform in
-/// [base, 3 * previous], capped.
-Duration decorrelated_backoff(Rng& rng, Duration base, Duration prev, Duration cap) {
-  const double base_s = base.to_seconds();
-  const double hi_s = std::max(base_s, prev.to_seconds() * 3.0);
-  return std::min(Duration::seconds(rng.uniform(base_s, hi_s)), cap);
-}
+/// Auth-request retransmission: a fixed 1 s gap, 4 sends (the UDP control
+/// path can lose datagrams under degraded conditions).
+constexpr Duration kAuthRetry = Duration::s(1);
+constexpr int kAuthAttempts = 4;
 
 }  // namespace
 
@@ -36,8 +33,26 @@ Btelco::Btelco(net::Network& network, net::Node& node, SapTelco sap,
       config_(config),
       queue_(node.simulator()),
       rng_(node.simulator().rng().fork(0xB7E1C0)),
-      jitter_rng_(node.simulator().rng().fork(0xB7E1C1)) {
-  port_ = node_.alloc_port();
+      jitter_rng_(node.simulator().rng().fork(0xB7E1C1)),
+      port_(node.alloc_port()),
+      // Unset source address: Node::send stamps the tower's primary address.
+      reports_(node, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint, jitter_rng_,
+               kAgentSchedule),
+      notifies_(node, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint, jitter_rng_,
+                kAgentSchedule) {
+  reports_.on_transmit = [](std::uint64_t) { obs::inc(obs::counter("btelco.reports.tx")); };
+  reports_.on_abandon = [this](std::uint64_t seq) {
+    ++reports_abandoned_;
+    obs::inc(obs::counter("btelco.reports.abandoned"));
+    obs::trace(node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
+    CB_LOG(Info, "btelco") << id() << ": report " << seq << " abandoned (no broker ACK)";
+  };
+  // Best-effort: the session stays up (it is backed by the broker's original
+  // issuance); only the id_t rebinding and the revocation check are lost,
+  // and the report channel's own retries cover billing.
+  notifies_.on_abandon = [](std::uint64_t) {
+    obs::inc(obs::counter("btelco.resume.notify_abandoned"));
+  };
   node_.bind_udp(port_, [this](const net::Packet& p) {
     if (crashed_) return;
     try {
@@ -45,17 +60,25 @@ Btelco::Btelco(net::Network& network, net::Node& node, SapTelco sap,
       const auto type = static_cast<BrokerMsg>(r.u8());
       const std::uint64_t txn = r.u64();
       if (type == BrokerMsg::ReportAck) {
-        handle_report_ack(txn);
+        if (reports_.ack(txn)) {
+          obs::inc(obs::counter("btelco.reports.acked"));
+          obs::trace(node_.simulator().now(), obs::TraceType::ReportAck, txn);
+        }
         return;
       }
       if (type == BrokerMsg::Redirect) {
         const std::uint16_t bucket = r.u16();
         const std::uint16_t owner = r.u16();
-        handle_redirect(txn, bucket, owner);  // txn slot carries the seq
+        // Only reports are redirected; the txn slot carries the seq.
+        if (reports_.redirect(txn, bucket, owner)) {
+          obs::inc(obs::counter("btelco.reports.redirected"));
+        }
         return;
       }
       if (type == BrokerMsg::ResumeNotifyAck) {
-        handle_resume_notify_ack(txn, r);
+        if (const auto acked = notifies_.ack(txn)) {
+          if (r.u8() != 0) revoke_resumed_session(acked->session_id);
+        }
         return;
       }
       auto it = awaiting_broker_.find(txn);
@@ -129,7 +152,7 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
     w.u8(static_cast<std::uint8_t>(BrokerMsg::AuthReq));
     w.u64(txn);
     w.bytes(auth_req_t);
-    send_to_broker_with_retry(txn, w.take(), config_.broker_attempts);
+    send_to_broker_with_retry(txn, w.take(), kAuthAttempts);
   });
 }
 
@@ -223,58 +246,13 @@ void Btelco::send_resume_notify(std::uint64_t session_id, const Bytes& ticket_id
   w.u8(static_cast<std::uint8_t>(BrokerMsg::ResumeNotify));
   w.u64(txn);
   w.bytes(sealed);
-  OutstandingNotify& out = outstanding_notifies_[txn];
-  out.wire = w.take();
-  out.session_id = session_id;
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
   obs::inc(obs::counter("btelco.resume.notify_sent"));
-  transmit_resume_notify(txn);
+  // A resume job queued before a crash can finish after it; the dead AGW
+  // sends nothing.
+  if (!crashed_) notifies_.send(txn, w.take(), session_id);
 }
 
-void Btelco::transmit_resume_notify(std::uint64_t txn) {
-  auto it = outstanding_notifies_.find(txn);
-  if (it == outstanding_notifies_.end() || crashed_) return;
-  OutstandingNotify& out = it->second;
-  if (out.attempts_left <= 0) {
-    // Best-effort: the session stays up (it is backed by the broker's
-    // original issuance); only the id_t rebinding and the revocation check
-    // are lost, and the report channel's own retries cover billing.
-    obs::inc(obs::counter("btelco.resume.notify_abandoned"));
-    outstanding_notifies_.erase(it);
-    return;
-  }
-  --out.attempts_left;
-  net::EndPoint dst = broker_;
-  if (router_ != nullptr) {
-    const TimePoint now = node_.simulator().now();
-    if (out.sent_once) router_->note_timeout(out.last_shard, now);
-    out.last_shard = router_->pick_for_session(out.session_id, now);
-    dst = router_->endpoint(out.last_shard);
-  }
-  out.sent_once = true;
-  net::Packet p;
-  p.src = net::EndPoint{node_.primary_address(), port_};
-  p.dst = dst;
-  p.proto = net::Proto::Udp;
-  p.payload = out.wire;
-  node_.send(std::move(p));
-  out.timer = node_.simulator().schedule(out.next_delay,
-                                         [this, txn] { transmit_resume_notify(txn); });
-  out.next_delay =
-      decorrelated_backoff(jitter_rng_, config_.report_retry, out.next_delay, Duration::s(30));
-}
-
-void Btelco::handle_resume_notify_ack(std::uint64_t txn, ByteReader& r) {
-  auto it = outstanding_notifies_.find(txn);
-  if (it == outstanding_notifies_.end()) return;
-  if (router_ != nullptr && it->second.sent_once) router_->note_ok(it->second.last_shard);
-  it->second.timer.cancel();
-  const std::uint64_t session_id = it->second.session_id;
-  outstanding_notifies_.erase(it);
-
-  const std::uint8_t revoke = r.u8();
-  if (revoke == 0) return;
+void Btelco::revoke_resumed_session(std::uint64_t session_id) {
   // The broker vetoed the resumption (suspect subscriber or a session it
   // never issued): bar the pseudonym from further resumes here and tear the
   // session down after a final accounting report.
@@ -316,7 +294,7 @@ void Btelco::send_to_broker_with_retry(std::uint64_t txn, Bytes payload, int att
   p.proto = net::Proto::Udp;
   p.payload = payload;
   node_.send(std::move(p));
-  node_.simulator().schedule(config_.broker_retry,
+  node_.simulator().schedule(kAuthRetry,
                              [this, txn, payload = std::move(payload), attempts_left, shard] {
                                send_to_broker_with_retry(txn, payload, attempts_left - 1, shard);
                              });
@@ -417,80 +395,14 @@ void Btelco::send_report(std::uint64_t session_id, bool final_report) {
   w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
   w.u64(seq);
   w.bytes(sealed);
-  OutstandingReport& out = outstanding_reports_[seq];
-  out.wire = w.take();
-  out.session_id = report.session_id;
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
   obs::inc(obs::counter("btelco.reports.sent"));
   obs::trace(node_.simulator().now(), obs::TraceType::ReportSend, seq, report.period);
-  transmit_report(seq);
+  reports_.send(seq, w.take(), report.session_id);
 
   if (!final_report) {
     s.report_timer = node_.simulator().schedule(
         config_.report_interval, [this, session_id] { send_report(session_id, false); });
   }
-}
-
-void Btelco::transmit_report(std::uint64_t seq) {
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end() || crashed_) return;
-  OutstandingReport& out = it->second;
-  if (out.attempts_left <= 0) {
-    ++reports_abandoned_;
-    obs::inc(obs::counter("btelco.reports.abandoned"));
-    obs::trace(node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
-    CB_LOG(Info, "btelco") << id() << ": report " << seq << " abandoned (no broker ACK)";
-    outstanding_reports_.erase(it);
-    return;
-  }
-  --out.attempts_left;
-  obs::inc(obs::counter("btelco.reports.tx"));
-  net::EndPoint dst = broker_;
-  if (router_ != nullptr) {
-    const TimePoint now = node_.simulator().now();
-    if (out.sent_once) router_->note_timeout(out.last_shard, now);
-    out.last_shard = router_->pick_for_session(out.session_id, now);
-    dst = router_->endpoint(out.last_shard);
-  }
-  out.sent_once = true;
-  net::Packet p;
-  p.src = net::EndPoint{node_.primary_address(), port_};
-  p.dst = dst;
-  p.proto = net::Proto::Udp;
-  p.payload = out.wire;
-  node_.send(std::move(p));
-  out.timer =
-      node_.simulator().schedule(out.next_delay, [this, seq] { transmit_report(seq); });
-  out.next_delay =
-      decorrelated_backoff(jitter_rng_, config_.report_retry, out.next_delay, Duration::s(30));
-}
-
-void Btelco::handle_report_ack(std::uint64_t seq) {
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end()) return;
-  if (router_ != nullptr && it->second.sent_once) router_->note_ok(it->second.last_shard);
-  it->second.timer.cancel();
-  outstanding_reports_.erase(it);
-  obs::inc(obs::counter("btelco.reports.acked"));
-  obs::trace(node_.simulator().now(), obs::TraceType::ReportAck, seq);
-}
-
-void Btelco::handle_redirect(std::uint64_t seq, std::uint16_t bucket, std::uint16_t owner) {
-  if (router_ == nullptr) return;
-  router_->learn_redirect(bucket, owner);
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end()) return;
-  OutstandingReport& out = it->second;
-  // The shard answered (healthy, just not the owner): clear its strikes,
-  // refresh the retry budget, and resend to the owner immediately.
-  router_->note_ok(out.last_shard);
-  out.timer.cancel();
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
-  out.sent_once = false;
-  obs::inc(obs::counter("btelco.reports.redirected"));
-  transmit_report(seq);
 }
 
 void Btelco::handle_detach(std::uint64_t session_id) {
@@ -517,10 +429,8 @@ void Btelco::crash() {
     }
     release_session(sid);
   }
-  for (auto& [seq, out] : outstanding_reports_) out.timer.cancel();
-  outstanding_reports_.clear();
-  for (auto& [txn, out] : outstanding_notifies_) out.timer.cancel();
-  outstanding_notifies_.clear();
+  reports_.clear();
+  notifies_.clear();
   awaiting_broker_.clear();
   gc_timer_.cancel();
   // The used-ticket cache, the revocation list, and the audit trail survive

@@ -6,7 +6,8 @@
 // (adding qosCap and its signature), install sessions on authorization
 // (assign an IP from its own pool, anchor the user plane, enforce qosInfo),
 // meter per-session usage at its gateway, and periodically send signed,
-// encrypted traffic reports to the broker. No inter-bTelco coordination, no
+// encrypted traffic reports to the broker over its ACKed channel
+// (BrokerChannel). No inter-bTelco coordination, no
 // handover support, no subscriber database: that is the simplification the
 // architecture buys.
 #pragma once
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "cellbricks/billing.hpp"
+#include "cellbricks/broker_channel.hpp"
 #include "cellbricks/broker_cluster.hpp"
 #include "cellbricks/sap.hpp"
 #include "cellbricks/ticket.hpp"
@@ -42,14 +44,6 @@ class Btelco {
     Duration session_timeout = Duration::s(120);
     /// Inactivity-GC sweep cadence.
     Duration gc_interval = Duration::s(15);
-    /// Broker-request retransmission (the UDP control path can lose
-    /// datagrams under degraded conditions).
-    Duration broker_retry = Duration::s(1);
-    int broker_attempts = 4;
-    /// Traffic-report retransmission: reports are resent with doubling
-    /// backoff until the broker ACKs or the attempts are exhausted.
-    Duration report_retry = Duration::s(1);
-    int report_attempts = 5;
   };
 
   Btelco(net::Network& network, net::Node& node, SapTelco sap,
@@ -97,11 +91,15 @@ class Btelco {
   /// Pseudonyms with a live session (check layer: revoked implies not live).
   std::vector<std::string> session_pseudonyms() const;
 
-  /// Sharded-broker deployments: route auth requests and reports through
-  /// the shard map (auth sticky, reports by session id), follow Redirect
-  /// replies, and fail over on retransmission timeouts. Unset = single
-  /// broker endpoint (default).
-  void set_router(ShardRouter* router) { router_ = router; }
+  /// Sharded-broker deployments: route auth requests, reports and resume
+  /// notifies through the shard map (auth sticky, the rest by session id),
+  /// follow Redirect replies, and fail over on retransmission timeouts.
+  /// Unset = single broker endpoint (default).
+  void set_router(ShardRouter* router) {
+    router_ = router;
+    reports_.set_router(router);
+    notifies_.set_router(router);
+  }
 
   /// Fault injection: `crash` kills the provider — the node goes dark, every
   /// session (bearers, IPs, report timers, in-flight broker transactions) is
@@ -119,7 +117,7 @@ class Btelco {
   std::uint64_t sessions_gced() const { return sessions_gced_; }
   /// Reports dropped after exhausting every retransmission attempt.
   std::uint64_t reports_abandoned() const { return reports_abandoned_; }
-  std::size_t outstanding_reports() const { return outstanding_reports_.size(); }
+  std::size_t outstanding_reports() const { return reports_.size(); }
   Duration busy_time() const { return queue_.busy_time(); }
 
   /// Ids of currently installed sessions (check layer: every one must be
@@ -157,39 +155,13 @@ class Btelco {
     sim::EventHandle report_timer;
   };
 
-  /// One unACKed traffic report awaiting broker confirmation.
-  struct OutstandingReport {
-    Bytes wire;  // full broker message: [Report, seq, sealed]
-    std::uint64_t session_id = 0;  // routing key for sharded brokers
-    int attempts_left = 0;
-    Duration next_delay = Duration::zero();
-    sim::EventHandle timer;
-    std::size_t last_shard = 0;  // where the last copy went (router mode)
-    bool sent_once = false;      // a timer-driven resend implies a timeout
-  };
-
-  /// One unACKed ResumeNotify awaiting broker confirmation (best-effort
-  /// with bounded retries; the ack may carry a revocation verdict).
-  struct OutstandingNotify {
-    Bytes wire;
-    std::uint64_t session_id = 0;
-    int attempts_left = 0;
-    Duration next_delay = Duration::zero();
-    sim::EventHandle timer;
-    std::size_t last_shard = 0;
-    bool sent_once = false;
-  };
-
   void install_session(const TelcoSession& ts, net::Node* ue_node, net::Link* radio_link,
                        Bytes auth_resp_u, AttachReply reply,
                        std::uint32_t first_period = 0);
   void send_resume_notify(std::uint64_t session_id, const Bytes& ticket_id);
-  void transmit_resume_notify(std::uint64_t txn);
-  void handle_resume_notify_ack(std::uint64_t txn, ByteReader& r);
+  /// The broker's ResumeNotifyAck carried a revocation verdict.
+  void revoke_resumed_session(std::uint64_t session_id);
   void send_report(std::uint64_t session_id, bool final_report);
-  void transmit_report(std::uint64_t seq);
-  void handle_report_ack(std::uint64_t seq);
-  void handle_redirect(std::uint64_t seq, std::uint16_t bucket, std::uint16_t owner);
   void send_to_broker_with_retry(std::uint64_t txn, Bytes payload, int attempts_left,
                                  int prev_shard = -1);
   void release_session(std::uint64_t session_id);
@@ -210,13 +182,17 @@ class Btelco {
   Rng jitter_rng_;
   std::uint16_t port_ = 0;
   ShardRouter* router_ = nullptr;
+  // The ACKed broker channels: traffic reports (keyed by report seq) and
+  // resume notifies (best-effort with bounded retries, keyed by notify txn;
+  // the ack may carry a revocation verdict).
+  BrokerChannel reports_;
+  BrokerChannel notifies_;
 
   std::uint64_t next_txn_ = 1;
   std::unordered_map<std::uint64_t, std::function<void(ByteReader&)>> awaiting_broker_;
   std::unordered_map<std::uint64_t, Session> sessions_;  // by session id
   std::unordered_map<net::Ipv4Addr, std::uint64_t> by_ip_;
   std::uint64_t next_report_seq_ = 1;
-  std::unordered_map<std::uint64_t, OutstandingReport> outstanding_reports_;
   sim::EventHandle gc_timer_;
   bool crashed_ = false;
   std::uint64_t attaches_ = 0;
@@ -228,7 +204,6 @@ class Btelco {
   std::unordered_set<std::string> used_tickets_;  // hex(ticket_id): one use here
   std::unordered_set<std::string> revoked_;       // pseudonyms barred from resume
   std::vector<TicketAudit> ticket_audit_;
-  std::unordered_map<std::uint64_t, OutstandingNotify> outstanding_notifies_;
   std::uint64_t next_notify_txn_ = 1;
   std::uint64_t resumes_ = 0;
   std::uint64_t resumes_rejected_ = 0;

@@ -4,21 +4,9 @@
 #include <bit>
 #include <stdexcept>
 
+#include "common/fnv.hpp"
+
 namespace cb::cellbricks {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(BytesView data, std::uint64_t h = kFnvOffset) {
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 // --- Routing ----------------------------------------------------------------
 

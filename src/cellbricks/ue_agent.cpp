@@ -1,27 +1,9 @@
 #include "cellbricks/ue_agent.hpp"
 
-#include <algorithm>
-
 #include "cellbricks/broker_cluster.hpp"
 #include "cellbricks/ticket.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-
-namespace cb::cellbricks {
-namespace {
-
-/// Decorrelated-jitter backoff: next delay drawn uniformly from
-/// [base, 3 * previous], capped. Spreads synchronized retriers (e.g. every
-/// client of a just-killed shard) across the window instead of letting the
-/// deterministic doubling re-align their retry storms.
-Duration decorrelated_backoff(Rng& rng, Duration base, Duration prev, Duration cap) {
-  const double base_s = base.to_seconds();
-  const double hi_s = std::max(base_s, prev.to_seconds() * 3.0);
-  return std::min(Duration::seconds(rng.uniform(base_s, hi_s)), cap);
-}
-
-}  // namespace
-}  // namespace cb::cellbricks
 
 namespace cb::cellbricks {
 
@@ -39,24 +21,40 @@ UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
       sap_(std::move(sap)),
       ran_map_(ran_map),
       telco_of_cell_(std::move(telco_of_cell)),
-      broker_report_ep_(broker_report_ep),
       config_(config),
       ue_queue_(ue_node.simulator()),
       enb_queue_(ue_node.simulator()),
       rng_(ue_node.simulator().rng().fork(0x0EA6)),
-      jitter_rng_(ue_node.simulator().rng().fork(0x0EA7)) {
+      jitter_rng_(ue_node.simulator().rng().fork(0x0EA7)),
+      // The source address is set per attach (complete_attach).
+      reports_(ue_node, net::EndPoint{}, broker_report_ep, jitter_rng_,
+               RetrySchedule{config_.report_retry, kAgentSchedule.attempts,
+                             kAgentSchedule.cap}) {
+  reports_.on_transmit = [](std::uint64_t) { obs::inc(obs::counter("ue_agent.reports.tx")); };
+  reports_.on_abandon = [this](std::uint64_t seq) {
+    ++reports_abandoned_;
+    obs::inc(obs::counter("ue_agent.reports.abandoned"));
+    obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
+    CB_LOG(Info, "ue-agent") << id() << ": report " << seq << " abandoned (no broker ACK)";
+  };
   // Broker ACKs for the reliable report channel arrive on the report port.
   ue_node_.bind_udp(kUeReportPort, [this](const net::Packet& p) {
     try {
       ByteReader r(p.payload);
       const auto msg = static_cast<BrokerMsg>(r.u8());
       if (msg == BrokerMsg::ReportAck) {
-        handle_report_ack(r.u64());
+        const std::uint64_t seq = r.u64();
+        if (reports_.ack(seq)) {
+          obs::inc(obs::counter("ue_agent.reports.acked"));
+          obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAck, seq);
+        }
       } else if (msg == BrokerMsg::Redirect) {
         const std::uint64_t seq = r.u64();
         const std::uint16_t bucket = r.u16();
         const std::uint16_t owner = r.u16();
-        handle_redirect(seq, bucket, owner);
+        if (reports_.redirect(seq, bucket, owner)) {
+          obs::inc(obs::counter("ue_agent.reports.redirected"));
+        }
       }
     } catch (const std::out_of_range&) {
       CB_LOG(Warn, "ue-agent") << "malformed broker ack dropped";
@@ -274,6 +272,7 @@ void UeAgent::complete_attach(
   serving_telco_ = telco;
   session_id_ = session_id;
   attach_pending_ = 0;
+  reports_.set_source(net::EndPoint{ip, kUeReportPort});
   ue_node_.add_address(ip);
   ue_node_.set_default_route(site.radio_link);
 
@@ -304,20 +303,9 @@ void UeAgent::complete_attach(
                  last_attach_latency_.to_millis());
   }
 
-  // Flush reports stranded while detached (oldest first).
-  std::vector<std::uint64_t> stranded;
-  stranded.reserve(outstanding_reports_.size());
-  for (auto& [seq, out] : outstanding_reports_) {
-    if (!out.timer.pending()) stranded.push_back(seq);
-  }
-  for (std::uint64_t seq : stranded) {
-    OutstandingReport& out = outstanding_reports_[seq];
-    out.next_delay = config_.report_retry;
-    // The silence was our own detach, not the broker's fault: don't let the
-    // flush strike the last target.
-    out.sent_once = false;
-    transmit_report(seq);
-  }
+  // Flush reports stranded while detached (oldest first). The silence was
+  // our own detach, not the broker's fault, so the flush strikes no shard.
+  reports_.resume();
 
   start_watchdog();
   if (mptcp_) mptcp_->notify_address_available(current_ip_);
@@ -474,84 +462,14 @@ void UeAgent::send_report(bool final_report) {
   const std::uint64_t seq = next_report_seq_++;
   w.u64(seq);
   w.bytes(sealed);
-
-  OutstandingReport& out = outstanding_reports_[seq];
-  out.wire = w.take();
-  out.session_id = report.session_id;
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
   obs::inc(obs::counter("ue_agent.reports.sent"));
   obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportSend, seq, report.period);
-  transmit_report(seq);
+  reports_.send(seq, w.take(), report.session_id);
 
   if (!final_report) {
     report_timer_ =
         ue_node_.simulator().schedule(config_.report_interval, [this] { send_report(false); });
   }
-}
-
-void UeAgent::transmit_report(std::uint64_t seq) {
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end()) return;
-  if (!attached()) return;  // resumed by the flush on the next attach
-  OutstandingReport& out = it->second;
-  if (out.attempts_left <= 0) {
-    ++reports_abandoned_;
-    obs::inc(obs::counter("ue_agent.reports.abandoned"));
-    obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
-    CB_LOG(Info, "ue-agent") << id() << ": report " << seq << " abandoned (no broker ACK)";
-    outstanding_reports_.erase(it);
-    return;
-  }
-  --out.attempts_left;
-  obs::inc(obs::counter("ue_agent.reports.tx"));
-  net::EndPoint dst = broker_report_ep_;
-  if (router_ != nullptr) {
-    const TimePoint now = ue_node_.simulator().now();
-    // A timer-driven resend means the previous target never answered:
-    // strike it so the router eventually fails the session over.
-    if (out.sent_once) router_->note_timeout(out.last_shard, now);
-    out.last_shard = router_->pick_for_session(out.session_id, now);
-    dst = router_->endpoint(out.last_shard);
-  }
-  out.sent_once = true;
-  net::Packet p;
-  p.src = net::EndPoint{current_ip_, kUeReportPort};
-  p.dst = dst;
-  p.proto = net::Proto::Udp;
-  p.payload = out.wire;
-  ue_node_.send(std::move(p));
-  out.timer =
-      ue_node_.simulator().schedule(out.next_delay, [this, seq] { transmit_report(seq); });
-  out.next_delay =
-      decorrelated_backoff(jitter_rng_, config_.report_retry, out.next_delay, Duration::s(30));
-}
-
-void UeAgent::handle_report_ack(std::uint64_t seq) {
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end()) return;
-  if (router_ != nullptr && it->second.sent_once) router_->note_ok(it->second.last_shard);
-  it->second.timer.cancel();
-  outstanding_reports_.erase(it);
-  obs::inc(obs::counter("ue_agent.reports.acked"));
-  obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAck, seq);
-}
-
-void UeAgent::handle_redirect(std::uint64_t seq, std::uint16_t bucket, std::uint16_t owner) {
-  if (router_ == nullptr) return;
-  router_->learn_redirect(bucket, owner);
-  auto it = outstanding_reports_.find(seq);
-  if (it == outstanding_reports_.end()) return;
-  OutstandingReport& out = it->second;
-  // The shard answered (it is healthy, just not the owner): clear its
-  // strikes, reset this report's retry budget, and resend to the owner now.
-  router_->note_ok(out.last_shard);
-  out.timer.cancel();
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
-  out.sent_once = false;
-  obs::inc(obs::counter("ue_agent.reports.redirected"));
-  transmit_report(seq);
 }
 
 void UeAgent::detach() {
@@ -569,7 +487,7 @@ void UeAgent::detach_locally() {
   attach_deadline_.cancel();
   watchdog_timer_.cancel();
   // Pause report retransmission until the next attach gives us an IP again.
-  for (auto& [seq, out] : outstanding_reports_) out.timer.cancel();
+  reports_.pause();
   const ran::TowerSite site = ran_map_.site(serving_cell_);
   site.radio_link->set_up(false);
   // The generation bump below orphans any in-flight attach, so close its
@@ -588,17 +506,6 @@ void UeAgent::detach_locally() {
   session_id_ = 0;
   ++attach_generation_;  // invalidate in-flight attach continuations
   if (mptcp_) mptcp_->notify_address_invalidated(old_ip);
-}
-
-void UeAgent::start_mobility(ran::UeRadio& radio) {
-  if (!candidate_source_) {
-    set_candidate_source([&radio] { return radio.candidates(); });
-  }
-  radio.start([this](ran::CellId /*old_cell*/, ran::CellId new_cell) {
-    cancel_recovery();
-    if (attached()) detach();
-    if (new_cell != 0) attach_with_recovery(new_cell);
-  });
 }
 
 }  // namespace cb::cellbricks

@@ -8,21 +8,21 @@
 // make billing verifiable (§4.3).
 //
 // Failure handling: attaches run against a deadline and retry with
-// exponential backoff, blacklisting unresponsive cells and falling back to
-// the next-best candidate; a bearer watchdog detects a dead serving link
-// (bTelco crash, radio drop) and re-enters recovery; traffic reports ride a
-// reliable channel (broker ACK + retransmission) so billing survives loss.
+// decorrelated-jitter backoff, blacklisting unresponsive cells and falling
+// back to the next-best candidate; a bearer watchdog detects a dead serving
+// link (bTelco crash, radio drop) and re-enters recovery; traffic reports
+// ride the broker's ACKed channel (BrokerChannel: ACK + retransmission) so
+// billing survives loss.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "cellbricks/broker_channel.hpp"
 #include "cellbricks/btelco.hpp"
 #include "common/stats.hpp"
 #include "cellbricks/sap.hpp"
 #include "ran/ran_map.hpp"
-#include "ran/ue_radio.hpp"
 #include "transport/mptcp.hpp"
 
 namespace cb::cellbricks {
@@ -45,16 +45,17 @@ class UeAgent {
     /// Attach deadline: if SAP has not completed by then the attempt is
     /// abandoned (covers a crashed AGW that never answers).
     Duration attach_timeout = Duration::s(3);
-    /// Recovery retry backoff: doubles per failed attempt up to the max.
+    /// Recovery retry backoff: decorrelated jitter from this base, capped
+    /// at the max.
     Duration retry_backoff = Duration::millis(500);
     Duration retry_backoff_max = Duration::s(8);
     /// How long a cell that failed an attach is skipped during recovery.
     Duration cell_blacklist = Duration::s(10);
     /// Bearer watchdog cadence while attached (detects serving-link death).
     Duration watchdog_interval = Duration::millis(500);
-    /// Traffic-report retransmission (mirrors the bTelco side).
-    Duration report_retry = Duration::s(1);
-    int report_attempts = 5;
+    /// First traffic-report resend delay; the rest of the schedule is
+    /// kAgentSchedule (the bTelco's).
+    Duration report_retry = kAgentSchedule.first;
     /// Present broker-minted resumption tickets (ticket.hpp) on re-attach:
     /// when a ticket is held, attach() first tries the local resume path
     /// (no broker round trip) and falls back to full SAP on rejection.
@@ -73,7 +74,8 @@ class UeAgent {
 
   /// Resilient attach: try `preferred` first, then fall back to the best
   /// non-blacklisted candidate (see set_candidate_source), retrying with
-  /// exponential backoff until some attach succeeds or cancel_recovery().
+  /// decorrelated-jitter backoff until some attach succeeds or
+  /// cancel_recovery().
   void attach_with_recovery(ran::CellId preferred);
   void cancel_recovery();
   bool in_recovery() const { return in_recovery_; }
@@ -88,11 +90,6 @@ class UeAgent {
   /// Detach from the current bTelco (radio drop + IP invalidation).
   void detach();
 
-  /// Host-driven mobility: subscribe to the radio's cell-change events.
-  /// Every change becomes detach + SAP re-attach with recovery; MPTCP (if
-  /// wired via set_mptcp) is told about address invalidation/availability.
-  void start_mobility(ran::UeRadio& radio);
-
   /// Wire the MPTCP path manager notifications.
   void set_mptcp(transport::MptcpStack* mptcp) { mptcp_ = mptcp; }
 
@@ -100,7 +97,7 @@ class UeAgent {
   /// shard map instead of the fixed broker_report_ep, follow Redirect
   /// replies, and fail over on retransmission timeouts. Unset = single
   /// broker (default).
-  void set_router(ShardRouter* router) { router_ = router; }
+  void set_router(ShardRouter* router) { reports_.set_router(router); }
 
   bool attached() const { return current_ip_.valid(); }
   net::Ipv4Addr current_ip() const { return current_ip_; }
@@ -125,7 +122,7 @@ class UeAgent {
   const Summary& reattach_latencies() const { return reattach_latencies_; }
   /// Reports dropped after exhausting every retransmission attempt.
   std::uint64_t reports_abandoned() const { return reports_abandoned_; }
-  std::size_t outstanding_reports() const { return outstanding_reports_.size(); }
+  std::size_t outstanding_reports() const { return reports_.size(); }
   Duration ue_busy_time() const { return ue_queue_.busy_time(); }
   Duration enb_busy_time() const { return enb_queue_.busy_time(); }
 
@@ -133,18 +130,6 @@ class UeAgent {
   std::function<void(ran::CellId, Duration latency)> on_attached;
 
  private:
-  /// One unACKed traffic report awaiting broker confirmation. Transmission
-  /// pauses while detached and resumes (flush) on the next attach.
-  struct OutstandingReport {
-    Bytes wire;  // full broker message: [Report, seq, sealed]
-    std::uint64_t session_id = 0;  // routing key for sharded brokers
-    int attempts_left = 0;
-    Duration next_delay = Duration::zero();
-    sim::EventHandle timer;
-    std::size_t last_shard = 0;  // where the last copy went (router mode)
-    bool sent_once = false;      // a timer-driven resend implies a timeout
-  };
-
   void attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
   void attach_resume(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
   /// Common tail of both attach flavours: adopt the IP/session, rebaseline
@@ -153,9 +138,6 @@ class UeAgent {
                        net::Ipv4Addr ip, std::uint64_t session_id, bool resumed,
                        const std::shared_ptr<std::function<void(Result<net::Ipv4Addr>)>>& done);
   void send_report(bool final_report);
-  void transmit_report(std::uint64_t seq);
-  void handle_report_ack(std::uint64_t seq);
-  void handle_redirect(std::uint64_t seq, std::uint16_t bucket, std::uint16_t owner);
   void detach_locally();  // radio + IP teardown, no bTelco signalling
   void drop_superseded_bearer(ran::CellId next);
   void try_attach(ran::CellId preferred);
@@ -170,7 +152,6 @@ class UeAgent {
   SapUe sap_;
   const ran::RanMap& ran_map_;
   std::function<Btelco*(ran::CellId)> telco_of_cell_;
-  net::EndPoint broker_report_ep_;
   Config config_;
   sim::ServiceQueue ue_queue_;
   sim::ServiceQueue enb_queue_;
@@ -180,7 +161,6 @@ class UeAgent {
   Rng jitter_rng_;
 
   transport::MptcpStack* mptcp_ = nullptr;
-  ShardRouter* router_ = nullptr;
 
   // Session state.
   net::Ipv4Addr current_ip_;
@@ -204,10 +184,10 @@ class UeAgent {
   // (break-before-make must hold across retargets too).
   ran::CellId attach_pending_ = 0;
 
-  // Reliable report channel (ordered so the post-attach flush is
-  // deterministic and oldest-first).
+  // Reliable report channel: paused while detached, flushed (oldest
+  // first) by the next attach.
   std::uint64_t next_report_seq_ = 1;
-  std::map<std::uint64_t, OutstandingReport> outstanding_reports_;
+  BrokerChannel reports_;
 
   // Recovery state.
   bool recovery_enabled_ = false;

@@ -10,6 +10,7 @@
 #include "check/ran_invariants.hpp"
 #include "check/settlement_invariants.hpp"
 #include "check/world_invariants.hpp"
+#include "common/fnv.hpp"
 #include "scenario/scale_traffic.hpp"
 #include "scenario/world.hpp"
 #include "sim/fault.hpp"
@@ -17,16 +18,6 @@
 namespace cb::check {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
 
 scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   scenario::WorldConfig w;

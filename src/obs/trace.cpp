@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/fnv.hpp"
+
 namespace cb::obs {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 const char* to_string(TraceType type) {
   switch (type) {

@@ -1,10 +1,11 @@
 #include "scenario/broker_loadgen.hpp"
 
 #include <algorithm>
-#include <map>
+#include <optional>
 #include <set>
 
-#include "common/log.hpp"
+#include "cellbricks/broker_channel.hpp"
+#include "common/fnv.hpp"
 #include "crypto/box.hpp"
 
 namespace cb::scenario {
@@ -13,63 +14,39 @@ namespace {
 
 using cellbricks::BrokerMsg;
 using cellbricks::Reporter;
+using cellbricks::RetrySchedule;
 
 constexpr std::uint16_t kClientPort = 4599;
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
-/// Same decorrelated-jitter schedule the real agents use.
-Duration decorrelated_backoff(Rng& rng, Duration base, Duration prev, Duration cap) {
-  const double base_s = base.to_seconds();
-  const double hi_s = std::max(base_s, prev.to_seconds() * 3.0);
-  return std::min(Duration::seconds(rng.uniform(base_s, hi_s)), cap);
-}
+/// Client retry schedules (decorrelated jitter, as in the agents): auth
+/// resends after 1 s, 10 sends; reports after 500 ms, 40 sends; both cap
+/// their gaps at 2 s.
+constexpr RetrySchedule kAuthSchedule{Duration::s(1), 10, Duration::s(2)};
+constexpr RetrySchedule kReportSchedule{Duration::ms(500), 40, Duration::s(2)};
 
 }  // namespace
 
-/// One subscriber/bTelco pair: its own SAP endpoints, router, and retry
-/// state. Both report halves are sent from the same node — the bench models
-/// the broker's ingest path, not the access topology.
+/// One subscriber/bTelco pair: its own SAP endpoints, router, and broker
+/// channels. Both report halves are sent from the same node — the bench
+/// models the broker's ingest path, not the access topology.
 struct BrokerLoadgen::Client {
   std::size_t index = 0;
   net::Node* node = nullptr;
-  net::Ipv4Addr addr;
   std::unique_ptr<cellbricks::SapUe> ue;
   std::unique_ptr<cellbricks::SapTelco> telco;
   std::unique_ptr<cellbricks::ShardRouter> router;
   Rng jitter{0};  // retry backoff draws (re-seeded by fork at build time)
   Rng seal{0};    // nonce + box randomness (likewise)
+  // Both channels draw from `jitter`, in event order.
+  std::optional<cellbricks::BrokerChannel> auth;
+  std::optional<cellbricks::BrokerChannel> reports;
 
   // Attach state.
   std::uint64_t auth_txn = 0;
-  Bytes auth_wire;
-  int auth_attempts_left = 0;
-  Duration auth_next_delay;
-  std::size_t auth_last_shard = 0;
-  bool auth_sent_once = false;
-  sim::EventHandle auth_timer;
   bool attached = false;
   std::uint64_t session_id = 0;
   std::uint32_t next_period = 0;
 
-  struct OutstandingReport {
-    Bytes wire;
-    int attempts_left = 0;
-    Duration next_delay;
-    std::size_t last_shard = 0;
-    bool sent_once = false;
-    TimePoint first_sent;
-    sim::EventHandle timer;
-  };
-  std::map<std::uint64_t, OutstandingReport> outstanding;
   std::uint64_t next_seq = 1;
   sim::EventHandle report_timer;
 };
@@ -128,9 +105,9 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
     cluster_->add_telco(id_t, telco_keys.public_key());
 
     c->node = network_.add_node("lg-client-" + std::to_string(i));
-    c->addr = net::Ipv4Addr(9, 0, static_cast<std::uint8_t>(i >> 8),
-                            static_cast<std::uint8_t>(i & 0xFF));
-    network_.register_address(c->addr, c->node);
+    const net::Ipv4Addr addr(9, 0, static_cast<std::uint8_t>(i >> 8),
+                             static_cast<std::uint8_t>(i & 0xFF));
+    network_.register_address(addr, c->node);
     // A WAN leg comparable to the world's tower->cloud path.
     network_.connect(c->node, hub_,
                      net::LinkParams{.rate_bps = 1e9, .delay = Duration::ms(12)});
@@ -140,6 +117,15 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
                                                       std::move(telco_cert), ca.public_key());
     c->jitter = sim_.rng().fork(0x10AD0000 + static_cast<std::uint64_t>(i) * 2);
     c->seal = sim_.rng().fork(0x10AD0001 + static_cast<std::uint64_t>(i) * 2);
+    // Every send goes through the router (set in run()); the fixed
+    // endpoint is never used.
+    const net::EndPoint src{addr, kClientPort};
+    const net::EndPoint broker = cluster_->client_endpoints().front();
+    c->auth.emplace(*c->node, src, broker, c->jitter, kAuthSchedule);
+    c->auth->on_abandon = [this](std::uint64_t) { ++attach_failures_; };
+    c->reports.emplace(*c->node, src, broker, c->jitter, kReportSchedule);
+    c->reports->on_transmit = [this](std::uint64_t) { ++report_txs_; };
+    c->reports->on_abandon = [this](std::uint64_t) { ++reports_abandoned_; };
     Client* raw = c.get();
     c->node->bind_udp(kClientPort, [this, raw](const net::Packet& p) {
       handle_packet(*raw, p);
@@ -159,34 +145,7 @@ void BrokerLoadgen::start_attach(Client& c) {
   w.u8(static_cast<std::uint8_t>(BrokerMsg::AuthReq));
   w.u64(c.auth_txn);
   w.bytes(auth_req_t);
-  c.auth_wire = w.take();
-  c.auth_attempts_left = config_.auth_attempts;
-  c.auth_next_delay = config_.auth_retry;
-  c.auth_sent_once = false;
-  transmit_auth(c);
-}
-
-void BrokerLoadgen::transmit_auth(Client& c) {
-  if (c.attached) return;
-  if (c.auth_attempts_left <= 0) {
-    ++attach_failures_;
-    return;
-  }
-  --c.auth_attempts_left;
-  const TimePoint now = sim_.now();
-  if (c.auth_sent_once) c.router->note_timeout(c.auth_last_shard, now);
-  c.auth_last_shard = c.router->pick_for_auth(now);
-  c.auth_sent_once = true;
-  net::Packet p;
-  p.src = net::EndPoint{c.addr, kClientPort};
-  p.dst = c.router->endpoint(c.auth_last_shard);
-  p.proto = net::Proto::Udp;
-  p.payload = c.auth_wire;
-  c.node->send(std::move(p));
-  Client* raw = &c;
-  c.auth_timer = sim_.schedule(c.auth_next_delay, [this, raw] { transmit_auth(*raw); });
-  c.auth_next_delay =
-      decorrelated_backoff(c.jitter, config_.auth_retry, c.auth_next_delay, config_.retry_cap);
+  c.auth->send_auth(c.auth_txn, w.take());
 }
 
 void BrokerLoadgen::send_period_reports(Client& c) {
@@ -226,40 +185,8 @@ void BrokerLoadgen::send_report(Client& c, Reporter side, std::uint32_t period) 
   w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
   w.u64(seq);
   w.bytes(sealed);
-  Client::OutstandingReport& out = c.outstanding[seq];
-  out.wire = w.take();
-  out.attempts_left = config_.report_attempts;
-  out.next_delay = config_.report_retry;
-  out.first_sent = sim_.now();
   ++reports_sent_;
-  transmit_report(c, seq);
-}
-
-void BrokerLoadgen::transmit_report(Client& c, std::uint64_t seq) {
-  auto it = c.outstanding.find(seq);
-  if (it == c.outstanding.end()) return;
-  Client::OutstandingReport& out = it->second;
-  if (out.attempts_left <= 0) {
-    ++reports_abandoned_;
-    c.outstanding.erase(it);
-    return;
-  }
-  --out.attempts_left;
-  ++report_txs_;
-  const TimePoint now = sim_.now();
-  if (out.sent_once) c.router->note_timeout(out.last_shard, now);
-  out.last_shard = c.router->pick_for_session(c.session_id, now);
-  out.sent_once = true;
-  net::Packet p;
-  p.src = net::EndPoint{c.addr, kClientPort};
-  p.dst = c.router->endpoint(out.last_shard);
-  p.proto = net::Proto::Udp;
-  p.payload = out.wire;
-  c.node->send(std::move(p));
-  Client* raw = &c;
-  out.timer = sim_.schedule(out.next_delay, [this, raw, seq] { transmit_report(*raw, seq); });
-  out.next_delay =
-      decorrelated_backoff(c.jitter, config_.report_retry, out.next_delay, config_.retry_cap);
+  c.reports->send(seq, w.take(), c.session_id);
 }
 
 void BrokerLoadgen::handle_packet(Client& c, const net::Packet& p) {
@@ -275,14 +202,13 @@ void BrokerLoadgen::handle_packet(Client& c, const net::Packet& p) {
       auto us = c.ue->process_auth_resp(auth_resp_u);
       if (!ts.ok() || !us.ok()) {
         ++attach_failures_;
-        c.auth_timer.cancel();
+        c.auth->clear();
         return;
       }
       c.attached = true;
       c.session_id = us.value().session_id;
       ++sessions_issued_;
-      c.auth_timer.cancel();
-      c.router->note_ok(c.auth_last_shard);
+      c.auth->ack(txn);
       send_period_reports(c);
       return;
     }
@@ -290,35 +216,21 @@ void BrokerLoadgen::handle_packet(Client& c, const net::Packet& p) {
       const std::uint64_t txn = r.u64();
       if (c.attached || txn != c.auth_txn) return;
       ++attach_failures_;
-      c.auth_timer.cancel();
+      c.auth->clear();
       return;
     }
     case BrokerMsg::ReportAck: {
-      const std::uint64_t seq = r.u64();
-      auto it = c.outstanding.find(seq);
-      if (it == c.outstanding.end()) return;
-      if (it->second.sent_once) c.router->note_ok(it->second.last_shard);
-      ack_latencies_ms_.push_back((sim_.now() - it->second.first_sent).to_millis());
-      it->second.timer.cancel();
-      c.outstanding.erase(it);
-      ++reports_acked_;
+      if (const auto acked = c.reports->ack(r.u64())) {
+        ack_latencies_ms_.push_back((sim_.now() - acked->queued_at).to_millis());
+        ++reports_acked_;
+      }
       return;
     }
     case BrokerMsg::Redirect: {
       const std::uint64_t seq = r.u64();
       const std::uint16_t bucket = r.u16();
       const std::uint16_t owner = r.u16();
-      c.router->learn_redirect(bucket, owner);
-      auto it = c.outstanding.find(seq);
-      if (it == c.outstanding.end()) return;
-      Client::OutstandingReport& out = it->second;
-      // The shard answered (healthy, just not the owner): clear strikes,
-      // refresh the retry budget, resend to the owner immediately.
-      c.router->note_ok(out.last_shard);
-      out.timer.cancel();
-      out.attempts_left = config_.report_attempts;
-      out.next_delay = config_.report_retry;
-      transmit_report(c, seq);
+      c.reports->redirect(seq, bucket, owner);
       return;
     }
     default:
@@ -330,6 +242,8 @@ BrokerLoadgenResult BrokerLoadgen::run() {
   cluster_->start();
   for (auto& c : clients_) {
     c->router = std::make_unique<cellbricks::ShardRouter>(cluster_->client_endpoints());
+    c->auth->set_router(c->router.get());
+    c->reports->set_router(c->router.get());
   }
 
   load_end_ = TimePoint::zero() + Duration::seconds(config_.duration_s);

@@ -3,10 +3,11 @@
 // A self-contained deterministic world: N broker shards behind a WAN hub and
 // M synthetic subscriber/bTelco client pairs that speak the real broker wire
 // protocol — a SAP attach (AuthReq over UDP with retries) followed by paired
-// signed+sealed traffic reports driven by the same seq/ack/redirect/retry
-// state machine as UeAgent/Btelco — but with none of the radio or transport
-// machinery, so one process can push the cluster to its report-ingest
-// capacity and measure failover availability under shard kills.
+// signed+sealed traffic reports — through the same cellbricks::BrokerChannel
+// (seq/ack/redirect/retry) as UeAgent and Btelco, but with none of the radio
+// or transport machinery, so one process can push the cluster to its
+// report-ingest capacity and measure failover availability under shard
+// kills.
 #pragma once
 
 #include <memory>
@@ -32,13 +33,6 @@ struct BrokerLoadgenConfig {
   std::uint64_t seed = 1;
   std::size_t rsa_bits = 512;
   cellbricks::BrokerShard::Config shard{};
-
-  // Client retry schedule (decorrelated jitter, like the real agents).
-  Duration report_retry = Duration::millis(500);
-  Duration retry_cap = Duration::s(2);
-  int report_attempts = 40;
-  Duration auth_retry = Duration::s(1);
-  int auth_attempts = 10;
 
   /// Failover trial: kill shard `kill_shard` at `kill_at_s` for
   /// `kill_duration_s` (disabled when kill_shard < 0).
@@ -98,10 +92,8 @@ class BrokerLoadgen {
   struct Client;
 
   void start_attach(Client& c);
-  void transmit_auth(Client& c);
   void send_period_reports(Client& c);
   void send_report(Client& c, cellbricks::Reporter side, std::uint32_t period);
-  void transmit_report(Client& c, std::uint64_t seq);
   void handle_packet(Client& c, const net::Packet& p);
 
   BrokerLoadgenConfig config_;

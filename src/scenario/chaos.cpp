@@ -2,24 +2,11 @@
 
 #include <algorithm>
 
+#include "common/fnv.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace cb::scenario {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 ChaosResult run_chaos(const ChaosConfig& config) {
   // Every chaos run records into its own registry so the ChaosResult carries

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/fnv.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -28,16 +29,6 @@ constexpr std::uint16_t kBasePort = 5001;
 /// Packet fidelity is ground truth, not a scale path.
 constexpr int kMaxPacketUes = 2048;
 constexpr std::size_t kMaxLanes = 4096;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
-}
 
 void fnv_mix_d(std::uint64_t& h, double v) { fnv_mix(h, std::bit_cast<std::uint64_t>(v)); }
 

@@ -10,6 +10,12 @@ namespace {
 constexpr Duration kRadioDelay = Duration::ms(4);
 constexpr Duration kBackhaulDelay = Duration::ms(8);  // tower/AGW -> internet
 constexpr Duration kServerDelay = Duration::ms(11);   // internet -> server
+/// RSA modulus for CellBricks entities and the 5G home-network key (512
+/// keeps setup fast; crypto cost in the simulated timeline comes from the
+/// calibrated proc profiles).
+constexpr std::size_t kRsaBits = 512;
+/// Resumption-ticket lifetime (SapResume worlds).
+constexpr Duration kTicketTtl = Duration::s(60);
 }  // namespace
 
 World::World(WorldConfig config) : config_(config), sim_(config.seed), network_(sim_) {
@@ -134,22 +140,22 @@ void World::build_mno() {
     // Dedicated forks, drawn only in 5G worlds: 4G streams stay
     // bit-identical (the conformance suite's same-seed guarantee).
     Rng hn_rng = sim_.rng().fork(0x5A11);
-    hss_->enable_5g(hn_rng, config_.rsa_bits);
+    hss_->enable_5g(hn_rng, kRsaBits);
     ue_nas_->enable_5g(hss_->home_network_key(), sim_.rng().fork(0x5AFE));
   }
 }
 
 void World::build_cellbricks() {
   Rng key_rng = sim_.rng().fork(0xCA11);
-  ca_ = std::make_unique<crypto::CertificateAuthority>("cb-root", key_rng, config_.rsa_bits);
+  ca_ = std::make_unique<crypto::CertificateAuthority>("cb-root", key_rng, kRsaBits);
   const TimePoint not_after = TimePoint::zero() + Duration::s(86400 * 365);
 
   // Broker identity: one keypair/certificate regardless of shard count, so
   // clients always seal to "broker-0".
-  auto broker_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
+  auto broker_keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
   auto broker_cert =
       ca_->issue("broker-0", broker_keys.public_key(), TimePoint::zero(), not_after);
-  auto ue_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
+  auto ue_keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
   const crypto::RsaPublicKey broker_pk = broker_cert.key();
 
   Bytes ticket_key;  // non-empty = resumption federation is live
@@ -161,7 +167,7 @@ void World::build_cellbricks() {
   }
   auto sap_broker = [&] {
     cellbricks::SapBroker sap("broker-0", broker_keys, broker_cert, ca_->public_key());
-    if (!ticket_key.empty()) sap.enable_resume(ticket_key, config_.ticket_ttl);
+    if (!ticket_key.empty()) sap.enable_resume(ticket_key, kTicketTtl);
     return sap;
   };
   broker_cluster_ = std::make_unique<cellbricks::BrokerCluster>(config_.shard_config);
@@ -190,7 +196,7 @@ void World::build_cellbricks() {
   // One bTelco per tower (the paper's extreme single-tower providers).
   for (int i = 0; i < config_.n_towers; ++i) {
     const std::string id_t = "btelco-" + std::to_string(i);
-    auto keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
+    auto keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
     auto cert = ca_->issue(id_t, keys.public_key(), TimePoint::zero(), not_after);
     // Cluster-wide key registration: a shard that never served this bTelco's
     // attach must still be able to verify its report signatures.

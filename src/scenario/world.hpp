@@ -61,17 +61,12 @@ inline const char* to_string(AttachProtocol p) {
 struct WorldConfig {
   Architecture arch = Architecture::CellBricks;
   AttachProtocol protocol = AttachProtocol::Default;
-  /// Resumption-ticket lifetime (SapResume only).
-  Duration ticket_ttl = Duration::s(60);
   RouteSpec route = suburb_day();
   std::uint64_t seed = 1;
   /// Number of towers along the route (route length = spacing * (n-1)).
   int n_towers = 12;
   /// AGW/bTelco <-> cloud (SubscriberDB/broker) round-trip time.
   Duration cloud_rtt = Duration::millis(7.2);  // "us-west-1"
-  /// RSA modulus for CellBricks entities (512 keeps setup fast; crypto cost
-  /// in the simulated timeline comes from the calibrated proc profiles).
-  std::size_t rsa_bits = 512;
   /// Random loss on the radio links.
   double radio_loss = 0.0;  // LTE HARQ/RLC leaves ~no residual loss
   /// MPTCP address_worker wait (mainline: 500 ms; Fig.9 varies this).

@@ -13,6 +13,7 @@
 #include "check/repro.hpp"
 #include "check/runner.hpp"
 #include "check/shrink.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/fuzz.hpp"
 #include "test_seed.hpp"
 
@@ -341,6 +342,89 @@ TEST(Shrink, PlantedDedupBugIsCaughtOnAFourShardBroker) {
     found = violates(run_scenario(s), "billing.dedup");
   }
   EXPECT_TRUE(found) << "no 4-shard seed in [1,8] tripped billing.dedup";
+}
+
+// ---------------------------------------------------------------------------
+// Report-path golden: the broker's ACKed client channel
+// ---------------------------------------------------------------------------
+
+// One corpus seed narrowed to a single broker-channel path. Each case pins
+// the run's RunReport fingerprint (end-state counts) and its flight-recorder
+// fingerprint (every traced event with its sim time, so a retransmission
+// that moves without changing any count still shows). The values were
+// computed before the UE, bTelco and load-generator retransmission loops
+// were folded into one BrokerChannel; they must never be edited to follow a
+// change. Each case also reads the run's counters to prove its path ran.
+scenario::FuzzScenario report_path_case(std::uint64_t seed) {
+  scenario::FuzzScenario s = scenario::random_scenario(seed);
+  s.attach_protocol = 2;  // SAP
+  s.resume_ticket = false;
+  s.broker_shards = 1;
+  s.fluid_ues = 0;
+  s.faults.clear();
+  return s;
+}
+
+std::uint64_t counter_value(const obs::Registry& reg, const char* name) {
+  const obs::Counter* c = reg.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(ReportPathGolden, OneShardWanDegradeRetransmitsUeAndTelcoReports) {
+  scenario::FuzzScenario s = report_path_case(16);
+  s.faults.push_back({.kind = scenario::FuzzFault::Kind::WanDegrade,
+                      .start_s = 10.0,
+                      .duration_s = 150.0,
+                      .loss = 0.8,
+                      .corrupt = 0.1});
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(&reg);
+  const RunReport r = run_scenario(s);
+  EXPECT_TRUE(r.ok());
+  EXPECT_GT(counter_value(reg, "ue_agent.reports.tx"), counter_value(reg, "ue_agent.reports.sent"));
+  EXPECT_GT(counter_value(reg, "btelco.reports.tx"), counter_value(reg, "btelco.reports.sent"));
+  EXPECT_GT(counter_value(reg, "ue_agent.reports.abandoned"), 0u);
+  EXPECT_GT(counter_value(reg, "btelco.reports.abandoned"), 0u);
+  EXPECT_EQ(r.fingerprint(), 0xebaa8122f1fd0faaULL);
+  EXPECT_EQ(reg.trace().fingerprint(), 0x182416552fafd423ULL);
+}
+
+TEST(ReportPathGolden, SapResumeSendsResumeNotifies) {
+  scenario::FuzzScenario s = report_path_case(9);
+  s.resume_ticket = true;
+  // A lossy WAN for the whole run, so notify acks go missing and notifies
+  // are resent (some to exhaustion).
+  s.faults.push_back({.kind = scenario::FuzzFault::Kind::WanDegrade,
+                      .start_s = 5.0,
+                      .duration_s = 200.0,
+                      .loss = 0.5,
+                      .corrupt = 0.0});
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(&reg);
+  const RunReport r = run_scenario(s);
+  EXPECT_TRUE(r.ok());
+  EXPECT_GT(counter_value(reg, "ue_agent.resume.success"), 0u);
+  EXPECT_GT(counter_value(reg, "btelco.resume.notify_sent"), 0u);
+  EXPECT_GT(counter_value(reg, "btelco.resume.notify_abandoned"), 0u);
+  EXPECT_EQ(r.fingerprint(), 0xb8952ec40b14052aULL);
+  EXPECT_EQ(reg.trace().fingerprint(), 0x059b3db2cfff6ce2ULL);
+}
+
+TEST(ReportPathGolden, FourShardsWithAShardKillFollowRedirects) {
+  scenario::FuzzScenario s = report_path_case(14);
+  s.broker_shards = 4;
+  // Shard 2 owns the UE's bucket: reports strand on it across handovers.
+  s.faults.push_back({.kind = scenario::FuzzFault::Kind::ShardKill,
+                      .start_s = 20.0,
+                      .duration_s = 40.0,
+                      .telco = 2});
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(&reg);
+  const RunReport r = run_scenario(s);
+  EXPECT_TRUE(r.ok());
+  EXPECT_GT(counter_value(reg, "broker.reports.redirected"), 0u);
+  EXPECT_EQ(r.fingerprint(), 0x3684a9388c3633c4ULL);
+  EXPECT_EQ(reg.trace().fingerprint(), 0xdf36b1a3f2037dfaULL);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/chaos.hpp"
@@ -326,6 +327,17 @@ TEST(ObsGolden, SameSeedChaosSnapshotIsBitIdentical) {
   // The snapshot carries real instrumentation from the run.
   EXPECT_NE(r1.metrics_json.find("ue_agent.attach.attempts"), std::string::npos);
   EXPECT_NE(r1.metrics_json.find("broker.sap_latency_ms"), std::string::npos);
+}
+
+TEST(ObsGolden, ChaosSnapshotMatchesPinnedValues) {
+  // Pinned before the UE and bTelco report loops became one BrokerChannel:
+  // the same run must keep its trace and its metrics snapshot byte for
+  // byte. Never edit these values to follow a change.
+  const sc::ChaosResult r = sc::run_chaos(golden_chaos_config());
+  const BytesView json(reinterpret_cast<const std::uint8_t*>(r.metrics_json.data()),
+                       r.metrics_json.size());
+  EXPECT_EQ(r.trace_fingerprint, 0x9ebbccc8ae9de554ULL);
+  EXPECT_EQ(fnv1a(json), 0x55bea486df1692c8ULL);
 }
 
 TEST(ObsGolden, ChaosMetricsFoldIntoCallerRegistry) {

@@ -57,6 +57,22 @@ else
   echo "skipped (--skip-sanitized)"
 fi
 
+echo "=== broker channel leg (ASan/UBSan) ==="
+# BrokerChannel (DESIGN.md §6) is the one client-side retransmission loop
+# behind UE and bTelco reports, bTelco resume notifies, and the broker load
+# generator. Its timers capture `this`, and messages are erased from inside
+# the ack and abandon paths, so its unit tests run on their own under the
+# sanitizers. (The suite also runs in both tier-1 ctest legs.)
+if [[ "${1:-}" != "--skip-sanitized" ]]; then
+  ./build-asan/tests/test_broker_channel || {
+    echo "broker channel tests FAILED under ASan/UBSan"
+    exit 1
+  }
+  echo "broker channel ok"
+else
+  echo "skipped (--skip-sanitized)"
+fi
+
 echo "=== RAN measurement-pipeline leg (ASan/UBSan, ctest -L ran) ==="
 # The ran-labeled tests (channel purity, L3-filter/policy properties, drive-
 # trace round-trips, fixture replays) re-run as their own leg so a
