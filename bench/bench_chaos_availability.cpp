@@ -9,7 +9,9 @@
 //
 // `--dump-faults F` writes the schedule as JSON; `--replay F` substitutes a
 // schedule from such a file — or from a cbfuzz repro document, whose
-// scenario.faults array uses the same encoding — for the built-in one.
+// scenario.faults array is written by the same codec
+// (check::faults_to_json) — for the built-in one.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "check/json.hpp"
+#include "check/repro.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/trial_runner.hpp"
@@ -27,74 +30,15 @@ using namespace cb::scenario;
 
 namespace {
 
-check::JsonValue faults_to_json(const ChaosConfig& cfg) {
-  check::JsonArray faults;
-  for (const auto& f : cfg.broker_outages) {
-    check::JsonObject jf;
-    jf["kind"] = "broker_outage";
-    jf["start_s"] = f.start.to_seconds();
-    jf["duration_s"] = f.duration.to_seconds();
-    faults.emplace_back(std::move(jf));
-  }
-  for (const auto& f : cfg.telco_crashes) {
-    check::JsonObject jf;
-    jf["kind"] = "telco_crash";
-    jf["start_s"] = f.start.to_seconds();
-    jf["duration_s"] = f.duration.to_seconds();
-    jf["telco"] = static_cast<std::uint64_t>(f.telco);
-    faults.emplace_back(std::move(jf));
-  }
-  for (const auto& f : cfg.radio_drops) {
-    check::JsonObject jf;
-    jf["kind"] = "radio_drop";
-    jf["start_s"] = f.at.to_seconds();
-    faults.emplace_back(std::move(jf));
-  }
-  for (const auto& f : cfg.wan_degrades) {
-    check::JsonObject jf;
-    jf["kind"] = "wan_degrade";
-    jf["start_s"] = f.start.to_seconds();
-    jf["duration_s"] = f.duration.to_seconds();
-    jf["loss"] = f.loss;
-    jf["corrupt"] = f.corrupt;
-    faults.emplace_back(std::move(jf));
-  }
-  check::JsonObject doc;
-  doc["format"] = "chaos-faults-v1";
-  doc["faults"] = check::JsonValue(std::move(faults));
-  return check::JsonValue(std::move(doc));
-}
-
 /// Replace cfg's schedule with the `faults` array of a dump or repro file.
 void apply_faults(ChaosConfig& cfg, const check::JsonValue& doc) {
   const check::JsonValue& root = doc.contains("scenario") ? doc.at("scenario") : doc;
-  cfg.broker_outages.clear();
-  cfg.telco_crashes.clear();
-  cfg.radio_drops.clear();
-  cfg.wan_degrades.clear();
+  cfg.faults = check::faults_from_json(root.at("faults"));
   double last_end_s = 0.0;
-  for (const auto& jf : root.at("faults").as_array()) {
-    const std::string kind = jf.at("kind").as_string();
-    const TimePoint start = TimePoint::zero() + Duration::seconds(jf.at("start_s").as_double());
-    const Duration dur =
-        Duration::seconds(jf.get("duration_s", check::JsonValue(0.0)).as_double());
-    if (kind == "broker_outage") {
-      cfg.broker_outages.push_back({.start = start, .duration = dur});
-    } else if (kind == "telco_crash") {
-      cfg.telco_crashes.push_back({.telco = jf.get("telco", check::JsonValue(0)).as_uint(),
-                                   .start = start,
-                                   .duration = dur});
-    } else if (kind == "radio_drop") {
-      cfg.radio_drops.push_back({.at = start});
-    } else if (kind == "wan_degrade") {
-      cfg.wan_degrades.push_back({.start = start,
-                                  .duration = dur,
-                                  .loss = jf.get("loss", check::JsonValue(0.0)).as_double(),
-                                  .corrupt = jf.get("corrupt", check::JsonValue(0.0)).as_double()});
-    } else {
-      throw std::runtime_error("unknown fault kind '" + kind + "'");
-    }
-    last_end_s = std::max(last_end_s, (start + dur).to_seconds());
+  for (const FuzzFault& f : cfg.faults) {
+    const TimePoint end =
+        TimePoint::zero() + Duration::seconds(f.start_s) + Duration::seconds(f.duration_s);
+    last_end_s = std::max(last_end_s, end.to_seconds());
   }
   // Keep enough horizon past the last fault for the recovery machinery
   // (and the availability-after-faults window) to mean something.
@@ -114,15 +58,15 @@ ChaosConfig make_config() {
   cfg.world.ue_config.attach_timeout = Duration::s(2);
 
   // The UE serves from cell 1 (btelco-0) until ~73 s, then cell 2, ...
-  cfg.telco_crashes.push_back(
-      {.telco = 0, .start = TimePoint::zero() + Duration::s(30), .duration = Duration::s(20)});
-  cfg.broker_outages.push_back(
-      {.start = TimePoint::zero() + Duration::s(70), .duration = Duration::s(15)});
-  cfg.radio_drops.push_back({.at = TimePoint::zero() + Duration::s(120)});
-  cfg.wan_degrades.push_back({.start = TimePoint::zero() + Duration::s(150),
-                              .duration = Duration::s(30),
-                              .loss = 0.25,
-                              .corrupt = 0.10});
+  // The order is FaultPlan spec order and the --dump-faults order.
+  using Kind = FuzzFault::Kind;
+  cfg.faults = {
+      {.kind = Kind::BrokerOutage, .start_s = 70.0, .duration_s = 15.0},
+      {.kind = Kind::TelcoCrash, .start_s = 30.0, .duration_s = 20.0, .telco = 0},
+      {.kind = Kind::RadioDrop, .start_s = 120.0},
+      {.kind = Kind::WanDegrade, .start_s = 150.0, .duration_s = 30.0, .loss = 0.25,
+       .corrupt = 0.10},
+  };
   return cfg;
 }
 
@@ -161,7 +105,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", dump_path.c_str());
       return 1;
     }
-    out << faults_to_json(cfg).dump(2) << "\n";
+    check::JsonObject doc;
+    doc["format"] = "chaos-faults-v1";
+    doc["faults"] = check::faults_to_json(cfg.faults);
+    out << check::JsonValue(std::move(doc)).dump(2) << "\n";
     std::printf("fault schedule written to %s\n", dump_path.c_str());
   }
 

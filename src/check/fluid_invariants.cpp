@@ -81,7 +81,7 @@ void install_fluid_invariants(InvariantEngine& engine, scenario::ScaleTrafficSim
 
   engine.add("fluid.billing", When::EndOnly, [s](InvariantEngine::Reporter& r) {
     const traffic::SessionArena& arena = s->arena();
-    const double price = s->config().price_per_gb_usd / 1e9;
+    const double price = scenario::kPricePerGbUsd / 1e9;
     const int n = s->config().n_ues;
     for (traffic::SessionId id = 0; id < static_cast<traffic::SessionId>(n); ++id) {
       if (arena.billed_bytes(id) > arena.delivered_bytes(id) + 0.5) {

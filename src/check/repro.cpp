@@ -28,9 +28,9 @@ scenario::FuzzFault::Kind fault_kind_from(const std::string& name) {
 
 }  // namespace
 
-JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
-  JsonArray faults;
-  for (const auto& f : s.faults) {
+JsonValue faults_to_json(const std::vector<scenario::FuzzFault>& faults) {
+  JsonArray out;
+  for (const auto& f : faults) {
     JsonObject jf;
     jf["kind"] = fault_kind_name(f.kind);
     jf["start_s"] = f.start_s;
@@ -43,8 +43,27 @@ JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
       jf["loss"] = f.loss;
       jf["corrupt"] = f.corrupt;
     }
-    faults.emplace_back(std::move(jf));
+    out.emplace_back(std::move(jf));
   }
+  return JsonValue(std::move(out));
+}
+
+std::vector<scenario::FuzzFault> faults_from_json(const JsonValue& v) {
+  std::vector<scenario::FuzzFault> faults;
+  for (const auto& jf : v.as_array()) {
+    scenario::FuzzFault f;
+    f.kind = fault_kind_from(jf.at("kind").as_string());
+    f.start_s = jf.at("start_s").as_double();
+    f.duration_s = jf.get("duration_s", JsonValue(0.0)).as_double();
+    f.telco = jf.get("telco", JsonValue(0)).as_uint();
+    f.loss = jf.get("loss", JsonValue(0.0)).as_double();
+    f.corrupt = jf.get("corrupt", JsonValue(0.0)).as_double();
+    faults.push_back(f);
+  }
+  return faults;
+}
+
+JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
   JsonObject o;
   o["seed"] = s.seed;
   o["n_towers"] = s.n_towers;
@@ -74,7 +93,7 @@ JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
   if (s.reselection_policy != 0) o["reselection_policy"] = s.reselection_policy;
   if (s.ttt_ms != 0) o["ttt_ms"] = s.ttt_ms;
   if (s.l3_filter_k != 0) o["l3_filter_k"] = s.l3_filter_k;
-  o["faults"] = std::move(faults);
+  o["faults"] = faults_to_json(s.faults);
   if (s.plant_dedup_bug) o["plant_dedup_bug"] = true;
   return JsonValue(std::move(o));
 }
@@ -115,17 +134,7 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   s.l3_filter_k = static_cast<int>(v.get("l3_filter_k", JsonValue(0)).as_int());
   s.plant_dedup_bug = v.get("plant_dedup_bug", JsonValue(false)).as_bool();
   if (s.n_towers < 1) throw std::runtime_error("repro: n_towers must be >= 1");
-  s.faults.clear();
-  for (const auto& jf : v.get("faults", JsonValue(JsonArray{})).as_array()) {
-    scenario::FuzzFault f;
-    f.kind = fault_kind_from(jf.at("kind").as_string());
-    f.start_s = jf.at("start_s").as_double();
-    f.duration_s = jf.get("duration_s", JsonValue(0.0)).as_double();
-    f.telco = jf.get("telco", JsonValue(0)).as_uint();
-    f.loss = jf.get("loss", JsonValue(0.0)).as_double();
-    f.corrupt = jf.get("corrupt", JsonValue(0.0)).as_double();
-    s.faults.push_back(f);
-  }
+  s.faults = faults_from_json(v.get("faults", JsonValue(JsonArray{})));
   return s;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "check/json.hpp"
 #include "check/shrink.hpp"
@@ -17,6 +18,12 @@ namespace cb::check {
 
 JsonValue scenario_to_json(const scenario::FuzzScenario& s);
 scenario::FuzzScenario scenario_from_json(const JsonValue& v);
+
+/// The fault-list codec: a JSON array with one object per fault, in list
+/// order. A scenario's `faults` member and bench_chaos_availability's
+/// `--dump-faults` / `--replay` files both use it.
+JsonValue faults_to_json(const std::vector<scenario::FuzzFault>& faults);
+std::vector<scenario::FuzzFault> faults_from_json(const JsonValue& v);
 
 /// Full repro document (pretty-printed JSON) for a shrunk failure.
 /// `replay_path` is the file name the caller will write it to (embedded in

@@ -11,6 +11,7 @@
 #include "check/settlement_invariants.hpp"
 #include "check/world_invariants.hpp"
 #include "common/fnv.hpp"
+#include "scenario/chaos.hpp"
 #include "scenario/scale_traffic.hpp"
 #include "scenario/world.hpp"
 #include "sim/fault.hpp"
@@ -54,72 +55,6 @@ scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   return w;
 }
 
-sim::FaultPlan bind_faults(const scenario::FuzzScenario& s, scenario::World& world) {
-  sim::FaultPlan plan;
-  for (const auto& f : s.faults) {
-    const TimePoint start = TimePoint::zero() + Duration::seconds(f.start_s);
-    const Duration dur = Duration::seconds(f.duration_s);
-    switch (f.kind) {
-      case scenario::FuzzFault::Kind::BrokerOutage:
-        plan.window(
-            "broker-outage", start, dur,
-            [&world] { world.cloud_node()->set_up(false); },
-            [&world] { world.cloud_node()->set_up(true); });
-        break;
-      case scenario::FuzzFault::Kind::TelcoCrash: {
-        if (world.n_btelcos() == 0) break;  // MNO world: no bTelco to crash
-        // Clamp: the sampler draws the index before shrinking drops towers.
-        const std::size_t i = f.telco < world.n_btelcos() ? f.telco : world.n_btelcos() - 1;
-        plan.window(
-            "crash:btelco-" + std::to_string(i), start, dur,
-            [&world, i] { world.btelco(i)->crash(); },
-            [&world, i] { world.btelco(i)->restart(); });
-        break;
-      }
-      case scenario::FuzzFault::Kind::RadioDrop:
-        plan.at("radio-drop", start, [&world] {
-          // The serving cell lives on the agent (CellBricks) or NAS (MNO).
-          const ran::CellId cell = world.ue_agent() != nullptr
-                                       ? world.ue_agent()->serving_cell()
-                                       : world.ue_nas()->serving_cell();
-          if (cell != 0) world.ran_map().site(cell).radio_link->set_up(false);
-        });
-        break;
-      case scenario::FuzzFault::Kind::ShardKill: {
-        // A lone shard has no replica to recover from (and MNO worlds have
-        // no broker at all).
-        if (world.broker_cluster() == nullptr || world.broker_cluster()->n_shards() < 2) break;
-        const std::size_t i =
-            std::min(f.telco, world.broker_cluster()->n_shards() - 1);
-        plan.window(
-            "kill:broker-shard-" + std::to_string(i), start, dur,
-            [&world, i] { world.broker_cluster()->crash_shard(i); },
-            [&world, i] { world.broker_cluster()->restart_shard(i); });
-        break;
-      }
-      case scenario::FuzzFault::Kind::WanDegrade: {
-        auto apply = [&world](double loss, double corrupt) {
-          for (std::size_t i = 0; i < world.n_cloud_links(); ++i) {
-            net::Link* link = world.cloud_link(i);
-            for (net::Node* end : {link->endpoint_a(), link->endpoint_b()}) {
-              net::LinkParams p = link->params(end);
-              p.loss = loss;
-              p.corrupt = corrupt;
-              link->set_params(end, p);
-            }
-          }
-        };
-        plan.window(
-            "wan-degrade", start, dur,
-            [apply, loss = f.loss, corrupt = f.corrupt] { apply(loss, corrupt); },
-            [apply] { apply(0.0, 0.0); });
-        break;
-      }
-    }
-  }
-  return plan;
-}
-
 }  // namespace
 
 std::uint64_t RunReport::fingerprint() const {
@@ -154,7 +89,7 @@ RunReport run_scenario(const scenario::FuzzScenario& s, const RunOptions& option
   const TimePoint horizon = TimePoint::zero() + Duration::seconds(s.duration_s);
   engine.arm(sim, options.check_cadence, horizon);
 
-  sim::ChaosController chaos(sim, bind_faults(s, world));
+  sim::ChaosController chaos(sim, scenario::bind_faults(s.faults, world));
   chaos.arm();
 
   // App mix. Servers must exist before the client's SYN; the download client

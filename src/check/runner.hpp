@@ -1,11 +1,12 @@
 // Execute one FuzzScenario under the full invariant catalogue.
 //
-// run_scenario builds a CellBricks world from the scenario description,
-// binds its fault schedule (the same wiring run_chaos uses), installs the
-// engine probe + invariant catalogue, drives the horizon, and returns every
-// violation plus enough end-state counters to fingerprint the run. It is
-// the single entry point the fuzzer, the shrinker, and the replay path all
-// share — a shrunk repro re-runs through exactly the code that failed.
+// run_scenario builds a world from the scenario description, binds its
+// fault list with scenario::bind_faults (the binder run_chaos uses, so a
+// fault means the same thing to both), installs the engine probe +
+// invariant catalogue, drives the horizon, and returns every violation plus
+// enough end-state counters to fingerprint the run. It is the single entry
+// point the fuzzer, the shrinker, and the replay path all share — a shrunk
+// repro re-runs through exactly the code that failed.
 #pragma once
 
 #include <cstdint>

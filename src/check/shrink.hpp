@@ -11,8 +11,11 @@
 //      clamped into the surviving range);
 //   3. horizon shortening — halve duration_s, and try trimming to just past
 //      the last remaining fault;
-//   4. app simplification — drop the app mix to mobility-only;
-//   5. knob canonicalization — reset radio loss and dishonesty to defaults.
+//   4. knob canonicalization — one candidate per applicable entry of a
+//      13-entry tweak table: app mix off, radio loss off, honest bTelco,
+//      honest UE, default rate policy, fluid phase off, fluid phase not
+//      hybrid, resumption off, quiet channel, A3 policy, L3 filter off,
+//      EPS-AKA, and a single broker shard (dropping the shard kills).
 //
 // Every candidate is re-executed with run_scenario under the same seed and
 // cadence, so acceptance is exact, and the whole search is deterministic:

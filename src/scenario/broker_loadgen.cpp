@@ -17,6 +17,8 @@ using cellbricks::Reporter;
 using cellbricks::RetrySchedule;
 
 constexpr std::uint16_t kClientPort = 4599;
+/// Key size for the CA, the broker and every client's UE and bTelco.
+constexpr std::size_t kRsaBits = 512;
 
 /// Client retry schedules (decorrelated jitter, as in the agents): auth
 /// resends after 1 s, 10 sends; reports after 500 ms, 40 sends; both cap
@@ -77,9 +79,9 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
   // Keys first, in a fixed order, from a dedicated stream (the world's
   // convention), so topology changes never reshuffle identities.
   Rng key_rng = sim_.rng().fork(0xCA11);
-  crypto::CertificateAuthority ca("cb-root", key_rng, config_.rsa_bits);
+  crypto::CertificateAuthority ca("cb-root", key_rng, kRsaBits);
   const TimePoint not_after = TimePoint::zero() + Duration::s(86400 * 365);
-  auto broker_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
+  auto broker_keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
   broker_cert_ = ca.issue("broker-0", broker_keys.public_key(), TimePoint::zero(), not_after);
   broker_pk_ = broker_cert_.key();
 
@@ -98,8 +100,8 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
     c->index = static_cast<std::size_t>(i);
     const std::string id_u = "lg-ue-" + std::to_string(i);
     const std::string id_t = "lg-telco-" + std::to_string(i);
-    auto ue_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
-    auto telco_keys = crypto::RsaKeyPair::generate(key_rng, config_.rsa_bits);
+    auto ue_keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
+    auto telco_keys = crypto::RsaKeyPair::generate(key_rng, kRsaBits);
     auto telco_cert = ca.issue(id_t, telco_keys.public_key(), TimePoint::zero(), not_after);
     cluster_->add_subscriber(id_u, ue_keys.public_key());
     cluster_->add_telco(id_t, telco_keys.public_key());

@@ -31,7 +31,6 @@ struct BrokerLoadgenConfig {
   double duration_s = 30.0;
   double drain_s = 60.0;
   std::uint64_t seed = 1;
-  std::size_t rsa_bits = 512;
   cellbricks::BrokerShard::Config shard{};
 
   /// Failover trial: kill shard `kill_shard` at `kill_at_s` for

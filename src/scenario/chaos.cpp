@@ -1,12 +1,86 @@
 #include "scenario/chaos.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/fnv.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace cb::scenario {
+
+namespace {
+
+/// Availability sampling cadence.
+constexpr Duration kSampleInterval = Duration::millis(200);
+
+}  // namespace
+
+sim::FaultPlan bind_faults(const std::vector<FuzzFault>& faults, World& world) {
+  sim::FaultPlan plan;
+  for (const auto& f : faults) {
+    const TimePoint start = TimePoint::zero() + Duration::seconds(f.start_s);
+    const Duration dur = Duration::seconds(f.duration_s);
+    switch (f.kind) {
+      case FuzzFault::Kind::BrokerOutage:
+        plan.window(
+            "broker-outage", start, dur,
+            [&world] { world.cloud_node()->set_up(false); },
+            [&world] { world.cloud_node()->set_up(true); });
+        break;
+      case FuzzFault::Kind::TelcoCrash: {
+        if (world.n_btelcos() == 0) break;  // MNO world: no bTelco to crash
+        // Clamp: the sampler draws the index before shrinking drops towers.
+        const std::size_t i = f.telco < world.n_btelcos() ? f.telco : world.n_btelcos() - 1;
+        plan.window(
+            "crash:btelco-" + std::to_string(i), start, dur,
+            [&world, i] { world.btelco(i)->crash(); },
+            [&world, i] { world.btelco(i)->restart(); });
+        break;
+      }
+      case FuzzFault::Kind::RadioDrop:
+        plan.at("radio-drop", start, [&world] {
+          // The serving cell lives on the agent (CellBricks) or NAS (MNO).
+          const ran::CellId cell = world.ue_agent() != nullptr
+                                       ? world.ue_agent()->serving_cell()
+                                       : world.ue_nas()->serving_cell();
+          if (cell != 0) world.ran_map().site(cell).radio_link->set_up(false);
+        });
+        break;
+      case FuzzFault::Kind::ShardKill: {
+        // A lone shard has no replica to recover from (and MNO worlds have
+        // no broker at all).
+        if (world.broker_cluster() == nullptr || world.broker_cluster()->n_shards() < 2) break;
+        const std::size_t i =
+            std::min(f.telco, world.broker_cluster()->n_shards() - 1);
+        plan.window(
+            "kill:broker-shard-" + std::to_string(i), start, dur,
+            [&world, i] { world.broker_cluster()->crash_shard(i); },
+            [&world, i] { world.broker_cluster()->restart_shard(i); });
+        break;
+      }
+      case FuzzFault::Kind::WanDegrade: {
+        auto apply = [&world](double loss, double corrupt) {
+          for (std::size_t i = 0; i < world.n_cloud_links(); ++i) {
+            net::Link* link = world.cloud_link(i);
+            for (net::Node* end : {link->endpoint_a(), link->endpoint_b()}) {
+              net::LinkParams p = link->params(end);
+              p.loss = loss;
+              p.corrupt = corrupt;
+              link->set_params(end, p);
+            }
+          }
+        };
+        plan.window(
+            "wan-degrade", start, dur,
+            [apply, loss = f.loss, corrupt = f.corrupt] { apply(loss, corrupt); },
+            [apply] { apply(0.0, 0.0); });
+        break;
+      }
+    }
+  }
+  return plan;
+}
 
 ChaosResult run_chaos(const ChaosConfig& config) {
   // Every chaos run records into its own registry so the ChaosResult carries
@@ -21,54 +95,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   World world(wcfg);
   sim::Simulator& sim = world.simulator();
 
-  // Bind the scripted faults to the freshly built world.
-  sim::FaultPlan plan;
-  for (const auto& o : config.broker_outages) {
-    plan.window(
-        "broker-outage", o.start, o.duration,
-        [&world] { world.cloud_node()->set_up(false); },
-        [&world] { world.cloud_node()->set_up(true); });
-  }
-  for (const auto& c : config.telco_crashes) {
-    plan.window(
-        "crash:btelco-" + std::to_string(c.telco), c.start, c.duration,
-        [&world, i = c.telco] { world.btelco(i)->crash(); },
-        [&world, i = c.telco] { world.btelco(i)->restart(); });
-  }
-  for (const auto& d : config.radio_drops) {
-    plan.at("radio-drop", d.at, [&world] {
-      const ran::CellId cell = world.ue_agent()->serving_cell();
-      if (cell != 0) world.ran_map().site(cell).radio_link->set_up(false);
-    });
-  }
-  cellbricks::BrokerCluster& broker = *world.broker_cluster();
-  for (const auto& k : config.shard_kills) {
-    // A lone shard has no replica to recover from.
-    if (broker.n_shards() < 2) continue;
-    const std::size_t i = std::min(k.shard, broker.n_shards() - 1);
-    plan.window(
-        "kill:broker-shard-" + std::to_string(i), k.start, k.duration,
-        [&broker, i] { broker.crash_shard(i); }, [&broker, i] { broker.restart_shard(i); });
-  }
-  for (const auto& w : config.wan_degrades) {
-    auto apply = [&world](double loss, double corrupt) {
-      for (std::size_t i = 0; i < world.n_cloud_links(); ++i) {
-        net::Link* link = world.cloud_link(i);
-        for (net::Node* end : {link->endpoint_a(), link->endpoint_b()}) {
-          net::LinkParams p = link->params(end);
-          p.loss = loss;
-          p.corrupt = corrupt;
-          link->set_params(end, p);
-        }
-      }
-    };
-    plan.window(
-        "wan-degrade", w.start, w.duration,
-        [apply, loss = w.loss, corrupt = w.corrupt] { apply(loss, corrupt); },
-        [apply] { apply(0.0, 0.0); });
-  }
-
-  sim::ChaosController chaos(sim, std::move(plan));
+  sim::ChaosController chaos(sim, bind_faults(config.faults, world));
   chaos.arm();
   world.start();
 
@@ -79,9 +106,9 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   std::uint64_t samples_after = 0, attached_after = 0;
   const TimePoint last_fault = chaos.plan().last_event();
   const auto n_samples = static_cast<std::uint64_t>(
-      config.duration.to_seconds() / config.sample_interval.to_seconds());
+      config.duration.to_seconds() / kSampleInterval.to_seconds());
   for (std::uint64_t k = 1; k <= n_samples; ++k) {
-    const TimePoint at = TimePoint::zero() + config.sample_interval * k;
+    const TimePoint at = TimePoint::zero() + kSampleInterval * k;
     sim.schedule_at(at, [&, at] {
       const bool attached = world.ue_agent()->attached();
       ++samples;
@@ -117,6 +144,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   }
   result.orphan_sessions = sessions_at_end - (result.ue_attached_at_end ? 1 : 0);
 
+  const cellbricks::BrokerCluster& broker = *world.broker_cluster();
   result.reports_ingested = broker.reports_ingested();
   result.reports_deduped = broker.reports_deduped();
   result.unpaired_expired = broker.unpaired_expired();

@@ -1,6 +1,8 @@
 // Chaos experiment: a CellBricks world driven through a scripted fault
-// schedule (broker outages, bTelco crashes, radio drops, WAN degradation)
-// while a mobile UE keeps attaching, moving, and reporting.
+// schedule (broker outages, bTelco crashes, radio drops, WAN degradation,
+// broker shard kills) while a mobile UE keeps attaching, moving, and
+// reporting. The schedule is a FuzzFault list, the same data the fuzzer
+// samples and repro files carry, bound to the world by bind_faults.
 //
 // Measures what the recovery machinery buys: attach availability over the
 // run and after the faults clear, the outage-to-recovered latency
@@ -10,6 +12,9 @@
 // the same config on the same seed must produce identical fingerprints.
 #pragma once
 
+#include <vector>
+
+#include "scenario/fuzz.hpp"
 #include "scenario/world.hpp"
 #include "sim/fault.hpp"
 
@@ -17,49 +22,11 @@ namespace cb::scenario {
 
 struct ChaosConfig {
   WorldConfig world;  // arch is forced to CellBricks
-  /// Simulated run length and availability sampling cadence.
+  /// Simulated run length.
   Duration duration = Duration::s(300);
-  Duration sample_interval = Duration::millis(200);
-
-  /// Broker (cloud host) dark for [start, start + duration).
-  struct BrokerOutage {
-    TimePoint start;
-    Duration duration;
-  };
-  /// bTelco `telco` crashes at `start`, restarts `duration` later with
-  /// empty state (sessions are lost; UEs must re-attach).
-  struct TelcoCrash {
-    std::size_t telco = 0;
-    TimePoint start;
-    Duration duration;
-  };
-  /// One-shot RF fade: the serving bearer drops at `at` (no heal — the UE
-  /// must notice via its watchdog and recover on another cell).
-  struct RadioDrop {
-    TimePoint at;
-  };
-  /// Loss/corruption on every tower<->cloud control path for the window.
-  struct WanDegrade {
-    TimePoint start;
-    Duration duration;
-    double loss = 0.0;
-    double corrupt = 0.0;
-  };
-  /// Broker shard `shard` crashes at `start` (log, fold, and in-flight
-  /// commits wiped) and restarts `duration` later in recovering state.
-  /// Requires world.broker_shards > 1; ignored on one-shard worlds, where
-  /// no replica survives to recover from.
-  struct ShardKill {
-    std::size_t shard = 0;
-    TimePoint start;
-    Duration duration;
-  };
-
-  std::vector<BrokerOutage> broker_outages;
-  std::vector<TelcoCrash> telco_crashes;
-  std::vector<RadioDrop> radio_drops;
-  std::vector<WanDegrade> wan_degrades;
-  std::vector<ShardKill> shard_kills;
+  /// Bound in list order, which is FaultPlan spec order: it breaks ties
+  /// between fault events due at the same instant.
+  std::vector<FuzzFault> faults;
 };
 
 struct ChaosResult {
@@ -99,6 +66,12 @@ struct ChaosResult {
   std::string metrics_json;
   std::uint64_t trace_fingerprint = 0;
 };
+
+/// Bind `faults` to a freshly built world, in list order (run_chaos and
+/// check::run_scenario both call it). bTelco and shard indices are clamped
+/// into the world's range; a fault the world cannot host (a bTelco crash in
+/// an MNO world, a shard kill below two shards) binds to nothing.
+sim::FaultPlan bind_faults(const std::vector<FuzzFault>& faults, World& world);
 
 ChaosResult run_chaos(const ChaosConfig& config);
 

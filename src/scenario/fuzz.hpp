@@ -21,11 +21,15 @@
 namespace cb::scenario {
 
 /// One scripted fault event (a flat union so fault lists shrink uniformly).
+/// The one fault type: chaos runs (scenario::ChaosConfig), fuzz scenarios
+/// and repro files all hold lists of it, bound by scenario::bind_faults.
 struct FuzzFault {
   enum class Kind : int {
     BrokerOutage = 0,  // cloud host dark for [start, start+duration)
-    TelcoCrash = 1,    // bTelco `telco` crashes, restarts after `duration`
-    RadioDrop = 2,     // serving bearer cut at `start` (no heal)
+    TelcoCrash = 1,    // bTelco `telco` crashes (sessions lost), restarts
+                       // after `duration`
+    RadioDrop = 2,     // serving bearer cut at `start` (no heal: the UE's
+                       // watchdog must notice and recover on another cell)
     WanDegrade = 3,    // loss/corruption on every tower<->cloud path
     ShardKill = 4,     // broker shard crash+restart (broker_shards > 1 only;
                        // the `telco` field doubles as the shard index)

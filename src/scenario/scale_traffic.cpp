@@ -29,6 +29,14 @@ constexpr std::uint16_t kBasePort = 5001;
 /// Packet fidelity is ground truth, not a scale path.
 constexpr int kMaxPacketUes = 2048;
 constexpr std::size_t kMaxLanes = 4096;
+/// Fraction of scheduler capacity that turns into app bytes: packet mode
+/// loses MSS/(MSS+headers) to framing, and the fluid model applies the same
+/// factor so both modes meter app goodput.
+constexpr double kGoodputEfficiency = 1400.0 / 1455.0;
+/// Hybrid: the cell the capacity-drop fault hits.
+constexpr std::uint32_t kFaultCell = 0;
+/// Hybrid: packet -> fluid re-promotion after this many RTTs of steady state.
+constexpr std::int64_t kRttsToPromote = 8;
 
 void fnv_mix_d(std::uint64_t& h, double v) { fnv_mix(h, std::bit_cast<std::uint64_t>(v)); }
 
@@ -144,8 +152,8 @@ ScaleTrafficSim::ScaleTrafficSim(const ScaleTrafficConfig& config) : config_(con
   impl_ = std::make_unique<Impl>(config_.seed);
   impl_->policy = config_.night ? ran::RatePolicy::night() : ran::RatePolicy::day();
 
-  // Workload draws shared verbatim by every mode: sizes, starts, weights,
-  // and the initial shaper sample per UE, each from its own forked stream.
+  // Workload draws shared verbatim by every mode: sizes, starts, and the
+  // initial shaper sample per UE, each from its own forked stream.
   const std::size_t n = static_cast<std::size_t>(config_.n_ues);
   const std::size_t per_cell =
       (n + static_cast<std::size_t>(config_.n_cells) - 1) / static_cast<std::size_t>(config_.n_cells);
@@ -158,18 +166,13 @@ ScaleTrafficSim::ScaleTrafficSim(const ScaleTrafficConfig& config) : config_(con
                                  8.0 * config_.mean_flow_mbytes);
     flow_bytes_[i] = std::floor(mb * 1e6);  // integral bytes, same in all modes
     start_s_[i] = wl.uniform(0.0, config_.start_window_s);
-    const bool premium = config_.premium_fraction > 0.0 && wl.chance(config_.premium_fraction);
-    double cap = 0.0;
-    if (!config_.unlimited_shaper) {
-      Rng ue_rng = Rng(config_.seed).fork(0xBEA0000 + i);
-      cap = impl_->policy.sample(ue_rng);
-      if (config_.shaper_resample_s > 0.0) impl_->shaper_rngs.push_back(ue_rng);
-    }
+    Rng ue_rng = Rng(config_.seed).fork(0xBEA0000 + i);
+    const double cap = impl_->policy.sample(ue_rng);
+    if (config_.shaper_resample_s > 0.0) impl_->shaper_rngs.push_back(ue_rng);
     // Block assignment (UE i -> cell i/per_cell): a cell's members occupy a
     // contiguous SessionId range, so the fill pass streams adjacent arena
     // rows instead of striding n_cells apart — measurably faster at 100k+.
-    arena_.create(static_cast<std::uint32_t>(i / per_cell),
-                  premium ? 2.0f : 1.0f, cap, premium ? 2 : 9);
+    arena_.create(static_cast<std::uint32_t>(i / per_cell), 1.0f, cap);
   }
   if (config_.mobility_interval_s > 0.0 && config_.mode != TrafficMode::Packet) {
     impl_->mobility_rngs.reserve(n);
@@ -197,7 +200,7 @@ void ScaleTrafficSim::start() {
 
 void ScaleTrafficSim::bill_sweep() {
   if (fluid_) fluid_->accrue_all();
-  const double usd_per_byte = config_.price_per_gb_usd / 1e9;
+  const double usd_per_byte = kPricePerGbUsd / 1e9;
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.n_ues); ++i) {
     const double delta = arena_.delivered_bytes(i) - arena_.billed_bytes(i);
     if (delta > 0.0) {
@@ -216,15 +219,14 @@ void ScaleTrafficSim::bill_sweep() {
 // ---------------------------------------------------------------------------
 
 void ScaleTrafficSim::build_fluid() {
-  const double eff = config_.goodput_efficiency;
   fluid_ = std::make_unique<traffic::FluidEngine>(
       impl_->sim, arena_, static_cast<unsigned>(std::max(config_.fluid_threads, 1)));
   for (int c = 0; c < config_.n_cells; ++c) {
-    fluid_->add_cell(config_.scheduler_capacity_bps * eff);
+    fluid_->add_cell(config_.scheduler_capacity_bps * kGoodputEfficiency);
   }
   // The arena carries wire-rate shaper caps; the engine allocates goodput.
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.n_ues); ++i) {
-    arena_.cap_bps(i) *= eff;
+    arena_.cap_bps(i) *= kGoodputEfficiency;
   }
   fluid_->on_complete = [this](traffic::SessionId id) { on_flow_done(id); };
   fluid_->on_rate_share = [this](traffic::SessionId id, double share) {
@@ -233,7 +235,7 @@ void ScaleTrafficSim::build_fluid() {
     Lane& lane = *impl_->lanes[it->second];
     // Mirror the ghost share (goodput) back to a wire rate on the lane link.
     net::LinkParams p = lane.link->params(lane.srv);
-    p.rate_bps = std::max(share / config_.goodput_efficiency, 1.0);
+    p.rate_bps = std::max(share / kGoodputEfficiency, 1.0);
     lane.link->set_params(lane.srv, p);
     lane.last_disturb = impl_->sim.now();
     const std::size_t idx = it->second;
@@ -245,9 +247,7 @@ void ScaleTrafficSim::build_fluid() {
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.n_ues); ++i) {
     impl_->sim.schedule(Duration::seconds(start_s_[i]), [this, i] {
       fluid_->start_flow(i, flow_bytes_[i]);
-      if (config_.shaper_resample_s > 0.0 && !config_.unlimited_shaper) {
-        schedule_shaper_resample(i);
-      }
+      if (config_.shaper_resample_s > 0.0) schedule_shaper_resample(i);
       if (config_.mobility_interval_s > 0.0) schedule_mobility(i);
     });
   }
@@ -280,7 +280,7 @@ void ScaleTrafficSim::schedule_shaper_resample(std::uint32_t ue) {
     // A cap change is a rate-change point for ghosts too: set_flow_cap only
     // writes the arena cap and marks the cell dirty, which is valid for
     // Packet-mode members and republishes the mirrored lane share.
-    fluid_->set_flow_cap(ue, cap * config_.goodput_efficiency);
+    fluid_->set_flow_cap(ue, cap * kGoodputEfficiency);
     schedule_shaper_resample(ue);
   });
 }
@@ -305,19 +305,17 @@ void ScaleTrafficSim::schedule_mobility(std::uint32_t ue) {
 Duration ScaleTrafficSim::promote_wait(const Lane& lane) const {
   Duration rtt = lane.ue_sock && lane.ue_sock->srtt() > Duration::zero() ? lane.ue_sock->srtt()
                                                                          : kFallbackRtt;
-  return rtt * static_cast<std::int64_t>(std::max(config_.k_rtts_to_promote, 1));
+  return rtt * kRttsToPromote;
 }
 
 void ScaleTrafficSim::apply_fault(bool begin) {
-  const double eff = config_.goodput_efficiency;
-  const std::uint32_t cell = static_cast<std::uint32_t>(config_.fault_cell);
-  const double full = config_.scheduler_capacity_bps * eff;
-  fluid_->set_cell_capacity(cell, begin ? full * config_.fault_capacity_factor : full);
+  const double full = config_.scheduler_capacity_bps * kGoodputEfficiency;
+  fluid_->set_cell_capacity(kFaultCell, begin ? full * config_.fault_capacity_factor : full);
   if (!begin) return;  // restoration is itself a rate-change; lanes re-promote
   // The fault is the fluid -> packet boundary: every fluid flow in the cell
   // demotes to a packet lane for the duration of the disturbance.
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.n_ues); ++i) {
-    if (arena_.cell(i) == cell && arena_.mode(i) == traffic::FlowMode::Fluid) {
+    if (arena_.cell(i) == kFaultCell && arena_.mode(i) == traffic::FlowMode::Fluid) {
       demote_to_lane(i);
     }
   }
@@ -369,7 +367,7 @@ void ScaleTrafficSim::demote_to_lane(traffic::SessionId id) {
   // share (full-outage fault) on a fresh lane, or a reused lane carrying the
   // previous tenant's rate, would otherwise go unthrottled.
   net::LinkParams lp = lane.link->params(lane.srv);
-  lp.rate_bps = std::max(arena_.rate_bps(id) / config_.goodput_efficiency, 1.0);
+  lp.rate_bps = std::max(arena_.rate_bps(id) / kGoodputEfficiency, 1.0);
   lane.link->set_params(lane.srv, lp);
 
   lane.srv_stack->listen(lane.port, [this, idx](std::shared_ptr<transport::TcpSocket> s) {
@@ -481,9 +479,7 @@ void ScaleTrafficSim::build_packet() {
       auto sock = impl_->ue_stacks[i]->connect(net::EndPoint{impl_->server_addr, port});
       sock->on_data = [this, i](BytesView data) { deliver_packet_bytes(i, data.size()); };
       impl_->ue_socks[i] = std::move(sock);
-      if (config_.shaper_resample_s > 0.0 && !config_.unlimited_shaper) {
-        schedule_packet_resample(i);
-      }
+      if (config_.shaper_resample_s > 0.0) schedule_packet_resample(i);
     });
   }
 }

@@ -16,9 +16,9 @@
 //            whose bottleneck mirrors the flow's ghost share) and promotes
 //            them back after K RTTs of steady state, conserving bytes.
 //
-// All three modes draw sizes, starts, weights, and shaper samples from
-// identical per-UE RNG streams, so packet-vs-fluid agreement is a pure
-// model comparison — the bench and CI gate on it at small N.
+// All three modes draw sizes, starts, and shaper samples from identical
+// per-UE RNG streams, so packet-vs-fluid agreement is a pure model
+// comparison — the bench and CI gate on it at small N.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +42,10 @@ enum class TrafficMode { Packet, Fluid, Hybrid };
 
 const char* traffic_mode_name(TrafficMode mode);
 
+/// Flat $/GB the billing sweep accrues into the arena (fluid.billing checks
+/// billed dollars against it).
+inline constexpr double kPricePerGbUsd = 2.0;
+
 struct ScaleTrafficConfig {
   TrafficMode mode = TrafficMode::Fluid;
   int n_ues = 1000;
@@ -49,9 +53,8 @@ struct ScaleTrafficConfig {
   int n_cells = 0;
   std::uint64_t seed = 1;
   /// Appendix-A shaper policy applied per bearer (day ≈ 1 Mb/s, night ≈
-  /// 15 Mb/s); unlimited_shaper leaves bearers scheduler-limited only.
+  /// 15 Mb/s).
   bool night = true;
-  bool unlimited_shaper = false;
   /// Downlink scheduler capacity per cell.
   double scheduler_capacity_bps = 150e6;
   /// Bearer shaper resample cadence; 0 samples once per flow at start.
@@ -63,25 +66,14 @@ struct ScaleTrafficConfig {
   double horizon_s = 600.0;
   /// Mean exponential inter-handover time per UE (fluid/hybrid; 0 = off).
   double mobility_interval_s = 0.0;
-  /// Fraction of UEs on a premium QCI (scheduler weight 2.0). Packet mode
-  /// cannot enforce weights — keep 0 when comparing modes.
-  double premium_fraction = 0.0;
-  /// Billing: flat $/GB accumulated into the arena at the report cadence.
-  double price_per_gb_usd = 2.0;
+  /// Billing sweep cadence (kPricePerGbUsd per delivered GB).
   double report_interval_s = 10.0;
-  /// Fluid goodput efficiency: fraction of scheduler capacity that turns
-  /// into app bytes (packet mode loses MSS/(MSS+headers) to framing; the
-  /// fluid model applies the same factor so both modes meter app goodput).
-  double goodput_efficiency = 1400.0 / 1455.0;
-  /// Hybrid: a capacity-drop fault on `fault_cell` during
+  /// Hybrid: a capacity-drop fault on cell 0 during
   /// [fault_start_s, fault_start_s + fault_duration_s) — its fluid flows
   /// demote to packet lanes for the window. 0 duration = no fault.
   double fault_start_s = 0.0;
   double fault_duration_s = 0.0;
-  int fault_cell = 0;
   double fault_capacity_factor = 0.25;
-  /// Packet -> fluid re-promotion after this many RTTs of steady state.
-  int k_rtts_to_promote = 8;
   /// Worker threads for the fluid engine's per-timestamp reallocation drain
   /// (1 = serial; any value produces bit-identical results — DESIGN.md §13).
   int fluid_threads = 1;

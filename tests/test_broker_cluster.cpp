@@ -188,7 +188,6 @@ scenario::BrokerLoadgenConfig small_cluster_config() {
   cfg.duration_s = 8.0;
   cfg.drain_s = 25.0;
   cfg.seed = 5;
-  cfg.rsa_bits = 512;
   // Shorten the pair timeout so expiry paths run inside the drain.
   cfg.shard.broker.pair_timeout = Duration::s(10);
   return cfg;

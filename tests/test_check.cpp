@@ -1,9 +1,10 @@
 // Tests for the simulation checker (src/check): InvariantEngine mechanics,
-// the repro JSON layer, scenario generation determinism, run_scenario
+// the repro JSON layer, chaos replay of its fault lists, generator determinism, run_scenario
 // fingerprint stability, and the full detect -> shrink -> replay loop on a
 // planted broker bug (the ISSUE acceptance path in miniature).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 #include "check/runner.hpp"
 #include "check/shrink.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/chaos.hpp"
 #include "scenario/fuzz.hpp"
 #include "test_seed.hpp"
 
@@ -102,12 +104,12 @@ TEST(Json, MalformedInputThrows) {
 // ---------------------------------------------------------------------------
 
 // Zero the fields a fault's kind ignores (RadioDrop has no duration, only
-// TelcoCrash has a telco index, ...): the serializer omits them, so the
-// round trip is canonical-form-lossless, not raw-field-lossless.
+// TelcoCrash and ShardKill carry an index, ...): the serializer omits them,
+// so the round trip is canonical-form-lossless, not raw-field-lossless.
 scenario::FuzzFault canonical(scenario::FuzzFault f) {
   using Kind = scenario::FuzzFault::Kind;
   if (f.kind == Kind::RadioDrop) f.duration_s = 0.0;
-  if (f.kind != Kind::TelcoCrash) f.telco = 0;
+  if (f.kind != Kind::TelcoCrash && f.kind != Kind::ShardKill) f.telco = 0;
   if (f.kind != Kind::WanDegrade) {
     f.loss = 0.0;
     f.corrupt = 0.0;
@@ -205,6 +207,52 @@ TEST(FuzzScenario, JsonRoundTripPreservesEveryField) {
     // load_repro accepts a bare scenario object, not just full documents.
     expect_same_scenario(s, load_repro(scenario_to_json(s).dump(2)));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chaos harness on the shared fault list
+// ---------------------------------------------------------------------------
+
+bool logged(const scenario::ChaosResult& r, const std::string& what) {
+  return std::any_of(r.fault_log.begin(), r.fault_log.end(),
+                     [&](const sim::ChaosController::LogEntry& e) { return e.what == what; });
+}
+
+// A repro's fault list replays through run_chaos with the fuzzer's binder:
+// every kind the codec writes reaches the world (shard kills included), and
+// a bTelco index past the towers is clamped instead of indexing past them.
+TEST(ChaosReplay, EveryReproFaultKindBindsAndIndicesClamp) {
+  using Kind = scenario::FuzzFault::Kind;
+  scenario::FuzzScenario s;
+  s.n_towers = 4;
+  s.broker_shards = 2;
+  s.faults = {
+      {.kind = Kind::BrokerOutage, .start_s = 10.0, .duration_s = 5.0},
+      {.kind = Kind::TelcoCrash, .start_s = 20.0, .duration_s = 5.0, .telco = 1},
+      {.kind = Kind::RadioDrop, .start_s = 30.0},
+      {.kind = Kind::ShardKill, .start_s = 35.0, .duration_s = 10.0, .telco = 1},
+      {.kind = Kind::WanDegrade,
+       .start_s = 50.0,
+       .duration_s = 5.0,
+       .loss = 0.2,
+       .corrupt = 0.05},
+      {.kind = Kind::TelcoCrash, .start_s = 60.0, .duration_s = 5.0, .telco = 20},
+  };
+  const JsonValue doc = json_parse(scenario_to_json(s).dump());
+
+  scenario::ChaosConfig cfg;
+  cfg.world.seed = s.seed;
+  cfg.world.n_towers = s.n_towers;
+  cfg.world.broker_shards = s.broker_shards;
+  cfg.duration = Duration::s(80);
+  cfg.faults = faults_from_json(doc.at("faults"));
+  const scenario::ChaosResult r = scenario::run_chaos(cfg);
+
+  EXPECT_EQ(r.fault_log.size(), 11u);  // 5 windows x2 + 1 one-shot
+  EXPECT_TRUE(logged(r, "inject:kill:broker-shard-1"));
+  EXPECT_TRUE(logged(r, "heal:kill:broker-shard-1"));
+  EXPECT_TRUE(logged(r, "inject:crash:btelco-1"));
+  EXPECT_TRUE(logged(r, "inject:crash:btelco-3")) << "index 20 clamps to the last of 4 bTelcos";
 }
 
 // ---------------------------------------------------------------------------

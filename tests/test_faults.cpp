@@ -371,12 +371,11 @@ TEST(Chaos, EndToEndRecoveryAndBitIdenticalReplay) {
     cfg.world.btelco_config.session_timeout = Duration::s(15);
     cfg.world.btelco_config.gc_interval = Duration::s(3);
     cfg.world.ue_config.attach_timeout = Duration::s(2);
-    cfg.telco_crashes.push_back({.telco = 0,
-                                 .start = TimePoint::zero() + Duration::s(15),
-                                 .duration = Duration::s(10)});
-    cfg.broker_outages.push_back(
-        {.start = TimePoint::zero() + Duration::s(40), .duration = Duration::s(8)});
-    cfg.radio_drops.push_back({.at = TimePoint::zero() + Duration::s(60)});
+    cfg.faults = {
+        {.kind = FuzzFault::Kind::BrokerOutage, .start_s = 40.0, .duration_s = 8.0},
+        {.kind = FuzzFault::Kind::TelcoCrash, .start_s = 15.0, .duration_s = 10.0, .telco = 0},
+        {.kind = FuzzFault::Kind::RadioDrop, .start_s = 60.0},
+    };
     return cfg;
   };
   const ChaosResult r1 = run_chaos(make());
@@ -417,15 +416,16 @@ TEST(Chaos, EngineEquivalenceGolden) {
   cfg.world.btelco_config.session_timeout = Duration::s(30);
   cfg.world.btelco_config.gc_interval = Duration::s(5);
   cfg.world.ue_config.attach_timeout = Duration::s(2);
-  cfg.telco_crashes.push_back(
-      {.telco = 0, .start = TimePoint::zero() + Duration::s(30), .duration = Duration::s(20)});
-  cfg.broker_outages.push_back(
-      {.start = TimePoint::zero() + Duration::s(70), .duration = Duration::s(15)});
-  cfg.radio_drops.push_back({.at = TimePoint::zero() + Duration::s(120)});
-  cfg.wan_degrades.push_back({.start = TimePoint::zero() + Duration::s(150),
-                              .duration = Duration::s(30),
-                              .loss = 0.25,
-                              .corrupt = 0.10});
+  cfg.faults = {
+      {.kind = FuzzFault::Kind::BrokerOutage, .start_s = 70.0, .duration_s = 15.0},
+      {.kind = FuzzFault::Kind::TelcoCrash, .start_s = 30.0, .duration_s = 20.0, .telco = 0},
+      {.kind = FuzzFault::Kind::RadioDrop, .start_s = 120.0},
+      {.kind = FuzzFault::Kind::WanDegrade,
+       .start_s = 150.0,
+       .duration_s = 30.0,
+       .loss = 0.25,
+       .corrupt = 0.10},
+  };
 
   const ChaosResult r = run_chaos(cfg);
   EXPECT_EQ(r.fingerprint, 0x7cac7660fc2c3249ULL);
@@ -451,8 +451,7 @@ TEST(Chaos, TrialRunnerWorkerThreadIsBitIdentical) {
     cfg.world.seed = 1234;
     cfg.world.n_towers = 4;
     cfg.duration = Duration::s(60);
-    cfg.broker_outages.push_back(
-        {.start = TimePoint::zero() + Duration::s(20), .duration = Duration::s(5)});
+    cfg.faults = {{.kind = FuzzFault::Kind::BrokerOutage, .start_s = 20.0, .duration_s = 5.0}};
     return cfg;
   };
   const ChaosResult main_thread = run_chaos(make());

@@ -303,12 +303,11 @@ sc::ChaosConfig golden_chaos_config() {
   cfg.world.btelco_config.session_timeout = Duration::s(15);
   cfg.world.btelco_config.gc_interval = Duration::s(3);
   cfg.world.ue_config.attach_timeout = Duration::s(2);
-  cfg.telco_crashes.push_back({.telco = 0,
-                               .start = TimePoint::zero() + Duration::s(15),
-                               .duration = Duration::s(10)});
-  cfg.broker_outages.push_back(
-      {.start = TimePoint::zero() + Duration::s(40), .duration = Duration::s(8)});
-  cfg.radio_drops.push_back({.at = TimePoint::zero() + Duration::s(60)});
+  cfg.faults = {
+      {.kind = sc::FuzzFault::Kind::BrokerOutage, .start_s = 40.0, .duration_s = 8.0},
+      {.kind = sc::FuzzFault::Kind::TelcoCrash, .start_s = 15.0, .duration_s = 10.0, .telco = 0},
+      {.kind = sc::FuzzFault::Kind::RadioDrop, .start_s = 60.0},
+  };
   return cfg;
 }
 

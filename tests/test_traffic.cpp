@@ -475,7 +475,6 @@ TEST(ScaleTraffic, HybridFaultDemotesAndRepromotesByteExact) {
   cfg.mode = scenario::TrafficMode::Hybrid;
   cfg.fault_start_s = 3.0;
   cfg.fault_duration_s = 5.0;
-  cfg.fault_cell = 0;
   const auto hybrid = scenario::run_scale_traffic(cfg);
   EXPECT_EQ(hybrid.completed, cfg.n_ues);
   EXPECT_GT(hybrid.demotions, 0u);
@@ -508,7 +507,6 @@ TEST(ScaleTraffic, FullOutageThrottlesLanes) {
   cfg.mode = scenario::TrafficMode::Hybrid;
   cfg.fault_start_s = 1.0;
   cfg.fault_duration_s = 5.0;
-  cfg.fault_cell = 0;
   cfg.fault_capacity_factor = 0.0;
   scenario::ScaleTrafficSim sim(cfg);
   const auto r = sim.run_to_completion();

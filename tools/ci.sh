@@ -139,6 +139,30 @@ build/bench/bench_broker_shards --replay >/dev/null || {
 }
 echo "chaos replay gate ok"
 
+echo "=== chaos fault-list dump/replay gate (Release) ==="
+# One fault list (DESIGN.md §6): the chaos bench writes its built-in
+# schedule with the repro codec (--dump-faults), then runs again on the
+# schedule read back from that file (--replay). Both runs must pass the
+# bench's own gates and print the same state and trace fingerprints.
+chaos_dir=$(mktemp -d)
+if ! build/bench/bench_chaos_availability --dump-faults "$chaos_dir/faults.json" \
+       >"$chaos_dir/dump.txt" ||
+   ! build/bench/bench_chaos_availability --replay "$chaos_dir/faults.json" \
+       >"$chaos_dir/replay.txt"; then
+  echo "chaos fault-list gate FAILED — rerun: build/bench/bench_chaos_availability" \
+       "--dump-faults F, then --replay F"
+  exit 1
+fi
+fp_dump=$(grep -E '^(state|trace) fingerprint ' "$chaos_dir/dump.txt" || true)
+fp_replay=$(grep -E '^(state|trace) fingerprint ' "$chaos_dir/replay.txt" || true)
+rm -rf "$chaos_dir"
+if [[ $(grep -c fingerprint <<<"$fp_dump") -ne 2 || "$fp_dump" != "$fp_replay" ]]; then
+  echo "chaos fault-list gate FAILED — the replayed schedule changed the fingerprints:"
+  printf 'dump:\n%s\nreplay:\n%s\n' "$fp_dump" "$fp_replay"
+  exit 1
+fi
+echo "chaos fault-list gate ok"
+
 echo "=== fuzz smoke (96-seed corpus + protocol-pinned sweeps, shrink-on-fail) ==="
 # Full 96 seeds on the release binary (the corpus grew with the attach-
 # protocol axis: ~20% of sampled scenarios are EPC baselines, ~40% of the
