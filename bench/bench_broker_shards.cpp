@@ -5,9 +5,9 @@
 //
 //   1. Scaling: a fixed report-ingest load offered to 1/2/4/8 shards. The
 //      offered rate is sized above one shard's report service capacity
-//      (report_service_time = 1 ms -> ~1000 rps/shard), so the single-shard
-//      point saturates and the curve shows ingest spreading across bucket
-//      owners.
+//      (BrokerShard::kReportServiceTime = 1 ms -> ~1000 rps/shard), so the
+//      single-shard point saturates and the curve shows ingest spreading
+//      across bucket owners.
 //   2. Failover availability: 4 shards under steady load; one shard is
 //      killed at t=10 s for 10 s. The acceptance gate: ZERO billing verdicts
 //      lost (every ingested report pair gets exactly one verdict, possibly

@@ -3,38 +3,75 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/log.hpp"
+
 namespace cb::cellbricks {
 
 Duration decorrelated_backoff(Rng& rng, Duration base, Duration prev, Duration cap) {
+  if (cap <= base) return cap;
   const double base_s = base.to_seconds();
   const double hi_s = std::max(base_s, prev.to_seconds() * 3.0);
   return std::min(Duration::seconds(rng.uniform(base_s, hi_s)), cap);
 }
 
-BrokerChannel::BrokerChannel(net::Node& node, net::EndPoint source, net::EndPoint broker,
-                             Rng& jitter, RetrySchedule schedule)
-    : node_(node), source_(source), broker_(broker), jitter_(jitter), schedule_(schedule) {}
+BrokerChannel::BrokerChannel(net::Node& node, BrokerMsg request, net::EndPoint source,
+                             net::EndPoint broker, Rng& jitter, RetrySchedule schedule)
+    : node_(node),
+      request_(request),
+      source_(source),
+      broker_(broker),
+      jitter_(jitter),
+      schedule_(schedule) {}
 
 // The timers capture `this`: none may outlive the channel.
 BrokerChannel::~BrokerChannel() { clear(); }
 
-void BrokerChannel::send(std::uint64_t key, Bytes wire, std::uint64_t session_id) {
-  enqueue(key, std::move(wire), session_id, /*auth=*/false);
-}
-
-void BrokerChannel::send_auth(std::uint64_t key, Bytes wire) {
-  enqueue(key, std::move(wire), 0, /*auth=*/true);
-}
-
-void BrokerChannel::enqueue(std::uint64_t key, Bytes wire, std::uint64_t session_id, bool auth) {
+void BrokerChannel::send(std::uint64_t key, BytesView body, std::uint64_t session_id) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(request_));
+  w.u64(key);
+  w.bytes(body);
   Outstanding& out = outstanding_[key];
-  out.wire = std::move(wire);
+  out.wire = w.take();
   out.session_id = session_id;
-  out.auth = auth;
   out.attempts_left = schedule_.attempts;
   out.next_delay = schedule_.first;
   out.queued_at = node_.simulator().now();
   transmit(key);
+}
+
+bool BrokerChannel::answers(BrokerMsg reply) const {
+  switch (request_) {
+    case BrokerMsg::AuthReq:
+      return reply == BrokerMsg::AuthOk || reply == BrokerMsg::AuthErr;
+    case BrokerMsg::Report:
+      return reply == BrokerMsg::ReportAck || reply == BrokerMsg::Redirect;
+    case BrokerMsg::ResumeNotify:
+      return reply == BrokerMsg::ResumeNotifyAck;
+    default:
+      return false;
+  }
+}
+
+bool BrokerChannel::receive(const net::Packet& packet) {
+  ByteReader r(packet.payload.view());
+  if (r.remaining() == 0) return false;
+  const auto reply = static_cast<BrokerMsg>(r.u8());
+  if (!answers(reply)) return false;
+  try {
+    const std::uint64_t key = r.u64();
+    if (reply == BrokerMsg::Redirect) {
+      const std::uint16_t bucket = r.u16();
+      const std::uint16_t owner = r.u16();
+      if (redirect(key, bucket, owner) && on_redirect) on_redirect(key);
+    } else if (auto acked = ack(key)) {
+      acked->reply = reply;
+      if (on_ack) on_ack(key, *acked, r);
+    }
+  } catch (const std::out_of_range&) {
+    CB_LOG(Warn, "broker-channel") << "malformed broker reply dropped";
+  }
+  return true;
 }
 
 void BrokerChannel::transmit(std::uint64_t key) {
@@ -54,8 +91,9 @@ void BrokerChannel::transmit(std::uint64_t key) {
     // A timer-driven resend means the previous target never answered:
     // strike it so the router eventually fails the message over.
     if (out.sent_once) router_->note_timeout(out.last_shard, now);
-    out.last_shard =
-        out.auth ? router_->pick_for_auth(now) : router_->pick_for_session(out.session_id, now);
+    out.last_shard = request_ == BrokerMsg::AuthReq
+                         ? router_->pick_for_auth(now)
+                         : router_->pick_for_session(out.session_id, now);
     dst = router_->endpoint(out.last_shard);
   }
   out.sent_once = true;

@@ -8,6 +8,10 @@
 namespace cb::cellbricks {
 namespace {
 
+/// The subscriber plan handed to bTelcos as qosInfo: unconstrained rates,
+/// the best-effort bearer.
+constexpr QosInfo kDefaultQos{};
+
 std::uint64_t endpoint_key(const net::EndPoint& ep) {
   return static_cast<std::uint64_t>(ep.addr.value()) << 16 | ep.port;
 }
@@ -119,7 +123,7 @@ void BrokerShard::set_plan(const std::string& id_u, QosInfo qos) { plans_[id_u] 
 std::vector<std::size_t> BrokerShard::live_view(bool ready_only) const {
   std::vector<std::size_t> out;
   const TimePoint now = node_.simulator().now();
-  const Duration dead_after = config_.heartbeat_interval * config_.miss_threshold;
+  const Duration dead_after = kHeartbeatInterval * kMissThreshold;
   for (std::size_t j = 0; j < peers_.size(); ++j) {
     if (j == index_) {
       if (!crashed_ && (!ready_only || !recovering_)) out.push_back(j);
@@ -154,7 +158,7 @@ void BrokerShard::handle_client(const net::Packet& packet) {
       return;
     }
     const Duration service = type == BrokerMsg::AuthReq ? config_.broker.sap_service_time
-                                                        : config_.broker.report_service_time;
+                                                        : kReportServiceTime;
     if (type == BrokerMsg::AuthReq) {
       sap_busy_ += service;
       obs::inc(obs::counter("broker.sap.requests"));
@@ -201,7 +205,7 @@ void BrokerShard::handle_auth(const net::EndPoint& from, ByteReader& r) {
   }
 
   auto decision = sap_.process_auth_req(
-      auth_req_t, now, rng_, config_.broker.default_qos,
+      auth_req_t, now, rng_, kDefaultQos,
       [this](const std::string& id_u, const std::string& id_t) {
         return state_.reputation().authorize(id_u, id_t);
       },
@@ -523,7 +527,7 @@ void BrokerShard::send_append(std::size_t peer, std::size_t stream, std::uint64_
 void BrokerShard::ensure_append_retry() {
   if (append_retry_timer_.pending() || pending_appends_.empty()) return;
   append_retry_timer_ =
-      node_.simulator().schedule(config_.append_retry, [this] { retry_appends(); });
+      node_.simulator().schedule(kAppendRetry, [this] { retry_appends(); });
 }
 
 void BrokerShard::retry_appends() {
@@ -611,7 +615,7 @@ void BrokerShard::on_heartbeat(const net::Packet& p, ByteReader& r) {
     const std::uint64_t mine = log_.applied_len(s);
     if (pv.advertised[s] <= mine) continue;
     auto& last = fetch_last_[s];
-    if (now - last < config_.fetch_cooldown && last != TimePoint::zero()) continue;
+    if (now - last < kFetchCooldown && last != TimePoint::zero()) continue;
     last = now;
     ByteWriter w;
     w.u8(static_cast<std::uint8_t>(ClusterMsg::Fetch));
@@ -634,7 +638,7 @@ void BrokerShard::on_fetch(const net::EndPoint& from, ByteReader& r) {
   const std::uint64_t len = log_.applied_len(stream);
   if (from_idx >= len) return;
   const std::uint64_t count =
-      std::min<std::uint64_t>(config_.chunk_max, len - from_idx);
+      std::min<std::uint64_t>(kChunkMax, len - from_idx);
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(ClusterMsg::Chunk));
   w.u16(static_cast<std::uint16_t>(stream));
@@ -805,7 +809,7 @@ void BrokerShard::heartbeat_tick() {
   refresh_ownership();
   if (recovering_) maybe_finish_recovery();
   heartbeat_timer_ =
-      node_.simulator().schedule(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+      node_.simulator().schedule(kHeartbeatInterval, [this] { heartbeat_tick(); });
 }
 
 void BrokerShard::maybe_finish_recovery() {
@@ -926,7 +930,7 @@ void BrokerShard::restart() {
   }
   hb_seen_since_restart_.assign(peers_.size(), false);
   heartbeat_timer_ =
-      node_.simulator().schedule(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+      node_.simulator().schedule(kHeartbeatInterval, [this] { heartbeat_tick(); });
   sweep_timer_ =
       node_.simulator().schedule(config_.broker.gc_interval, [this] { sweep(); });
   obs::inc(obs::counter("broker.cluster.restarts"));
@@ -958,7 +962,7 @@ void BrokerCluster::start() {
     auto& sim = s->node_.simulator();
     // Staggered first beats: shards should not synchronize their control
     // traffic, and the stagger keeps the event order deterministic.
-    const Duration stagger = config_.heartbeat_interval * (i + 1) / (n + 1);
+    const Duration stagger = BrokerShard::kHeartbeatInterval * (i + 1) / (n + 1);
     s->heartbeat_timer_ = sim.schedule(stagger, [s] { s->heartbeat_tick(); });
     s->sweep_timer_ = sim.schedule(config_.broker.gc_interval, [s] { s->sweep(); });
   }

@@ -66,10 +66,6 @@ struct BrokerConfig {
   /// Per-SAP-request processing time (includes crypto; Fig.7 calibration:
   /// 8.25 ms so CB totals 24.5 ms of processing per attach).
   Duration sap_service_time = Duration::millis(8.25);
-  /// Report (and resume-notify) ingestion is cheaper.
-  Duration report_service_time = Duration::millis(1.0);
-  /// Default subscriber plan handed to bTelcos as qosInfo.
-  QosInfo default_qos{};
   ReputationConfig reputation{};
   /// How long a report waits for its counterpart before the broker gives
   /// up on pairing and charges the absent side with a "missing
@@ -158,16 +154,20 @@ class BrokerShard {
  public:
   struct Config {
     BrokerConfig broker{};
-    Duration heartbeat_interval = Duration::millis(500);
-    /// Missed heartbeat intervals before a peer is considered dead.
-    int miss_threshold = 3;
-    /// Append retransmission cadence toward unacked peers.
-    Duration append_retry = Duration::millis(250);
-    /// Minimum spacing of Fetch requests per stream (rate-limits catch-up).
-    Duration fetch_cooldown = Duration::millis(200);
-    /// Max entries per Chunk reply.
-    std::size_t chunk_max = 64;
   };
+
+  /// Report (and resume-notify) ingestion time; SAP requests take
+  /// BrokerConfig::sap_service_time.
+  static constexpr Duration kReportServiceTime = Duration::millis(1.0);
+  static constexpr Duration kHeartbeatInterval = Duration::millis(500);
+  /// Missed heartbeat intervals before a peer is considered dead.
+  static constexpr int kMissThreshold = 3;
+  /// Append retransmission cadence toward unacked peers.
+  static constexpr Duration kAppendRetry = Duration::millis(250);
+  /// Minimum spacing of Fetch requests per stream (rate-limits catch-up).
+  static constexpr Duration kFetchCooldown = Duration::millis(200);
+  /// Max entries per Chunk reply.
+  static constexpr std::size_t kChunkMax = 64;
 
   BrokerShard(BrokerCluster& cluster, std::size_t index, net::Node& node, SapBroker sap,
               Config config);

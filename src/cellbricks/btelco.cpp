@@ -11,10 +11,14 @@ namespace cb::cellbricks {
 
 namespace {
 
+/// Per-message AGW processing (x2 per attach; Fig.7: 6.5 ms each).
+constexpr Duration kAgwMsg = Duration::millis(6.5);
+/// QoS capability advertised to brokers: unconstrained rates, every QCI group.
+constexpr QosCap kQosCap{};
 /// Auth-request retransmission: a fixed 1 s gap, 4 sends (the UDP control
-/// path can lose datagrams under degraded conditions).
-constexpr Duration kAuthRetry = Duration::s(1);
-constexpr int kAuthAttempts = 4;
+/// path can lose datagrams under degraded conditions). The cap equals the
+/// first gap, so the schedule draws no jitter.
+constexpr RetrySchedule kAuthSchedule{Duration::s(1), 4, Duration::s(1)};
 
 }  // namespace
 
@@ -29,23 +33,49 @@ Btelco::Btelco(net::Network& network, net::Node& node, SapTelco sap,
       node_(node),
       sap_(std::move(sap)),
       broker_cert_(std::move(broker_cert)),
-      broker_(broker_endpoint),
       config_(config),
       queue_(node.simulator()),
       rng_(node.simulator().rng().fork(0xB7E1C0)),
       jitter_rng_(node.simulator().rng().fork(0xB7E1C1)),
       port_(node.alloc_port()),
       // Unset source address: Node::send stamps the tower's primary address.
-      reports_(node, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint, jitter_rng_,
-               kAgentSchedule),
-      notifies_(node, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint, jitter_rng_,
-                kAgentSchedule) {
+      auth_(node, BrokerMsg::AuthReq, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint,
+            jitter_rng_, kAuthSchedule),
+      reports_(node, BrokerMsg::Report, net::EndPoint{net::Ipv4Addr{}, port_}, broker_endpoint,
+               jitter_rng_, kAgentSchedule),
+      notifies_(node, BrokerMsg::ResumeNotify, net::EndPoint{net::Ipv4Addr{}, port_},
+                broker_endpoint, jitter_rng_, kAgentSchedule) {
+  // The broker's SAP verdict goes to the attach waiting on that txn; a
+  // denial, or silence after the last attempt, delivers an empty verdict.
+  auth_.on_ack = [this](std::uint64_t txn, const BrokerChannel::Acked& acked, ByteReader& r) {
+    if (acked.reply == BrokerMsg::AuthOk) {
+      deliver_auth_verdict(txn, r);
+      return;
+    }
+    CB_LOG(Info, "btelco") << id() << ": broker denied attach: " << r.str();
+    ByteReader denied{BytesView{}};
+    deliver_auth_verdict(txn, denied);
+  };
+  auth_.on_abandon = [this](std::uint64_t txn) {
+    ByteReader denied{BytesView{}};
+    deliver_auth_verdict(txn, denied);
+  };
   reports_.on_transmit = [](std::uint64_t) { obs::inc(obs::counter("btelco.reports.tx")); };
   reports_.on_abandon = [this](std::uint64_t seq) {
     ++reports_abandoned_;
     obs::inc(obs::counter("btelco.reports.abandoned"));
     obs::trace(node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
     CB_LOG(Info, "btelco") << id() << ": report " << seq << " abandoned (no broker ACK)";
+  };
+  reports_.on_ack = [this](std::uint64_t seq, const BrokerChannel::Acked&, ByteReader&) {
+    obs::inc(obs::counter("btelco.reports.acked"));
+    obs::trace(node_.simulator().now(), obs::TraceType::ReportAck, seq);
+  };
+  reports_.on_redirect = [](std::uint64_t) {
+    obs::inc(obs::counter("btelco.reports.redirected"));
+  };
+  notifies_.on_ack = [this](std::uint64_t, const BrokerChannel::Acked& acked, ByteReader& r) {
+    if (r.u8() != 0) revoke_resumed_session(acked.session_id);
   };
   // Best-effort: the session stays up (it is backed by the broker's original
   // issuance); only the id_t rebinding and the revocation check are lost,
@@ -55,56 +85,8 @@ Btelco::Btelco(net::Network& network, net::Node& node, SapTelco sap,
   };
   node_.bind_udp(port_, [this](const net::Packet& p) {
     if (crashed_) return;
-    try {
-      ByteReader r(p.payload);
-      const auto type = static_cast<BrokerMsg>(r.u8());
-      const std::uint64_t txn = r.u64();
-      if (type == BrokerMsg::ReportAck) {
-        if (reports_.ack(txn)) {
-          obs::inc(obs::counter("btelco.reports.acked"));
-          obs::trace(node_.simulator().now(), obs::TraceType::ReportAck, txn);
-        }
-        return;
-      }
-      if (type == BrokerMsg::Redirect) {
-        const std::uint16_t bucket = r.u16();
-        const std::uint16_t owner = r.u16();
-        // Only reports are redirected; the txn slot carries the seq.
-        if (reports_.redirect(txn, bucket, owner)) {
-          obs::inc(obs::counter("btelco.reports.redirected"));
-        }
-        return;
-      }
-      if (type == BrokerMsg::ResumeNotifyAck) {
-        if (const auto acked = notifies_.ack(txn)) {
-          if (r.u8() != 0) revoke_resumed_session(acked->session_id);
-        }
-        return;
-      }
-      auto it = awaiting_broker_.find(txn);
-      if (it == awaiting_broker_.end()) return;
-      auto continuation = std::move(it->second);
-      awaiting_broker_.erase(it);
-      // An answer from any shard clears its suspect strikes.
-      if (router_ != nullptr) {
-        for (std::size_t i = 0; i < router_->n_shards(); ++i) {
-          if (router_->endpoint(i) == p.src) {
-            router_->note_ok(i);
-            break;
-          }
-        }
-      }
-      if (type == BrokerMsg::AuthOk) {
-        continuation(r);
-      } else {
-        ByteReader err = r;
-        CB_LOG(Info, "btelco") << id() << ": broker denied attach: " << err.str();
-        ByteReader empty{BytesView{}};
-        continuation(empty);
-      }
-    } catch (const std::out_of_range&) {
-      CB_LOG(Warn, "btelco") << "malformed broker reply dropped";
-    }
+    // Each reply type answers exactly one channel's requests.
+    auth_.receive(p) || reports_.receive(p) || notifies_.receive(p);
   });
 
   // User-plane uplink metering happens via per-session counters on the
@@ -118,9 +100,11 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
   if (crashed_) return;
   // [AGW msg 1/2] Augment the UE request with service parameters and our
   // signature, then forward it to the subscriber's broker.
-  queue_.submit(config_.agw_msg, [this, auth_req_u = std::move(auth_req_u), ue_node,
-                                  radio_link, reply = std::move(reply)]() mutable {
-    const Bytes auth_req_t = sap_.make_auth_req_t(auth_req_u, config_.qos_cap);
+  queue_.submit(kAgwMsg, [this, auth_req_u = std::move(auth_req_u), ue_node, radio_link,
+                          reply = std::move(reply)]() mutable {
+    // A job queued before a crash dies with the AGW.
+    if (crashed_) return;
+    const Bytes auth_req_t = sap_.make_auth_req_t(auth_req_u, kQosCap);
     const std::uint64_t txn = next_txn_++;
 
     awaiting_broker_[txn] = [this, ue_node, radio_link,
@@ -133,10 +117,10 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
       Bytes auth_resp_u = r.bytes();
       // [AGW msg 2/2] Verify the broker's authorization and install the
       // session (bearer, IP, QoS).
-      queue_.submit(config_.agw_msg, [this, ue_node, radio_link,
-                                      auth_resp_t = std::move(auth_resp_t),
-                                      auth_resp_u = std::move(auth_resp_u),
-                                      reply = std::move(reply)]() mutable {
+      queue_.submit(kAgwMsg, [this, ue_node, radio_link, auth_resp_t = std::move(auth_resp_t),
+                              auth_resp_u = std::move(auth_resp_u),
+                              reply = std::move(reply)]() mutable {
+        if (crashed_) return;
         auto session = sap_.process_auth_resp(auth_resp_t, broker_cert_,
                                               node_.simulator().now());
         if (!session) {
@@ -147,12 +131,7 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
                         std::move(reply));
       });
     };
-
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(BrokerMsg::AuthReq));
-    w.u64(txn);
-    w.bytes(auth_req_t);
-    send_to_broker_with_retry(txn, w.take(), kAuthAttempts);
+    auth_.send(txn, auth_req_t, 0);
   });
 }
 
@@ -164,8 +143,9 @@ void Btelco::handle_resume(Bytes resume_req, net::Node* ue_node, net::Link* radi
   if (crashed_) return;
   // [AGW msg 1/2] Verify the ticket entirely locally: broker signature,
   // expiry, STEK seal, proof-of-possession MAC, single-use, revocation.
-  queue_.submit(config_.agw_msg, [this, resume_req = std::move(resume_req), ue_node,
-                                  radio_link, reply = std::move(reply)]() mutable {
+  queue_.submit(kAgwMsg, [this, resume_req = std::move(resume_req), ue_node, radio_link,
+                          reply = std::move(reply)]() mutable {
+    if (crashed_) return;
     auto rejected = [this, &reply](std::string why) {
       ++resumes_rejected_;
       obs::inc(obs::counter("btelco.resume.rejected"));
@@ -200,8 +180,9 @@ void Btelco::handle_resume(Bytes resume_req, net::Node* ue_node, net::Link* radi
 
     // [AGW msg 2/2] Install the session and confirm to the UE. No broker
     // leg on the critical path — that is the latency win.
-    queue_.submit(config_.agw_msg, [this, g = std::move(g), ue_node, radio_link,
-                                    reply = std::move(reply)]() mutable {
+    queue_.submit(kAgwMsg, [this, g = std::move(g), ue_node, radio_link,
+                            reply = std::move(reply)]() mutable {
+      if (crashed_) return;
       TicketAudit audit;
       audit.ticket_id = g.inner.ticket_id;
       audit.session_id = g.inner.session_id;
@@ -241,15 +222,8 @@ void Btelco::send_resume_notify(std::uint64_t session_id, const Bytes& ticket_id
   inner.bytes(sap_.sign(body.data()));
   const Bytes sealed = crypto::seal(broker_cert_.key(), inner.data(), rng_);
 
-  const std::uint64_t txn = next_notify_txn_++;
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(BrokerMsg::ResumeNotify));
-  w.u64(txn);
-  w.bytes(sealed);
   obs::inc(obs::counter("btelco.resume.notify_sent"));
-  // A resume job queued before a crash can finish after it; the dead AGW
-  // sends nothing.
-  if (!crashed_) notifies_.send(txn, w.take(), session_id);
+  notifies_.send(next_notify_txn_++, sealed, session_id);
 }
 
 void Btelco::revoke_resumed_session(std::uint64_t session_id) {
@@ -267,37 +241,12 @@ void Btelco::revoke_resumed_session(std::uint64_t session_id) {
   }
 }
 
-void Btelco::send_to_broker_with_retry(std::uint64_t txn, Bytes payload, int attempts_left,
-                                       int prev_shard) {
-  if (!awaiting_broker_.contains(txn)) return;  // answered meanwhile
-  if (attempts_left <= 0) {
-    auto it = awaiting_broker_.find(txn);
-    auto continuation = std::move(it->second);
-    awaiting_broker_.erase(it);
-    ByteReader empty{BytesView{}};
-    continuation(empty);  // empty reader = denial/failure path
-    return;
-  }
-  net::EndPoint dst = broker_;
-  int shard = prev_shard;
-  if (router_ != nullptr) {
-    const TimePoint now = node_.simulator().now();
-    // Reaching here with a previous target means it never answered: strike
-    // it so the sticky auth choice rotates to a live shard.
-    if (prev_shard >= 0) router_->note_timeout(static_cast<std::size_t>(prev_shard), now);
-    shard = static_cast<int>(router_->pick_for_auth(now));
-    dst = router_->endpoint(static_cast<std::size_t>(shard));
-  }
-  net::Packet p;
-  p.src = net::EndPoint{node_.primary_address(), port_};
-  p.dst = dst;
-  p.proto = net::Proto::Udp;
-  p.payload = payload;
-  node_.send(std::move(p));
-  node_.simulator().schedule(kAuthRetry,
-                             [this, txn, payload = std::move(payload), attempts_left, shard] {
-                               send_to_broker_with_retry(txn, payload, attempts_left - 1, shard);
-                             });
+void Btelco::deliver_auth_verdict(std::uint64_t txn, ByteReader& verdict) {
+  auto it = awaiting_broker_.find(txn);
+  if (it == awaiting_broker_.end()) return;
+  auto continuation = std::move(it->second);
+  awaiting_broker_.erase(it);
+  continuation(verdict);
 }
 
 std::uint64_t Btelco::downlink_sent_bytes(const Session& s) const {
@@ -391,13 +340,9 @@ void Btelco::send_report(std::uint64_t session_id, bool final_report) {
   const Bytes sealed = crypto::seal(broker_cert_.key(), inner.data(), rng_);
 
   const std::uint64_t seq = next_report_seq_++;
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
-  w.u64(seq);
-  w.bytes(sealed);
   obs::inc(obs::counter("btelco.reports.sent"));
   obs::trace(node_.simulator().now(), obs::TraceType::ReportSend, seq, report.period);
-  reports_.send(seq, w.take(), report.session_id);
+  reports_.send(seq, sealed, report.session_id);
 
   if (!final_report) {
     s.report_timer = node_.simulator().schedule(
@@ -429,6 +374,7 @@ void Btelco::crash() {
     }
     release_session(sid);
   }
+  auth_.clear();
   reports_.clear();
   notifies_.clear();
   awaiting_broker_.clear();

@@ -6,10 +6,11 @@
 // (adding qosCap and its signature), install sessions on authorization
 // (assign an IP from its own pool, anchor the user plane, enforce qosInfo),
 // meter per-session usage at its gateway, and periodically send signed,
-// encrypted traffic reports to the broker over its ACKed channel
-// (BrokerChannel). No inter-bTelco coordination, no
-// handover support, no subscriber database: that is the simplification the
-// architecture buys.
+// encrypted traffic reports to the broker. Everything it sends the broker
+// (SAP auth requests, reports, resume notifies) rides one BrokerChannel per
+// request type, which frames, resends, routes and decodes the replies. No
+// inter-bTelco coordination, no handover support, no subscriber database:
+// that is the simplification the architecture buys.
 #pragma once
 
 #include <unordered_set>
@@ -28,12 +29,8 @@ namespace cb::cellbricks {
 class Btelco {
  public:
   struct Config {
-    /// Per-message AGW processing (x2 per attach; Fig.7: 6.5 ms each).
-    Duration agw_msg = Duration::millis(6.5);
     /// Reporting cycle for traffic reports ("order of many seconds").
     Duration report_interval = Duration::s(10);
-    /// QoS capability advertised to brokers.
-    QosCap qos_cap{};
     /// Subscriber IP pool subnet (first octet).
     std::uint8_t ip_subnet = 100;
     /// Dishonesty knob: multiply reported DL usage (1.0 = honest). The
@@ -96,15 +93,16 @@ class Btelco {
   /// follow Redirect replies, and fail over on retransmission timeouts.
   /// Unset = single broker endpoint (default).
   void set_router(ShardRouter* router) {
-    router_ = router;
+    auth_.set_router(router);
     reports_.set_router(router);
     notifies_.set_router(router);
   }
 
   /// Fault injection: `crash` kills the provider — the node goes dark, every
-  /// session (bearers, IPs, report timers, in-flight broker transactions) is
-  /// lost, exactly as if the co-located AGW appliance rebooted. `restart`
-  /// brings the node back with empty state; UEs must re-attach via SAP.
+  /// session (bearers, IPs, report timers, in-flight broker transactions,
+  /// queued AGW jobs) is lost, exactly as if the co-located AGW appliance
+  /// rebooted. `restart` brings the node back with empty state; UEs must
+  /// re-attach via SAP.
   void crash();
   void restart();
   bool crashed() const { return crashed_; }
@@ -162,8 +160,9 @@ class Btelco {
   /// The broker's ResumeNotifyAck carried a revocation verdict.
   void revoke_resumed_session(std::uint64_t session_id);
   void send_report(std::uint64_t session_id, bool final_report);
-  void send_to_broker_with_retry(std::uint64_t txn, Bytes payload, int attempts_left,
-                                 int prev_shard = -1);
+  /// Hand the broker's SAP verdict for `txn` to the attach waiting on it;
+  /// an empty reader is a denial.
+  void deliver_auth_verdict(std::uint64_t txn, ByteReader& verdict);
   void release_session(std::uint64_t session_id);
   void ensure_gc();
   void gc_sweep();
@@ -174,17 +173,17 @@ class Btelco {
   net::Node& node_;
   SapTelco sap_;
   crypto::Certificate broker_cert_;
-  net::EndPoint broker_;
   Config config_;
   sim::ServiceQueue queue_;
   Rng rng_;
   /// Dedicated stream for retry jitter (see UeAgent::jitter_rng_).
   Rng jitter_rng_;
   std::uint16_t port_ = 0;
-  ShardRouter* router_ = nullptr;
-  // The ACKed broker channels: traffic reports (keyed by report seq) and
-  // resume notifies (best-effort with bounded retries, keyed by notify txn;
-  // the ack may carry a revocation verdict).
+  // The broker channels: SAP auth requests (keyed by auth txn), traffic
+  // reports (keyed by report seq) and resume notifies (best-effort with
+  // bounded retries, keyed by notify txn; the ack may carry a revocation
+  // verdict).
+  BrokerChannel auth_;
   BrokerChannel reports_;
   BrokerChannel notifies_;
 

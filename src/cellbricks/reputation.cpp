@@ -33,7 +33,7 @@ void ReputationSystem::record(const std::string& id_u, const std::string& id_t,
     t.mismatch_count += 1;
     UserState& u = users_[id_u];
     u.mismatched_telcos.insert(id_t);
-    if (static_cast<int>(u.mismatched_telcos.size()) >= config_.suspect_distinct_telcos) {
+    if (static_cast<int>(u.mismatched_telcos.size()) >= kSuspectDistinctTelcos) {
       // A user who disagrees with several independent bTelcos is more
       // plausibly the dishonest party.
       suspects_.insert(id_u);
@@ -49,7 +49,7 @@ void ReputationSystem::record_missing(const std::string& id_u, const std::string
                                       Reporter missing) {
   if (missing == Reporter::Telco) {
     TelcoState& t = telcos_[id_t];
-    t.weighted_mismatches += config_.missing_report_penalty;
+    t.weighted_mismatches += kMissingReportPenalty;
     t.missing_count += 1;
   } else {
     // A user that stops reporting may simply have vanished mid-session (dead
@@ -67,7 +67,7 @@ double ReputationSystem::telco_score(const std::string& id_t) const {
 
 bool ReputationSystem::authorize(const std::string& id_u, const std::string& id_t) const {
   if (is_suspect(id_u)) return false;
-  return telco_score(id_t) >= config_.min_telco_score;
+  return telco_score(id_t) >= kMinTelcoScore;
 }
 
 std::uint64_t ReputationSystem::mismatches(const std::string& id_t) const {

@@ -20,17 +20,8 @@ namespace cb::cellbricks {
 struct ReputationConfig {
   /// Fixed tolerance ratio epsilon from Fig.5 (acceptable link-loss slack).
   double epsilon = 0.02;
-  /// Authorization threshold: bTelcos below this are refused.
-  double min_telco_score = 0.5;
-  /// A user mismatching against at least this many distinct bTelcos is
-  /// suspected of tampering with its device.
-  int suspect_distinct_telcos = 2;
   /// Mild score recovery per clean (matching) report pair.
   double recovery_per_clean_pair = 0.01;
-  /// Penalty folded into a bTelco's score when its report for a period never
-  /// arrived (the broker's unpaired-report timeout). Much milder than a
-  /// billing mismatch: losing reports is unreliability, not dishonesty.
-  double missing_report_penalty = 0.05;
 };
 
 /// Result of comparing one aligned (UE, bTelco) report pair.
@@ -43,6 +34,16 @@ struct PairVerdict {
 
 class ReputationSystem {
  public:
+  /// Authorization threshold: bTelcos below this are refused.
+  static constexpr double kMinTelcoScore = 0.5;
+  /// A user mismatching against at least this many distinct bTelcos is
+  /// suspected of tampering with its device.
+  static constexpr int kSuspectDistinctTelcos = 2;
+  /// Penalty folded into a bTelco's score when its report for a period never
+  /// arrived (the broker's unpaired-report timeout). Much milder than a
+  /// billing mismatch: losing reports is unreliability, not dishonesty.
+  static constexpr double kMissingReportPenalty = 0.05;
+
   explicit ReputationSystem(ReputationConfig config = {}) : config_(config) {}
 
   /// Fig.5: compare aligned reports; threshold = (loss_U + eps) * dl_U.

@@ -7,6 +7,17 @@
 
 namespace cb::cellbricks {
 
+namespace {
+
+/// UE per-message processing incl. crypto (x2 per attach; Fig.7).
+constexpr Duration kUeMsg = Duration::millis(1.25);
+/// eNB relay processing per leg (x2 per attach).
+constexpr Duration kEnbMsg = Duration::millis(0.375);
+/// Bearer watchdog cadence while attached (detects serving-link death).
+constexpr Duration kWatchdogInterval = Duration::millis(500);
+
+}  // namespace
+
 UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
                  const ran::RanMap& ran_map, std::function<Btelco*(ran::CellId)> telco_of_cell,
                  net::EndPoint broker_report_ep)
@@ -27,7 +38,7 @@ UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
       rng_(ue_node.simulator().rng().fork(0x0EA6)),
       jitter_rng_(ue_node.simulator().rng().fork(0x0EA7)),
       // The source address is set per attach (complete_attach).
-      reports_(ue_node, net::EndPoint{}, broker_report_ep, jitter_rng_,
+      reports_(ue_node, BrokerMsg::Report, net::EndPoint{}, broker_report_ep, jitter_rng_,
                RetrySchedule{config_.report_retry, kAgentSchedule.attempts,
                              kAgentSchedule.cap}) {
   reports_.on_transmit = [](std::uint64_t) { obs::inc(obs::counter("ue_agent.reports.tx")); };
@@ -37,36 +48,22 @@ UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
     obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAbandoned, seq);
     CB_LOG(Info, "ue-agent") << id() << ": report " << seq << " abandoned (no broker ACK)";
   };
+  reports_.on_ack = [this](std::uint64_t seq, const BrokerChannel::Acked&, ByteReader&) {
+    obs::inc(obs::counter("ue_agent.reports.acked"));
+    obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAck, seq);
+  };
+  reports_.on_redirect = [](std::uint64_t) {
+    obs::inc(obs::counter("ue_agent.reports.redirected"));
+  };
   // Broker ACKs for the reliable report channel arrive on the report port.
-  ue_node_.bind_udp(kUeReportPort, [this](const net::Packet& p) {
-    try {
-      ByteReader r(p.payload);
-      const auto msg = static_cast<BrokerMsg>(r.u8());
-      if (msg == BrokerMsg::ReportAck) {
-        const std::uint64_t seq = r.u64();
-        if (reports_.ack(seq)) {
-          obs::inc(obs::counter("ue_agent.reports.acked"));
-          obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportAck, seq);
-        }
-      } else if (msg == BrokerMsg::Redirect) {
-        const std::uint64_t seq = r.u64();
-        const std::uint16_t bucket = r.u16();
-        const std::uint16_t owner = r.u16();
-        if (reports_.redirect(seq, bucket, owner)) {
-          obs::inc(obs::counter("ue_agent.reports.redirected"));
-        }
-      }
-    } catch (const std::out_of_range&) {
-      CB_LOG(Warn, "ue-agent") << "malformed broker ack dropped";
-    }
-  });
+  ue_node_.bind_udp(kUeReportPort, [this](const net::Packet& p) { reports_.receive(p); });
 }
 
 void UeAgent::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done) {
   // Resume-first: with a broker-minted ticket in hand, skip the broker round
   // trip and authenticate locally at the bTelco (tentpole of the SapResume
   // mode). Any rejection falls back to the full protocol below.
-  if (config_.use_resume_tickets && !ticket_.empty()) {
+  if (!ticket_.empty()) {
     attach_resume(cell, std::move(done));
   } else {
     attach_full(cell, std::move(done));
@@ -116,22 +113,22 @@ void UeAgent::attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4A
       });
 
   // [UE msg 1/2] craft authReqU (encrypt authVec to pkB, sign).
-  ue_queue_.submit(config_.ue_msg, [this, gen, cell, site, telco, done_shared, fail] {
+  ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared, fail] {
     if (gen != attach_generation_) return;  // superseded by newer mobility event
     Bytes req = sap_.make_auth_req(telco->id(), rng_);
     // [eNB leg 1/2] relay to the bTelco AGW.
-    enb_queue_.submit(config_.enb_msg, [this, gen, cell, site, telco, done_shared, fail,
-                                        req = std::move(req)]() mutable {
+    enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared, fail,
+                                req = std::move(req)]() mutable {
       if (gen != attach_generation_) return;
       telco->handle_attach(
           std::move(req), &ue_node_, site.radio_link,
           [this, gen, cell, site, telco, done_shared, fail](
               Result<std::pair<Bytes, net::Ipv4Addr>> result) {
             // [eNB leg 2/2] + [UE msg 2/2] verify authRespU, configure IP.
-            enb_queue_.submit(config_.enb_msg, [this, gen, cell, site, telco, done_shared,
-                                                fail, result = std::move(result)]() mutable {
-              ue_queue_.submit(config_.ue_msg, [this, gen, cell, site, telco, done_shared,
-                                                fail, result = std::move(result)]() mutable {
+            enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared,
+                                        fail, result = std::move(result)]() mutable {
+              ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared,
+                                        fail, result = std::move(result)]() mutable {
                 if (gen != attach_generation_) return;
                 attach_deadline_.cancel();
                 if (!result.ok()) {
@@ -148,7 +145,7 @@ void UeAgent::attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4A
                 // Harvest the resumption ticket (if the broker minted one)
                 // for the next re-attach; its possession proof is derived
                 // from this session's ss so a stolen ticket alone is useless.
-                if (config_.use_resume_tickets && !session.value().ticket.empty()) {
+                if (!session.value().ticket.empty()) {
                   ticket_ = session.value().ticket;
                   ss_resume_ = derive_resume_secret(session.value().security.kasme);
                 }
@@ -214,26 +211,26 @@ void UeAgent::attach_resume(ran::CellId cell, std::function<void(Result<net::Ipv
   // [UE msg 1/2] assemble the resume request: ticket + possession MAC. The
   // period base carries the meter's period counter so the resumed bTelco's
   // reports continue the numbering instead of colliding at the broker.
-  ue_queue_.submit(config_.ue_msg, [this, gen, cell, site, telco, done_shared, fail, fallback] {
+  ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared, fail, fallback] {
     if (gen != attach_generation_) return;
     Bytes nonce;
     Bytes req = make_resume_request(ticket_, telco->id(), next_period_, ss_resume_, rng_, &nonce);
     // [eNB leg 1/2] relay to the bTelco AGW.
-    enb_queue_.submit(config_.enb_msg, [this, gen, cell, site, telco, done_shared, fail,
-                                        fallback, req = std::move(req),
-                                        nonce = std::move(nonce)]() mutable {
+    enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared, fail,
+                                fallback, req = std::move(req),
+                                nonce = std::move(nonce)]() mutable {
       if (gen != attach_generation_) return;
       telco->handle_resume(
           std::move(req), &ue_node_, site.radio_link,
           [this, gen, cell, site, telco, done_shared, fail, fallback, nonce](
               Result<std::pair<Bytes, net::Ipv4Addr>> result) {
             // [eNB leg 2/2] + [UE msg 2/2] open the confirm, adopt the IP.
-            enb_queue_.submit(config_.enb_msg, [this, gen, cell, site, telco, done_shared,
-                                                fail, fallback, nonce,
-                                                result = std::move(result)]() mutable {
-              ue_queue_.submit(config_.ue_msg, [this, gen, cell, site, telco, done_shared,
-                                                fail, fallback, nonce,
-                                                result = std::move(result)]() mutable {
+            enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared,
+                                        fail, fallback, nonce,
+                                        result = std::move(result)]() mutable {
+              ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared,
+                                        fail, fallback, nonce,
+                                        result = std::move(result)]() mutable {
                 if (gen != attach_generation_) return;
                 attach_deadline_.cancel();
                 if (!result.ok()) {
@@ -395,7 +392,7 @@ void UeAgent::schedule_retry(ran::CellId preferred) {
 void UeAgent::start_watchdog() {
   watchdog_timer_.cancel();
   watchdog_timer_ =
-      ue_node_.simulator().schedule(config_.watchdog_interval, [this] { watchdog(); });
+      ue_node_.simulator().schedule(kWatchdogInterval, [this] { watchdog(); });
 }
 
 void UeAgent::watchdog() {
@@ -405,7 +402,7 @@ void UeAgent::watchdog() {
       !site.radio_link->is_up() || (site.node != nullptr && !site.node->is_up());
   if (!bearer_dead) {
     watchdog_timer_ =
-        ue_node_.simulator().schedule(config_.watchdog_interval, [this] { watchdog(); });
+        ue_node_.simulator().schedule(kWatchdogInterval, [this] { watchdog(); });
     return;
   }
   ++bearer_losses_;
@@ -457,14 +454,10 @@ void UeAgent::send_report(bool final_report) {
   inner.bytes(report_bytes);
   inner.bytes(sap_.sign(report_bytes));
   const Bytes sealed = crypto::seal(sap_.broker_key(), inner.data(), rng_);
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
   const std::uint64_t seq = next_report_seq_++;
-  w.u64(seq);
-  w.bytes(sealed);
   obs::inc(obs::counter("ue_agent.reports.sent"));
   obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportSend, seq, report.period);
-  reports_.send(seq, w.take(), report.session_id);
+  reports_.send(seq, sealed, report.session_id);
 
   if (!final_report) {
     report_timer_ =

@@ -33,10 +33,6 @@ inline constexpr std::uint16_t kUeReportPort = 4599;
 class UeAgent {
  public:
   struct Config {
-    /// UE per-message processing incl. crypto (x2 per attach; Fig.7).
-    Duration ue_msg = Duration::millis(1.25);
-    /// eNB relay processing per leg (x2 per attach).
-    Duration enb_msg = Duration::millis(0.375);
     /// Baseband reporting cycle.
     Duration report_interval = Duration::s(10);
     /// Dishonesty knob: scale reported DL usage (1.0 = honest; <1 models a
@@ -51,15 +47,9 @@ class UeAgent {
     Duration retry_backoff_max = Duration::s(8);
     /// How long a cell that failed an attach is skipped during recovery.
     Duration cell_blacklist = Duration::s(10);
-    /// Bearer watchdog cadence while attached (detects serving-link death).
-    Duration watchdog_interval = Duration::millis(500);
     /// First traffic-report resend delay; the rest of the schedule is
     /// kAgentSchedule (the bTelco's).
     Duration report_retry = kAgentSchedule.first;
-    /// Present broker-minted resumption tickets (ticket.hpp) on re-attach:
-    /// when a ticket is held, attach() first tries the local resume path
-    /// (no broker round trip) and falls back to full SAP on rejection.
-    bool use_resume_tickets = false;
   };
 
   UeAgent(net::Network& network, net::Node& ue_node, SapUe sap, const ran::RanMap& ran_map,
@@ -69,7 +59,10 @@ class UeAgent {
           Config config);
 
   /// Attach to `cell` via SAP. `done` gets the assigned IP or the error.
-  /// One-shot: a failure (denial, timeout) is reported, not retried.
+  /// One-shot: a failure (denial, timeout) is reported, not retried. While
+  /// the UE holds a broker-minted resumption ticket (ticket.hpp; only
+  /// SapResume worlds mint them), it first tries the local resume path (no
+  /// broker round trip) and falls back to full SAP on rejection.
   void attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
 
   /// Resilient attach: try `preferred` first, then fall back to the best
@@ -206,7 +199,7 @@ class UeAgent {
   std::uint64_t bearer_losses_ = 0;
   std::uint64_t reports_abandoned_ = 0;
 
-  // Resumption-ticket state (inert unless Config::use_resume_tickets).
+  // Resumption-ticket state (empty unless the broker mints tickets).
   Bytes ticket_;       // most recent broker-minted ticket (opaque wire form)
   Bytes ss_resume_;    // HKDF of that session's ss; proves ticket possession
   Summary resume_latencies_;

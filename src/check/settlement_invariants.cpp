@@ -77,8 +77,10 @@ void install_settlement_invariants(InvariantEngine& engine, scenario::World& wor
         }
         const auto& cfg = cluster->config();
         // Detection + takeover + one full sweep cycle, plus slack.
-        const Duration settle = cfg.heartbeat_interval * (cfg.miss_threshold + 1) +
-                                cfg.broker.gc_interval * 2 + Duration::s(5);
+        using cellbricks::BrokerShard;
+        const Duration settle =
+            BrokerShard::kHeartbeatInterval * (BrokerShard::kMissThreshold + 1) +
+            cfg.broker.gc_interval * 2 + Duration::s(5);
         if (now - *last_disturbed < settle) return;
         const Duration horizon = cfg.broker.pair_timeout + settle;
         for (const auto& [key, pending] : cluster->observer().pending()) {

@@ -12,11 +12,11 @@ Mme::Mme(net::Node& agw_node, SgwPgw& spgw, net::EndPoint hss, EpcProcProfile pr
   node_.bind_udp(port_, [this](const net::Packet& p) { handle_hss_reply(p); });
 }
 
-void Mme::send_s6a(S6aType type, std::uint64_t txn, const std::string& imsi) {
+void Mme::send_s6a(S6aType type, std::uint64_t txn, BytesView body) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(txn);
-  w.str(imsi);
+  w.bytes(body);
   net::Packet p;
   p.src = net::EndPoint{node_.primary_address(), port_};
   p.dst = hss_;
@@ -86,55 +86,47 @@ void Mme::attach(const std::string& imsi, net::Node* ue_node, net::Node* tower,
               fail(txn, "authentication failure: RES mismatch");
               return;
             }
-            pit->second.hooks.smc([this, txn] {
-              auto sit = pending_.find(txn);
-              if (sit == pending_.end()) return;
-              awaiting_hss_[txn] = [this, txn](CowBytes ula) {
-                // [AGW msg 4/4] Process ULA; create the bearer; accept.
-                queue_.submit(profile_.agw_msg, [this, txn, ula = std::move(ula)] {
-                  auto ait = pending_.find(txn);
-                  if (ait == pending_.end()) return;
-                  ByteReader r2(ula);
-                  const auto t2 = static_cast<S6aType>(r2.u8());
-                  if (t2 != S6aType::UpdateLocationResp) {
-                    fail(txn, "HSS rejected ULR");
-                    return;
-                  }
-                  PendingAttach ctx = std::move(ait->second);
-                  pending_.erase(ait);
-                  const net::Ipv4Addr ip = spgw_.create_session(
-                      ctx.imsi, ctx.ue_node, ctx.tower, ctx.radio_link);
-                  ++completed_;
-                  const TimePoint now = node_.simulator().now();
-                  obs::inc(obs::counter("epc.mme.attach.success"));
-                  obs::observe(obs::histogram("epc.mme.attach_latency_ms"),
-                               (now - ctx.started_at).to_millis());
-                  obs::trace(now, obs::TraceType::EpcAttachDone, txn,
-                             static_cast<std::uint64_t>((now - ctx.started_at).nanos() / 1000));
-                  ctx.hooks.done(ip);
-                });
-              };
-              send_s6a(S6aType::UpdateLocationReq, txn, sit->second.imsi);
-            });
+            update_location(txn);
           });
         });
       });
     };
-    send_s6a(S6aType::AuthInfoReq, txn, imsi);
+    send_s6a(S6aType::AuthInfoReq, txn, to_bytes(imsi));
   });
 }
 
-void Mme::send_s6a_bytes(S6aType type, std::uint64_t txn, BytesView body) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(txn);
-  w.bytes(body);
-  net::Packet p;
-  p.src = net::EndPoint{node_.primary_address(), port_};
-  p.dst = hss_;
-  p.proto = net::Proto::Udp;
-  p.payload = w.take();
-  node_.send(std::move(p));
+void Mme::update_location(std::uint64_t txn) {
+  auto it = pending_.find(txn);
+  if (it == pending_.end()) return;
+  it->second.hooks.smc([this, txn] {
+    auto sit = pending_.find(txn);
+    if (sit == pending_.end()) return;
+    awaiting_hss_[txn] = [this, txn](CowBytes ula) {
+      // [AGW msg, last] Process ULA; create the bearer; accept.
+      queue_.submit(profile_.agw_msg, [this, txn, ula = std::move(ula)] {
+        auto ait = pending_.find(txn);
+        if (ait == pending_.end()) return;
+        ByteReader r(ula);
+        if (static_cast<S6aType>(r.u8()) != S6aType::UpdateLocationResp) {
+          fail(txn, "HSS rejected ULR");
+          return;
+        }
+        PendingAttach ctx = std::move(ait->second);
+        pending_.erase(ait);
+        const net::Ipv4Addr ip =
+            spgw_.create_session(ctx.imsi, ctx.ue_node, ctx.tower, ctx.radio_link);
+        ++completed_;
+        const TimePoint now = node_.simulator().now();
+        obs::inc(obs::counter("epc.mme.attach.success"));
+        obs::observe(obs::histogram("epc.mme.attach_latency_ms"),
+                     (now - ctx.started_at).to_millis());
+        obs::trace(now, obs::TraceType::EpcAttachDone, txn,
+                   static_cast<std::uint64_t>((now - ctx.started_at).nanos() / 1000));
+        ctx.hooks.done(ip);
+      });
+    };
+    send_s6a(S6aType::UpdateLocationReq, txn, to_bytes(sit->second.imsi));
+  });
 }
 
 void Mme::attach5g(Bytes suci, net::Node* ue_node, net::Node* tower, net::Link* radio_link,
@@ -188,45 +180,15 @@ void Mme::attach5g(Bytes suci, net::Node* ue_node, net::Node* tower, net::Link* 
                 }
                 cit->second.imsi = cr.str();  // disclosed SUPI
                 last_kseaf_ = cr.bytes();
-                cit->second.hooks.smc([this, txn] {
-                  auto sit = pending_.find(txn);
-                  if (sit == pending_.end()) return;
-                  awaiting_hss_[txn] = [this, txn](CowBytes ula) {
-                    // [AGW msg 5/5] Process ULA; create the bearer; accept.
-                    queue_.submit(profile_.agw_msg, [this, txn, ula = std::move(ula)] {
-                      auto ait = pending_.find(txn);
-                      if (ait == pending_.end()) return;
-                      ByteReader r2(ula);
-                      const auto t2 = static_cast<S6aType>(r2.u8());
-                      if (t2 != S6aType::UpdateLocationResp) {
-                        fail(txn, "HSS rejected ULR");
-                        return;
-                      }
-                      PendingAttach ctx = std::move(ait->second);
-                      pending_.erase(ait);
-                      const net::Ipv4Addr ip = spgw_.create_session(
-                          ctx.imsi, ctx.ue_node, ctx.tower, ctx.radio_link);
-                      ++completed_;
-                      const TimePoint now = node_.simulator().now();
-                      obs::inc(obs::counter("epc.mme.attach.success"));
-                      obs::observe(obs::histogram("epc.mme.attach_latency_ms"),
-                                   (now - ctx.started_at).to_millis());
-                      obs::trace(now, obs::TraceType::EpcAttachDone, txn,
-                                 static_cast<std::uint64_t>((now - ctx.started_at).nanos() /
-                                                            1000));
-                      ctx.hooks.done(ip);
-                    });
-                  };
-                  send_s6a(S6aType::UpdateLocationReq, txn, sit->second.imsi);
-                });
+                update_location(txn);
               });
             };
-            send_s6a_bytes(S6aType::Auth5gConfirm, txn, res_star);
+            send_s6a(S6aType::Auth5gConfirm, txn, res_star);
           });
         });
       });
     };
-    send_s6a_bytes(S6aType::Auth5gInfoReq, txn, suci);
+    send_s6a(S6aType::Auth5gInfoReq, txn, suci);
   });
 }
 

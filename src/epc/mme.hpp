@@ -81,8 +81,10 @@ class Mme {
   };
 
   void handle_hss_reply(const net::Packet& packet);
-  void send_s6a(S6aType type, std::uint64_t txn, const std::string& imsi);
-  void send_s6a_bytes(S6aType type, std::uint64_t txn, BytesView body);
+  void send_s6a(S6aType type, std::uint64_t txn, BytesView body);
+  /// The tail both dialogs share once the UE is authenticated: security
+  /// mode, then ULR -> HSS -> ULA, then the bearer and the accept.
+  void update_location(std::uint64_t txn);
   void fail(std::uint64_t txn, const std::string& reason);
 
   net::Node& node_;

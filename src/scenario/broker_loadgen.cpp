@@ -43,9 +43,6 @@ struct BrokerLoadgen::Client {
   std::optional<cellbricks::BrokerChannel> auth;
   std::optional<cellbricks::BrokerChannel> reports;
 
-  // Attach state.
-  std::uint64_t auth_txn = 0;
-  bool attached = false;
   std::uint64_t session_id = 0;
   std::uint32_t next_period = 0;
 
@@ -123,14 +120,21 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
     // endpoint is never used.
     const net::EndPoint src{addr, kClientPort};
     const net::EndPoint broker = cluster_->client_endpoints().front();
-    c->auth.emplace(*c->node, src, broker, c->jitter, kAuthSchedule);
+    Client* raw = c.get();
+    c->auth.emplace(*c->node, BrokerMsg::AuthReq, src, broker, c->jitter, kAuthSchedule);
+    c->auth->on_ack = [this, raw](std::uint64_t, const cellbricks::BrokerChannel::Acked& acked,
+                                  ByteReader& r) { authorized(*raw, acked.reply, r); };
     c->auth->on_abandon = [this](std::uint64_t) { ++attach_failures_; };
-    c->reports.emplace(*c->node, src, broker, c->jitter, kReportSchedule);
+    c->reports.emplace(*c->node, BrokerMsg::Report, src, broker, c->jitter, kReportSchedule);
     c->reports->on_transmit = [this](std::uint64_t) { ++report_txs_; };
     c->reports->on_abandon = [this](std::uint64_t) { ++reports_abandoned_; };
-    Client* raw = c.get();
-    c->node->bind_udp(kClientPort, [this, raw](const net::Packet& p) {
-      handle_packet(*raw, p);
+    c->reports->on_ack = [this](std::uint64_t, const cellbricks::BrokerChannel::Acked& acked,
+                                ByteReader&) {
+      ack_latencies_ms_.push_back((sim_.now() - acked.queued_at).to_millis());
+      ++reports_acked_;
+    };
+    c->node->bind_udp(kClientPort, [raw](const net::Packet& p) {
+      raw->auth->receive(p) || raw->reports->receive(p);
     });
     clients_.push_back(std::move(c));
   }
@@ -142,12 +146,25 @@ BrokerLoadgen::~BrokerLoadgen() = default;
 void BrokerLoadgen::start_attach(Client& c) {
   const Bytes auth_req_u = c.ue->make_auth_req(c.telco->id_t(), c.seal);
   const Bytes auth_req_t = c.telco->make_auth_req_t(auth_req_u, cellbricks::QosCap{});
-  c.auth_txn = 0x10000 + c.index;
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(BrokerMsg::AuthReq));
-  w.u64(c.auth_txn);
-  w.bytes(auth_req_t);
-  c.auth->send_auth(c.auth_txn, w.take());
+  c.auth->send(0x10000 + c.index, auth_req_t, 0);
+}
+
+void BrokerLoadgen::authorized(Client& c, BrokerMsg reply, ByteReader& r) {
+  if (reply != BrokerMsg::AuthOk) {
+    ++attach_failures_;
+    return;
+  }
+  const Bytes auth_resp_t = r.bytes();
+  const Bytes auth_resp_u = r.bytes();
+  auto ts = c.telco->process_auth_resp(auth_resp_t, broker_cert_, sim_.now());
+  auto us = c.ue->process_auth_resp(auth_resp_u);
+  if (!ts.ok() || !us.ok()) {
+    ++attach_failures_;
+    return;
+  }
+  c.session_id = us.value().session_id;
+  ++sessions_issued_;
+  send_period_reports(c);
 }
 
 void BrokerLoadgen::send_period_reports(Client& c) {
@@ -182,62 +199,8 @@ void BrokerLoadgen::send_report(Client& c, Reporter side, std::uint32_t period) 
   inner.bytes(side == Reporter::Ue ? c.ue->sign(report_bytes) : c.telco->sign(report_bytes));
   const Bytes sealed = crypto::seal(broker_pk_, inner.data(), c.seal);
 
-  const std::uint64_t seq = c.next_seq++;
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
-  w.u64(seq);
-  w.bytes(sealed);
   ++reports_sent_;
-  c.reports->send(seq, w.take(), c.session_id);
-}
-
-void BrokerLoadgen::handle_packet(Client& c, const net::Packet& p) {
-  ByteReader r(p.payload.view());
-  const auto type = static_cast<BrokerMsg>(r.u8());
-  switch (type) {
-    case BrokerMsg::AuthOk: {
-      const std::uint64_t txn = r.u64();
-      if (c.attached || txn != c.auth_txn) return;
-      const Bytes auth_resp_t = r.bytes();
-      const Bytes auth_resp_u = r.bytes();
-      auto ts = c.telco->process_auth_resp(auth_resp_t, broker_cert_, sim_.now());
-      auto us = c.ue->process_auth_resp(auth_resp_u);
-      if (!ts.ok() || !us.ok()) {
-        ++attach_failures_;
-        c.auth->clear();
-        return;
-      }
-      c.attached = true;
-      c.session_id = us.value().session_id;
-      ++sessions_issued_;
-      c.auth->ack(txn);
-      send_period_reports(c);
-      return;
-    }
-    case BrokerMsg::AuthErr: {
-      const std::uint64_t txn = r.u64();
-      if (c.attached || txn != c.auth_txn) return;
-      ++attach_failures_;
-      c.auth->clear();
-      return;
-    }
-    case BrokerMsg::ReportAck: {
-      if (const auto acked = c.reports->ack(r.u64())) {
-        ack_latencies_ms_.push_back((sim_.now() - acked->queued_at).to_millis());
-        ++reports_acked_;
-      }
-      return;
-    }
-    case BrokerMsg::Redirect: {
-      const std::uint64_t seq = r.u64();
-      const std::uint16_t bucket = r.u16();
-      const std::uint16_t owner = r.u16();
-      c.reports->redirect(seq, bucket, owner);
-      return;
-    }
-    default:
-      return;
-  }
+  c.reports->send(c.next_seq++, sealed, c.session_id);
 }
 
 BrokerLoadgenResult BrokerLoadgen::run() {

@@ -3,9 +3,10 @@
 // A self-contained deterministic world: N broker shards behind a WAN hub and
 // M synthetic subscriber/bTelco client pairs that speak the real broker wire
 // protocol — a SAP attach (AuthReq over UDP with retries) followed by paired
-// signed+sealed traffic reports — through the same cellbricks::BrokerChannel
-// (seq/ack/redirect/retry) as UeAgent and Btelco, but with none of the radio
-// or transport machinery, so one process can push the cluster to its
+// signed+sealed traffic reports — through cellbricks::BrokerChannel, the
+// same client as UeAgent and Btelco (it frames each request, resends it,
+// follows redirects and decodes the answers), but with none of the radio or
+// transport machinery, so one process can push the cluster to its
 // report-ingest capacity and measure failover availability under shard
 // kills.
 #pragma once
@@ -91,9 +92,11 @@ class BrokerLoadgen {
   struct Client;
 
   void start_attach(Client& c);
+  /// The broker answered `c`'s auth request with `reply`; `r` reads the
+  /// rest of the answer.
+  void authorized(Client& c, cellbricks::BrokerMsg reply, ByteReader& r);
   void send_period_reports(Client& c);
   void send_report(Client& c, cellbricks::Reporter side, std::uint32_t period);
-  void handle_packet(Client& c, const net::Packet& p);
 
   BrokerLoadgenConfig config_;
   sim::Simulator sim_;

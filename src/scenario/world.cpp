@@ -219,7 +219,6 @@ void World::build_cellbricks() {
   cellbricks::UeAgent::Config ucfg = config_.ue_config;
   ucfg.underreport_factor = config_.ue_underreport;
   ucfg.report_interval = config_.report_interval;
-  if (!ticket_key.empty()) ucfg.use_resume_tickets = true;
   ue_agent_ = std::make_unique<cellbricks::UeAgent>(
       network_, *ue_, std::move(sap_ue), ran_map_,
       [this](ran::CellId cell) -> cellbricks::Btelco* {

@@ -90,8 +90,8 @@ struct WorldConfig {
   int broker_shards = 1;
   /// Base component configs (chaos experiments tighten timeouts here); the
   /// world-level fields above override the corresponding members on top.
-  /// `shard_config.broker` holds the broker service knobs; the rest are
-  /// cluster timing knobs (heartbeats, append retry, ...).
+  /// `shard_config.broker` holds the broker service knobs; the cluster's
+  /// timing (heartbeats, append retry, catch-up) is fixed (BrokerShard::k*).
   cellbricks::BrokerShard::Config shard_config{};
   cellbricks::Btelco::Config btelco_config{};
   cellbricks::UeAgent::Config ue_config{};

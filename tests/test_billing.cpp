@@ -105,7 +105,6 @@ TEST(Reputation, CleanPairsRecoverSlowly) {
 
 TEST(Reputation, AuthorizationThreshold) {
   ReputationConfig cfg;
-  cfg.min_telco_score = 0.5;
   ReputationSystem rep(cfg);
   EXPECT_TRUE(rep.authorize("u", "t"));
   PairVerdict bad;
@@ -119,7 +118,7 @@ TEST(Reputation, AuthorizationThreshold) {
 }
 
 TEST(Reputation, UserSuspectedAfterMismatchesWithManyTelcos) {
-  ReputationSystem rep;  // suspect_distinct_telcos = 2
+  ReputationSystem rep;  // kSuspectDistinctTelcos = 2
   PairVerdict bad;
   bad.mismatch = true;
   bad.degree = 0.5;

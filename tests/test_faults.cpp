@@ -171,6 +171,63 @@ TEST(AttachRecovery, AttachTimesOutAgainstCrashedTelco) {
   EXPECT_FALSE(world.ran_map().site(1).radio_link->is_up());
 }
 
+TEST(AttachRecovery, CrashBetweenAuthAndInstallLeavesNoSession) {
+  // The broker's AuthOk reaches the bTelco at ~23.6 ms, and the install job
+  // it queues runs at ~30.1 ms. A crash in between must kill that job: the
+  // dead AGW installs no session and tells the UE nothing.
+  World world(static_cb_config(1));
+  bool done = false;
+  std::string error;
+  world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) {
+    done = true;
+    if (!r.ok()) error = r.error();
+  });
+  world.simulator().run_until(TimePoint::zero() + Duration::ms(27));
+  ASSERT_EQ(world.broker_cluster()->sessions_issued(), 1u) << "the broker has not answered yet";
+  ASSERT_FALSE(done);
+
+  world.btelco(0)->crash();
+  world.simulator().run_for(Duration::s(5));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(error, "attach timeout");
+  EXPECT_EQ(world.btelco(0)->active_sessions(), 0u);
+
+  world.btelco(0)->restart();
+  world.simulator().run_for(Duration::s(30));
+  EXPECT_EQ(world.btelco(0)->active_sessions(), 0u);
+}
+
+TEST(AttachRecovery, TelcoAuthSendsFourCopiesOneSecondApartThenDenies) {
+  // Pins the bTelco's SAP auth schedule toward a dead broker: a fixed 1 s
+  // gap, 4 copies, then a denial.
+  WorldConfig cfg = static_cb_config(1);
+  cfg.ue_config.attach_timeout = Duration::s(10);
+  World world(cfg);
+  world.cloud_node()->set_up(false);
+  const net::Link::Counters& to_cloud =
+      world.cloud_link(0)->counters(&world.btelco(0)->node());
+
+  std::string error;
+  TimePoint failed_at;
+  world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) {
+    if (!r.ok()) error = r.error();
+    failed_at = world.simulator().now();
+  });
+  // The first copy leaves after the UE, eNB and AGW legs: 8.125 ms.
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const TimePoint due = TimePoint::zero() + Duration::s(static_cast<std::int64_t>(k)) +
+                          Duration::millis(8.125);
+    world.simulator().run_until(due - Duration::us(1));
+    EXPECT_EQ(to_cloud.sent_packets, k) << "before copy " << k;
+    world.simulator().run_until(due + Duration::us(1));
+    EXPECT_EQ(to_cloud.sent_packets, k + 1) << "after copy " << k;
+  }
+  world.simulator().run_for(Duration::s(10));
+  EXPECT_EQ(to_cloud.sent_packets, 4u);
+  EXPECT_EQ(error, "broker denied attachment");
+  EXPECT_EQ(failed_at, TimePoint::zero() + Duration::millis(4009.75));
+}
+
 TEST(AttachRecovery, FallsBackToNextBestCellWhenPreferredIsDead) {
   WorldConfig cfg = static_cb_config(2);
   cfg.ue_config.attach_timeout = Duration::s(1);

@@ -15,6 +15,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "=== one broker client (source guard) ==="
+# BrokerChannel (DESIGN.md §6) is the only client of the broker protocol: it
+# frames every request and decodes every reply. Outside the channel and the
+# broker itself, no source file may write or read a BrokerMsg type byte.
+broker_frames=$(grep -rnE \
+  'static_cast<std::uint8_t>\((cellbricks::)?BrokerMsg::|static_cast<(cellbricks::)?BrokerMsg>\(' \
+  src --exclude=broker_channel.cpp --exclude=broker_cluster.cpp || true)
+if [[ -n "$broker_frames" ]]; then
+  echo "broker frames written or parsed outside BrokerChannel:"
+  echo "$broker_frames"
+  exit 1
+fi
+echo "one broker client ok"
+
 run_suite() {
   local build_dir="$1" exclude="$2"
   shift 2
