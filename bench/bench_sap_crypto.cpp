@@ -86,6 +86,34 @@ void BM_RsaVerify1024(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify1024);
 
+// Every cbbench workload runs 512-bit keys, so its costs are these.
+const RsaKeyPair& keys512() {
+  static const RsaKeyPair keys = [] {
+    Rng rng(10);
+    return RsaKeyPair::generate(rng, 512);
+  }();
+  return keys;
+}
+
+void BM_RsaKeygen512(benchmark::State& state) {
+  Rng rng(11);
+  for (auto _ : state) benchmark::DoNotOptimize(RsaKeyPair::generate(rng, 512));
+}
+BENCHMARK(BM_RsaKeygen512);
+
+void BM_RsaSign512(benchmark::State& state) {
+  const Bytes msg = to_bytes("attach request payload");
+  for (auto _ : state) benchmark::DoNotOptimize(keys512().sign(msg));
+}
+BENCHMARK(BM_RsaSign512);
+
+void BM_SealedBoxOpen512(benchmark::State& state) {
+  Rng rng(12);
+  const Bytes box = seal(keys512().public_key(), rng.random_bytes(256), rng);
+  for (auto _ : state) benchmark::DoNotOptimize(open(keys512(), box));
+}
+BENCHMARK(BM_SealedBoxOpen512);
+
 void BM_SealedBox_256B(benchmark::State& state) {
   Fixture& f = fixture();
   Rng rng(4);

@@ -1,6 +1,7 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace cb::crypto {
@@ -267,7 +268,7 @@ DivMod BigNum::divmod(const BigNum& divisor) const {
 
 BigNum BigNum::powmod(const BigNum& exponent, const BigNum& m) const {
   if (m.is_zero()) throw std::invalid_argument("BigNum: powmod modulus zero");
-  if (m.is_odd() && m > BigNum{1}) return Montgomery(m).pow(*this, exponent);
+  if (Montgomery::accepts(m)) return Montgomery(m).pow(*this, exponent);
   return powmod_reference(exponent, m);
 }
 
@@ -283,18 +284,17 @@ BigNum BigNum::powmod_reference(const BigNum& exponent, const BigNum& m) const {
   return result;
 }
 
-Montgomery::Limbs Montgomery::to_limbs(const BigNum& v, std::size_t s) {
-  Limbs out(s, 0);
+void Montgomery::to_limbs(const BigNum& v, std::uint64_t* out, std::size_t s) {
+  std::fill(out, out + s, 0u);
   for (std::size_t i = 0; i < v.limbs_.size(); ++i) {
     out[i / 2] |= static_cast<std::uint64_t>(v.limbs_[i]) << (32 * (i % 2));
   }
-  return out;
 }
 
-BigNum Montgomery::from_limbs(const Limbs& v) {
+BigNum Montgomery::from_limbs(const std::uint64_t* v, std::size_t s) {
   BigNum out;
-  out.limbs_.resize(v.size() * 2, 0);
-  for (std::size_t i = 0; i < v.size(); ++i) {
+  out.limbs_.resize(s * 2, 0);
+  for (std::size_t i = 0; i < s; ++i) {
     out.limbs_[2 * i] = static_cast<std::uint32_t>(v[i]);
     out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(v[i] >> 32);
   }
@@ -302,12 +302,18 @@ BigNum Montgomery::from_limbs(const Limbs& v) {
   return out;
 }
 
+bool Montgomery::accepts(const BigNum& modulus) {
+  return modulus.is_odd() && modulus > BigNum{1} && modulus.bit_length() <= kMaxBits;
+}
+
 Montgomery::Montgomery(const BigNum& modulus) : modulus_(modulus) {
-  if (!modulus.is_odd() || !(modulus > BigNum{1})) {
-    throw std::invalid_argument("Montgomery: modulus must be odd and > 1");
+  if (!accepts(modulus)) {
+    throw std::invalid_argument("Montgomery: modulus must be odd, > 1 and at most 2048 bits");
   }
-  const std::size_t s = (modulus.limbs_.size() + 1) / 2;
-  n_ = to_limbs(modulus, s);
+  std::size_t s = 4;
+  while (64 * s < modulus.bit_length()) s *= 2;
+  n_.resize(s);
+  to_limbs(modulus, n_.data(), s);
 
   // n0inv = -n^-1 mod 2^64 by Newton iteration: for odd x, x is its own
   // inverse mod 8, and each step doubles the number of correct bits
@@ -317,138 +323,102 @@ Montgomery::Montgomery(const BigNum& modulus) : modulus_(modulus) {
   n0inv_ = ~inv + 1u;  // -inv mod 2^64
 
   // R^2 mod n where R = 2^(64s): one big division at setup time.
-  rr_ = to_limbs((BigNum{1} << (128 * s)).mod(modulus), s);
+  rr_.resize(s);
+  to_limbs((BigNum{1} << (128 * s)).mod(modulus), rr_.data(), s);
 }
 
+template <std::size_t S>
 void Montgomery::mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const {
   // CIOS (coarsely integrated operand scanning): interleave the multiply
   // by b[i] with the Montgomery reduction step, keeping the accumulator at
-  // s+2 limbs. All terms fit in 128 bits: (2^64-1)^2 + 2*(2^64-1) = 2^128-1.
+  // S+2 limbs. All terms fit in 128 bits: (2^64-1)^2 + 2*(2^64-1) = 2^128-1.
   using u128 = unsigned __int128;
-  const std::size_t s = n_.size();
-  // Stack scratch for every practical modulus (<= 2048 bits); the CIOS
-  // accumulator needs s+2 limbs and a heap allocation per multiply would
-  // dominate small-exponent exponentiations.
-  std::uint64_t stack_buf[34];
-  Limbs heap_buf;
-  std::uint64_t* t = stack_buf;
-  if (s + 2 > 34) {
-    heap_buf.assign(s + 2, 0);
-    t = heap_buf.data();
-  } else {
-    std::fill(stack_buf, stack_buf + s + 2, 0u);
-  }
-  for (std::size_t i = 0; i < s; ++i) {
+  const std::uint64_t* n = n_.data();
+  std::uint64_t t[S + 2] = {};
+  for (std::size_t i = 0; i < S; ++i) {
     const u128 bi = b[i];
     std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
+    for (std::size_t j = 0; j < S; ++j) {
       const u128 cur = t[j] + a[j] * bi + carry;
       t[j] = static_cast<std::uint64_t>(cur);
       carry = static_cast<std::uint64_t>(cur >> 64);
     }
-    u128 cur = static_cast<u128>(t[s]) + carry;
-    t[s] = static_cast<std::uint64_t>(cur);
-    t[s + 1] = static_cast<std::uint64_t>(cur >> 64);
+    u128 cur = static_cast<u128>(t[S]) + carry;
+    t[S] = static_cast<std::uint64_t>(cur);
+    t[S + 1] = static_cast<std::uint64_t>(cur >> 64);
 
-    const u128 m = t[0] * n0inv_;  // low 64 bits only
-    const std::uint64_t m64 = static_cast<std::uint64_t>(m);
-    carry = static_cast<std::uint64_t>((t[0] + static_cast<u128>(m64) * n_[0]) >> 64);
-    for (std::size_t j = 1; j < s; ++j) {
-      const u128 c2 = t[j] + static_cast<u128>(m64) * n_[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(c2);
-      carry = static_cast<std::uint64_t>(c2 >> 64);
+    // Add m*n with m chosen so the low limb cancels, then shift down a limb.
+    const u128 m = static_cast<std::uint64_t>(t[0] * n0inv_);
+    carry = static_cast<std::uint64_t>((t[0] + m * n[0]) >> 64);
+    for (std::size_t j = 1; j < S; ++j) {
+      cur = t[j] + m * n[j] + carry;
+      t[j - 1] = static_cast<std::uint64_t>(cur);
+      carry = static_cast<std::uint64_t>(cur >> 64);
     }
-    cur = static_cast<u128>(t[s]) + carry;
-    t[s - 1] = static_cast<std::uint64_t>(cur);
-    t[s] = t[s + 1] + static_cast<std::uint64_t>(cur >> 64);
-    t[s + 1] = 0;
+    cur = static_cast<u128>(t[S]) + carry;
+    t[S - 1] = static_cast<std::uint64_t>(cur);
+    t[S] = t[S + 1] + static_cast<std::uint64_t>(cur >> 64);
   }
 
-  // Final conditional subtraction: result is in [0, 2n).
-  bool ge = t[s] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = s; i-- > 0;) {
-      if (t[i] != n_[i]) {
-        ge = t[i] > n_[i];
-        break;
-      }
-    }
+  // t < 2n: subtract n unless that borrows out of the top limb t[S]. a and
+  // b are no longer read, so out may alias them.
+  std::uint64_t borrow = 0;
+  for (std::size_t j = 0; j < S; ++j) {
+    const u128 diff = static_cast<u128>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<std::uint64_t>(diff);
+    borrow = static_cast<std::uint64_t>(diff >> 64) & 1u;
   }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::uint64_t ni = n_[i];
-      const std::uint64_t ti = t[i];
-      out[i] = ti - ni - borrow;
-      borrow = (ti < ni + borrow) || (borrow && ni + borrow == 0) ? 1u : 0u;
-    }
-  } else {
-    std::copy(t, t + s, out);
-  }
+  if (t[S] == 0 && borrow != 0) std::copy(t, t + S, out);  // t < n already
 }
 
-BigNum Montgomery::pow(const BigNum& base, const BigNum& exponent) const {
-  const std::size_t s = n_.size();
-
+template <std::size_t S>
+BigNum Montgomery::pow_fixed(const BigNum& base, const BigNum& exponent) const {
   if (exponent.is_zero()) return BigNum{1};  // modulus > 1, so 1 mod n = 1
-
-  const Limbs base_n = to_limbs(base.mod(modulus_), s);
-
-  // one = R mod n = mont(R^2, 1); computed as mont(rr_, unit).
-  Limbs unit(s, 0);
-  unit[0] = 1;
-  Limbs one(s, 0);
-  mul(rr_.data(), unit.data(), one.data());
 
   // Fixed 4-bit windows over a table of powers in Montgomery form; scan the
   // exponent from the most significant nibble down. The table is built only
   // up to the largest window value the exponent actually uses — a sparse
   // exponent like 65537 (nibbles 1,0,0,0,1) then costs one table entry
   // instead of fifteen.
-  Limbs base_m(s, 0);
-  mul(base_n.data(), rr_.data(), base_m.data());
-
-  const std::size_t nbits = exponent.bit_length();
-  const std::size_t nwindows = (nbits + 3) / 4;
+  const auto window = [&exponent](std::size_t w) {
+    return (exponent.limbs_[w / 8] >> (4 * (w % 8))) & 0xFu;
+  };
+  const std::size_t nwindows = (exponent.bit_length() + 3) / 4;
   std::uint32_t max_window = 1;
-  for (std::size_t w = 0; w < nwindows; ++w) {
-    std::uint32_t window = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exponent.bit(w * 4 + b)) window |= 1u << b;
-    }
-    max_window = std::max(max_window, window);
-  }
+  for (std::size_t w = 0; w < nwindows; ++w) max_window = std::max(max_window, window(w));
 
-  std::vector<Limbs> table(max_window + 1, Limbs(s, 0));
-  table[0] = one;
-  table[1] = base_m;
-  for (std::size_t k = 2; k <= max_window; ++k) {
-    mul(table[k - 1].data(), base_m.data(), table[k].data());
+  // table[0] holds the base below n; table[k] = base^k * R mod n for k >= 1.
+  std::uint64_t table[16][S] = {};
+  if (base < modulus_) {
+    to_limbs(base, table[0], S);
+  } else {
+    to_limbs(base.mod(modulus_), table[0], S);
   }
-  Limbs acc = one;
-  Limbs tmp(s, 0);
-  for (std::size_t w = nwindows; w-- > 0;) {
-    if (w + 1 != nwindows) {
-      for (int sq = 0; sq < 4; ++sq) {
-        mul(acc.data(), acc.data(), tmp.data());
-        std::swap(acc, tmp);
-      }
-    }
-    std::uint32_t window = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exponent.bit(w * 4 + b)) window |= 1u << b;
-    }
-    if (window != 0) {
-      mul(acc.data(), table[window].data(), tmp.data());
-      std::swap(acc, tmp);
-    }
+  mul<S>(table[0], rr_.data(), table[1]);
+  for (std::size_t k = 2; k <= max_window; ++k) mul<S>(table[k - 1], table[1], table[k]);
+
+  // The top window is nonzero, so the accumulator starts at its entry.
+  const std::uint32_t top = window(nwindows - 1);
+  std::uint64_t acc[S] = {};
+  std::copy(table[top], table[top] + S, acc);
+  for (std::size_t w = nwindows - 1; w-- > 0;) {
+    for (int sq = 0; sq < 4; ++sq) mul<S>(acc, acc, acc);
+    if (const std::uint32_t bits = window(w)) mul<S>(acc, table[bits], acc);
   }
 
   // Leave Montgomery form: mont(acc, 1).
-  Limbs result(s, 0);
-  mul(acc.data(), unit.data(), result.data());
-  return from_limbs(result);
+  const std::uint64_t unit[S] = {1};
+  mul<S>(acc, unit, acc);
+  return from_limbs(acc, S);
+}
+
+BigNum Montgomery::pow(const BigNum& base, const BigNum& exponent) const {
+  switch (n_.size()) {
+    case 4: return pow_fixed<4>(base, exponent);
+    case 8: return pow_fixed<8>(base, exponent);
+    case 16: return pow_fixed<16>(base, exponent);
+    default: return pow_fixed<32>(base, exponent);
+  }
 }
 
 std::uint32_t BigNum::mod_u32(std::uint32_t m) const {
@@ -553,11 +523,15 @@ bool BigNum::is_probable_prime(const BigNum& n, Rng& rng, int rounds) {
     ++s;
   }
 
+  // One Montgomery context serves every round; a candidate wider than a
+  // context takes goes through powmod's reference path instead.
+  std::optional<Montgomery> mont;
+  if (Montgomery::accepts(n)) mont.emplace(n);
   const BigNum two{2};
   const BigNum n_minus_3 = n - BigNum{3};
   for (int round = 0; round < rounds; ++round) {
     const BigNum a = random_below(rng, n_minus_3) + two;  // in [2, n-2]
-    BigNum x = a.powmod(d, n);
+    BigNum x = mont ? mont->pow(a, d) : a.powmod(d, n);
     if (x == BigNum{1} || x == n_minus_1) continue;
     bool witness = true;
     for (std::size_t i = 1; i < s; ++i) {

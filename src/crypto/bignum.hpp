@@ -57,12 +57,13 @@ class BigNum {
   DivMod divmod(const BigNum& divisor) const;
   BigNum mod(const BigNum& m) const;
 
-  /// (this ^ exponent) mod m. Odd moduli take the Montgomery fast path;
-  /// even moduli fall back to square-and-multiply with Knuth division.
+  /// (this ^ exponent) mod m. Moduli a Montgomery context accepts take that
+  /// fast path; the rest (even, or wider than Montgomery::kMaxBits) fall
+  /// back to square-and-multiply with Knuth division.
   BigNum powmod(const BigNum& exponent, const BigNum& m) const;
 
-  /// Reference square-and-multiply implementation, kept as the even-modulus
-  /// fallback and as the differential-test oracle for the Montgomery path.
+  /// Reference square-and-multiply implementation, kept as the fallback for
+  /// moduli Montgomery refuses and as the differential-test oracle for it.
   BigNum powmod_reference(const BigNum& exponent, const BigNum& m) const;
 
   /// Remainder of division by a small value (used in prime sieving).
@@ -99,22 +100,36 @@ struct DivMod {
   BigNum remainder;
 };
 
-/// Precomputed Montgomery-form context for one odd modulus.
+/// Precomputed Montgomery-form context for one odd modulus of at most
+/// kMaxBits bits.
 ///
+/// The modulus's 64-bit limbs are zero-padded to the smallest kernel width
+/// S of 4, 8, 16 or 32 limbs that holds them, and R = 2^(64S). Every
+/// modular multiplication is then one CIOS pass (interleaved multiply +
+/// reduce, no division at all) of a kernel compiled for that S. CIOS needs
+/// only an odd n < R, so the padding leaves every result unchanged.
 /// Construction pays one Knuth division (for R^2 mod n) plus a Newton
-/// inversion of the low limb; every subsequent modular multiplication is a
-/// single CIOS pass (interleaved multiply + reduce, no division at all).
-/// RSA keys cache one of these per modulus so repeated sign/verify against
-/// the same key amortizes the setup. Immutable after construction, so a
-/// `const Montgomery` is safe to share across threads.
+/// inversion of the low limb. RSA keys cache one of these per modulus so
+/// repeated sign/verify against the same key amortizes the setup.
+/// Immutable after construction, so a `const Montgomery` is safe to share
+/// across threads.
 class Montgomery {
  public:
-  /// Modulus must be odd and > 1; throws std::invalid_argument otherwise.
+  /// Widest modulus a context takes (S = 32 limbs).
+  static constexpr std::size_t kMaxBits = 2048;
+
+  /// Whether a context can be built for `modulus`: odd, > 1 and at most
+  /// kMaxBits bits. BigNum::powmod and the RSA keys build one only then.
+  static bool accepts(const BigNum& modulus);
+
+  /// Throws std::invalid_argument unless accepts(modulus).
   explicit Montgomery(const BigNum& modulus);
 
   const BigNum& modulus() const { return modulus_; }
 
-  /// (base ^ exponent) mod modulus via fixed 4-bit-window exponentiation.
+  /// (base ^ exponent) mod modulus via fixed 4-bit-window exponentiation in
+  /// stack buffers; the returned BigNum is its only allocation when
+  /// base < modulus.
   BigNum pow(const BigNum& base, const BigNum& exponent) const;
 
  private:
@@ -123,16 +138,20 @@ class Montgomery {
   // multiply-accumulates the BigNum 32-bit representation would need.
   using Limbs = std::vector<std::uint64_t>;
 
-  /// out = a * b * R^-1 mod n (CIOS). All operands are s limbs; `out` must
-  /// not alias `a` or `b`.
+  /// out = a * b * R^-1 mod n (CIOS) on S-limb operands below n. `out` may
+  /// alias `a` or `b`.
+  template <std::size_t S>
   void mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
+  template <std::size_t S>
+  BigNum pow_fixed(const BigNum& base, const BigNum& exponent) const;
 
-  static Limbs to_limbs(const BigNum& v, std::size_t s);  // zero-padded to s limbs
-  static BigNum from_limbs(const Limbs& v);
+  /// Write v as s 64-bit limbs to out, zero-padded; v must fit.
+  static void to_limbs(const BigNum& v, std::uint64_t* out, std::size_t s);
+  static BigNum from_limbs(const std::uint64_t* v, std::size_t s);
 
   BigNum modulus_;
-  Limbs n_;            // modulus limbs, length s
-  Limbs rr_;           // R^2 mod n, zero-padded to s limbs
+  Limbs n_;            // modulus limbs, zero-padded to S
+  Limbs rr_;           // R^2 mod n, S limbs
   std::uint64_t n0inv_ = 0;  // -n^-1 mod 2^64
 };
 

@@ -16,9 +16,10 @@ struct SymKeys {
 };
 
 SymKeys derive(BytesView master) {
+  const Bytes prk = hkdf_extract(to_bytes("cb-box-salt"), master);
   return SymKeys{
-      hkdf(to_bytes("cb-box-salt"), master, to_bytes("enc"), kChaChaKeySize),
-      hkdf(to_bytes("cb-box-salt"), master, to_bytes("mac"), 32),
+      hkdf_expand(prk, to_bytes("enc"), kChaChaKeySize),
+      hkdf_expand(prk, to_bytes("mac"), 32),
   };
 }
 

@@ -72,7 +72,10 @@ Result<RsaPublicKey> RsaPublicKey::deserialize(BytesView data) {
     ByteReader r(data);
     BigNum n = BigNum::from_bytes_be(r.bytes());
     BigNum e = BigNum::from_bytes_be(r.bytes());
-    if (n.is_zero() || e.is_zero()) return Result<RsaPublicKey>::err("rsa key: zero component");
+    if (!n.is_odd() || n < BigNum{3}) {
+      return Result<RsaPublicKey>::err("rsa key: modulus must be odd and >= 3");
+    }
+    if (e.is_zero()) return Result<RsaPublicKey>::err("rsa key: zero exponent");
     return RsaPublicKey(std::move(n), std::move(e));
   } catch (const std::out_of_range&) {
     return Result<RsaPublicKey>::err("rsa key: truncated");
@@ -84,8 +87,8 @@ RsaKeyPair::RsaKeyPair(RsaPublicKey pub, BigNum d, BigNum p, BigNum q)
   d_p_ = d_.mod(p_ - BigNum{1});
   d_q_ = d_.mod(q_ - BigNum{1});
   q_inv_ = BigNum::modinv(q_, p_);
-  mont_p_ = std::make_shared<const Montgomery>(p_);
-  mont_q_ = std::make_shared<const Montgomery>(q_);
+  if (Montgomery::accepts(p_)) mont_p_ = std::make_shared<const Montgomery>(p_);
+  if (Montgomery::accepts(q_)) mont_q_ = std::make_shared<const Montgomery>(q_);
 }
 
 RsaKeyPair RsaKeyPair::generate(Rng& rng, std::size_t modulus_bits) {

@@ -21,7 +21,7 @@ class RsaPublicKey {
  public:
   RsaPublicKey() = default;
   RsaPublicKey(BigNum n, BigNum e) : n_(std::move(n)), e_(std::move(e)) {
-    if (n_.is_odd()) mont_ = std::make_shared<const Montgomery>(n_);
+    if (Montgomery::accepts(n_)) mont_ = std::make_shared<const Montgomery>(n_);
   }
 
   const BigNum& modulus() const { return n_; }

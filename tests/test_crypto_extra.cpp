@@ -3,6 +3,7 @@
 // byte-level robustness of every deserializer.
 #include <gtest/gtest.h>
 
+#include "common/fnv.hpp"
 #include "crypto/bignum.hpp"
 #include "crypto/box.hpp"
 #include "crypto/cert.hpp"
@@ -159,10 +160,23 @@ TEST(RsaExtra, CrtMatchesPlainExponentiation) {
   }
 }
 
+// A serialized public key {n, e = 65537} with the given big-endian modulus.
+Bytes key_with_modulus(const char* n_hex) {
+  ByteWriter w;
+  w.bytes(from_hex(n_hex));
+  w.bytes(from_hex("010001"));
+  return w.take();
+}
+
 TEST(RsaExtra, DeserializeGarbage) {
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
     (void)RsaPublicKey::deserialize(rng.random_bytes(rng.next_below(60)));
+  }
+  // Well-formed keys whose modulus no RSA key has: 1 (it once threw from
+  // the Montgomery constructor) and even values.
+  for (const char* n_hex : {"01", "02", "0100"}) {
+    EXPECT_FALSE(RsaPublicKey::deserialize(key_with_modulus(n_hex)).ok()) << "n=" << n_hex;
   }
   SUCCEED();  // must not crash/throw
 }
@@ -174,6 +188,17 @@ TEST(CertExtra, DeserializeGarbage) {
   for (int i = 0; i < 200; ++i) {
     (void)Certificate::deserialize(rng.random_bytes(rng.next_below(100)));
   }
+  // A well-formed certificate whose key has modulus 1.
+  ByteWriter tbs;
+  tbs.str("telco");
+  tbs.bytes(key_with_modulus("01"));
+  tbs.str("root");
+  tbs.u64(0);
+  tbs.u64(1);
+  ByteWriter cert;
+  cert.bytes(tbs.data());
+  cert.bytes({});
+  EXPECT_FALSE(Certificate::deserialize(cert.data()).ok());
   SUCCEED();
 }
 
@@ -244,6 +269,31 @@ TEST(MontgomeryDiff, EdgeOperands) {
             BigNum{7}.powmod_reference(BigNum{13}, BigNum{100}));
 }
 
+TEST(MontgomeryDiff, AllOnesModuliAtEveryWidth) {
+  // Moduli R - k for R = 2^(64s) and small odd k have all-ones limbs, so
+  // every carry in the kernel is at its largest. The widths sit on both
+  // sides of each kernel width's padding boundary (4, 8, 16, 32 limbs).
+  for (std::size_t s : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 17u, 32u}) {
+    const BigNum r = BigNum{1} << (64 * s);
+    for (std::uint64_t k : {1u, 3u, 5u, 7u}) {
+      const BigNum n = r - BigNum{k};
+      for (std::uint64_t j : {1u, 2u, 3u}) {
+        const BigNum base = n - BigNum{j};
+        for (const BigNum& e : {r - BigNum{1}, BigNum{65537}}) {
+          EXPECT_EQ(base.powmod(e, n), base.powmod_reference(e, n))
+              << "s=" << s << " k=" << k << " base=n-" << j << " e_bits=" << e.bit_length();
+        }
+      }
+    }
+  }
+  // Wider than any kernel: answered by the reference, and a key with such a
+  // modulus still builds.
+  const BigNum wide = (BigNum{1} << 2048) + BigNum{1};
+  const BigNum base = wide - BigNum{2};
+  EXPECT_EQ(base.powmod(BigNum{65537}, wide), base.powmod_reference(BigNum{65537}, wide));
+  EXPECT_EQ(RsaPublicKey(wide, BigNum{65537}).size_bytes(), 257u);
+}
+
 TEST(MontgomeryDiff, CrtSignMatchesPlainExponentiationAcrossSizes) {
   // CRT + Montgomery private op must round-trip against the public op for
   // edge modulus sizes (including odd bit counts), and signatures must
@@ -269,6 +319,54 @@ TEST(MontgomeryDiff, CrtSignMatchesPlainExponentiationAcrossSizes) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), pt);
   }
+}
+
+// --- Golden output bytes -------------------------------------------------------
+// Keys, signatures and ciphertexts are pure functions of their seeds, and
+// every simulation fingerprint rests on them, so any change to prime search,
+// exponentiation, padding or key derivation must leave these FNV-1a digests
+// alone. The seeds are literal inputs: CB_TEST_SEED does not move them.
+
+TEST(CryptoGolden, KeygenAndSign) {
+  struct Pin {
+    std::size_t bits;
+    std::uint64_t key;
+    std::uint64_t sig;
+  };
+  const Pin pins[] = {
+      {384, 0x4183cd81d0860f2eULL, 0x05887c3e07bd4a43ULL},
+      {512, 0xdd0ce89fcb13cdb1ULL, 0x7a64a43791eee0e8ULL},
+      {768, 0x5d2abd7a22297639ULL, 0x21be0b96cbd5030dULL},
+      {1024, 0x21c628fe0dd82520ULL, 0xdd99e90fcb80eb06ULL},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(1000 + pin.bits);
+    const RsaKeyPair keys = RsaKeyPair::generate(rng, pin.bits);
+    EXPECT_EQ(fnv1a(keys.public_key().serialize()), pin.key) << "bits=" << pin.bits;
+    EXPECT_EQ(fnv1a(keys.sign(to_bytes("cellbricks"))), pin.sig) << "bits=" << pin.bits;
+  }
+}
+
+const RsaKeyPair& golden_keys() {
+  static const RsaKeyPair keys = [] {
+    Rng rng(2021);
+    return RsaKeyPair::generate(rng, 512);
+  }();
+  return keys;
+}
+
+TEST(CryptoGolden, Encrypt) {
+  Rng rng(31);
+  const auto ct =
+      golden_keys().public_key().encrypt(to_bytes("thirty-two byte session secret!!"), rng);
+  ASSERT_TRUE(ct.ok());
+  EXPECT_EQ(fnv1a(ct.value()), 0x4913f52f7e6bb859ULL);
+}
+
+TEST(CryptoGolden, Seal) {
+  Rng rng(32);
+  EXPECT_EQ(fnv1a(seal(golden_keys().public_key(), to_bytes("signed traffic report"), rng)),
+            0x41e453e31d109578ULL);
 }
 
 TEST(ChaChaExtra, CounterContinuity) {

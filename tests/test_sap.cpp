@@ -150,6 +150,36 @@ TEST_F(SapTest, UncertifiedTelcoRejected) {
   EXPECT_NE(decision.error().find("certificate"), std::string::npos);
 }
 
+TEST_F(SapTest, TelcoCertificateKeyWithModulusOneRejected) {
+  // The broker parses the bTelco's certificate before it checks any
+  // signature, so any sender of an authReqT controls this key. A modulus of
+  // 1 once threw out of the parser and aborted the run.
+  ByteWriter key;
+  key.bytes(from_hex("01"));
+  key.bytes(from_hex("010001"));
+  ByteWriter tbs;
+  tbs.str("telco-1");
+  tbs.bytes(key.data());
+  tbs.str("root");
+  tbs.u64(0);
+  tbs.u64(static_cast<std::uint64_t>(Duration::s(1000).nanos()));
+  ByteWriter cert;
+  cert.bytes(tbs.data());
+  cert.bytes({});
+
+  ByteWriter body;
+  body.bytes(ue_->make_auth_req("telco-1", rng_));
+  body.str("telco-1");
+  QosCap{}.serialize(body);
+  body.bytes(cert.data());
+  ByteWriter req_t;
+  req_t.bytes(body.data());
+  req_t.bytes({});
+  auto decision = broker_process(req_t.data());
+  ASSERT_FALSE(decision.ok());
+  EXPECT_NE(decision.error().find("cert"), std::string::npos) << decision.error();
+}
+
 TEST_F(SapTest, TamperedRequestRejected) {
   const Bytes req_u = ue_->make_auth_req("telco-1", rng_);
   Bytes req_t = telco1_->make_auth_req_t(req_u, QosCap{});
