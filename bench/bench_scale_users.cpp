@@ -10,7 +10,9 @@
 //   - the packet-vs-fluid agreement gate at small N: same seed-derived
 //     workload through both fidelity modes must agree byte-exactly on
 //     delivered bytes + billing and within the documented tolerance on
-//     completion times. Disagreement exits nonzero (CI hard gate).
+//     completion times. Disagreement exits nonzero (CI hard gate);
+//   - the parallel-drain gate: 10k UEs at 1 and 4 drain threads must be
+//     bit-identical, and the 4-thread arm must have used the drain pool.
 //
 // Every sweep point is an independent seeded Simulator, so points run
 // concurrently on a TrialRunner thread pool; results are collected in
@@ -158,7 +160,9 @@ ScaleTrafficConfig curve_config(int n_ues, int fluid_threads = 1) {
 /// metrics snapshots. Mismatch exits nonzero, like the agreement gate.
 /// Necessary but not sufficient: a preemption-timing-dependent data race can
 /// pass output equality on virtually every run, so the race class itself is
-/// checked by the TSan leg in tools/ci.sh, not by this gate.
+/// checked by the TSan leg in tools/ci.sh, not by this gate. The engine fills
+/// small drains inline, so the gate also requires that the N-thread arm
+/// handed drains to the pool; otherwise its two arms could not differ.
 struct ThreadAgreement {
   int n_ues = 0;
   unsigned threads = 4;
@@ -166,25 +170,36 @@ struct ThreadAgreement {
   bool metrics_match = false;
   std::uint64_t fingerprint_serial = 0;
   std::uint64_t fingerprint_parallel = 0;
+  std::uint64_t parallel_drains = 0;
   bool pass = false;
 };
 
 ThreadAgreement run_thread_agreement(int n_ues) {
   ThreadAgreement t;
   t.n_ues = n_ues;
-  auto run_with = [&](int threads, std::string& metrics_json) {
+  struct Arm {
+    std::uint64_t fingerprint = 0;
+    std::string metrics_json;
+    std::uint64_t parallel_drains = 0;
+  };
+  auto run_with = [&](int threads) {
     obs::Registry reg;
     obs::ScopedRegistry scope(&reg);
-    const ScaleTrafficResult r = run_scale_traffic(curve_config(n_ues, threads));
-    metrics_json = reg.to_json();
-    return r.fingerprint();
+    ScaleTrafficSim sim(curve_config(n_ues, threads));
+    Arm arm;
+    arm.fingerprint = sim.run_to_completion().fingerprint();
+    arm.metrics_json = reg.to_json();
+    arm.parallel_drains = sim.fluid()->parallel_drains();
+    return arm;
   };
-  std::string json_serial, json_parallel;
-  t.fingerprint_serial = run_with(1, json_serial);
-  t.fingerprint_parallel = run_with(static_cast<int>(t.threads), json_parallel);
+  const Arm serial = run_with(1);
+  const Arm parallel = run_with(static_cast<int>(t.threads));
+  t.fingerprint_serial = serial.fingerprint;
+  t.fingerprint_parallel = parallel.fingerprint;
+  t.parallel_drains = parallel.parallel_drains;
   t.fingerprint_match = t.fingerprint_serial == t.fingerprint_parallel;
-  t.metrics_match = json_serial == json_parallel;
-  t.pass = t.fingerprint_match && t.metrics_match;
+  t.metrics_match = serial.metrics_json == parallel.metrics_json;
+  t.pass = t.fingerprint_match && t.metrics_match && t.parallel_drains > 0;
   return t;
 }
 
@@ -323,7 +338,9 @@ int main(int argc, char** argv) {
       curve.push_back(p);
     }
     agreement = run_agreement_gate();
-    thread_agreement = run_thread_agreement(smoke ? 1000 : 10000);
+    // 10k UEs in 20 cells: the epoch drains cross the engine's pool-size
+    // rule, which 1000 UEs in 2 cells never do.
+    thread_agreement = run_thread_agreement(10000);
   }
   const double fluid_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - fluid_start).count();
@@ -376,6 +393,9 @@ int main(int argc, char** argv) {
                 thread_agreement.fingerprint_match ? "identical" : "DIVERGED");
     std::printf("  metrics snapshot: %s\n",
                 thread_agreement.metrics_match ? "byte-identical" : "DIVERGED");
+    std::printf("  pool drains:      %llu%s\n",
+                static_cast<unsigned long long>(thread_agreement.parallel_drains),
+                thread_agreement.parallel_drains > 0 ? "" : " (pool never ran)");
     std::printf("  => %s\n", thread_agreement.pass ? "PASS" : "FAIL");
 
     std::printf("\n=== Packet-vs-fluid agreement gate (%d UEs, shaper-dominated) ===\n\n",
@@ -444,7 +464,7 @@ int main(int argc, char** argv) {
                    "\"mean_budget_pct\": 15.0, \"p99_budget_pct\": 25.0},\n"
                    "  \"thread_agreement\": {\"n_ues\": %d, \"threads\": %u, "
                    "\"pass\": %s, \"fingerprint_match\": %s, \"metrics_match\": %s, "
-                   "\"fingerprint\": \"%016llx\"}",
+                   "\"parallel_drains\": %llu, \"fingerprint\": \"%016llx\"}",
                    fluid_threads, rss_reset_ok ? "reset" : "delta",
                    agreement.n_ues, agreement.pass ? "true" : "false",
                    agreement.bytes_exact ? "true" : "false",
@@ -453,6 +473,7 @@ int main(int argc, char** argv) {
                    thread_agreement.threads, thread_agreement.pass ? "true" : "false",
                    thread_agreement.fingerprint_match ? "true" : "false",
                    thread_agreement.metrics_match ? "true" : "false",
+                   static_cast<unsigned long long>(thread_agreement.parallel_drains),
                    static_cast<unsigned long long>(thread_agreement.fingerprint_serial));
     }
     std::fprintf(f, ",\n  \"metrics_enabled\": %s",
@@ -469,7 +490,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (fluid_axis && !thread_agreement.pass) {
-    std::fprintf(stderr, "FAIL: parallel drain diverged from serial engine\n");
+    std::fprintf(stderr, "FAIL: parallel drain diverged from serial engine, or never ran\n");
     return 1;
   }
   return 0;

@@ -1,10 +1,16 @@
 #include "check/repro.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace cb::check {
 
 namespace {
+
+/// The report timers re-arm by report_interval_s: a negative interval aborts
+/// the replay, and a zero or sub-nanosecond one re-arms at the same instant
+/// forever.
+constexpr double kMinReportIntervalS = 1e-3;
 
 const char* fault_kind_name(scenario::FuzzFault::Kind kind) {
   switch (kind) {
@@ -109,6 +115,9 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   s.radio_loss = v.get("radio_loss", JsonValue(0.0)).as_double();
   s.unlimited_policy = v.get("unlimited_policy", JsonValue(false)).as_bool();
   s.report_interval_s = v.get("report_interval_s", JsonValue(10.0)).as_double();
+  if (!std::isfinite(s.report_interval_s) || s.report_interval_s < kMinReportIntervalS) {
+    throw std::runtime_error("repro: report_interval_s must be a finite value >= 0.001");
+  }
   s.telco0_overreport = v.get("telco0_overreport", JsonValue(1.0)).as_double();
   s.ue_underreport = v.get("ue_underreport", JsonValue(1.0)).as_double();
   s.app = static_cast<int>(v.get("app", JsonValue(0)).as_int());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -131,6 +132,10 @@ struct ScaleTrafficSim::Impl {
   // Seed-derived per-UE streams (allocated only when the knob is on).
   std::vector<Rng> shaper_rngs;
   std::vector<Rng> mobility_rngs;
+  // UEs due for a shaper resample, keyed by epoch (ns) and in enlistment
+  // order; one sim event per key. A UE starting exactly on an epoch before
+  // that epoch's walk is due one epoch later, so two keys can be live.
+  std::map<std::int64_t, std::vector<std::uint32_t>> resample_due;
 
   // Hybrid lanes.
   std::vector<std::unique_ptr<Lane>> lanes;
@@ -247,7 +252,7 @@ void ScaleTrafficSim::build_fluid() {
   for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(config_.n_ues); ++i) {
     impl_->sim.schedule(Duration::seconds(start_s_[i]), [this, i] {
       fluid_->start_flow(i, flow_bytes_[i]);
-      if (config_.shaper_resample_s > 0.0) schedule_shaper_resample(i);
+      if (config_.shaper_resample_s > 0.0) enlist_resample(i);
       if (config_.mobility_interval_s > 0.0) schedule_mobility(i);
     });
   }
@@ -273,16 +278,42 @@ TimePoint ScaleTrafficSim::next_resample_epoch() const {
   return TimePoint::from_nanos((now_ns / period_ns + 1) * period_ns);
 }
 
-void ScaleTrafficSim::schedule_shaper_resample(std::uint32_t ue) {
-  impl_->sim.schedule_at(next_resample_epoch(), [this, ue] {
-    if (arena_.mode(ue) == traffic::FlowMode::Done) return;
-    const double cap = impl_->policy.sample(impl_->shaper_rngs[ue]);
+void ScaleTrafficSim::enlist_resample(std::uint32_t ue) {
+  // One sim event per epoch resamples every UE due then, in the order they
+  // enlisted (DESIGN.md §13).
+  const std::int64_t due_ns = next_resample_epoch().nanos();
+  auto [it, fresh] = impl_->resample_due.try_emplace(due_ns);
+  if (fresh) {
+    impl_->sim.schedule_at(TimePoint::from_nanos(due_ns),
+                           [this, due_ns] { run_resample_epoch(due_ns); });
+  }
+  it->second.push_back(ue);
+}
+
+void ScaleTrafficSim::run_resample_epoch(std::int64_t due_ns) {
+  auto node = impl_->resample_due.extract(due_ns);
+  for (std::uint32_t ue : node.mapped()) {
+    if (arena_.mode(ue) == traffic::FlowMode::Done) continue;
+    resample_shaper(ue);
+    enlist_resample(ue);
+  }
+}
+
+void ScaleTrafficSim::resample_shaper(std::uint32_t ue) {
+  const double cap = impl_->policy.sample(impl_->shaper_rngs[ue]);
+  if (fluid_) {
     // A cap change is a rate-change point for ghosts too: set_flow_cap only
     // writes the arena cap and marks the cell dirty, which is valid for
     // Packet-mode members and republishes the mirrored lane share.
     fluid_->set_flow_cap(ue, cap * kGoodputEfficiency);
-    schedule_shaper_resample(ue);
-  });
+    return;
+  }
+  arena_.cap_bps(ue) = cap;
+  net::Link* link = impl_->ue_links[ue];
+  net::Node* tower = impl_->towers[arena_.cell(ue)];
+  net::LinkParams p = link->params(tower);
+  p.rate_bps = cap;
+  link->set_params(tower, p);
 }
 
 void ScaleTrafficSim::schedule_mobility(std::uint32_t ue) {
@@ -479,25 +510,9 @@ void ScaleTrafficSim::build_packet() {
       auto sock = impl_->ue_stacks[i]->connect(net::EndPoint{impl_->server_addr, port});
       sock->on_data = [this, i](BytesView data) { deliver_packet_bytes(i, data.size()); };
       impl_->ue_socks[i] = std::move(sock);
-      if (config_.shaper_resample_s > 0.0) schedule_packet_resample(i);
+      if (config_.shaper_resample_s > 0.0) enlist_resample(i);
     });
   }
-}
-
-void ScaleTrafficSim::schedule_packet_resample(std::uint32_t ue) {
-  // Same global epoch boundaries as the fluid path (next_resample_epoch):
-  // both modes resample each UE's own RNG stream at the same sim instants.
-  impl_->sim.schedule_at(next_resample_epoch(), [this, ue] {
-    if (arena_.mode(ue) == traffic::FlowMode::Done) return;
-    const double cap = impl_->policy.sample(impl_->shaper_rngs[ue]);
-    arena_.cap_bps(ue) = cap;
-    net::Link* link = impl_->ue_links[ue];
-    net::Node* tower = impl_->towers[arena_.cell(ue)];
-    net::LinkParams p = link->params(tower);
-    p.rate_bps = cap;
-    link->set_params(tower, p);
-    schedule_packet_resample(ue);
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -144,8 +144,10 @@ class ScaleTrafficSim {
   void build_packet();
   void bill_sweep();
   TimePoint next_resample_epoch() const;
-  void schedule_shaper_resample(std::uint32_t ue);
-  void schedule_packet_resample(std::uint32_t ue);
+  /// Add a UE to the next epoch's resample walk (both traffic modes).
+  void enlist_resample(std::uint32_t ue);
+  void run_resample_epoch(std::int64_t due_ns);
+  void resample_shaper(std::uint32_t ue);
   void schedule_mobility(std::uint32_t ue);
   void apply_fault(bool begin);
   void demote_to_lane(traffic::SessionId id);

@@ -21,6 +21,15 @@ constexpr Duration kEventGuard = Duration::us(1);
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// A drain goes to the worker pool only when its dirty cells hold at least
+/// this many members in total. A fill costs ~12 ns per member, and one pool
+/// hand-off (lock, notify_all, the helper's wake-up, the done wait) adds
+/// 4-22 µs of CPU. Below ~4k members the split saves less wall time than
+/// the hand-off costs; at 8k it saves ~20% (DESIGN.md §13). So two-cell
+/// handover drains (hundreds of members) fill inline, and population-wide
+/// epoch drains still split.
+constexpr std::size_t kPoolMinMembers = 8192;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -308,6 +317,11 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   double weight_left = 0.0;
   for (SessionId id : c.flows) weight_left += arena_.weight(id);
 
+  // The fill pass also finds the next rate-change point this cell generates
+  // on its own: the earliest fluid completion at the just-computed rates.
+  // The residuals are post-accrual and a min over non-NaN values does not
+  // depend on visit order, so the result equals an id-order scan's.
+  double min_dt_s = kInf;
   for (SessionId id : c.order) {
     const double w = arena_.weight(id);
     double rate = 0.0;
@@ -327,18 +341,11 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
       }
     } else {
       arena_.rate_bps(id) = rate;
+      if (rate > 0.0) {
+        const double dt = arena_.residual_bytes(id) * 8.0 / rate;
+        min_dt_s = std::min(min_dt_s, std::max(dt, 0.0));
+      }
     }
-  }
-
-  // Next rate-change point this cell generates on its own: the earliest
-  // fluid completion at the just-computed rates.
-  double min_dt_s = kInf;
-  for (SessionId id : c.flows) {
-    if (arena_.mode(id) != FlowMode::Fluid) continue;
-    const double rate = arena_.rate_bps(id);
-    if (rate <= 0.0) continue;
-    const double dt = arena_.residual_bytes(id) * 8.0 / rate;
-    min_dt_s = std::min(min_dt_s, std::max(dt, 0.0));
   }
   out.min_completion_s = min_dt_s;
 }
@@ -416,12 +423,14 @@ void FluidEngine::drain() {
   // commit order, and therefore the event-scheduling and callback order,
   // is independent of the order mutations happened to queue them.
   drain_cells_.clear();
+  std::size_t members = 0;
   for (std::uint32_t cell_id : drain_queue_) {
     Cell& c = cells_[cell_id];
     c.queued = false;
     if (c.dirty) {
       c.dirty = false;
       drain_cells_.push_back(cell_id);
+      members += c.flows.size();
     }
   }
   drain_queue_.clear();
@@ -437,10 +446,11 @@ void FluidEngine::drain() {
     drain_outcomes_[i].fill_seq = cells_[drain_cells_[i]].fill_seq;
   }
 
-  if (pool_ && n > 1) {
+  if (pool_ && n > 1 && members >= kPoolMinMembers) {
     // Parallel phase: workers write only their own cell's arena rows and
     // outcome slot; the Simulator is never touched off-thread (the main
     // thread is parked inside run() until every fill is done).
+    ++parallel_drains_;
     pool_->run(n, [this](std::size_t i) {
       fill_cell(cells_[drain_cells_[i]], drain_outcomes_[i]);
     });

@@ -33,7 +33,9 @@
 // time passes between a mutation and its drain.
 //
 // The drain is also the PARALLEL phase: with fill_threads > 1 the dirty
-// cells of one timestamp are water-filled on a worker pool. Cells are
+// cells of one timestamp are water-filled on a worker pool, provided they
+// hold enough members to pay for the hand-off (smaller drains, such as a
+// two-cell handover, fill inline on the calling thread). Cells are
 // disjoint (a session belongs to exactly one cell), workers only write
 // their own cell's arena rows and a per-cell outcome buffer, and the main
 // thread commits outcomes — ledger sums, completion-event scheduling,
@@ -151,6 +153,10 @@ class FluidEngine {
   std::uint64_t promotions() const { return promotions_; }
   /// Flows currently progressed by the engine (fluid only, ghosts excluded).
   std::size_t active_fluid_flows() const { return active_fluid_; }
+  /// Drains handed to the worker pool. Always 0 at one thread, and the only
+  /// counter that differs by thread count, so it stays out of fingerprints
+  /// and metrics snapshots.
+  std::uint64_t parallel_drains() const { return parallel_drains_; }
 
  private:
   struct Cell {
@@ -195,8 +201,9 @@ class FluidEngine {
   void accrue_cell(Cell& c, CellOutcome& out);
   /// Main-thread accrual that folds the deltas straight into the ledger.
   void accrue_now(Cell& c);
-  /// accrue + one linear water-filling pass over the persistent order.
-  /// Worker-safe: writes only this cell's arena rows and `out`.
+  /// accrue + one linear water-filling pass over the persistent order, which
+  /// also finds the earliest completion. Worker-safe: writes only this
+  /// cell's arena rows and `out`.
   void fill_cell(Cell& c, CellOutcome& out);
   /// Fold a fill's outcome into the ledger, reschedule the cell's
   /// completion event, and replay its ghost-share callbacks. Main thread
@@ -206,8 +213,8 @@ class FluidEngine {
   void fill_cell_now(std::uint32_t cell_id);
   /// Mark a cell for reallocation and ensure a drain event is pending.
   void mark_dirty(std::uint32_t cell_id);
-  /// Water-fill every dirty cell (parallel when threads_ > 1), then commit
-  /// outcomes in ascending cell-id order.
+  /// Water-fill every dirty cell (on the pool when threads_ > 1 and the
+  /// drain is large enough), then commit outcomes in ascending cell-id order.
   void drain();
   /// Completion event handler for one cell.
   void fire(std::uint32_t cell);
@@ -245,6 +252,7 @@ class FluidEngine {
   std::uint64_t completions_ = 0;
   std::uint64_t demotions_ = 0;
   std::uint64_t promotions_ = 0;
+  std::uint64_t parallel_drains_ = 0;
   std::size_t active_fluid_ = 0;
 };
 

@@ -209,6 +209,20 @@ TEST(FuzzScenario, JsonRoundTripPreservesEveryField) {
   }
 }
 
+// A replayed scenario's report timers re-arm by report_interval_s: -1 used
+// to abort the replay (a negative schedule delay), and 0 or 1e-12 hung it
+// at the first report instant. The loader refuses them instead.
+TEST(FuzzScenario, ReproRejectsReportIntervalsThatCannotRun) {
+  const JsonObject valid = scenario_to_json(scenario::random_scenario(1)).as_object();
+  EXPECT_NO_THROW(load_repro(JsonValue(valid).dump()));
+  for (double bad : {-1.0, 0.0, 1e-12}) {
+    SCOPED_TRACE(::testing::Message() << "report_interval_s=" << bad);
+    JsonObject o = valid;
+    o["report_interval_s"] = bad;
+    EXPECT_THROW(load_repro(JsonValue(std::move(o)).dump()), std::runtime_error);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Chaos harness on the shared fault list
 // ---------------------------------------------------------------------------

@@ -524,46 +524,107 @@ TEST(ScaleTraffic, FluidThreadsBitIdentical) {
   // DESIGN.md §13 determinism contract: the parallel drain at 4 worker
   // threads must be BIT-identical to the serial engine on the same seed —
   // same fingerprint (delivered/segment/billing totals, event counts), same
-  // per-session delivered bytes, and byte-identical metrics snapshots. The
-  // workload exercises every parallel-phase path: multi-cell churn via
-  // mobility, epoch-aligned cap resamples (many dirty cells per drain), and
-  // a hybrid fault window (ghost-share callbacks replayed at commit).
+  // per-session delivered bytes, and byte-identical metrics snapshots. Two
+  // inputs. The small hybrid run exercises every commit-time path:
+  // multi-cell churn via mobility, epoch-aligned cap resamples (many dirty
+  // cells per drain), and a hybrid fault window (ghost-share callbacks
+  // replayed at commit). Its drains are too small for the pool, so they
+  // fill inline at any thread count. The 10k-UE fluid run's epoch drains
+  // cross the pool-size rule, and its parallel_drains count proves the
+  // 4-thread arm really ran the pool.
   const std::uint64_t seed = cb::test::seed_or(13);
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  auto cfg = small_config(seed);
-  cfg.mode = scenario::TrafficMode::Hybrid;
-  cfg.n_cells = 4;
-  cfg.mobility_interval_s = 15.0;
-  cfg.shaper_resample_s = 20.0;
-  cfg.fault_start_s = 3.0;
-  cfg.fault_duration_s = 5.0;
+  auto hybrid = small_config(seed);
+  hybrid.mode = scenario::TrafficMode::Hybrid;
+  hybrid.n_cells = 4;
+  hybrid.mobility_interval_s = 15.0;
+  hybrid.shaper_resample_s = 20.0;
+  hybrid.fault_start_s = 3.0;
+  hybrid.fault_duration_s = 5.0;
 
-  auto run_with = [&](int threads, std::string& metrics_json,
-                      std::vector<double>& per_session) {
+  scenario::ScaleTrafficConfig pooled;
+  pooled.mode = scenario::TrafficMode::Fluid;
+  pooled.n_ues = 10000;
+  pooled.n_cells = 16;
+  pooled.seed = seed;
+  pooled.mean_flow_mbytes = 1.0;
+  pooled.start_window_s = 2.0;
+  pooled.shaper_resample_s = 5.0;
+  pooled.horizon_s = 3600.0;
+
+  struct Run {
+    scenario::ScaleTrafficResult result;
+    std::string metrics_json;
+    std::vector<double> per_session;
+    std::uint64_t parallel_drains = 0;
+  };
+  auto run_with = [](scenario::ScaleTrafficConfig cfg, int threads) {
     cfg.fluid_threads = threads;
     obs::Registry reg;
     obs::ScopedRegistry scope(&reg);
     scenario::ScaleTrafficSim sim(cfg);
-    const auto r = sim.run_to_completion();
-    metrics_json = reg.to_json();
-    per_session.clear();
+    Run run;
+    run.result = sim.run_to_completion();
+    run.metrics_json = reg.to_json();
     for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(cfg.n_ues); ++i) {
-      per_session.push_back(sim.arena().delivered_bytes(i));
-      per_session.push_back(sim.arena().billed_usd(i));
+      run.per_session.push_back(sim.arena().delivered_bytes(i));
+      run.per_session.push_back(sim.arena().billed_usd(i));
     }
-    return r;
+    run.parallel_drains = sim.fluid()->parallel_drains();
+    return run;
   };
 
-  std::string json1, json4;
-  std::vector<double> ledger1, ledger4;
-  const auto serial = run_with(1, json1, ledger1);
-  const auto parallel = run_with(4, json4, ledger4);
-  EXPECT_EQ(serial.fingerprint(), parallel.fingerprint());
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.rate_events, parallel.rate_events);
-  EXPECT_EQ(ledger1, ledger4);  // exact: every session's delivered + billed
-  EXPECT_EQ(json1, json4);      // byte-identical metrics snapshot
-  EXPECT_EQ(serial.completed, cfg.n_ues);
+  for (const scenario::ScaleTrafficConfig& cfg : {hybrid, pooled}) {
+    SCOPED_TRACE(std::string("mode=") + scenario::traffic_mode_name(cfg.mode));
+    const Run serial = run_with(cfg, 1);
+    const Run parallel = run_with(cfg, 4);
+    EXPECT_EQ(serial.result.fingerprint(), parallel.result.fingerprint());
+    EXPECT_EQ(serial.result.events, parallel.result.events);
+    EXPECT_EQ(serial.result.rate_events, parallel.result.rate_events);
+    // Exact: every session's delivered + billed.
+    EXPECT_EQ(serial.per_session, parallel.per_session);
+    EXPECT_EQ(serial.metrics_json, parallel.metrics_json);  // byte-identical snapshot
+    EXPECT_EQ(serial.result.completed, cfg.n_ues);
+    EXPECT_EQ(serial.parallel_drains, 0u);
+    if (cfg.mode == scenario::TrafficMode::Fluid) {
+      EXPECT_GT(parallel.parallel_drains, 0u);
+    }
+  }
+}
+
+TEST(ScaleTraffic, FluidGolden) {
+  // Pins a small fluid run with handovers and shaper-resample epochs, at 1
+  // and 4 drain threads. The values were computed before small drains were
+  // filled inline, the completion scan was folded into the fill, and the
+  // per-UE resample timers became one event per epoch; they must never be
+  // edited to follow a change.
+  //
+  // One explained re-freeze since: resampling now costs one sim event per
+  // epoch instead of one per live UE, so only `events` moved (3231 -> 2433).
+  scenario::ScaleTrafficConfig cfg;
+  cfg.mode = scenario::TrafficMode::Fluid;
+  cfg.n_ues = 400;
+  cfg.n_cells = 4;
+  cfg.seed = 2026;
+  cfg.mean_flow_mbytes = 2.0;
+  cfg.start_window_s = 4.0;
+  cfg.shaper_resample_s = 5.0;
+  cfg.mobility_interval_s = 10.0;
+  cfg.horizon_s = 600.0;
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.fluid_threads = threads;
+    const auto r = scenario::run_scale_traffic(cfg);
+    EXPECT_EQ(r.completed, cfg.n_ues);
+    EXPECT_EQ(bits(r.completion_mean_s), 0x40157a22247d4de1ULL);
+    EXPECT_EQ(bits(r.completion_p99_s), 0x402b4a5cf86ca368ULL);
+    EXPECT_EQ(bits(r.delivered_bytes), 0x41c9dda069800000ULL);
+    EXPECT_EQ(bits(r.segment_bytes), 0x41c9dda069800002ULL);
+    EXPECT_EQ(bits(r.billing_usd), 0x3ffbc5eadcf1f7c3ULL);
+    EXPECT_EQ(r.rate_events, 1235u);
+    EXPECT_EQ(r.events, 2433u);
+  }
 }
 
 TEST(ScaleTraffic, PacketModeRefusesAbsurdN) {

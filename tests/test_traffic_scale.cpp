@@ -4,6 +4,8 @@
 // leg only (they are too slow for the sanitizer leg).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "scenario/scale_traffic.hpp"
 #include "test_seed.hpp"
 #include "traffic/arena.hpp"
@@ -25,6 +27,17 @@ TEST(ScaleCurve, FluidEventCountScalesWithRateChanges) {
   // is ~3.6k packets; fluid must be orders of magnitude below that.
   EXPECT_LT(static_cast<double>(r.events) / cfg.n_ues, 64.0);
   EXPECT_EQ(r.negative_residuals, 0u);
+
+  // Shaper resampling costs events per epoch, not per UE: each epoch adds
+  // one walk event and one drain of the cells it dirtied. A timer per live
+  // UE would add ~15 events per UE here (74k on 5000 UEs).
+  cfg.shaper_resample_s = 5.0;
+  const auto resampled = scenario::run_scale_traffic(cfg);
+  EXPECT_EQ(resampled.completed, cfg.n_ues);
+  EXPECT_EQ(resampled.negative_residuals, 0u);
+  const double epochs = std::floor(resampled.sim_s / cfg.shaper_resample_s) + 1.0;
+  EXPECT_LE(static_cast<double>(resampled.events), static_cast<double>(r.events) + 4.0 * epochs)
+      << "resample-off events " << r.events << ", epochs " << epochs;
 }
 
 TEST(ScaleCurve, ArenaWorkingSetStaysCacheResident) {

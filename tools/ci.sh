@@ -127,10 +127,12 @@ echo "=== thread-sanitized drain check (TSan, fluid parallel phase) ==="
 # race in the FillPool: a preemption-timing-dependent race (e.g. a lagging
 # worker crossing a drain-generation boundary) passes an output-equality
 # check on virtually every run. TSan detects the unsynchronized accesses
-# themselves, so run the multithreaded drain tests under it — small N is
-# fine, every parallel-phase path (claim loop, outcome slots, generation
-# retirement) executes regardless of population. TSan is incompatible with
-# ASan, hence its own build; only the traffic test binary is built.
+# themselves, so run the multithreaded drain tests under it. The engine
+# fills drains under 8,192 members inline, so the test's 10k-UE input is
+# the one whose epoch drains run every parallel-phase path (claim loop,
+# outcome slots, generation retirement); it asserts that the pool ran.
+# TSan is incompatible with ASan, hence its own build; only the traffic
+# test binary is built.
 if [[ "${1:-}" != "--skip-sanitized" ]]; then
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCB_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" --target test_traffic
@@ -276,6 +278,8 @@ ta = scale["thread_agreement"]
 assert ta["pass"] and ta["fingerprint_match"] and ta["metrics_match"], \
     f"fluid thread-count determinism failed: {ta}"
 assert ta["threads"] > 1
+# Small drains fill inline, so the N-thread arm must show it used the pool.
+assert ta["parallel_drains"] > 0, f"thread-agreement arm never ran the pool: {ta}"
 
 # Measured-MTTHO section (DESIGN.md §15): Table 1's handover cadence as a
 # measured output of the reselection loop, gated at ±20% of the calibration
