@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "crypto/box.hpp"
 #include "obs/metrics.hpp"
 
 namespace cb::cellbricks {
@@ -46,6 +47,32 @@ Result<TrafficReport> TrafficReport::deserialize(BytesView data) {
   } catch (const std::out_of_range&) {
     obs::inc(obs::counter("billing.report_parse_errors"));
     return Result<TrafficReport>::err("traffic report: truncated");
+  }
+}
+
+Bytes ReportFrame::seal(const TrafficReport& report, const std::string& reporter_id,
+                        const std::function<Bytes(BytesView)>& sign,
+                        const crypto::RsaPublicKey& broker_key, Rng& rng) {
+  const Bytes report_bytes = report.serialize();
+  ByteWriter w;
+  w.str(reporter_id);
+  w.u8(static_cast<std::uint8_t>(report.reporter));
+  w.bytes(report_bytes);
+  w.bytes(sign(report_bytes));
+  return crypto::seal(broker_key, w.data(), rng);
+}
+
+Result<ReportFrame> ReportFrame::decode(BytesView opened) {
+  try {
+    ByteReader r(opened);
+    ReportFrame f;
+    f.reporter_id = r.str();
+    f.reporter = static_cast<Reporter>(r.u8());
+    f.report = r.bytes();
+    f.sig = r.bytes();
+    return f;
+  } catch (const std::out_of_range&) {
+    return Result<ReportFrame>::err("report frame: truncated");
   }
 }
 

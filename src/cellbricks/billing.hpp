@@ -4,10 +4,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
+#include "common/rng.hpp"
+#include "crypto/rsa.hpp"
 
 namespace cb::cellbricks {
 
@@ -36,6 +39,27 @@ struct TrafficReport {
 
   Bytes serialize() const;
   static Result<TrafficReport> deserialize(BytesView data);
+};
+
+/// The frame every reporter (UE baseband, bTelco, load generator) seals to
+/// the broker, and the only place it is written or read:
+///   seal_pkB({str reporter_id, u8 reporter, bytes report, bytes sig})
+/// where `report` is TrafficReport::serialize() and `sig` is the reporter's
+/// signature over those bytes.
+struct ReportFrame {
+  std::string reporter_id;
+  Reporter reporter = Reporter::Ue;
+  Bytes report;
+  Bytes sig;
+
+  /// Serialize `report`, sign the bytes with `sign`, and seal the frame to
+  /// `broker_key`, in that order; the seal draws from `rng`. The reporter
+  /// byte is `report.reporter`.
+  static Bytes seal(const TrafficReport& report, const std::string& reporter_id,
+                    const std::function<Bytes(BytesView)>& sign,
+                    const crypto::RsaPublicKey& broker_key, Rng& rng);
+  /// Decode an opened frame; fails on truncation.
+  static Result<ReportFrame> decode(BytesView opened);
 };
 
 }  // namespace cb::cellbricks

@@ -105,12 +105,10 @@ BrokerShard::BrokerShard(BrokerCluster& cluster, std::size_t index, net::Node& n
 }
 
 void BrokerShard::add_subscriber(const std::string& id_u, crypto::RsaPublicKey key) {
-  subscriber_keys_[id_u] = key;
   sap_.add_subscriber(id_u, std::move(key));
 }
 
 void BrokerShard::remove_subscriber(const std::string& id_u) {
-  subscriber_keys_.erase(id_u);
   sap_.remove_subscriber(id_u);
 }
 
@@ -277,126 +275,118 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
     return;
   }
 
+  // No ACK for a box that does not open or a frame that does not decode: an
+  // in-flight corruption may have mangled it, in which case the sender's
+  // retransmission of the clean copy will succeed.
   auto opened = sap_.open_box(sealed);
-  if (!opened) {
-    // No ACK: an in-flight corruption may have mangled the box, in which
-    // case the sender's retransmission of the clean copy will succeed.
+  auto frame =
+      opened ? ReportFrame::decode(opened.value()) : Result<ReportFrame>::err(opened.error());
+  if (!frame) {
     ++reports_rejected_;
     obs::inc(obs::counter("broker.reports.rejected"));
     return;
   }
-  try {
-    ByteReader inner(opened.value());
-    const std::string reporter_id = inner.str();
-    const auto type = static_cast<Reporter>(inner.u8());
-    const Bytes report_bytes = inner.bytes();
-    const Bytes sig = inner.bytes();
+  const auto& [reporter_id, type, report_bytes, sig] = frame.value();
 
-    const crypto::RsaPublicKey* key = nullptr;
-    if (type == Reporter::Ue) {
-      if (auto it = subscriber_keys_.find(reporter_id); it != subscriber_keys_.end()) {
-        key = &it->second;
-      }
-    } else {
-      if (auto it = telco_keys_.find(reporter_id); it != telco_keys_.end()) key = &it->second;
-    }
-    if (key == nullptr || !key->verify(report_bytes, sig)) {
-      ++reports_rejected_;
-      obs::inc(obs::counter("broker.reports.rejected"));
-      return;
-    }
-    auto parsed = TrafficReport::deserialize(report_bytes);
-    if (!parsed) {
-      ++reports_rejected_;
-      obs::inc(obs::counter("broker.reports.rejected"));
-      return;
-    }
-    const TrafficReport& report = parsed.value();
-    const std::uint16_t bucket = session_bucket(report.session_id);
-
-    if (!owns_bucket(bucket)) {
-      // Stale route: point the client at the current owner. The redirect is
-      // cheap and idempotent, so it is not commit-gated or cached.
-      const auto owners = live_view(/*ready_only=*/true);
-      const std::size_t owner = owners.empty() ? index_ : hrw_owner(bucket, owners);
-      ByteWriter w;
-      w.u8(static_cast<std::uint8_t>(BrokerMsg::Redirect));
-      w.u64(seq);
-      w.u16(bucket);
-      w.u16(static_cast<std::uint16_t>(owner));
-      ++redirects_sent_;
-      obs::inc(obs::counter("broker.reports.redirected"));
-      reply(from, w.take());
-      return;
-    }
-
-    auto sit = state_.sessions().find(report.session_id);
-    if (sit == state_.sessions().end()) {
-      // Unknown here (replication lag for a session issued elsewhere, or
-      // junk). No ACK: the client's retransmission gives the log time to
-      // catch up.
-      ++reports_rejected_;
-      obs::inc(obs::counter("broker.reports.rejected"));
-      return;
-    }
-    // The reporter must be a party of the session. Every bTelco that ever
-    // served it stays one, so a pre-resume bTelco's late report still pairs.
-    const SettlementState::SessionInfo& session = sit->second;
-    if (type == Reporter::Ue ? reporter_id != session.id_u : !session.has_telco(reporter_id)) {
-      ++reports_rejected_;
-      obs::inc(obs::counter("broker.reports.rejected"));
-      return;
-    }
-
-    ByteWriter ack;
-    ack.u8(static_cast<std::uint8_t>(BrokerMsg::ReportAck));
-    ack.u64(seq);
-    Bytes ack_payload = ack.take();
-
-    // Dedup BEFORE authoring: a retransmitted report (lost ACK, eager retry
-    // timer, a UE that re-attached under a new address) must not inflate
-    // the billed usage.
-    const auto dedup_key =
-        std::make_tuple(report.session_id, report.period, static_cast<int>(type));
-    if (!config_.broker.test_skip_report_dedup &&
-        (state_.report_seen(report.session_id, report.period, type) ||
-         state_.pair_decided(report.session_id, report.period))) {
-      if (uncommitted_reports_.contains(dedup_key)) return;  // first copy not committed yet
-      ++reports_deduped_;
-      obs::inc(obs::counter("broker.reports.deduped"));
-      report_ack_cache_[cache_key] = CachedReply{ack_payload, now};
-      reply(from, std::move(ack_payload));
-      return;
-    }
-
-    SettlementEntry e;
-    e.kind = SettlementEntry::Kind::ReportIngested;
-    e.session_id = report.session_id;
-    e.period = report.period;
-    e.reporter = type;
-    e.id_u = session.id_u;
-    e.id_t = type == Reporter::Telco ? reporter_id : session.id_t();
-    e.time_ns = now.nanos();
-    e.report = report;
-
-    ++reports_ingested_;
-    obs::inc(obs::counter("broker.reports.ingested"));
-    obs::trace(now, obs::TraceType::ReportIngest, report.session_id, report.period);
-    uncommitted_reports_.insert(dedup_key);
-    author(std::move(e),
-           [this, cache_key, from, ack_payload = std::move(ack_payload), dedup_key]() mutable {
-             uncommitted_reports_.erase(dedup_key);
-             report_ack_cache_[cache_key] =
-                 CachedReply{ack_payload, node_.simulator().now()};
-             if (!state_.pair_decided(std::get<0>(dedup_key), std::get<1>(dedup_key))) {
-               report_ack_keys_[dedup_key] = cache_key;
-             }
-             reply(from, std::move(ack_payload));
-           });
-  } catch (const std::out_of_range&) {
+  const crypto::RsaPublicKey* key = nullptr;
+  if (type == Reporter::Ue) {
+    key = sap_.subscriber_key(reporter_id);
+  } else if (auto it = telco_keys_.find(reporter_id); it != telco_keys_.end()) {
+    key = &it->second;
+  }
+  if (key == nullptr || !key->verify(report_bytes, sig)) {
     ++reports_rejected_;
     obs::inc(obs::counter("broker.reports.rejected"));
+    return;
   }
+  auto parsed = TrafficReport::deserialize(report_bytes);
+  if (!parsed) {
+    ++reports_rejected_;
+    obs::inc(obs::counter("broker.reports.rejected"));
+    return;
+  }
+  const TrafficReport& report = parsed.value();
+  const std::uint16_t bucket = session_bucket(report.session_id);
+
+  if (!owns_bucket(bucket)) {
+    // Stale route: point the client at the current owner. The redirect is
+    // cheap and idempotent, so it is not commit-gated or cached.
+    const auto owners = live_view(/*ready_only=*/true);
+    const std::size_t owner = owners.empty() ? index_ : hrw_owner(bucket, owners);
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(BrokerMsg::Redirect));
+    w.u64(seq);
+    w.u16(bucket);
+    w.u16(static_cast<std::uint16_t>(owner));
+    ++redirects_sent_;
+    obs::inc(obs::counter("broker.reports.redirected"));
+    reply(from, w.take());
+    return;
+  }
+
+  auto sit = state_.sessions().find(report.session_id);
+  if (sit == state_.sessions().end()) {
+    // Unknown here (replication lag for a session issued elsewhere, or
+    // junk). No ACK: the client's retransmission gives the log time to
+    // catch up.
+    ++reports_rejected_;
+    obs::inc(obs::counter("broker.reports.rejected"));
+    return;
+  }
+  // The reporter must be a party of the session. Every bTelco that ever
+  // served it stays one, so a pre-resume bTelco's late report still pairs.
+  const SettlementState::SessionInfo& session = sit->second;
+  if (type == Reporter::Ue ? reporter_id != session.id_u : !session.has_telco(reporter_id)) {
+    ++reports_rejected_;
+    obs::inc(obs::counter("broker.reports.rejected"));
+    return;
+  }
+
+  ByteWriter ack;
+  ack.u8(static_cast<std::uint8_t>(BrokerMsg::ReportAck));
+  ack.u64(seq);
+  Bytes ack_payload = ack.take();
+
+  // Dedup BEFORE authoring: a retransmitted report (lost ACK, eager retry
+  // timer, a UE that re-attached under a new address) must not inflate
+  // the billed usage.
+  const auto dedup_key =
+      std::make_tuple(report.session_id, report.period, static_cast<int>(type));
+  if (!config_.broker.test_skip_report_dedup &&
+      (state_.report_seen(report.session_id, report.period, type) ||
+       state_.pair_decided(report.session_id, report.period))) {
+    if (uncommitted_reports_.contains(dedup_key)) return;  // first copy not committed yet
+    ++reports_deduped_;
+    obs::inc(obs::counter("broker.reports.deduped"));
+    report_ack_cache_[cache_key] = CachedReply{ack_payload, now};
+    reply(from, std::move(ack_payload));
+    return;
+  }
+
+  SettlementEntry e;
+  e.kind = SettlementEntry::Kind::ReportIngested;
+  e.session_id = report.session_id;
+  e.period = report.period;
+  e.reporter = type;
+  e.id_u = session.id_u;
+  e.id_t = type == Reporter::Telco ? reporter_id : session.id_t();
+  e.time_ns = now.nanos();
+  e.report = report;
+
+  ++reports_ingested_;
+  obs::inc(obs::counter("broker.reports.ingested"));
+  obs::trace(now, obs::TraceType::ReportIngest, report.session_id, report.period);
+  uncommitted_reports_.insert(dedup_key);
+  author(std::move(e),
+         [this, cache_key, from, ack_payload = std::move(ack_payload), dedup_key]() mutable {
+           uncommitted_reports_.erase(dedup_key);
+           report_ack_cache_[cache_key] =
+               CachedReply{ack_payload, node_.simulator().now()};
+           if (!state_.pair_decided(std::get<0>(dedup_key), std::get<1>(dedup_key))) {
+             report_ack_keys_[dedup_key] = cache_key;
+           }
+           reply(from, std::move(ack_payload));
+         });
 }
 
 void BrokerShard::handle_resume_notify(const net::EndPoint& from, ByteReader& r) {

@@ -268,7 +268,6 @@ class BrokerShard {
   SettlementLog log_;
   SettlementState state_;
 
-  std::unordered_map<std::string, crypto::RsaPublicKey> subscriber_keys_;
   std::unordered_map<std::string, crypto::RsaPublicKey> telco_keys_;
   std::unordered_map<std::string, QosInfo> plans_;
 

@@ -331,13 +331,8 @@ void Btelco::send_report(std::uint64_t session_id, bool final_report) {
 
   // Sign, seal to the broker, and ship over the reliable (ACK +
   // retransmission) report channel.
-  const Bytes report_bytes = report.serialize();
-  ByteWriter inner;
-  inner.str(id());
-  inner.u8(static_cast<std::uint8_t>(Reporter::Telco));
-  inner.bytes(report_bytes);
-  inner.bytes(sap_.sign(report_bytes));
-  const Bytes sealed = crypto::seal(broker_cert_.key(), inner.data(), rng_);
+  const Bytes sealed = ReportFrame::seal(
+      report, id(), [this](BytesView b) { return sap_.sign(b); }, broker_cert_.key(), rng_);
 
   const std::uint64_t seq = next_report_seq_++;
   obs::inc(obs::counter("btelco.reports.sent"));

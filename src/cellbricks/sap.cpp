@@ -189,8 +189,9 @@ void SapBroker::add_subscriber(const std::string& id_u, crypto::RsaPublicKey key
 
 void SapBroker::remove_subscriber(const std::string& id_u) { subscribers_.erase(id_u); }
 
-bool SapBroker::has_subscriber(const std::string& id_u) const {
-  return subscribers_.contains(id_u);
+const crypto::RsaPublicKey* SapBroker::subscriber_key(const std::string& id_u) const {
+  auto it = subscribers_.find(id_u);
+  return it == subscribers_.end() ? nullptr : &it->second;
 }
 
 Result<BrokerDecision> SapBroker::process_auth_req(

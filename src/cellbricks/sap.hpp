@@ -159,7 +159,9 @@ class SapBroker {
   /// certificate needed, revocation = deletion).
   void add_subscriber(const std::string& id_u, crypto::RsaPublicKey key);
   void remove_subscriber(const std::string& id_u);
-  bool has_subscriber(const std::string& id_u) const;
+  /// The registered key of `id_u`, or null (the broker checks UE report
+  /// signatures with it).
+  const crypto::RsaPublicKey* subscriber_key(const std::string& id_u) const;
 
   /// Open a sealed box addressed to this broker (used for traffic reports,
   /// which are encrypted to pkB like SAP material).

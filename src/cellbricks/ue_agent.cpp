@@ -60,28 +60,22 @@ UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
 }
 
 void UeAgent::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done) {
-  // Resume-first: with a broker-minted ticket in hand, skip the broker round
-  // trip and authenticate locally at the bTelco (tentpole of the SapResume
-  // mode). Any rejection falls back to the full protocol below.
-  if (!ticket_.empty()) {
-    attach_resume(cell, std::move(done));
-  } else {
-    attach_full(cell, std::move(done));
-  }
-}
-
-void UeAgent::attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done) {
   using R = Result<net::Ipv4Addr>;
   Btelco* telco = telco_of_cell_(cell);
   if (telco == nullptr) {
     if (done) done(R::err("no CellBricks provider on this cell"));
     return;
   }
+  // Resume-first: a broker-minted ticket skips the broker round trip and
+  // authenticates locally at the bTelco (SapResume mode). The ticket picks
+  // the request, the bTelco entry and how the reply is read; the ladder,
+  // deadline and failure path are the same for both.
+  const bool resume = !ticket_.empty();
   const ran::TowerSite site = ran_map_.site(cell);
   drop_superseded_bearer(cell);
   site.radio_link->set_up(true);  // radio-layer connectivity (reused as-is)
   attach_started_ = ue_node_.simulator().now();
-  obs::inc(obs::counter("ue_agent.attach.attempts"));
+  obs::inc(obs::counter(resume ? "ue_agent.resume.attempts" : "ue_agent.attach.attempts"));
   obs::trace(attach_started_, obs::TraceType::AttachStart, cell);
   const std::uint64_t gen = ++attach_generation_;
   auto done_shared =
@@ -103,40 +97,79 @@ void UeAgent::attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4A
   // continuation that might still limp in afterwards.
   attach_deadline_.cancel();
   attach_deadline_ =
-      ue_node_.simulator().schedule(config_.attach_timeout, [this, gen, cell, fail] {
+      ue_node_.simulator().schedule(config_.attach_timeout, [this, gen, cell, resume, fail] {
         if (gen != attach_generation_) return;
         ++attach_generation_;
-        CB_LOG(Info, "ue-agent") << id() << ": attach timed out";
+        CB_LOG(Info, "ue-agent") << id() << (resume ? ": resume timed out" : ": attach timed out");
         obs::inc(obs::counter("ue_agent.attach.timeout"));
         obs::trace(ue_node_.simulator().now(), obs::TraceType::AttachTimeout, cell);
         fail("attach timeout");
       });
 
-  // [UE msg 1/2] craft authReqU (encrypt authVec to pkB, sign).
-  ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared, fail] {
+  // [UE msg 1/2] craft authReqU (encrypt authVec to pkB, sign), or the
+  // resume request: ticket + possession MAC over a fresh nonce. Its period
+  // base carries the meter's period counter so the resumed bTelco's reports
+  // continue the numbering instead of colliding at the broker.
+  ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, resume, done_shared, fail] {
     if (gen != attach_generation_) return;  // superseded by newer mobility event
-    Bytes req = sap_.make_auth_req(telco->id(), rng_);
+    Bytes nonce;
+    Bytes req = resume ? make_resume_request(ticket_, telco->id(), next_period_, ss_resume_,
+                                             rng_, &nonce)
+                       : sap_.make_auth_req(telco->id(), rng_);
     // [eNB leg 1/2] relay to the bTelco AGW.
-    enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared, fail,
-                                req = std::move(req)]() mutable {
+    enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, resume, done_shared, fail,
+                                req = std::move(req), nonce = std::move(nonce)]() mutable {
       if (gen != attach_generation_) return;
-      telco->handle_attach(
+      const auto entry = resume ? &Btelco::handle_resume : &Btelco::handle_attach;
+      (telco->*entry)(
           std::move(req), &ue_node_, site.radio_link,
-          [this, gen, cell, site, telco, done_shared, fail](
-              Result<std::pair<Bytes, net::Ipv4Addr>> result) {
-            // [eNB leg 2/2] + [UE msg 2/2] verify authRespU, configure IP.
-            enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared,
-                                        fail, result = std::move(result)]() mutable {
-              ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared,
-                                        fail, result = std::move(result)]() mutable {
+          [this, gen, cell, site, telco, resume, done_shared, fail,
+           nonce](Result<std::pair<Bytes, net::Ipv4Addr>> result) {
+            // [eNB leg 2/2] + [UE msg 2/2] verify authRespU or open the
+            // resume confirm, configure IP.
+            enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, resume, done_shared,
+                                        fail, nonce, result = std::move(result)]() mutable {
+              ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, resume, done_shared,
+                                        fail, nonce, result = std::move(result)]() mutable {
                 if (gen != attach_generation_) return;
                 attach_deadline_.cancel();
+                // A rejected ticket (already used at this bTelco, revoked,
+                // expired, resumption not enabled there) is not an outage,
+                // and a forged or corrupted confirm earns no trust: drop the
+                // ticket and re-enter attach, whose full SAP run
+                // re-authenticates end to end and mints a fresh ticket.
+                auto fall_back = [this, cell, &done_shared] {
+                  ++resume_fallbacks_;
+                  obs::inc(obs::counter("ue_agent.resume.fallback"));
+                  ticket_.clear();
+                  ss_resume_.clear();
+                  attach(cell, *done_shared);
+                };
                 if (!result.ok()) {
-                  fail(result.error());
+                  if (!resume) {
+                    fail(result.error());
+                    return;
+                  }
+                  CB_LOG(Info, "ue-agent")
+                      << id() << ": resume rejected (" << result.error()
+                      << "), falling back to full SAP";
+                  fall_back();
                   return;
                 }
-                auto& [resp_u, ip] = result.value();
-                auto session = sap_.process_auth_resp(resp_u);
+                auto& [reply, ip] = result.value();
+                if (resume) {
+                  auto confirm = open_resume_confirm(reply, ss_resume_);
+                  if (!confirm.ok() || confirm.value().nonce != nonce) {
+                    CB_LOG(Warn, "ue-agent") << id() << ": resume confirm rejected";
+                    fall_back();
+                    return;
+                  }
+                  ++resumes_succeeded_;
+                  complete_attach(cell, site, telco, ip, confirm.value().session_id,
+                                  /*resumed=*/true, done_shared);
+                  return;
+                }
+                auto session = sap_.process_auth_resp(reply);
                 if (!session.ok()) {
                   CB_LOG(Warn, "ue-agent") << id() << ": " << session.error();
                   fail(session.error());
@@ -151,108 +184,6 @@ void UeAgent::attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4A
                 }
                 complete_attach(cell, site, telco, ip, session.value().session_id,
                                 /*resumed=*/false, done_shared);
-              });
-            });
-          });
-    });
-  });
-}
-
-void UeAgent::attach_resume(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done) {
-  using R = Result<net::Ipv4Addr>;
-  Btelco* telco = telco_of_cell_(cell);
-  if (telco == nullptr) {
-    if (done) done(R::err("no CellBricks provider on this cell"));
-    return;
-  }
-  const ran::TowerSite site = ran_map_.site(cell);
-  drop_superseded_bearer(cell);
-  site.radio_link->set_up(true);
-  attach_started_ = ue_node_.simulator().now();
-  obs::inc(obs::counter("ue_agent.resume.attempts"));
-  obs::trace(attach_started_, obs::TraceType::AttachStart, cell);
-  const std::uint64_t gen = ++attach_generation_;
-  auto done_shared =
-      std::make_shared<std::function<void(R)>>(done ? std::move(done) : [](R) {});
-
-  auto fail = [this, cell, site, done_shared](std::string error) {
-    ++attach_failures_;
-    obs::inc(obs::counter("ue_agent.attach.failure"));
-    obs::trace(ue_node_.simulator().now(), obs::TraceType::AttachFail, cell);
-    if (!attached() || serving_cell_ != cell) site.radio_link->set_up(false);
-    if (attach_pending_ == cell) attach_pending_ = 0;
-    (*done_shared)(R::err(std::move(error)));
-  };
-
-  // A rejected ticket (already used at this bTelco, revoked, expired,
-  // resumption not enabled there) is not an outage — discard the ticket and
-  // run the full protocol; it re-authenticates and mints a fresh one.
-  auto fallback = [this, cell, done_shared] {
-    ++resume_fallbacks_;
-    obs::inc(obs::counter("ue_agent.resume.fallback"));
-    ticket_.clear();
-    ss_resume_.clear();
-    attach_full(cell, [done_shared](R r) { (*done_shared)(std::move(r)); });
-  };
-
-  // Same deadline discipline as the full attach: a crashed AGW never
-  // answers, and a fallback at that point would stall on it too.
-  attach_deadline_.cancel();
-  attach_deadline_ =
-      ue_node_.simulator().schedule(config_.attach_timeout, [this, gen, cell, fail] {
-        if (gen != attach_generation_) return;
-        ++attach_generation_;
-        CB_LOG(Info, "ue-agent") << id() << ": resume timed out";
-        obs::inc(obs::counter("ue_agent.attach.timeout"));
-        obs::trace(ue_node_.simulator().now(), obs::TraceType::AttachTimeout, cell);
-        fail("attach timeout");
-      });
-
-  // [UE msg 1/2] assemble the resume request: ticket + possession MAC. The
-  // period base carries the meter's period counter so the resumed bTelco's
-  // reports continue the numbering instead of colliding at the broker.
-  ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared, fail, fallback] {
-    if (gen != attach_generation_) return;
-    Bytes nonce;
-    Bytes req = make_resume_request(ticket_, telco->id(), next_period_, ss_resume_, rng_, &nonce);
-    // [eNB leg 1/2] relay to the bTelco AGW.
-    enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared, fail,
-                                fallback, req = std::move(req),
-                                nonce = std::move(nonce)]() mutable {
-      if (gen != attach_generation_) return;
-      telco->handle_resume(
-          std::move(req), &ue_node_, site.radio_link,
-          [this, gen, cell, site, telco, done_shared, fail, fallback, nonce](
-              Result<std::pair<Bytes, net::Ipv4Addr>> result) {
-            // [eNB leg 2/2] + [UE msg 2/2] open the confirm, adopt the IP.
-            enb_queue_.submit(kEnbMsg, [this, gen, cell, site, telco, done_shared,
-                                        fail, fallback, nonce,
-                                        result = std::move(result)]() mutable {
-              ue_queue_.submit(kUeMsg, [this, gen, cell, site, telco, done_shared,
-                                        fail, fallback, nonce,
-                                        result = std::move(result)]() mutable {
-                if (gen != attach_generation_) return;
-                attach_deadline_.cancel();
-                if (!result.ok()) {
-                  CB_LOG(Info, "ue-agent")
-                      << id() << ": resume rejected (" << result.error()
-                      << "), falling back to full SAP";
-                  fallback();
-                  return;
-                }
-                auto& [confirm_wire, ip] = result.value();
-                auto confirm = open_resume_confirm(confirm_wire, ss_resume_);
-                if (!confirm.ok() || confirm.value().nonce != nonce) {
-                  // Forged/corrupted confirm: the full protocol
-                  // re-authenticates end to end, so fall back rather than
-                  // trusting anything from this exchange.
-                  CB_LOG(Warn, "ue-agent") << id() << ": resume confirm rejected";
-                  fallback();
-                  return;
-                }
-                ++resumes_succeeded_;
-                complete_attach(cell, site, telco, ip, confirm.value().session_id,
-                                /*resumed=*/true, done_shared);
               });
             });
           });
@@ -447,13 +378,8 @@ void UeAgent::send_report(bool final_report) {
   // reliable (ACK + retransmission) report channel. A final report sent at
   // detach time may lose its first copy with the radio; the retransmission
   // resumes after the next attach.
-  const Bytes report_bytes = report.serialize();
-  ByteWriter inner;
-  inner.str(id());
-  inner.u8(static_cast<std::uint8_t>(Reporter::Ue));
-  inner.bytes(report_bytes);
-  inner.bytes(sap_.sign(report_bytes));
-  const Bytes sealed = crypto::seal(sap_.broker_key(), inner.data(), rng_);
+  const Bytes sealed = ReportFrame::seal(
+      report, id(), [this](BytesView b) { return sap_.sign(b); }, sap_.broker_key(), rng_);
   const std::uint64_t seq = next_report_seq_++;
   obs::inc(obs::counter("ue_agent.reports.sent"));
   obs::trace(ue_node_.simulator().now(), obs::TraceType::ReportSend, seq, report.period);
@@ -481,14 +407,10 @@ void UeAgent::detach_locally() {
   watchdog_timer_.cancel();
   // Pause report retransmission until the next attach gives us an IP again.
   reports_.pause();
-  const ran::TowerSite site = ran_map_.site(serving_cell_);
-  site.radio_link->set_up(false);
+  ran_map_.site(serving_cell_).radio_link->set_up(false);
   // The generation bump below orphans any in-flight attach, so close its
   // optimistically-raised bearer here — nothing else will.
-  if (attach_pending_ != 0 && attach_pending_ != serving_cell_) {
-    ran_map_.site(attach_pending_).radio_link->set_up(false);
-  }
-  attach_pending_ = 0;
+  drop_superseded_bearer(0);
   ue_node_.remove_address(current_ip_);
   // (The bTelco unregisters the address from the routing oracle when it
   // releases the session.)

@@ -61,8 +61,9 @@ class UeAgent {
   /// Attach to `cell` via SAP. `done` gets the assigned IP or the error.
   /// One-shot: a failure (denial, timeout) is reported, not retried. While
   /// the UE holds a broker-minted resumption ticket (ticket.hpp; only
-  /// SapResume worlds mint them), it first tries the local resume path (no
-  /// broker round trip) and falls back to full SAP on rejection.
+  /// SapResume worlds mint them), the same procedure presents the ticket
+  /// instead of authReqU (no broker round trip); a rejected resume drops the
+  /// ticket and re-enters attach, which then runs full SAP.
   void attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
 
   /// Resilient attach: try `preferred` first, then fall back to the best
@@ -123,9 +124,7 @@ class UeAgent {
   std::function<void(ran::CellId, Duration latency)> on_attached;
 
  private:
-  void attach_full(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
-  void attach_resume(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> done);
-  /// Common tail of both attach flavours: adopt the IP/session, rebaseline
+  /// Tail of a full or resumed attach: adopt the IP/session, rebaseline
   /// the meter, restart report/watchdog timers, flush stranded reports.
   void complete_attach(ran::CellId cell, const ran::TowerSite& site, Btelco* telco,
                        net::Ipv4Addr ip, std::uint64_t session_id, bool resumed,

@@ -32,6 +32,18 @@ scenario::FuzzFault::Kind fault_kind_from(const std::string& name) {
   throw std::runtime_error("repro: unknown fault kind '" + name + "'");
 }
 
+// An absent optional key leaves `field` as it is: decoding into a
+// default-constructed FuzzScenario, that is the field's own default.
+void read_optional(const JsonValue& v, const std::string& key, double& field) {
+  if (v.contains(key)) field = v.at(key).as_double();
+}
+void read_optional(const JsonValue& v, const std::string& key, bool& field) {
+  if (v.contains(key)) field = v.at(key).as_bool();
+}
+void read_optional(const JsonValue& v, const std::string& key, int& field) {
+  if (v.contains(key)) field = static_cast<int>(v.at(key).as_int());
+}
+
 }  // namespace
 
 JsonValue faults_to_json(const std::vector<scenario::FuzzFault>& faults) {
@@ -70,6 +82,7 @@ std::vector<scenario::FuzzFault> faults_from_json(const JsonValue& v) {
 }
 
 JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
+  const scenario::FuzzScenario d;
   JsonObject o;
   o["seed"] = s.seed;
   o["n_towers"] = s.n_towers;
@@ -83,24 +96,25 @@ JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
   o["telco0_overreport"] = s.telco0_overreport;
   o["ue_underreport"] = s.ue_underreport;
   o["app"] = s.app;
-  if (s.fluid_ues > 0) {
+  // Emitted only off FuzzScenario's defaults (the decoder's fallbacks) so
+  // pre-existing repro files stay byte-stable.
+  if (s.fluid_ues > d.fluid_ues) {
     o["fluid_ues"] = s.fluid_ues;
     o["fluid_hybrid"] = s.fluid_hybrid;
   }
-  if (s.broker_shards > 1) o["broker_shards"] = s.broker_shards;
-  // Emitted only off-default so pre-existing repro files stay byte-stable.
-  if (s.attach_protocol != 2) o["attach_protocol"] = s.attach_protocol;
-  if (s.resume_ticket) o["resume_ticket"] = true;
-  if (s.shadow_sigma_db != 0.0) {
+  if (s.broker_shards > d.broker_shards) o["broker_shards"] = s.broker_shards;
+  if (s.attach_protocol != d.attach_protocol) o["attach_protocol"] = s.attach_protocol;
+  if (s.resume_ticket != d.resume_ticket) o["resume_ticket"] = s.resume_ticket;
+  if (s.shadow_sigma_db != d.shadow_sigma_db) {
     o["shadow_sigma_db"] = s.shadow_sigma_db;
     o["decorrelation_m"] = s.decorrelation_m;
   }
-  if (s.fast_fading) o["fast_fading"] = true;
-  if (s.reselection_policy != 0) o["reselection_policy"] = s.reselection_policy;
-  if (s.ttt_ms != 0) o["ttt_ms"] = s.ttt_ms;
-  if (s.l3_filter_k != 0) o["l3_filter_k"] = s.l3_filter_k;
+  if (s.fast_fading != d.fast_fading) o["fast_fading"] = s.fast_fading;
+  if (s.reselection_policy != d.reselection_policy) o["reselection_policy"] = s.reselection_policy;
+  if (s.ttt_ms != d.ttt_ms) o["ttt_ms"] = s.ttt_ms;
+  if (s.l3_filter_k != d.l3_filter_k) o["l3_filter_k"] = s.l3_filter_k;
   o["faults"] = faults_to_json(s.faults);
-  if (s.plant_dedup_bug) o["plant_dedup_bug"] = true;
+  if (s.plant_dedup_bug != d.plant_dedup_bug) o["plant_dedup_bug"] = s.plant_dedup_bug;
   return JsonValue(std::move(o));
 }
 
@@ -112,36 +126,35 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   s.speed_mps = v.at("speed_mps").as_double();
   s.tower_spacing_m = v.at("tower_spacing_m").as_double();
   s.duration_s = v.at("duration_s").as_double();
-  s.radio_loss = v.get("radio_loss", JsonValue(0.0)).as_double();
-  s.unlimited_policy = v.get("unlimited_policy", JsonValue(false)).as_bool();
-  s.report_interval_s = v.get("report_interval_s", JsonValue(10.0)).as_double();
+  read_optional(v, "radio_loss", s.radio_loss);
+  read_optional(v, "unlimited_policy", s.unlimited_policy);
+  read_optional(v, "report_interval_s", s.report_interval_s);
   if (!std::isfinite(s.report_interval_s) || s.report_interval_s < kMinReportIntervalS) {
     throw std::runtime_error("repro: report_interval_s must be a finite value >= 0.001");
   }
-  s.telco0_overreport = v.get("telco0_overreport", JsonValue(1.0)).as_double();
-  s.ue_underreport = v.get("ue_underreport", JsonValue(1.0)).as_double();
-  s.app = static_cast<int>(v.get("app", JsonValue(0)).as_int());
-  s.fluid_ues = static_cast<int>(v.get("fluid_ues", JsonValue(0)).as_int());
-  s.fluid_hybrid = v.get("fluid_hybrid", JsonValue(false)).as_bool();
-  s.broker_shards = static_cast<int>(v.get("broker_shards", JsonValue(1)).as_int());
+  read_optional(v, "telco0_overreport", s.telco0_overreport);
+  read_optional(v, "ue_underreport", s.ue_underreport);
+  read_optional(v, "app", s.app);
+  read_optional(v, "fluid_ues", s.fluid_ues);
+  read_optional(v, "fluid_hybrid", s.fluid_hybrid);
+  read_optional(v, "broker_shards", s.broker_shards);
   if (s.broker_shards < 1) throw std::runtime_error("repro: broker_shards must be >= 1");
-  s.attach_protocol = static_cast<int>(v.get("attach_protocol", JsonValue(2)).as_int());
+  read_optional(v, "attach_protocol", s.attach_protocol);
   if (s.attach_protocol < 0 || s.attach_protocol > 2) {
     throw std::runtime_error("repro: attach_protocol must be 0 (eps_aka), 1 (5g_aka) or 2 (sap)");
   }
-  s.resume_ticket = v.get("resume_ticket", JsonValue(false)).as_bool();
-  s.shadow_sigma_db = v.get("shadow_sigma_db", JsonValue(0.0)).as_double();
-  s.decorrelation_m = v.get("decorrelation_m", JsonValue(50.0)).as_double();
-  s.fast_fading = v.get("fast_fading", JsonValue(false)).as_bool();
-  s.reselection_policy =
-      static_cast<int>(v.get("reselection_policy", JsonValue(0)).as_int());
+  read_optional(v, "resume_ticket", s.resume_ticket);
+  read_optional(v, "shadow_sigma_db", s.shadow_sigma_db);
+  read_optional(v, "decorrelation_m", s.decorrelation_m);
+  read_optional(v, "fast_fading", s.fast_fading);
+  read_optional(v, "reselection_policy", s.reselection_policy);
   if (s.reselection_policy < 0 || s.reselection_policy > 2) {
     throw std::runtime_error(
         "repro: reselection_policy must be 0 (a3), 1 (a3_ttt) or 2 (rank)");
   }
-  s.ttt_ms = static_cast<int>(v.get("ttt_ms", JsonValue(0)).as_int());
-  s.l3_filter_k = static_cast<int>(v.get("l3_filter_k", JsonValue(0)).as_int());
-  s.plant_dedup_bug = v.get("plant_dedup_bug", JsonValue(false)).as_bool();
+  read_optional(v, "ttt_ms", s.ttt_ms);
+  read_optional(v, "l3_filter_k", s.l3_filter_k);
+  read_optional(v, "plant_dedup_bug", s.plant_dedup_bug);
   if (s.n_towers < 1) throw std::runtime_error("repro: n_towers must be >= 1");
   s.faults = faults_from_json(v.get("faults", JsonValue(JsonArray{})));
   return s;

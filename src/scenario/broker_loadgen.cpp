@@ -6,7 +6,6 @@
 
 #include "cellbricks/broker_channel.hpp"
 #include "common/fnv.hpp"
-#include "crypto/box.hpp"
 
 namespace cb::scenario {
 
@@ -191,13 +190,10 @@ void BrokerLoadgen::send_report(Client& c, Reporter side, std::uint32_t period) 
   report.avg_dl_bps = static_cast<double>(report.dl_bytes) * 8.0 / period_s;
   report.avg_ul_bps = static_cast<double>(report.ul_bytes) * 8.0 / period_s;
 
-  const Bytes report_bytes = report.serialize();
-  ByteWriter inner;
-  inner.str(side == Reporter::Ue ? c.ue->id_u() : c.telco->id_t());
-  inner.u8(static_cast<std::uint8_t>(side));
-  inner.bytes(report_bytes);
-  inner.bytes(side == Reporter::Ue ? c.ue->sign(report_bytes) : c.telco->sign(report_bytes));
-  const Bytes sealed = crypto::seal(broker_pk_, inner.data(), c.seal);
+  const bool ue = side == Reporter::Ue;
+  const Bytes sealed = cellbricks::ReportFrame::seal(
+      report, ue ? c.ue->id_u() : c.telco->id_t(),
+      [&](BytesView b) { return ue ? c.ue->sign(b) : c.telco->sign(b); }, broker_pk_, c.seal);
 
   ++reports_sent_;
   c.reports->send(c.next_seq++, sealed, c.session_id);

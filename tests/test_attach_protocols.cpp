@@ -13,6 +13,7 @@
 // lifecycle (audit trail, single-use handles, replay/expiry/forgery).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -179,6 +180,17 @@ WorldConfig resume_drive() {
   cfg.seed = 11;
   cfg.n_towers = 3;
   cfg.route = RouteSpec{"resume", false, 25.0, 400.0, ran::RatePolicy::day()};
+  return cfg;
+}
+
+// One sap_resume tower and a parked UE: the attach tests below drive
+// UeAgent::attach by hand, with no mobility loop.
+WorldConfig one_tower_resume() {
+  WorldConfig cfg;
+  cfg.protocol = AttachProtocol::SapResume;
+  cfg.seed = 5;
+  cfg.n_towers = 1;
+  cfg.route = RouteSpec{"parked", false, 0.1, 500.0, ran::RatePolicy::day()};
   return cfg;
 }
 
@@ -389,6 +401,74 @@ TEST(ResumeLifecycle, PreResumeTelcoLateReportStillPairs) {
     EXPECT_EQ(broker.reputation().missing_reports(world.btelco(i)->id()), 0u)
         << world.btelco(i)->id() << " charged with a missing report";
   }
+}
+
+// Four attach/detach cycles on one tower walk every branch of the attach
+// procedure: full SAP mints a ticket, the ticket resumes, the same ticket is
+// refused by the bTelco that already honoured it (the UE drops it and falls
+// back to full SAP, which mints a fresh one), and the fresh ticket resumes.
+TEST(ResumeLifecycle, AttachCyclesRunFullResumeFallbackResume) {
+  World world(one_tower_resume());
+  cellbricks::UeAgent* ue = world.ue_agent();
+  ASSERT_NE(ue, nullptr);
+  struct Expected {
+    std::uint64_t resumes, fallbacks, sessions;
+  };
+  constexpr Expected kCycles[] = {{0, 0, 1}, {1, 0, 1}, {1, 1, 2}, {2, 1, 2}};
+  for (std::size_t i = 0; i < std::size(kCycles); ++i) {
+    SCOPED_TRACE(::testing::Message() << "cycle " << i + 1);
+    bool ok = false;
+    ue->attach(1, [&ok](Result<net::Ipv4Addr> r) { ok = r.ok(); });
+    world.simulator().run_for(Duration::s(1));
+    ASSERT_TRUE(ok);
+    EXPECT_TRUE(ue->has_ticket());
+    EXPECT_EQ(ue->resumes_succeeded(), kCycles[i].resumes);
+    EXPECT_EQ(ue->resume_fallbacks(), kCycles[i].fallbacks);
+    EXPECT_EQ(world.broker_cluster()->sessions_issued(), kCycles[i].sessions);
+    ue->detach();
+    world.simulator().run_for(Duration::s(1));
+  }
+  EXPECT_EQ(ue->resumes_succeeded(), 2u);
+  EXPECT_EQ(ue->resume_fallbacks(), 1u);
+  EXPECT_EQ(ue->attach_failures(), 0u);
+  EXPECT_EQ(ue->attach_latencies().count(), 4u);
+  EXPECT_EQ(ue->resume_latencies().count(), 2u);
+  EXPECT_EQ(world.btelco(0)->resumes_served(), 2u);
+}
+
+// A resume that meets a crashed bTelco is an outage, not a rejected ticket:
+// the UE's own deadline ends it with one failure and no fallback, the ticket
+// stays for the next cell, and the bearer the attempt raised goes back down.
+TEST(ResumeLifecycle, ResumeAgainstCrashedTelcoTimesOutAndKeepsTicket) {
+  WorldConfig cfg = one_tower_resume();
+  cfg.ue_config.attach_timeout = Duration::s(1);
+  World world(cfg);
+  cellbricks::UeAgent* ue = world.ue_agent();
+  ASSERT_NE(ue, nullptr);
+  bool ok = false;
+  ue->attach(1, [&ok](Result<net::Ipv4Addr> r) { ok = r.ok(); });
+  world.simulator().run_for(Duration::s(1));
+  ASSERT_TRUE(ok);
+  ASSERT_TRUE(ue->has_ticket());
+  ue->detach();
+  world.btelco(0)->crash();
+
+  std::string error;
+  TimePoint failed_at;
+  const TimePoint started = world.simulator().now();
+  ue->attach(1, [&](Result<net::Ipv4Addr> r) {
+    if (!r.ok()) error = r.error();
+    failed_at = world.simulator().now();
+  });
+  world.simulator().run_for(Duration::s(5));
+  EXPECT_EQ(error, "attach timeout");
+  EXPECT_EQ(failed_at - started, cfg.ue_config.attach_timeout);
+  EXPECT_EQ(ue->attach_failures(), 1u);
+  EXPECT_EQ(ue->resume_fallbacks(), 0u);
+  EXPECT_EQ(ue->resumes_succeeded(), 0u);
+  EXPECT_TRUE(ue->has_ticket());
+  EXPECT_FALSE(ue->attached());
+  EXPECT_FALSE(world.ran_map().site(1).radio_link->is_up());
 }
 
 // The pure-layer half of the ticket matrix: replayed / expired / forged

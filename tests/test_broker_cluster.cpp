@@ -357,13 +357,8 @@ struct BrokerHarness {
     report.reporter = Reporter::Ue;
     report.period = period;
     report.dl_bytes = 4242;
-    const Bytes report_bytes = report.serialize();
-    ByteWriter inner;
-    inner.str("user-9");
-    inner.u8(static_cast<std::uint8_t>(Reporter::Ue));
-    inner.bytes(report_bytes);
-    inner.bytes(ue->sign(report_bytes));
-    const Bytes sealed = crypto::seal(broker_cert.key(), inner.data(), rng);
+    const Bytes sealed = ReportFrame::seal(
+        report, "user-9", [this](BytesView b) { return ue->sign(b); }, broker_cert.key(), rng);
     ByteWriter w;
     w.u8(static_cast<std::uint8_t>(BrokerMsg::Report));
     w.u64(seq);
@@ -384,6 +379,27 @@ struct BrokerHarness {
 };
 
 }  // namespace
+
+// The shard checks a UE report's signature against the key the auth path
+// holds: once the subscriber is removed, its reports are refused unacked,
+// while the same report from a registered subscriber is ingested and acked.
+TEST(BrokerReports, RemovedSubscriberReportIsRejectedUnacked) {
+  BrokerHarness h(BrokerConfig{});
+  const std::uint64_t sid = h.attach();
+  ASSERT_NE(sid, 0u);
+
+  h.send(h.report_wire(sid, /*seq=*/1, /*period=*/0));
+  h.sim.run_for(Duration::millis(100));
+  ASSERT_EQ(h.shard().reports_ingested(), 1u);
+  ASSERT_EQ(h.acks_received(), 1u);
+
+  h.cluster->remove_subscriber("user-9");
+  h.send(h.report_wire(sid, /*seq=*/2, /*period=*/1));
+  h.sim.run_for(Duration::millis(100));
+  EXPECT_EQ(h.shard().reports_rejected(), 1u);
+  EXPECT_EQ(h.shard().reports_ingested(), 1u);
+  EXPECT_EQ(h.acks_received(), 1u);
+}
 
 TEST(BrokerHousekeeping, PairExpiryEvictsReportAckCacheEntry) {
   // Regression: a retransmit arriving AFTER its pending pair expired must be

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -207,6 +208,37 @@ TEST(FuzzScenario, JsonRoundTripPreservesEveryField) {
     // load_repro accepts a bare scenario object, not just full documents.
     expect_same_scenario(s, load_repro(scenario_to_json(s).dump(2)));
   }
+}
+
+// An object holding only the six required keys decodes every other field to
+// FuzzScenario's own default. The decoder once read a missing `app` as 0
+// (mobility only) while FuzzScenario{} runs a bulk download. Encoding such a
+// scenario writes none of the keys that are emitted only off-default.
+TEST(FuzzScenario, BareObjectDecodesToScenarioDefaults) {
+  scenario::FuzzScenario expected;
+  expected.seed = 77;
+  expected.n_towers = 3;
+  expected.night = true;
+  expected.speed_mps = 20.0;
+  expected.tower_spacing_m = 600.0;
+  expected.duration_s = 90.0;
+  JsonObject bare;
+  bare["seed"] = expected.seed;
+  bare["n_towers"] = expected.n_towers;
+  bare["night"] = expected.night;
+  bare["speed_mps"] = expected.speed_mps;
+  bare["tower_spacing_m"] = expected.tower_spacing_m;
+  bare["duration_s"] = expected.duration_s;
+  expect_same_scenario(expected, scenario_from_json(JsonValue(bare)));
+
+  const JsonValue encoded = scenario_to_json(expected);
+  std::set<std::string> keys;
+  for (const auto& [key, value] : encoded.as_object()) keys.insert(key);
+  const std::set<std::string> always = {
+      "seed", "n_towers", "night", "speed_mps", "tower_spacing_m", "duration_s", "radio_loss",
+      "unlimited_policy", "report_interval_s", "telco0_overreport", "ue_underreport", "app",
+      "faults"};
+  EXPECT_EQ(keys, always);
 }
 
 // A replayed scenario's report timers re-arm by report_interval_s: -1 used

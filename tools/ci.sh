@@ -29,6 +29,23 @@ if [[ -n "$broker_frames" ]]; then
 fi
 echo "one broker client ok"
 
+echo "=== one report frame (source guard) ==="
+# ReportFrame (cellbricks/billing.hpp) is the only writer and reader of the
+# sealed report frame {str reporter_id, u8 reporter, bytes report, bytes sig}.
+# Outside billing.cpp, no source file may write a reporter byte (a Reporter
+# enumerator, or a `side`/`reporter` variable, cast to u8) or read one (a u8
+# cast to Reporter). The settlement-entry codec is a separate format.
+report_frames=$(grep -rnE \
+  -e 'u8\(static_cast<std::uint8_t>\(((cellbricks::)?Reporter::[A-Za-z]+|side|reporter)\)\)' \
+  -e 'static_cast<(cellbricks::)?Reporter>\([A-Za-z_]+\.u8\(\)\)' \
+  src --exclude=billing.cpp --exclude=settlement_log.cpp || true)
+if [[ -n "$report_frames" ]]; then
+  echo "report frames written or parsed outside ReportFrame:"
+  echo "$report_frames"
+  exit 1
+fi
+echo "one report frame ok"
+
 run_suite() {
   local build_dir="$1" exclude="$2"
   shift 2
