@@ -34,6 +34,8 @@ bool constant_time_equal(BytesView a, BytesView b);
 /// Append-only big-endian serializer.
 class ByteWriter {
  public:
+  /// Pre-size the buffer for a message whose length is known up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

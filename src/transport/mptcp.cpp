@@ -72,6 +72,15 @@ std::size_t MptcpSocket::send_space() const {
   return config_.send_buffer - send_buffer_.size();
 }
 
+std::size_t MptcpSocket::dead_subflow_bytes() const {
+  std::size_t held = 0;
+  for (const auto& sf : subflows_) {
+    if (!sf.dead) continue;
+    held += sf.rx.capacity() + (stack_.tcp().config().send_buffer - sf.tcp->send_space());
+  }
+  return held;
+}
+
 std::size_t MptcpSocket::send(BytesView data) {
   if (finished_ || fin_pending_ || fin_sent_) return 0;
   const std::size_t take = std::min(data.size(), send_space());
@@ -176,11 +185,13 @@ void MptcpSocket::on_subflow_data(std::size_t index, BytesView data) {
 }
 
 void MptcpSocket::parse_records(std::size_t index) {
+  // Records are read in place. Each is popped before it is handled: a pop
+  // moves no bytes, so the payload view stays valid while it is delivered.
   for (;;) {
     if (finished_) return;
     ByteQueue& rx = subflows_[index].rx;
-    if (rx.size() < 1) return;
-    const auto type = static_cast<Rec>(rx.peek(0, 1)[0]);
+    if (rx.empty()) return;
+    const auto type = static_cast<Rec>(rx.view(0, 1)[0]);
     switch (type) {
       case Rec::Cap:
       case Rec::Join: {
@@ -190,44 +201,33 @@ void MptcpSocket::parse_records(std::size_t index) {
       }
       case Rec::Data: {
         if (rx.size() < kDataHeader) return;
-        const Bytes header = rx.peek(0, kDataHeader);
-        ByteReader r(header);
-        r.u8();
+        ByteReader r(rx.view(1, kDataHeader - 1));
         const std::uint64_t dseq = r.u64();
         const std::uint32_t len = r.u32();
         if (rx.size() < kDataHeader + len) return;
-        Bytes payload = rx.peek(kDataHeader, len);
+        const BytesView payload = rx.view(kDataHeader, len);
         rx.pop(kDataHeader + len);
-        handle_data_record(dseq, std::move(payload));
+        handle_data_record(dseq, payload);
         break;
       }
       case Rec::Dack: {
         if (rx.size() < 9) return;
-        const Bytes header = rx.peek(0, 9);
-        ByteReader r(header);
-        r.u8();
-        const std::uint64_t dack = r.u64();
+        const std::uint64_t dack = ByteReader(rx.view(1, 8)).u64();
         rx.pop(9);
         handle_dack(dack);
         break;
       }
       case Rec::RemoveAddr: {
         if (rx.size() < 5) return;
-        const Bytes header = rx.peek(0, 5);
-        ByteReader r(header);
-        r.u8();
-        const net::Ipv4Addr addr{r.u32()};
+        const net::Ipv4Addr addr{ByteReader(rx.view(1, 4)).u32()};
         rx.pop(5);
         handle_remove_addr(addr);
         break;
       }
       case Rec::Dfin: {
         if (rx.size() < 9) return;
-        const Bytes header = rx.peek(0, 9);
-        ByteReader r(header);
-        r.u8();
         peer_fin_ = true;
-        peer_fin_dseq_ = r.u64();
+        peer_fin_dseq_ = ByteReader(rx.view(1, 8)).u64();
         rx.pop(9);
         maybe_deliver_eof();
         break;
@@ -240,7 +240,7 @@ void MptcpSocket::parse_records(std::size_t index) {
   }
 }
 
-void MptcpSocket::handle_data_record(std::uint64_t dseq, Bytes payload) {
+void MptcpSocket::handle_data_record(std::uint64_t dseq, BytesView payload) {
   const std::uint64_t end = dseq + payload.size();
   if (peer_fin_ && end > peer_fin_dseq_) ++stack_.sanity_.data_past_fin;
   if (end <= rcv_dseq_) {
@@ -248,12 +248,11 @@ void MptcpSocket::handle_data_record(std::uint64_t dseq, Bytes payload) {
     return;
   }
   if (dseq > rcv_dseq_) {
-    out_of_order_.emplace(dseq, std::move(payload));
+    out_of_order_.emplace(dseq, Bytes(payload.begin(), payload.end()));
     send_dack();
     return;
   }
-  const std::size_t advance = rcv_dseq_ - dseq;
-  BytesView fresh(payload.data() + advance, payload.size() - advance);
+  const BytesView fresh = payload.subspan(rcv_dseq_ - dseq);
   rcv_dseq_ += fresh.size();
   if (on_data) on_data(fresh);
   if (finished_) return;
@@ -270,8 +269,7 @@ void MptcpSocket::deliver_in_order() {
     if (it->first > rcv_dseq_) break;
     const std::uint64_t end = it->first + it->second.size();
     if (end > rcv_dseq_) {
-      const std::size_t off = rcv_dseq_ - it->first;
-      BytesView tail(it->second.data() + off, it->second.size() - off);
+      const BytesView tail = BytesView(it->second).subspan(rcv_dseq_ - it->first);
       rcv_dseq_ = end;
       if (on_data) on_data(tail);
       if (finished_) return;
@@ -341,7 +339,7 @@ void MptcpSocket::handle_remove_addr(net::Ipv4Addr addr) {
   for (std::size_t i = 0; i < subflows_.size(); ++i) {
     Subflow& sf = subflows_[i];
     if (!sf.dead && sf.tcp->remote().addr == addr) {
-      sf.dead = true;
+      sf.retire();
       sf.tcp->on_closed = nullptr;
       sf.tcp->abort_silent();
     }
@@ -378,10 +376,11 @@ void MptcpSocket::try_send() {
       const std::size_t record_size = kDataHeader + len;
       if (sf->tcp->send_space() < record_size) return;
       ByteWriter w;
+      w.reserve(record_size);
       w.u8(static_cast<std::uint8_t>(Rec::Data));
       w.u64(dseq_nxt_);
       w.u32(static_cast<std::uint32_t>(len));
-      w.raw(send_buffer_.peek(unsent_off, len));
+      w.raw(send_buffer_.view(unsent_off, len));
       sf->tcp->send(w.data());
       dseq_nxt_ += len;
       if (dseq_nxt_ > dseq_high_) dseq_high_ = dseq_nxt_;
@@ -401,7 +400,7 @@ void MptcpSocket::try_send() {
 
 void MptcpSocket::on_subflow_closed(std::size_t index, const std::string& reason) {
   Subflow& sf = subflows_[index];
-  sf.dead = true;
+  sf.retire();
   if (finished_) return;
   obs::inc(obs::counter("mptcp.subflows.closed"));
   obs::trace(stack_.simulator().now(), obs::TraceType::SubflowClose, token_);
@@ -425,7 +424,7 @@ void MptcpSocket::handle_address_loss(net::Ipv4Addr addr) {
   for (auto& sf : subflows_) {
     if (!sf.dead && sf.tcp->local().addr == addr) {
       lost_any = true;
-      sf.dead = true;
+      sf.retire();
       sf.tcp->on_closed = nullptr;  // silent death: no notification path
       sf.tcp->abort_silent();
     }
@@ -479,7 +478,7 @@ void MptcpSocket::finish(const std::string& reason) {
     } else {
       sf.tcp->abort();
     }
-    sf.dead = true;
+    sf.retire();
   }
   if (!reason.empty() && !eof_delivered_ && on_closed) on_closed(reason);
   // Break callback cycles through our own shared_ptr (apps capture the
@@ -523,6 +522,7 @@ MptcpStack::~MptcpStack() {
 void MptcpStack::send_dack_datagram(net::EndPoint from, net::EndPoint to,
                                     std::uint64_t token, std::uint64_t dack) {
   ByteWriter w;
+  w.reserve(16);
   w.u64(token);
   w.u64(dack);
   net::Packet p;
@@ -582,8 +582,7 @@ void MptcpStack::on_pending_data(const std::shared_ptr<PendingSubflow>& pending)
   // the reference we were called with.
   const std::shared_ptr<PendingSubflow> sub = pending;
   if (sub->rx.size() < 9) return;
-  const Bytes header = sub->rx.peek(0, 9);
-  ByteReader r(header);
+  ByteReader r(sub->rx.view(0, 9));
   const auto type = static_cast<Rec>(r.u8());
   const std::uint64_t token = r.u64();
   sub->rx.pop(9);

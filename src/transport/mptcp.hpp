@@ -63,6 +63,9 @@ class MptcpSocket final : public StreamSocket,
   /// Connection token (for tests/diagnostics).
   std::uint64_t token() const { return token_; }
   std::uint64_t data_acked() const { return dseq_una_; }
+  /// Buffer bytes that dead subflows still hold: record-queue storage plus
+  /// their TCP sockets' queued send bytes (zero once each is released).
+  std::size_t dead_subflow_bytes() const;
 
  private:
   friend class MptcpStack;
@@ -73,6 +76,13 @@ class MptcpSocket final : public StreamSocket,
     ByteQueue rx;               // unparsed record bytes
     bool established = false;
     bool dead = false;
+
+    /// Mark the path dead and free its unparsed bytes. The entry itself
+    /// stays: the socket's callbacks index subflows_.
+    void retire() {
+      dead = true;
+      rx.clear();
+    }
   };
 
   MptcpSocket(MptcpStack& stack, Role role, std::uint64_t token, net::EndPoint remote,
@@ -84,7 +94,7 @@ class MptcpSocket final : public StreamSocket,
   void attach_subflow_callbacks(std::size_t index);
   void on_subflow_data(std::size_t index, BytesView data);
   void parse_records(std::size_t index);
-  void handle_data_record(std::uint64_t dseq, Bytes payload);
+  void handle_data_record(std::uint64_t dseq, BytesView payload);
   void handle_dack(std::uint64_t dack);
   void handle_remove_addr(net::Ipv4Addr addr);
   void deliver_in_order();

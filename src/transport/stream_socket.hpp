@@ -31,7 +31,8 @@ class StreamSocket {
 
   /// Fired once the connection is established (client side).
   std::function<void()> on_connected;
-  /// In-order received bytes.
+  /// In-order received bytes, viewed in place: the view is valid only
+  /// during the call, so a receiver that keeps bytes copies them.
   std::function<void(BytesView)> on_data;
   /// Send-buffer space became available after being full.
   std::function<void()> on_send_space;

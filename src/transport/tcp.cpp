@@ -10,6 +10,7 @@ namespace cb::transport {
 
 Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
   ByteWriter w;
+  w.reserve(kTcpHeaderBytes + 8 * h.sack.size() + payload.size());
   w.u32(h.seq);
   w.u32(h.ack);
   w.u32(h.window);
@@ -29,7 +30,7 @@ Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
   return w.take();
 }
 
-bool parse_segment(BytesView wire, TcpHeader& h, Bytes& payload) {
+bool parse_segment(BytesView wire, TcpHeader& h, BytesView& payload) {
   if (wire.size() < kTcpHeaderBytes) return false;
   try {
     ByteReader r(wire);
@@ -49,7 +50,7 @@ bool parse_segment(BytesView wire, TcpHeader& h, Bytes& payload) {
       const std::uint32_t end = r.u32();
       h.sack.emplace_back(start, end);
     }
-    payload = r.raw(r.remaining());
+    payload = wire.last(r.remaining());
     return true;
   } catch (const std::out_of_range&) {
     return false;
@@ -190,7 +191,8 @@ void TcpSocket::send_ack() {
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>> TcpSocket::receiver_sack_blocks() const {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> blocks;
-  for (const auto& [start, data] : out_of_order_) {
+  for (const auto& [offset, data] : out_of_order_) {
+    const std::uint32_t start = irs_ + offset;
     const std::uint32_t end = start + static_cast<std::uint32_t>(data.size());
     if (!blocks.empty() && blocks.back().second == start) {
       blocks.back().second = end;  // merge adjacent
@@ -312,8 +314,7 @@ void TcpSocket::send_segment(std::uint32_t seq, std::size_t len, bool fin) {
   h.fin = fin;
   h.window = static_cast<std::uint32_t>(config_.receive_window);
   h.sack = receiver_sack_blocks();
-  const Bytes payload = send_buffer_.peek(seq - snd_una_, len);
-  emit(h, payload);
+  emit(h, send_buffer_.view(seq - snd_una_, len));
 
   // Time one never-before-sent segment at a time (Karn's rule: only bytes
   // above the high-water mark are first transmissions).
@@ -424,7 +425,7 @@ void TcpSocket::on_rto() {
   arm_rtx_timer();
 }
 
-void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
+void TcpSocket::on_segment(const TcpHeader& h, BytesView payload) {
   if (h.rst) {
     finish("reset by peer");
     return;
@@ -453,7 +454,7 @@ void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
         state_ = State::Established;
         stack_.on_established(this);
         // The handshake ACK may carry data.
-        if (!payload.empty() || h.fin) handle_data(h, std::move(payload));
+        if (!payload.empty() || h.fin) handle_data(h, payload);
         return;
       }
       if (h.syn && !h.ack_flag) {
@@ -473,7 +474,7 @@ void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
 
   if (h.ack_flag) handle_ack(h, payload.empty());
   if (state_ == State::Closed) return;  // finish() may have run
-  if (!payload.empty() || h.fin) handle_data(h, std::move(payload));
+  if (!payload.empty() || h.fin) handle_data(h, payload);
 }
 
 void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
@@ -603,7 +604,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
   }
 }
 
-void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
+void TcpSocket::handle_data(const TcpHeader& h, BytesView payload) {
   if (h.fin) {
     peer_fin_received_ = true;
     peer_fin_seq_ = h.seq + static_cast<std::uint32_t>(payload.size());
@@ -614,12 +615,12 @@ void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
     if (seq_le(seg_end, rcv_nxt_)) {
       send_ack();  // fully duplicate
     } else if (seq_lt(rcv_nxt_, h.seq)) {
-      out_of_order_.emplace(h.seq, std::move(payload));
+      // The one receive-side copy: out-of-order data outlives its packet.
+      out_of_order_.emplace(h.seq - irs_, Bytes(payload.begin(), payload.end()));
       send_ack();  // duplicate ACK signals the hole
     } else {
       // In-order (possibly with overlap to trim).
-      const std::uint32_t advance = rcv_nxt_ - h.seq;
-      BytesView fresh(payload.data() + advance, payload.size() - advance);
+      const BytesView fresh = payload.subspan(rcv_nxt_ - h.seq);
       rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
       if (on_data) {
         auto cb = on_data;  // callee may reassign on_data (MPTCP handoff)
@@ -627,14 +628,16 @@ void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
       }
       if (state_ == State::Closed) return;  // app closed us re-entrantly
 
-      // Drain any contiguous out-of-order segments.
+      // Drain any contiguous out-of-order segments. Each leaves the map
+      // before delivery, so the callee may close us (finish() clears it).
       while (!out_of_order_.empty()) {
         auto it = out_of_order_.begin();
-        if (seq_lt(rcv_nxt_, it->first)) break;
-        const std::uint32_t end = it->first + static_cast<std::uint32_t>(it->second.size());
+        const std::uint32_t start = irs_ + it->first;
+        if (seq_lt(rcv_nxt_, start)) break;
+        const auto segment = out_of_order_.extract(it);
+        const std::uint32_t end = start + static_cast<std::uint32_t>(segment.mapped().size());
         if (seq_lt(rcv_nxt_, end)) {
-          const std::uint32_t off = rcv_nxt_ - it->first;
-          BytesView tail(it->second.data() + off, it->second.size() - off);
+          const BytesView tail = BytesView(segment.mapped()).subspan(rcv_nxt_ - start);
           rcv_nxt_ = end;
           if (on_data) {
             auto cb = on_data;
@@ -642,7 +645,6 @@ void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
           }
           if (state_ == State::Closed) return;
         }
-        out_of_order_.erase(it);
       }
       send_ack();
     }
@@ -687,6 +689,10 @@ void TcpSocket::finish(const std::string& reason) {
   rtx_timer_.cancel();
   time_wait_timer_.cancel();
   connect_timer_.cancel();
+  // A closed socket sends and reassembles nothing more; free its buffers
+  // (an MPTCP connection keeps its dead subflows' sockets until it ends).
+  send_buffer_.clear();
+  out_of_order_.clear();
   // CloseWait/TimeWait/LastAck already delivered EOF to the app when the
   // peer's FIN was processed; avoid double notification.
   if ((notify || !reason.empty()) && on_closed) on_closed(reason);
@@ -759,8 +765,9 @@ void TcpStack::on_established(TcpSocket* socket) {
 }
 
 void TcpStack::dispatch(net::Packet&& packet) {
+  // `payload` views `packet`, which outlives every callback below.
   TcpHeader h;
-  Bytes payload;
+  BytesView payload;
   if (!parse_segment(packet.payload, h, payload)) return;
   obs::inc(obs_rx_);
 
@@ -771,7 +778,7 @@ void TcpStack::dispatch(net::Packet&& packet) {
   if (it != sockets_.end()) {
     // Keep the socket alive across callbacks that may deregister it.
     std::shared_ptr<TcpSocket> socket = it->second;
-    socket->on_segment(h, std::move(payload));
+    socket->on_segment(h, payload);
     return;
   }
 

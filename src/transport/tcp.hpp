@@ -49,7 +49,8 @@ struct TcpHeader {
 inline constexpr std::size_t kTcpHeaderBytes = 15;  // + 8 per SACK block
 
 Bytes serialize_segment(const TcpHeader& h, BytesView payload);
-bool parse_segment(BytesView wire, TcpHeader& h, Bytes& payload);
+/// Parse a segment; `payload` is set to a view into `wire`.
+bool parse_segment(BytesView wire, TcpHeader& h, BytesView& payload);
 
 class TcpStack;
 
@@ -107,9 +108,9 @@ class TcpSocket final : public StreamSocket {
 
   void start_connect();
   void start_passive(std::uint32_t peer_iss);
-  void on_segment(const TcpHeader& h, Bytes payload);
+  void on_segment(const TcpHeader& h, BytesView payload);
   void handle_ack(const TcpHeader& h, bool pure_ack);
-  void handle_data(const TcpHeader& h, Bytes payload);
+  void handle_data(const TcpHeader& h, BytesView payload);
   void try_send();
   void send_segment(std::uint32_t seq, std::size_t len, bool fin);
   void send_ack();
@@ -176,7 +177,9 @@ class TcpSocket final : public StreamSocket {
   // Receive side.
   std::uint32_t irs_ = 0;
   std::uint32_t rcv_nxt_ = 0;
-  std::map<std::uint32_t, Bytes> out_of_order_;  // keyed by start seq
+  // Out-of-order segments keyed by start offset from irs_, so map order is
+  // stream order across a 32-bit sequence wrap.
+  std::map<std::uint32_t, Bytes> out_of_order_;
   bool peer_fin_received_ = false;
   std::uint32_t peer_fin_seq_ = 0;
 

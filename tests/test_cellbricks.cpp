@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/iperf.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/world.hpp"
 
 namespace cb::scenario {
@@ -105,6 +106,8 @@ TEST(CellBricksMobility, ReattachGetsDifferentProviderAddress) {
 }
 
 TEST(CellBricksMobility, DriveSurvivesWithMptcpBulkTransfer) {
+  obs::Registry metrics;
+  obs::ScopedRegistry scoped(&metrics);
   WorldConfig cfg;
   cfg.arch = Architecture::CellBricks;
   cfg.n_towers = 5;
@@ -131,6 +134,15 @@ TEST(CellBricksMobility, DriveSurvivesWithMptcpBulkTransfer) {
     tail += series.bucket(i);
   }
   EXPECT_GT(tail, 0.0);
+
+  // Pinned at this seed: a transport change that moves one event, RNG draw
+  // or wire byte moves at least one of these.
+  const obs::Counter* retransmits = metrics.find_counter("tcp.retransmits");
+  ASSERT_NE(retransmits, nullptr);
+  EXPECT_EQ(client.total_bytes(), 534934648u);
+  EXPECT_EQ(world.handovers(), 4u);
+  EXPECT_EQ(world.simulator().events_executed(), 7046576u);
+  EXPECT_EQ(retransmits->value(), 1948u);
 }
 
 TEST(CellBricksBilling, HonestPartiesProduceMatchingReports) {

@@ -36,19 +36,24 @@ struct MobileWorld {
     server_mptcp = std::make_unique<MptcpStack>(*server, *server_tcp, mcfg);
   }
 
-  // Move the UE from gw1 to gw2: address invalidation, then after
-  // `attach_latency` the new address exists and MPTCP is told.
-  void handover(Duration attach_latency) {
-    radio1->set_up(false);
-    net.unregister_address(ip1);
-    ue->remove_address(ip1);
+  // Handover number `i` of a ping-pong between the gateways (even numbers
+  // move the UE from gw1 to gw2, odd ones back): address invalidation, then
+  // after `attach_latency` the new address exists and MPTCP is told.
+  void handover(Duration attach_latency, int i = 0) {
+    auto* from = (i % 2 == 0) ? radio1 : radio2;
+    auto* to = (i % 2 == 0) ? radio2 : radio1;
+    const auto from_ip = (i % 2 == 0) ? ip1 : ip2;
+    const auto to_ip = (i % 2 == 0) ? ip2 : ip1;
+    from->set_up(false);
+    net.unregister_address(from_ip);
+    ue->remove_address(from_ip);
     net.recompute_routes();
-    ue_mptcp->notify_address_invalidated(ip1);
-    sim.schedule(attach_latency, [this] {
-      radio2->set_up(true);
-      net.register_address(ip2, ue);
+    ue_mptcp->notify_address_invalidated(from_ip);
+    sim.schedule(attach_latency, [this, to, to_ip] {
+      to->set_up(true);
+      net.register_address(to_ip, ue);
       net.recompute_routes();
-      ue_mptcp->notify_address_available(ip2);
+      ue_mptcp->notify_address_available(to_ip);
     });
   }
 
@@ -158,24 +163,7 @@ TEST(Mptcp, SurvivesManyConsecutiveHandovers) {
   BulkOverMptcp t(w, 3 * 1024 * 1024);
   // Ping-pong between the two gateways every 2 s.
   for (int i = 0; i < 6; ++i) {
-    w.sim.schedule(Duration::s(2) * (i + 1), [&w, i] {
-      // Alternate directions by swapping which radio/address is live.
-      auto* from = (i % 2 == 0) ? w.radio1 : w.radio2;
-      auto* to = (i % 2 == 0) ? w.radio2 : w.radio1;
-      const auto from_ip = (i % 2 == 0) ? w.ip1 : w.ip2;
-      const auto to_ip = (i % 2 == 0) ? w.ip2 : w.ip1;
-      from->set_up(false);
-      w.net.unregister_address(from_ip);
-      w.ue->remove_address(from_ip);
-      w.net.recompute_routes();
-      w.ue_mptcp->notify_address_invalidated(from_ip);
-      w.sim.schedule(Duration::ms(32), [&w, to, to_ip] {
-        to->set_up(true);
-        w.net.register_address(to_ip, w.ue);
-        w.net.recompute_routes();
-        w.ue_mptcp->notify_address_available(to_ip);
-      });
-    });
+    w.sim.schedule(Duration::s(2) * (i + 1), [&w, i] { w.handover(Duration::ms(32), i); });
   }
   w.sim.run_for(Duration::s(120));
   ASSERT_EQ(t.received.size(), t.payload.size());
@@ -309,6 +297,39 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MobilityCase{0.0, 500, 21}, MobilityCase{0.02, 700, 22},
                       MobilityCase{0.05, 300, 23}, MobilityCase{0.0, 50, 24},
                       MobilityCase{0.02, 1500, 25}, MobilityCase{0.08, 900, 26}));
+
+// Buffer release: a subflow killed by a handover keeps its entry in the
+// connection (its callbacks index it), but neither side keeps its bytes.
+// The UE's old TCP socket is aborted with unacked data in flight, and the
+// server's old subflow dies on REMOVE_ADDR holding record bytes. Checked
+// every 50 ms until the connection starts to close (a graceful close lets
+// each subflow's TCP drain, so only then may a dead subflow hold bytes).
+TEST(Mptcp, DeadSubflowsReleaseTheirBuffers) {
+  MobileWorld w(12);
+  LinkParams lossy{.rate_bps = 20e6, .delay = Duration::ms(10)};
+  lossy.loss = 0.02;
+  w.radio1->set_params(w.ue, lossy);
+  w.radio1->set_params(w.gw1, lossy);
+  w.radio2->set_params(w.ue, lossy);
+  w.radio2->set_params(w.gw2, lossy);
+  BulkOverMptcp t(w, 3 * 1024 * 1024);
+  for (int i = 0; i < 3; ++i) {
+    w.sim.schedule(Duration::s(2) * (i + 1), [&w, i] { w.handover(Duration::ms(32), i); });
+  }
+  const TimePoint deadline = w.sim.now() + Duration::s(120);
+  while (w.sim.now() < deadline) {
+    w.sim.run_for(Duration::ms(50));
+    if (t.done) break;
+    EXPECT_EQ(t.client_side->dead_subflow_bytes(), 0u) << "at " << w.sim.now().to_seconds();
+    if (t.server_side) {
+      EXPECT_EQ(t.server_side->dead_subflow_bytes(), 0u) << "at " << w.sim.now().to_seconds();
+    }
+  }
+  // The transfer outlived the last handover's replacement subflow.
+  EXPECT_GT(w.sim.now().to_seconds(), 7.0);
+  ASSERT_EQ(t.received.size(), t.payload.size());
+  EXPECT_EQ(t.received, t.payload);
+}
 
 TEST(Mptcp, SubflowCountReflectsPathState) {
   MobileWorld w;

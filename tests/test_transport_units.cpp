@@ -3,36 +3,42 @@
 // configuration knobs.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "net/network.hpp"
 #include "sim/service_queue.hpp"
 #include "transport/byte_queue.hpp"
 #include "transport/tcp.hpp"
+#include "test_seed.hpp"
 
 namespace cb::transport {
 namespace {
 
 // --- ByteQueue -------------------------------------------------------------
 
-TEST(ByteQueue, AppendPeekPop) {
+// The queue hands out views; a test that keeps bytes copies them out.
+Bytes owned(BytesView v) { return Bytes(v.begin(), v.end()); }
+
+TEST(ByteQueue, AppendViewPop) {
   ByteQueue q;
   EXPECT_TRUE(q.empty());
   q.append(to_bytes("hello "));
   q.append(to_bytes("world"));
   EXPECT_EQ(q.size(), 11u);
-  EXPECT_EQ(q.peek(0, 5), to_bytes("hello"));
-  EXPECT_EQ(q.peek(6, 5), to_bytes("world"));
+  EXPECT_EQ(owned(q.view(0, 5)), to_bytes("hello"));
+  EXPECT_EQ(owned(q.view(6, 5)), to_bytes("world"));
   q.pop(6);
-  EXPECT_EQ(q.peek(0, 5), to_bytes("world"));
+  EXPECT_EQ(owned(q.view(0, 5)), to_bytes("world"));
   q.pop(100);  // clamped
   EXPECT_TRUE(q.empty());
 }
 
-TEST(ByteQueue, PeekBeyondEndClamps) {
+TEST(ByteQueue, ViewBeyondEndClamps) {
   ByteQueue q;
   q.append(to_bytes("abc"));
-  EXPECT_EQ(q.peek(1, 100), to_bytes("bc"));
-  EXPECT_TRUE(q.peek(3, 10).empty());
-  EXPECT_TRUE(q.peek(99, 1).empty());
+  EXPECT_EQ(owned(q.view(1, 100)), to_bytes("bc"));
+  EXPECT_TRUE(q.view(3, 10).empty());
+  EXPECT_TRUE(q.view(99, 1).empty());
 }
 
 TEST(ByteQueue, LargeChurn) {
@@ -50,6 +56,68 @@ TEST(ByteQueue, LargeChurn) {
   }
 }
 
+TEST(ByteQueue, ClearFreesStorage) {
+  ByteQueue q;
+  q.append(Bytes(5000, 7));
+  q.pop(10);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 0u);
+}
+
+// Property: random append/pop/view sequences agree with a std::deque oracle.
+// Every view equals the oracle's bytes, a view taken before a pop still
+// reads the popped bytes (pop moves nothing), and storage stays within 2x
+// the peak live bytes plus one append. Under ASan a view read after the
+// queue moved its bytes is a heap use-after-free.
+TEST(ByteQueue, MatchesDequeOracle) {
+  const std::uint64_t seed = test::seed_or(1);
+  SCOPED_TRACE(::testing::Message() << "replay with CB_TEST_SEED=" << seed);
+  Rng rng(seed);
+  ByteQueue q;
+  std::deque<std::uint8_t> oracle;
+  auto oracle_bytes = [&](std::size_t offset, std::size_t len) {
+    offset = std::min(offset, oracle.size());
+    len = std::min(len, oracle.size() - offset);
+    const auto first = oracle.begin() + static_cast<std::ptrdiff_t>(offset);
+    return Bytes(first, first + static_cast<std::ptrdiff_t>(len));
+  };
+  std::size_t peak_live = 0, largest_append = 0;
+  for (int step = 0; step < 5000; ++step) {
+    switch (rng.next_below(4)) {
+      case 0:
+      case 1: {
+        const Bytes chunk = rng.random_bytes(rng.next_below(3000));
+        q.append(chunk);
+        oracle.insert(oracle.end(), chunk.begin(), chunk.end());
+        peak_live = std::max(peak_live, oracle.size());
+        largest_append = std::max(largest_append, chunk.size());
+        break;
+      }
+      case 2: {
+        // Sometimes drain everything (and past the end: pop clamps).
+        const std::size_t n = rng.next_below(4) == 0 ? oracle.size() + 1
+                                                     : rng.next_below(oracle.size() + 1);
+        const BytesView front = q.view(0, n);
+        const Bytes expected = oracle_bytes(0, n);
+        q.pop(n);
+        oracle.erase(oracle.begin(),
+                     oracle.begin() + static_cast<std::ptrdiff_t>(expected.size()));
+        ASSERT_EQ(owned(front), expected) << "step " << step;
+        break;
+      }
+      default: {
+        const std::size_t offset = rng.next_below(oracle.size() + 2);
+        const std::size_t len = rng.next_below(2000);
+        ASSERT_EQ(owned(q.view(offset, len)), oracle_bytes(offset, len)) << "step " << step;
+        break;
+      }
+    }
+    ASSERT_EQ(q.size(), oracle.size());
+    ASSERT_LE(q.capacity(), 2 * peak_live + largest_append) << "step " << step;
+  }
+}
+
 // --- Segment wire format ------------------------------------------------------
 
 TEST(TcpWire, SackBlocksRoundTrip) {
@@ -62,12 +130,13 @@ TEST(TcpWire, SackBlocksRoundTrip) {
   const Bytes wire = serialize_segment(h, to_bytes("payload"));
 
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   ASSERT_TRUE(parse_segment(wire, out, payload));
   ASSERT_EQ(out.sack.size(), 3u);
   EXPECT_EQ(out.sack[0], (std::pair<std::uint32_t, std::uint32_t>{3000, 4400}));
   EXPECT_EQ(out.sack[2], (std::pair<std::uint32_t, std::uint32_t>{9000, 9001}));
-  EXPECT_EQ(payload, to_bytes("payload"));
+  EXPECT_EQ(owned(payload), to_bytes("payload"));
+  EXPECT_EQ(payload.data() + payload.size(), wire.data() + wire.size());  // a view
 }
 
 TEST(TcpWire, EmptySackAndPayload) {
@@ -75,7 +144,7 @@ TEST(TcpWire, EmptySackAndPayload) {
   h.seq = 7;
   const Bytes wire = serialize_segment(h, {});
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   ASSERT_TRUE(parse_segment(wire, out, payload));
   EXPECT_TRUE(out.sack.empty());
   EXPECT_TRUE(payload.empty());
@@ -91,7 +160,7 @@ TEST_P(TcpWireTruncation, TruncatedHeadersRejected) {
   const std::size_t keep = GetParam();
   if (keep >= wire.size()) GTEST_SKIP();
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   // Either cleanly rejected or parsed as a shorter-but-valid frame; it must
   // never crash or throw.
   (void)parse_segment(BytesView(wire.data(), keep), out, payload);
@@ -105,7 +174,7 @@ TEST(TcpWire, RandomBytesNeverCrashParser) {
   for (int i = 0; i < 2000; ++i) {
     const Bytes junk = rng.random_bytes(rng.next_below(80));
     TcpHeader h;
-    Bytes payload;
+    BytesView payload;
     (void)parse_segment(junk, h, payload);
   }
 }

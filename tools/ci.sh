@@ -123,6 +123,31 @@ else
   echo "skipped (--skip-sanitized)"
 fi
 
+echo "=== transport stream-path leg (ASan/UBSan) ==="
+# TCP and MPTCP pass payloads as views into packets and ByteQueues
+# (DESIGN.md §8): a view read after its queue grew or was cleared reads
+# freed memory, which only ASan reports. Run the three transport suites,
+# then the ByteQueue oracle property at 8 seeds.
+if [[ "${1:-}" != "--skip-sanitized" ]]; then
+  for suite in test_transport_units test_tcp test_mptcp; do
+    ./build-asan/tests/$suite --gtest_brief=1 || {
+      echo "transport leg FAILED under ASan/UBSan: build-asan/tests/$suite"
+      exit 1
+    }
+  done
+  for seed in 1 2 3 4 5 6 7 8; do
+    CB_TEST_SEED=$seed ./build-asan/tests/test_transport_units --gtest_brief=1 \
+      --gtest_filter='ByteQueue.MatchesDequeOracle' || {
+      echo "ByteQueue seed sweep FAILED — rerun: CB_TEST_SEED=$seed" \
+           "build-asan/tests/test_transport_units --gtest_filter='ByteQueue.MatchesDequeOracle'"
+      exit 1
+    }
+  done
+  echo "transport leg ok"
+else
+  echo "skipped (--skip-sanitized)"
+fi
+
 echo "=== RAN measurement-pipeline leg (ASan/UBSan, ctest -L ran) ==="
 # The ran-labeled tests (channel purity, L3-filter/policy properties, drive-
 # trace round-trips, fixture replays) re-run as their own leg so a
