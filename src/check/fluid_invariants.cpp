@@ -55,7 +55,7 @@ void install_fluid_invariants(InvariantEngine& engine, scenario::ScaleTrafficSim
     std::vector<double> cell_sum(eng->n_cells(), 0.0);
     std::size_t fluid_count = 0;
     for (traffic::SessionId id = 0; id < static_cast<traffic::SessionId>(n); ++id) {
-      const double rate = arena.rate_bps(id);
+      const double rate = eng->rate_bps(id);
       if (rate < 0.0) {
         r.fail("session " + std::to_string(id) + " has negative rate " + std::to_string(rate));
       }

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "common/time.hpp"
 
 namespace cb::check {
 
@@ -11,6 +14,20 @@ namespace {
 /// the replay, and a zero or sub-nanosecond one re-arms at the same instant
 /// forever.
 constexpr double kMinReportIntervalS = 1e-3;
+/// Fault times become Duration nanoseconds, and a window ends at start +
+/// duration: a time past the simulator's own "longer than anything"
+/// sentinel (about 73 years) would overflow one or the other.
+constexpr double kMaxFaultTimeS = Duration::infinite().to_seconds();
+
+/// A fault before t=0 cannot be scheduled, and a negative duration would
+/// inject a window that never heals.
+double fault_time(const std::string& key, double v) {
+  if (!std::isfinite(v) || v < 0.0 || v > kMaxFaultTimeS) {
+    throw std::runtime_error("repro: fault " + key + " must be a finite value in [0, " +
+                             std::to_string(kMaxFaultTimeS) + "] s");
+  }
+  return v;
+}
 
 const char* fault_kind_name(scenario::FuzzFault::Kind kind) {
   switch (kind) {
@@ -71,8 +88,8 @@ std::vector<scenario::FuzzFault> faults_from_json(const JsonValue& v) {
   for (const auto& jf : v.as_array()) {
     scenario::FuzzFault f;
     f.kind = fault_kind_from(jf.at("kind").as_string());
-    f.start_s = jf.at("start_s").as_double();
-    f.duration_s = jf.get("duration_s", JsonValue(0.0)).as_double();
+    f.start_s = fault_time("start_s", jf.at("start_s").as_double());
+    f.duration_s = fault_time("duration_s", jf.get("duration_s", JsonValue(0.0)).as_double());
     f.telco = jf.get("telco", JsonValue(0)).as_uint();
     f.loss = jf.get("loss", JsonValue(0.0)).as_double();
     f.corrupt = jf.get("corrupt", JsonValue(0.0)).as_double();
@@ -124,6 +141,9 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   s.n_towers = static_cast<int>(v.at("n_towers").as_int());
   s.night = v.at("night").as_bool();
   s.speed_mps = v.at("speed_mps").as_double();
+  if (!std::isfinite(s.speed_mps) || s.speed_mps <= 0.0) {
+    throw std::runtime_error("repro: speed_mps must be a finite value > 0");
+  }
   s.tower_spacing_m = v.at("tower_spacing_m").as_double();
   s.duration_s = v.at("duration_s").as_double();
   read_optional(v, "radio_loss", s.radio_loss);

@@ -143,8 +143,10 @@ class SessionArena {
     finish_ns_.push_back(-1);
   }
 
-  // Structure-of-arrays columns (hot first: the share recomputation touches
-  // cell/weight/cap/rate; the accrual sweep touches rate/demand/delivered).
+  // Structure-of-arrays columns (hot first: the fluid engine's order and
+  // banking read cell/weight/cap/demand/delivered; rate holds only the share
+  // last published to a packet-mode ghost — FluidEngine::rate_bps is the
+  // current rate of any member).
   std::vector<std::uint32_t> cell_;
   std::vector<float> weight_;
   std::vector<std::uint8_t> qci_;

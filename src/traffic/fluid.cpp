@@ -22,12 +22,16 @@ constexpr Duration kEventGuard = Duration::us(1);
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// A drain goes to the worker pool only when its dirty cells hold at least
-/// this many members in total. A fill costs ~12 ns per member, and one pool
-/// hand-off (lock, notify_all, the helper's wake-up, the done wait) adds
-/// 4-22 µs of CPU. Below ~4k members the split saves less wall time than
-/// the hand-off costs; at 8k it saves ~20% (DESIGN.md §13). So two-cell
-/// handover drains (hundreds of members) fill inline, and population-wide
-/// epoch drains still split.
+/// this many members in total. The rule was set when a fill walked every
+/// member (~12 ns each) against a 4-22 µs hand-off. A virtual-clock fill
+/// costs O(1 + flips + ghosts), and no drain gains from the pool any more:
+/// on a 4-vCPU VM, in cbbench's fluid_population at 2 threads, the 4 drains
+/// that cross the rule (200 cells, ~50k members) fill in 61-66 µs pooled
+/// and 15-17 µs inline, and at 1M UEs (2,000 cells, ~498k members) in
+/// 735 µs pooled and 298 µs inline (DESIGN.md §13). The rule stays so that
+/// the thread-identity test and the scale bench's gate still run the pool
+/// while a benchmark still sets fluid_threads; the pool is a candidate for
+/// deletion.
 constexpr std::size_t kPoolMinMembers = 8192;
 
 }  // namespace
@@ -148,9 +152,7 @@ FluidEngine::FluidEngine(sim::Simulator& sim, SessionArena& arena, unsigned fill
 FluidEngine::~FluidEngine() = default;
 
 void FluidEngine::CellOutcome::reset() {
-  segment_bytes = 0.0;
-  clamped_bytes = 0.0;
-  negative_residuals = 0;
+  tally = Tally{};
   min_completion_s = kInf;
   ghost_changes.clear();
 }
@@ -158,15 +160,14 @@ void FluidEngine::CellOutcome::reset() {
 std::uint32_t FluidEngine::add_cell(double capacity_bps) {
   Cell c;
   c.capacity_bps = capacity_bps;
-  c.last_accrual = sim_.now();
+  c.clock_at = sim_.now();
   cells_.push_back(std::move(c));
   return static_cast<std::uint32_t>(cells_.size() - 1);
 }
 
 void FluidEngine::set_cell_capacity(std::uint32_t cell, double capacity_bps) {
-  // Accrue at the OLD rates first — the capacity change takes effect now,
-  // not retroactively over the elapsed accrual window.
-  accrue_now(cells_[cell]);
+  // No banking: the drain's fill advances the clock at the OLD level up to
+  // now before it computes the new one, so the change is not retroactive.
   cells_[cell].capacity_bps = capacity_bps;
   mark_dirty(cell);
 }
@@ -179,8 +180,10 @@ void FluidEngine::start_flow(SessionId id, double bytes) {
   arena_.rate_bps(id) = 0.0;
   arena_.start_ns(id) = sim_.now().nanos();
   Cell& c = cells_[arena_.cell(id)];
-  accrue_now(c);  // existing members accrue before the newcomer dilutes them
-  insert_member(c, id);
+  advance(c);  // the newcomer's tag is relative to the clock at now
+  Tally t;
+  insert_member(c, id, t);
+  fold(t);
   ++active_fluid_;
   mark_dirty(arena_.cell(id));
 }
@@ -188,14 +191,18 @@ void FluidEngine::start_flow(SessionId id, double bytes) {
 void FluidEngine::handover(SessionId id, std::uint32_t new_cell) {
   const std::uint32_t old_cell = arena_.cell(id);
   if (old_cell == new_cell) return;
-  // Bank both cells up to now BEFORE moving the member: the flow earns its
-  // final window in the old cell at the old rate, and the new cell's
-  // incumbents bank theirs before the arrival dilutes them.
-  accrue_now(cells_[old_cell]);
-  accrue_now(cells_[new_cell]);
-  remove_member(cells_[old_cell], id);
+  // The flow earns its final window in the old cell at the old rate, then
+  // takes a tag on the new cell's clock.
+  Cell& from = cells_[old_cell];
+  Cell& to = cells_[new_cell];
+  advance(from);
+  advance(to);
+  Tally t;
+  if (arena_.mode(id) == FlowMode::Fluid) bank(from, id, t);
+  remove_member(from, id, t);
   arena_.cell(id) = new_cell;
-  insert_member(cells_[new_cell], id);
+  insert_member(to, id, t);
+  fold(t);
   mark_dirty(old_cell);
   mark_dirty(new_cell);
 }
@@ -206,22 +213,34 @@ void FluidEngine::set_flow_cap(SessionId id, double cap_bps) {
     arena_.cap_bps(id) = cap_bps;  // not a cell member — no order to maintain
     return;
   }
+  // Reposition in the fill order: out at the old key, in at the new one
+  // (O(log n) search + one memmove). A fluid flow banks at its old rate
+  // first and is re-tagged at its new class on the way back in.
   Cell& c = cells_[arena_.cell(id)];
-  accrue_now(c);
-  // Reposition in the persistent fill order: remove at the old key, insert
-  // at the new one. O(log n) search + one memmove, vs the old full re-sort.
-  remove_order(c, id, order_key(id));
+  advance(c);
+  Tally t;
+  if (mode == FlowMode::Fluid) bank(c, id, t);
+  remove_member(c, id, t);
   arena_.cap_bps(id) = cap_bps;
-  insert_order(c, id, order_key(id));
+  insert_member(c, id, t);
+  fold(t);
   mark_dirty(arena_.cell(id));
 }
 
 double FluidEngine::demote(SessionId id) {
   assert(arena_.mode(id) == FlowMode::Fluid);
   // Bank progress up to this instant, then hand the residual to the lane.
-  accrue_now(cells_[arena_.cell(id)]);
+  // The flow keeps its place in the order (and its share); only its tag and
+  // heap entry go.
+  Cell& c = cells_[arena_.cell(id)];
+  advance(c);
+  Tally t;
+  bank(c, id, t);
+  delist(c, id, t);
   arena_.mode(id) = FlowMode::Packet;
   arena_.rate_bps(id) = 0.0;  // the fill below publishes the ghost share
+  enlist(c, id, t);
+  fold(t);
   --active_fluid_;
   ++demotions_;
   // Immediate fill (not deferred to the drain): the caller sizes the packet
@@ -232,12 +251,16 @@ double FluidEngine::demote(SessionId id) {
 
 void FluidEngine::promote(SessionId id) {
   assert(arena_.mode(id) == FlowMode::Packet);
-  // Bank the cell while the flow is still a ghost, mirroring demote(): the
-  // ghost carries a nonzero published share, and accruing after the mode
-  // flip would credit that share over the packet window as fluid segments —
-  // bytes the lane already delivered via TCP.
-  accrue_now(cells_[arena_.cell(id)]);
+  // The tag is re-derived from the arena ledger, which already holds every
+  // byte the lane delivered: the packet window earns no fluid bytes.
+  Cell& c = cells_[arena_.cell(id)];
+  advance(c);
+  Tally t;
+  delist(c, id, t);
   arena_.mode(id) = FlowMode::Fluid;
+  arena_.rate_bps(id) = 0.0;  // the column holds only ghost shares
+  enlist(c, id, t);
+  fold(t);
   ++active_fluid_;
   ++promotions_;
   fill_cell_now(arena_.cell(id));
@@ -246,16 +269,30 @@ void FluidEngine::promote(SessionId id) {
 void FluidEngine::finish_packet_flow(SessionId id) {
   assert(arena_.mode(id) == FlowMode::Packet);
   Cell& c = cells_[arena_.cell(id)];
-  accrue_now(c);
+  Tally t;
+  remove_member(c, id, t);
+  fold(t);
   arena_.mode(id) = FlowMode::Done;
   arena_.rate_bps(id) = 0.0;
   arena_.finish_ns(id) = sim_.now().nanos();
-  remove_member(c, id);
   mark_dirty(arena_.cell(id));
 }
 
+double FluidEngine::rate_bps(SessionId id) const {
+  const FlowMode mode = arena_.mode(id);
+  if (mode != FlowMode::Fluid && mode != FlowMode::Packet) return 0.0;
+  if (at_cap(id)) return arena_.cap_bps(id);
+  return arena_.weight(id) * cells_[arena_.cell(id)].level;
+}
+
 void FluidEngine::accrue_all() {
-  for (Cell& c : cells_) accrue_now(c);
+  for (Cell& c : cells_) {
+    advance(c);
+    Tally t;
+    for (SessionId id : c.open) bank(c, id, t);
+    for (SessionId id : c.at_cap) bank(c, id, t);
+    fold(t);
+  }
 }
 
 void FluidEngine::flush() {
@@ -266,33 +303,47 @@ void FluidEngine::flush() {
   drain();
 }
 
-// --- accrual ----------------------------------------------------------------
+// --- virtual clock and banking ----------------------------------------------
 
-void FluidEngine::accrue_cell(Cell& c, CellOutcome& out) {
+void FluidEngine::advance(Cell& c) {
   const TimePoint now = sim_.now();
-  const double dt_s = (now - c.last_accrual).to_seconds();
-  c.last_accrual = now;
-  if (dt_s <= 0.0) return;
-  for (SessionId id : c.flows) {
-    if (arena_.mode(id) != FlowMode::Fluid) continue;  // ghosts progress via packets
-    const double offered = arena_.rate_bps(id) * dt_s / 8.0;
-    if (offered <= 0.0) continue;
-    const double residual = arena_.residual_bytes(id);
-    if (residual < 0.0) ++out.negative_residuals;
-    const double add = std::min(offered, std::max(residual, 0.0));
-    arena_.delivered_bytes(id) += add;
-    out.segment_bytes += add;
-    out.clamped_bytes += offered - add;
+  if (c.open.empty()) {
+    c.vclock = 0.0;  // no tag is on this clock: rebase, keeping it small
+  } else {
+    c.vclock += c.level * (now - c.clock_at).to_seconds();
   }
+  c.clock_at = now;
 }
 
-void FluidEngine::accrue_now(Cell& c) {
-  CellOutcome out;
-  out.reset();
-  accrue_cell(c, out);
-  segment_bytes_ += out.segment_bytes;
-  clamped_bytes_ += out.clamped_bytes;
-  negative_residuals_ += out.negative_residuals;
+double FluidEngine::owed_bytes(const Cell& c, SessionId id) const {
+  return at_cap(id) ? arena_.cap_bps(id) * (tag_[id] - sim_.now().to_seconds()) / 8.0
+                    : arena_.weight(id) * (tag_[id] - c.vclock) / 8.0;
+}
+
+void FluidEngine::bank(const Cell& c, SessionId id, Tally& t) {
+  ++t.member_ops;
+  // Everything the tag no longer owes was served since the last bank.
+  const double residual = arena_.residual_bytes(id);
+  const double offered = residual - owed_bytes(c, id);
+  if (!(offered > 0.0)) return;
+  if (residual < 0.0) ++t.negative_residuals;
+  const double add = std::min(offered, std::max(residual, 0.0));
+  arena_.delivered_bytes(id) += add;
+  t.segment_bytes += add;
+  t.clamped_bytes += offered - add;
+}
+
+void FluidEngine::retag(const Cell& c, SessionId id) {
+  const double bits = arena_.residual_bytes(id) * 8.0;
+  tag_[id] = at_cap(id) ? sim_.now().to_seconds() + bits / arena_.cap_bps(id)
+                        : c.vclock + bits / arena_.weight(id);
+}
+
+void FluidEngine::fold(const Tally& t) {
+  segment_bytes_ += t.segment_bytes;
+  clamped_bytes_ += t.clamped_bytes;
+  negative_residuals_ += t.negative_residuals;
+  member_ops_ += t.member_ops;
 }
 
 // --- water-filling ----------------------------------------------------------
@@ -302,58 +353,80 @@ double FluidEngine::order_key(SessionId id) const {
   return cap > 0.0 ? cap / arena_.weight(id) : kInf;
 }
 
+void FluidEngine::flip(Cell& c, SessionId id, Tally& t) {
+  ++t.member_ops;
+  const bool fluid = arena_.mode(id) == FlowMode::Fluid;
+  const bool to_cap = !at_cap(id);
+  if (fluid) {
+    bank(c, id, t);
+    delist(c, id, t);
+  }
+  const double cap = arena_.cap_bps(id);
+  const double w = arena_.weight(id);
+  if (to_cap) {
+    ++c.capped;
+    c.capped_bps += cap;
+    c.open_weight = c.capped == c.order.size() ? 0.0 : c.open_weight - w;
+    slot_[id] |= kAtCapBit;
+  } else {
+    --c.capped;
+    c.capped_bps = c.capped == 0 ? 0.0 : c.capped_bps - cap;
+    c.open_weight += w;
+    slot_[id] &= ~kAtCapBit;
+  }
+  if (fluid) enlist(c, id, t);
+}
+
 void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
-  accrue_cell(c, out);
+  advance(c);  // the elapsed window is served at the old level
 
-  // Weighted max-min fairness with per-flow caps, one water-filling pass
-  // over the persistently maintained (cap/weight, id) order: a flow whose
-  // cap is below the running fair level keeps its cap, everyone after
-  // shares the leftovers in proportion to weight. The weight sum is taken
-  // fresh over the id-ordered member list — NOT kept as a running
-  // aggregate — so the fill arithmetic is bit-identical to a from-scratch
-  // water-fill of the same members (the churn-equivalence property test
-  // holds to the last ulp).
-  double remaining = c.capacity_bps;
-  double weight_left = 0.0;
-  for (SessionId id : c.flows) weight_left += arena_.weight(id);
+  // Weighted max-min fairness with per-flow caps: member order[k] is capped
+  // iff its key is below the level of the prefix before it,
+  // (C − Σcap[0,k)) / Σw[k,n). That predicate holds for a prefix of the
+  // order and fails for the rest, so the boundary only has to move past the
+  // keys the new level crossed — in one direction.
+  const std::size_t n = c.order.size();
+  bool raised = false;
+  while (c.capped < n) {
+    const SessionId id = c.order[c.capped];
+    if (!(order_key(id) < (c.capacity_bps - c.capped_bps) / c.open_weight)) break;
+    flip(c, id, out.tally);
+    raised = true;
+  }
+  while (!raised && c.capped > 0) {
+    const SessionId id = c.order[c.capped - 1];
+    const double level = (c.capacity_bps - c.capped_bps + arena_.cap_bps(id)) /
+                         (c.open_weight + arena_.weight(id));
+    if (order_key(id) < level) break;
+    flip(c, id, out.tally);
+  }
+  c.level =
+      c.open_weight > 0.0 ? std::max((c.capacity_bps - c.capped_bps) / c.open_weight, 0.0) : 0.0;
 
-  // The fill pass also finds the next rate-change point this cell generates
-  // on its own: the earliest fluid completion at the just-computed rates.
-  // The residuals are post-accrual and a min over non-NaN values does not
-  // depend on visit order, so the result equals an id-order scan's.
-  double min_dt_s = kInf;
-  for (SessionId id : c.order) {
-    const double w = arena_.weight(id);
-    double rate = 0.0;
-    if (remaining > 0.0 && weight_left > 0.0) {
-      const double fair = remaining * w / weight_left;
-      const double cap = arena_.cap_bps(id);
-      rate = (cap > 0.0 && cap < fair) ? cap : fair;
-    }
-    remaining -= rate;
-    weight_left -= w;
-    if (arena_.mode(id) == FlowMode::Packet) {
-      // Ghost: record the share for the packet lane when it moves. The
-      // callback itself runs at commit time on the main thread.
-      if (rate != arena_.rate_bps(id)) {
-        arena_.rate_bps(id) = rate;
-        out.ghost_changes.emplace_back(id, rate);
-      }
-    } else {
+  // Ghosts: record the share for the packet lane when it moves. The
+  // callback itself runs at commit time on the main thread.
+  for (SessionId id : c.ghosts) {
+    const double rate = rate_bps(id);
+    if (rate != arena_.rate_bps(id)) {
       arena_.rate_bps(id) = rate;
-      if (rate > 0.0) {
-        const double dt = arena_.residual_bytes(id) * 8.0 / rate;
-        min_dt_s = std::min(min_dt_s, std::max(dt, 0.0));
-      }
+      out.ghost_changes.emplace_back(id, rate);
     }
+  }
+
+  // The next rate-change point this cell generates on its own: the earlier
+  // of the two heap heads' finishes at the new rates.
+  double min_dt_s = kInf;
+  if (!c.at_cap.empty()) {
+    min_dt_s = std::max(tag_[c.at_cap.front()] - sim_.now().to_seconds(), 0.0);
+  }
+  if (!c.open.empty() && c.level > 0.0) {
+    min_dt_s = std::min(min_dt_s, std::max((tag_[c.open.front()] - c.vclock) / c.level, 0.0));
   }
   out.min_completion_s = min_dt_s;
 }
 
 void FluidEngine::commit_outcome(std::uint32_t cell_id, CellOutcome& out) {
-  segment_bytes_ += out.segment_bytes;
-  clamped_bytes_ += out.clamped_bytes;
-  negative_residuals_ += out.negative_residuals;
+  fold(out.tally);
   ++rate_events_;
 
   Cell& c = cells_[cell_id];
@@ -430,7 +503,7 @@ void FluidEngine::drain() {
     if (c.dirty) {
       c.dirty = false;
       drain_cells_.push_back(cell_id);
-      members += c.flows.size();
+      members += c.order.size();
     }
   }
   drain_queue_.clear();
@@ -447,7 +520,7 @@ void FluidEngine::drain() {
   }
 
   if (pool_ && n > 1 && members >= kPoolMinMembers) {
-    // Parallel phase: workers write only their own cell's arena rows and
+    // Parallel phase: workers write only their own cell's state, rows and
     // outcome slot; the Simulator is never touched off-thread (the main
     // thread is parked inside run() until every fill is done).
     ++parallel_drains_;
@@ -467,14 +540,11 @@ void FluidEngine::drain() {
     CellOutcome& out = drain_outcomes_[i];
     if (cells_[cell_id].fill_seq != out.fill_seq) {
       // An earlier commit's callback demoted/promoted a flow in this cell,
-      // and fill_cell_now already committed fresh rates, a fresh completion
-      // event, and fresh ghost shares. Committing this outcome would cancel
-      // that event and replay stale shares — keep only its ledger deltas,
-      // which the inline fill cannot have banked (no sim time passed since
-      // our fill, so its accrual window was empty).
-      segment_bytes_ += out.segment_bytes;
-      clamped_bytes_ += out.clamped_bytes;
-      negative_residuals_ += out.negative_residuals;
+      // and fill_cell_now already committed a fresh completion event and
+      // fresh ghost shares. Committing this outcome would cancel that event
+      // and replay stale shares — keep only its tally: the bytes its flips
+      // banked are in the arena already.
+      fold(out.tally);
       if (on_rate_share) {
         // The inline fill records ghost changes against the arena values OUR
         // fill wrote — which the consumer never heard — so a share this
@@ -495,30 +565,57 @@ void FluidEngine::drain() {
 
 // --- completion -------------------------------------------------------------
 
+namespace {
+
+/// Append every entry of a tag-ordered min-heap whose tag is at most
+/// `limit` and which `due` accepts. A node's tag bounds its whole subtree
+/// from below, so the walk stops at the first node past `limit` on each
+/// path — but not at a node `due` rejects: with unequal weights or caps,
+/// heap order is not residual order.
+template <class Due>
+void collect_due(const std::vector<SessionId>& heap, const std::vector<double>& tag,
+                 std::size_t i, double limit, const Due& due, std::vector<SessionId>& out) {
+  if (i >= heap.size() || tag[heap[i]] > limit) return;
+  if (due(heap[i])) out.push_back(heap[i]);
+  collect_due(heap, tag, 2 * i + 1, limit, due, out);
+  collect_due(heap, tag, 2 * i + 2, limit, due, out);
+}
+
+}  // namespace
+
 void FluidEngine::fire(std::uint32_t cell_id) {
   Cell& c = cells_[cell_id];
-  accrue_now(c);
+  advance(c);
 
-  // Complete every fluid flow that reached its demand (ties complete
-  // together, in SessionId order — the member list is sorted). The scratch
+  // Complete every fluid flow within kCompleteEpsBytes of its demand (ties
+  // complete together, in SessionId order). A flow owing at most eps bytes
+  // has a tag within 8·eps/weight of the clock, or 8·eps/cap of now; the
+  // floors bound both, with a factor of 2 against rounding. The scratch
   // buffer is engine-level: fire() runs hundreds of thousands of times in a
   // 1M-UE run and must not heap-allocate per completion.
+  const auto due = [&](SessionId id) { return owed_bytes(c, id) <= kCompleteEpsBytes; };
   scratch_done_.clear();
-  for (SessionId id : c.flows) {
-    if (arena_.mode(id) != FlowMode::Fluid) continue;
-    if (arena_.residual_bytes(id) <= kCompleteEpsBytes) scratch_done_.push_back(id);
-  }
+  collect_due(c.at_cap, tag_, 0,
+              sim_.now().to_seconds() + 16.0 * kCompleteEpsBytes / cap_floor_, due,
+              scratch_done_);
+  collect_due(c.open, tag_, 0, c.vclock + 16.0 * kCompleteEpsBytes / weight_floor_, due,
+              scratch_done_);
+  std::sort(scratch_done_.begin(), scratch_done_.end());
+
+  Tally t;
   for (SessionId id : scratch_done_) {
+    bank(c, id, t);
+    remove_member(c, id, t);
     // The sub-epsilon remainder is the final segment, delivered now.
-    segment_bytes_ += arena_.residual_bytes(id);
+    t.segment_bytes += arena_.residual_bytes(id);
     arena_.delivered_bytes(id) = arena_.demand_bytes(id);
     arena_.mode(id) = FlowMode::Done;
     arena_.rate_bps(id) = 0.0;
     arena_.finish_ns(id) = sim_.now().nanos();
-    remove_member(c, id);
     --active_fluid_;
     ++completions_;
   }
+  fold(t);
   mark_dirty(cell_id);
   if (on_complete) {
     // on_complete may start/demote/handover flows; those marks coalesce
@@ -529,38 +626,122 @@ void FluidEngine::fire(std::uint32_t cell_id) {
 
 // --- membership -------------------------------------------------------------
 
-void FluidEngine::insert_member(Cell& c, SessionId id) {
-  auto it = std::lower_bound(c.flows.begin(), c.flows.end(), id);
-  c.flows.insert(it, id);
-  insert_order(c, id, order_key(id));
+std::vector<SessionId>::iterator FluidEngine::find_in_order(std::vector<SessionId>& v,
+                                                           SessionId id) const {
+  const double key = order_key(id);
+  return std::lower_bound(v.begin(), v.end(), id, [&](SessionId other, SessionId target) {
+    const double ko = order_key(other);
+    if (ko != key) return ko < key;
+    return other < target;
+  });
 }
 
-void FluidEngine::remove_member(Cell& c, SessionId id) {
-  auto it = std::lower_bound(c.flows.begin(), c.flows.end(), id);
-  assert(it != c.flows.end() && *it == id);
-  c.flows.erase(it);
-  remove_order(c, id, order_key(id));
-}
-
-void FluidEngine::insert_order(Cell& c, SessionId id, double key) {
-  auto it = std::lower_bound(c.order.begin(), c.order.end(), id,
-                             [&](SessionId other, SessionId target) {
-                               const double ko = order_key(other);
-                               if (ko != key) return ko < key;
-                               return other < target;
-                             });
+void FluidEngine::insert_member(Cell& c, SessionId id, Tally& t) {
+  if (id >= tag_.size()) {
+    tag_.resize(arena_.slots(), 0.0);
+    slot_.resize(arena_.slots(), 0);
+  }
+  weight_floor_ = std::min(weight_floor_, static_cast<double>(arena_.weight(id)));
+  if (arena_.cap_bps(id) > 0.0) cap_floor_ = std::min(cap_floor_, arena_.cap_bps(id));
+  auto it = find_in_order(c.order, id);
+  // A member landing inside the capped prefix joins it at its cap; the next
+  // fill moves the boundary if the level says otherwise.
+  if (static_cast<std::size_t>(it - c.order.begin()) < c.capped) {
+    ++c.capped;
+    c.capped_bps += arena_.cap_bps(id);
+    slot_[id] |= kAtCapBit;
+  } else {
+    c.open_weight += arena_.weight(id);
+    slot_[id] &= ~kAtCapBit;
+  }
   c.order.insert(it, id);
+  enlist(c, id, t);
 }
 
-void FluidEngine::remove_order(Cell& c, SessionId id, double key) {
-  auto it = std::lower_bound(c.order.begin(), c.order.end(), id,
-                             [&](SessionId other, SessionId target) {
-                               const double ko = order_key(other);
-                               if (ko != key) return ko < key;
-                               return other < target;
-                             });
+void FluidEngine::remove_member(Cell& c, SessionId id, Tally& t) {
+  delist(c, id, t);
+  auto it = find_in_order(c.order, id);
   assert(it != c.order.end() && *it == id);
+  assert((static_cast<std::size_t>(it - c.order.begin()) < c.capped) == at_cap(id));
   c.order.erase(it);
+  // Emptied sums restart at exactly zero, so drift never outlives a prefix.
+  if (at_cap(id)) {
+    --c.capped;
+    c.capped_bps = c.capped == 0 ? 0.0 : c.capped_bps - arena_.cap_bps(id);
+  } else {
+    c.open_weight = c.capped == c.order.size() ? 0.0 : c.open_weight - arena_.weight(id);
+  }
+}
+
+void FluidEngine::enlist(Cell& c, SessionId id, Tally& t) {
+  if (arena_.mode(id) == FlowMode::Fluid) {
+    retag(c, id);
+    heap_push(at_cap(id) ? c.at_cap : c.open, id, t);
+  } else {
+    c.ghosts.insert(find_in_order(c.ghosts, id), id);
+  }
+}
+
+void FluidEngine::delist(Cell& c, SessionId id, Tally& t) {
+  if (arena_.mode(id) == FlowMode::Fluid) {
+    heap_erase(at_cap(id) ? c.at_cap : c.open, id, t);
+  } else {
+    auto it = find_in_order(c.ghosts, id);
+    assert(it != c.ghosts.end() && *it == id);
+    c.ghosts.erase(it);
+  }
+}
+
+// --- indexed heaps ----------------------------------------------------------
+
+void FluidEngine::heap_push(std::vector<SessionId>& heap, SessionId id, Tally& t) {
+  ++t.member_ops;
+  heap.push_back(id);
+  sift_up(heap, heap.size() - 1);
+}
+
+void FluidEngine::heap_erase(std::vector<SessionId>& heap, SessionId id, Tally& t) {
+  ++t.member_ops;
+  const std::size_t i = slot_[id] & ~kAtCapBit;
+  assert(i < heap.size() && heap[i] == id);
+  const SessionId last = heap.back();
+  heap.pop_back();
+  if (last == id) return;
+  heap[i] = last;
+  set_heap_index(last, i);
+  sift_up(heap, i);
+  sift_down(heap, slot_[last] & ~kAtCapBit);
+}
+
+void FluidEngine::sift_up(std::vector<SessionId>& heap, std::size_t i) {
+  const SessionId id = heap[i];
+  const double key = tag_[id];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(key < tag_[heap[parent]])) break;
+    heap[i] = heap[parent];
+    set_heap_index(heap[i], i);
+    i = parent;
+  }
+  heap[i] = id;
+  set_heap_index(id, i);
+}
+
+void FluidEngine::sift_down(std::vector<SessionId>& heap, std::size_t i) {
+  const SessionId id = heap[i];
+  const double key = tag_[id];
+  const std::size_t n = heap.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && tag_[heap[child + 1]] < tag_[heap[child]]) ++child;
+    if (!(tag_[heap[child]] < key)) break;
+    heap[i] = heap[child];
+    set_heap_index(heap[i], i);
+    i = child;
+  }
+  heap[i] = id;
+  set_heap_index(id, i);
 }
 
 }  // namespace cb::traffic

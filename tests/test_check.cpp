@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -244,15 +246,40 @@ TEST(FuzzScenario, BareObjectDecodesToScenarioDefaults) {
 // A replayed scenario's report timers re-arm by report_interval_s: -1 used
 // to abort the replay (a negative schedule delay), and 0 or 1e-12 hung it
 // at the first report instant. The loader refuses them instead.
-TEST(FuzzScenario, ReproRejectsReportIntervalsThatCannotRun) {
+TEST(FuzzScenario, ReproRejectsValuesThatCannotRun) {
+  // Each value below once aborted or hung `cbfuzz --replay`, or (a negative
+  // window) injected a fault that never healed; decoding now rejects it, so
+  // the replay exits 2 with the message. Non-finite values cannot be spelled
+  // in JSON text, so those go straight to the decoder.
+  const double inf = std::numeric_limits<double>::infinity();
   const JsonObject valid = scenario_to_json(scenario::random_scenario(1)).as_object();
   EXPECT_NO_THROW(load_repro(JsonValue(valid).dump()));
-  for (double bad : {-1.0, 0.0, 1e-12}) {
-    SCOPED_TRACE(::testing::Message() << "report_interval_s=" << bad);
+  auto rejected = [&](const std::string& key, double bad, bool in_fault) {
+    SCOPED_TRACE(::testing::Message() << key << "=" << bad);
     JsonObject o = valid;
-    o["report_interval_s"] = bad;
-    EXPECT_THROW(load_repro(JsonValue(std::move(o)).dump()), std::runtime_error);
-  }
+    if (in_fault) {
+      JsonObject fault{{"kind", JsonValue("wan_degrade")}, {"start_s", JsonValue(10.0)},
+                       {"duration_s", JsonValue(5.0)}};
+      fault[key] = bad;
+      o["faults"] = JsonValue(JsonArray{JsonValue(std::move(fault))});
+    } else {
+      o[key] = bad;
+    }
+    EXPECT_THROW(scenario_from_json(JsonValue(o)), std::runtime_error);
+    if (std::isfinite(bad)) {
+      EXPECT_THROW(load_repro(JsonValue(std::move(o)).dump()), std::runtime_error);
+    }
+  };
+  for (double bad : {-1.0, 0.0, 1e-12, inf}) rejected("report_interval_s", bad, false);
+  for (double bad : {0.0, -5.0, inf}) rejected("speed_mps", bad, false);
+  for (double bad : {-5.0, 1e300, inf}) rejected("start_s", bad, true);
+  for (double bad : {-5.0, 1e300, inf}) rejected("duration_s", bad, true);
+  // The fault shape used above decodes when its times are valid.
+  JsonObject o = valid;
+  o["faults"] = JsonValue(JsonArray{JsonValue(JsonObject{{"kind", JsonValue("wan_degrade")},
+                                                         {"start_s", JsonValue(10.0)},
+                                                         {"duration_s", JsonValue(5.0)}})});
+  EXPECT_NO_THROW(load_repro(JsonValue(std::move(o)).dump()));
 }
 
 // ---------------------------------------------------------------------------

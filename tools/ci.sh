@@ -56,9 +56,10 @@ run_suite() {
   # below, where a violation also produces a shrunk repro file instead of a
   # bare failure. The scale-labeled runs (mid-size fluid sweeps and the
   # 1M-UE curve point) are Release-only — far too slow under the
-  # sanitizers. The incremental-water-fill churn property tests are NOT
-  # scale-labeled on purpose: they run in this ASan leg, where an
-  # order-vector bookkeeping bug shows up as a concrete memory error.
+  # sanitizers. The fluid engine's oracle churn test is NOT scale-labeled
+  # on purpose: it runs in this ASan leg (and at 8 seeds in its own leg
+  # below), where a fill-order, heap-index or capped-prefix bookkeeping bug
+  # shows up as a concrete memory error.
   ctest --test-dir "$build_dir" --output-on-failure -LE "$exclude"
 }
 
@@ -144,6 +145,27 @@ if [[ "${1:-}" != "--skip-sanitized" ]]; then
     }
   done
   echo "transport leg ok"
+else
+  echo "skipped (--skip-sanitized)"
+fi
+
+echo "=== fluid oracle seed sweep (ASan/UBSan) ==="
+# The virtual-clock fluid engine (DESIGN.md §13) keeps each member's heap
+# index beside its tag and moves members across a capped-prefix boundary
+# by index arithmetic. This Debug build keeps the engine's index and class
+# asserts, and ASan reports a stale index that reads past an allocation.
+# Run the from-scratch oracle churn test at 8 seeds (40 streams of 120 ops
+# each).
+if [[ "${1:-}" != "--skip-sanitized" ]]; then
+  for seed in 1 2 3 4 5 6 7 8; do
+    CB_TEST_SEED=$seed ./build-asan/tests/test_traffic --gtest_brief=1 \
+      --gtest_filter='Fluid.MatchesFromScratchOracleUnderChurn' || {
+      echo "fluid oracle seed sweep FAILED — rerun: CB_TEST_SEED=$seed" \
+           "build-asan/tests/test_traffic --gtest_filter='Fluid.MatchesFromScratchOracleUnderChurn'"
+      exit 1
+    }
+  done
+  echo "fluid oracle seed sweep ok"
 else
   echo "skipped (--skip-sanitized)"
 fi
