@@ -111,9 +111,7 @@ void IperfSender::pump() {
     return;
   }
   for (;;) {
-    const std::size_t n = socket_->send(chunk_);
-    sent_ += n;
-    if (n < chunk_.size()) break;  // buffer full: wait for on_send_space
+    if (socket_->send(chunk_) < chunk_.size()) break;  // buffer full: wait for on_send_space
   }
 }
 

@@ -39,7 +39,6 @@ class IperfSender {
   IperfSender(transport::StreamTransport transport, net::EndPoint server,
               sim::Simulator& sim, Duration duration);
 
-  std::uint64_t bytes_sent() const { return sent_; }
   bool finished() const { return finished_; }
 
  private:
@@ -48,7 +47,6 @@ class IperfSender {
   sim::Simulator& sim_;
   std::shared_ptr<transport::StreamSocket> socket_;
   Bytes chunk_;
-  std::uint64_t sent_ = 0;
   TimePoint deadline_;
   bool closed_ = false;
   bool finished_ = false;

@@ -7,9 +7,18 @@
 namespace cb::apps {
 
 namespace {
-std::size_t segment_bytes(int level, Duration segment_duration) {
-  return static_cast<std::size_t>(kHlsLadderBps[level] * segment_duration.to_seconds() / 8.0);
+
+/// Start playback once this much media is buffered.
+constexpr Duration kStartupBuffer = Duration::s(8);
+/// Stop requesting when the buffer is this full.
+constexpr Duration kMaxBuffer = Duration::s(30);
+/// Safety factor on the throughput estimate for level selection.
+constexpr double kAbrSafety = 0.8;
+
+std::size_t segment_bytes(int level) {
+  return static_cast<std::size_t>(kHlsLadderBps[level] * kHlsSegment.to_seconds() / 8.0);
 }
+
 }  // namespace
 
 // --- HlsServer ---------------------------------------------------------------
@@ -17,7 +26,6 @@ std::size_t segment_bytes(int level, Duration segment_duration) {
 struct HlsServer::Conn {
   std::shared_ptr<transport::StreamSocket> socket;
   Bytes request_buf;
-  Duration segment_duration;
 
   void on_data(BytesView data) {
     request_buf.insert(request_buf.end(), data.begin(), data.end());
@@ -27,7 +35,7 @@ struct HlsServer::Conn {
       r.u32();  // segment index (content is synthetic)
       request_buf.erase(request_buf.begin(), request_buf.begin() + 5);
 
-      const std::size_t len = segment_bytes(level, segment_duration);
+      const std::size_t len = segment_bytes(level);
       ByteWriter w;
       w.u32(static_cast<std::uint32_t>(len));
       socket->send(w.data());
@@ -52,13 +60,10 @@ struct HlsServer::Conn {
   }
 };
 
-HlsServer::HlsServer(transport::StreamTransport transport, std::uint16_t port,
-                     Duration segment_duration)
-    : segment_duration_(segment_duration) {
+HlsServer::HlsServer(transport::StreamTransport transport, std::uint16_t port) {
   transport.listen(port, [this](std::shared_ptr<transport::StreamSocket> s) {
     auto conn = std::make_shared<Conn>();
     conn->socket = std::move(s);
-    conn->segment_duration = segment_duration_;
     conn->socket->on_data = [conn](BytesView d) { conn->on_data(d); };
     conn->socket->on_send_space = [conn] { conn->pump(); };
     conn->socket->on_closed = [conn](const std::string& reason) {
@@ -72,11 +77,7 @@ HlsServer::HlsServer(transport::StreamTransport transport, std::uint16_t port,
 
 HlsClient::HlsClient(transport::StreamTransport transport, net::EndPoint server,
                      sim::Simulator& sim)
-    : HlsClient(std::move(transport), server, sim, Config()) {}
-
-HlsClient::HlsClient(transport::StreamTransport transport, net::EndPoint server,
-                     sim::Simulator& sim, Config config)
-    : transport_(std::move(transport)), server_(server), sim_(sim), config_(config) {}
+    : transport_(std::move(transport)), server_(server), sim_(sim) {}
 
 void HlsClient::start() {
   running_ = true;
@@ -107,7 +108,7 @@ void HlsClient::reconnect() {
 
 int HlsClient::pick_level() const {
   if (throughput_ewma_bps_ <= 0.0) return 0;  // conservative start
-  const double budget = throughput_ewma_bps_ * config_.abr_safety;
+  const double budget = throughput_ewma_bps_ * kAbrSafety;
   int level = 0;
   for (int l = kHlsLevels - 1; l >= 0; --l) {
     if (kHlsLadderBps[l] <= budget) {
@@ -120,7 +121,7 @@ int HlsClient::pick_level() const {
 
 void HlsClient::request_next() {
   if (!running_ || awaiting_ || socket_ == nullptr || !socket_->connected()) return;
-  if (buffer_s_ >= config_.max_buffer.to_seconds()) {
+  if (buffer_s_ >= kMaxBuffer.to_seconds()) {
     // Buffer full: re-check shortly.
     sim_.schedule(Duration::ms(200), [this] { request_next(); });
     return;
@@ -164,7 +165,7 @@ void HlsClient::on_data(BytesView data) {
                                    ? sample
                                    : 0.7 * throughput_ewma_bps_ + 0.3 * sample;
       }
-      buffer_s_ += config_.segment_duration.to_seconds();
+      buffer_s_ += kHlsSegment.to_seconds();
       buffered_levels_.push_back(inflight_level_);
       ++next_segment_;
       awaiting_ = false;
@@ -176,9 +177,9 @@ void HlsClient::on_data(BytesView data) {
 
 void HlsClient::playout_tick() {
   if (!running_) return;
-  const double seg_s = config_.segment_duration.to_seconds();
+  const double seg_s = kHlsSegment.to_seconds();
   if (!playing_) {
-    if (buffer_s_ >= config_.startup_buffer.to_seconds()) playing_ = true;
+    if (buffer_s_ >= kStartupBuffer.to_seconds()) playing_ = true;
   }
   if (playing_) {
     if (buffer_s_ >= seg_s && !buffered_levels_.empty()) {
@@ -192,7 +193,7 @@ void HlsClient::playout_tick() {
       playing_ = false;
     }
   }
-  play_timer_ = sim_.schedule(config_.segment_duration, [this] { playout_tick(); });
+  play_timer_ = sim_.schedule(kHlsSegment, [this] { playout_tick(); });
 }
 
 double HlsClient::avg_quality_level() const {

@@ -20,36 +20,24 @@ namespace cb::apps {
 /// The encoding ladder: bitrate per quality level, bits/s.
 inline constexpr double kHlsLadderBps[] = {200e3, 400e3, 800e3, 1500e3, 2500e3, 4000e3};
 inline constexpr int kHlsLevels = 6;
+/// Media seconds per segment, on the server and in the client's buffer.
+inline constexpr Duration kHlsSegment = Duration::s(4);
 
 /// Serves segment requests: [u8 level][u32 segment] -> [u32 len][bytes].
 class HlsServer {
  public:
-  HlsServer(transport::StreamTransport transport, std::uint16_t port,
-            Duration segment_duration = Duration::s(4));
+  HlsServer(transport::StreamTransport transport, std::uint16_t port);
 
  private:
   struct Conn;
-  Duration segment_duration_;
   std::vector<std::shared_ptr<Conn>> conns_;
 };
 
 /// ABR client: downloads segments back-to-back, plays them out in real time.
 class HlsClient {
  public:
-  struct Config {
-    Duration segment_duration = Duration::s(4);
-    /// Start playback once this much media is buffered.
-    Duration startup_buffer = Duration::s(8);
-    /// Stop requesting when the buffer is this full.
-    Duration max_buffer = Duration::s(30);
-    /// Safety factor on the throughput estimate for level selection.
-    double abr_safety = 0.8;
-  };
-
   HlsClient(transport::StreamTransport transport, net::EndPoint server,
             sim::Simulator& sim);
-  HlsClient(transport::StreamTransport transport, net::EndPoint server,
-            sim::Simulator& sim, Config config);
 
   void start();
   void stop();
@@ -58,7 +46,6 @@ class HlsClient {
   double avg_quality_level() const;
   std::uint64_t segments_played() const { return played_; }
   std::uint64_t rebuffer_events() const { return rebuffers_; }
-  double buffered_seconds() const { return buffer_s_; }
 
  private:
   void request_next();
@@ -70,7 +57,6 @@ class HlsClient {
   transport::StreamTransport transport_;
   net::EndPoint server_;
   sim::Simulator& sim_;
-  Config config_;
   std::shared_ptr<transport::StreamSocket> socket_;
   bool running_ = false;
 

@@ -5,6 +5,15 @@
 
 namespace cb::apps {
 
+namespace {
+
+constexpr Duration kFrameInterval = Duration::ms(20);
+constexpr std::size_t kFrameBytes = 80;  // ~32 kb/s with headers (paper: ~30 kb/s)
+/// Fixed playout (jitter) buffer added to one-way delay for MOS.
+constexpr double kPlayoutBufferMs = 40.0;
+
+}  // namespace
+
 double VoipStats::mos() const {
   const double e = loss_rate();
   const double d = avg_delay_ms;  // one-way incl. playout buffer
@@ -17,10 +26,7 @@ double VoipStats::mos() const {
 }
 
 VoipEndpoint::VoipEndpoint(net::Node& node, std::uint16_t local_port)
-    : VoipEndpoint(node, local_port, Config()) {}
-
-VoipEndpoint::VoipEndpoint(net::Node& node, std::uint16_t local_port, Config config)
-    : node_(node), port_(local_port), config_(config) {
+    : node_(node), port_(local_port) {
   node_.bind_udp(port_, [this](const net::Packet& p) { on_packet(p); });
 }
 
@@ -50,7 +56,7 @@ void VoipEndpoint::send_frame() {
     ByteWriter w;
     w.u32(seq);
     w.u64(static_cast<std::uint64_t>(node_.simulator().now().nanos()));
-    w.raw(Bytes(config_.frame_bytes, 0));
+    w.raw(Bytes(kFrameBytes, 0));
     net::Packet p;
     p.src = net::EndPoint{src, port_};
     p.dst = remote_;
@@ -58,7 +64,7 @@ void VoipEndpoint::send_frame() {
     p.payload = w.take();
     node_.send(std::move(p));
   }
-  timer_ = node_.simulator().schedule(config_.frame_interval, [this] { send_frame(); });
+  timer_ = node_.simulator().schedule(kFrameInterval, [this] { send_frame(); });
 }
 
 void VoipEndpoint::on_packet(const net::Packet& p) {
@@ -83,7 +89,7 @@ void VoipEndpoint::on_packet(const net::Packet& p) {
     stats_.expected = static_cast<std::uint64_t>(highest_rx_seq_) + 1;
     delay_accum_ms_ += transit_ms;
     stats_.avg_delay_ms =
-        delay_accum_ms_ / static_cast<double>(stats_.received) + config_.playout_buffer_ms;
+        delay_accum_ms_ / static_cast<double>(stats_.received) + kPlayoutBufferMs;
 
     // RFC 3550 interarrival jitter estimator.
     if (stats_.received > 1) {

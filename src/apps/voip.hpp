@@ -34,15 +34,7 @@ struct VoipStats {
 /// (callee side), enabling the re-INVITE behaviour.
 class VoipEndpoint {
  public:
-  struct Config {
-    Duration frame_interval = Duration::ms(20);
-    std::size_t frame_bytes = 80;  // ~32 kb/s with headers (paper: ~30 kb/s)
-    /// Fixed playout (jitter) buffer added to one-way delay for MOS.
-    double playout_buffer_ms = 40.0;
-  };
-
   VoipEndpoint(net::Node& node, std::uint16_t local_port);
-  VoipEndpoint(net::Node& node, std::uint16_t local_port, Config config);
   ~VoipEndpoint();
 
   /// Start the outgoing stream toward `remote` (caller side). The callee
@@ -61,7 +53,6 @@ class VoipEndpoint {
 
   net::Node& node_;
   std::uint16_t port_;
-  Config config_;
   net::EndPoint remote_;
   bool streaming_ = false;
   std::uint32_t tx_seq_ = 0;

@@ -2,6 +2,17 @@
 
 namespace cb::apps {
 
+namespace {
+
+constexpr int kObjectsPerPage = 8;
+constexpr std::size_t kObjectBytes = 80 * 1024;
+constexpr int kConcurrentConnections = 4;
+constexpr Duration kThinkTime = Duration::s(2);
+/// Abandon a page if it has not finished in this long.
+constexpr Duration kPageTimeout = Duration::s(60);
+
+}  // namespace
+
 // --- WebServer ---------------------------------------------------------------
 
 struct WebServer::Conn {
@@ -69,9 +80,9 @@ struct WebClient::PageLoad {
   void request_on(std::size_t socket_index) {
     if (objects_unrequested <= 0) return;
     --objects_unrequested;
-    remaining[socket_index] = parent->config_.object_bytes;
+    remaining[socket_index] = kObjectBytes;
     ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(parent->config_.object_bytes));
+    w.u32(static_cast<std::uint32_t>(kObjectBytes));
     sockets[socket_index]->send(w.data());
   }
 
@@ -87,17 +98,13 @@ struct WebClient::PageLoad {
       parent->failures_ += 1;
     }
     WebClient* p = parent;
-    p->timer_ = p->sim_.schedule(p->config_.think_time, [p] { p->start_page(); });
+    p->timer_ = p->sim_.schedule(kThinkTime, [p] { p->start_page(); });
   }
 };
 
 WebClient::WebClient(transport::StreamTransport transport, net::EndPoint server,
                      sim::Simulator& sim)
-    : WebClient(std::move(transport), server, sim, Config()) {}
-
-WebClient::WebClient(transport::StreamTransport transport, net::EndPoint server,
-                     sim::Simulator& sim, Config config)
-    : transport_(std::move(transport)), server_(server), sim_(sim), config_(config) {}
+    : transport_(std::move(transport)), server_(server), sim_(sim) {}
 
 void WebClient::start() {
   running_ = true;
@@ -119,11 +126,11 @@ void WebClient::start_page() {
   auto page = std::make_shared<PageLoad>();
   page->parent = this;
   page->started = sim_.now();
-  page->objects_left = config_.objects_per_page;
-  page->objects_unrequested = config_.objects_per_page;
+  page->objects_left = kObjectsPerPage;
+  page->objects_unrequested = kObjectsPerPage;
   current_ = page;
 
-  const int conns = std::min(config_.concurrent_connections, config_.objects_per_page);
+  const int conns = std::min(kConcurrentConnections, kObjectsPerPage);
   for (int i = 0; i < conns; ++i) {
     auto socket = transport_.connect(server_);
     const auto index = static_cast<std::size_t>(i);
@@ -144,7 +151,7 @@ void WebClient::start_page() {
       if (!reason.empty() && !page->finished) page->finish(false);
     };
   }
-  page->timeout = sim_.schedule(config_.page_timeout, [page] { page->finish(false); });
+  page->timeout = sim_.schedule(kPageTimeout, [page] { page->finish(false); });
 }
 
 }  // namespace cb::apps

@@ -26,19 +26,8 @@ class WebServer {
 
 class WebClient {
  public:
-  struct Config {
-    int objects_per_page = 8;
-    std::size_t object_bytes = 80 * 1024;
-    int concurrent_connections = 4;
-    Duration think_time = Duration::s(2);
-    /// Abandon a page if it has not finished in this long.
-    Duration page_timeout = Duration::s(60);
-  };
-
   WebClient(transport::StreamTransport transport, net::EndPoint server,
             sim::Simulator& sim);
-  WebClient(transport::StreamTransport transport, net::EndPoint server,
-            sim::Simulator& sim, Config config);
 
   void start();
   void stop();
@@ -54,7 +43,6 @@ class WebClient {
   transport::StreamTransport transport_;
   net::EndPoint server_;
   sim::Simulator& sim_;
-  Config config_;
   bool running_ = false;
   std::shared_ptr<PageLoad> current_;
   Summary load_times_;

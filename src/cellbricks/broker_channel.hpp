@@ -47,8 +47,7 @@ struct RetrySchedule {
 };
 
 /// The UE and bTelco schedule for reports and resume notifies: first resend
-/// after 1 s (UeAgent::Config::report_retry can shorten the UE's), 5 sends,
-/// gaps capped at 30 s.
+/// after 1 s, 5 sends, gaps capped at 30 s.
 inline constexpr RetrySchedule kAgentSchedule{Duration::s(1), 5, Duration::s(30)};
 
 class BrokerChannel {

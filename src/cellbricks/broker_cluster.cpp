@@ -21,10 +21,7 @@ std::uint64_t endpoint_key(const net::EndPoint& ep) {
 // --- ShardRouter ------------------------------------------------------------
 
 ShardRouter::ShardRouter(std::vector<net::EndPoint> shards)
-    : ShardRouter(std::move(shards), Config()) {}
-
-ShardRouter::ShardRouter(std::vector<net::EndPoint> shards, Config config)
-    : shards_(std::move(shards)), config_(config), health_(shards_.size()) {}
+    : shards_(std::move(shards)), health_(shards_.size()) {}
 
 std::vector<std::size_t> ShardRouter::healthy(TimePoint now) const {
   std::vector<std::size_t> out;
@@ -76,8 +73,8 @@ void ShardRouter::learn_redirect(std::uint16_t bucket, std::uint16_t owner) {
 void ShardRouter::note_timeout(std::size_t shard, TimePoint now) {
   if (shard >= health_.size()) return;
   Health& h = health_[shard];
-  if (++h.strikes >= config_.suspect_after) {
-    h.suspect_until = now + config_.suspect_hold;
+  if (++h.strikes >= kSuspectAfter) {
+    h.suspect_until = now + kSuspectHold;
     h.strikes = 0;
   }
 }
@@ -98,7 +95,7 @@ BrokerShard::BrokerShard(BrokerCluster& cluster, std::size_t index, net::Node& n
       config_(config),
       queue_(node.simulator()),
       rng_(node.simulator().rng().fork(0xB20CE2 + 0x51AD * (index + 1))),
-      state_(config.broker.reputation, config.broker.test_skip_report_dedup),
+      state_(config.broker.test_skip_report_dedup),
       cur_stream_(index) {
   node_.bind_udp(kBrokerPort, [this](const net::Packet& p) { handle_client(p); });
   node_.bind_udp(kBrokerClusterPort, [this](const net::Packet& p) { handle_cluster(p); });
@@ -155,8 +152,8 @@ void BrokerShard::handle_client(const net::Packet& packet) {
         type != BrokerMsg::ResumeNotify) {
       return;
     }
-    const Duration service = type == BrokerMsg::AuthReq ? config_.broker.sap_service_time
-                                                        : kReportServiceTime;
+    const Duration service =
+        type == BrokerMsg::AuthReq ? BrokerConfig::sap_service_time : kReportServiceTime;
     if (type == BrokerMsg::AuthReq) {
       sap_busy_ += service;
       obs::inc(obs::counter("broker.sap.requests"));
@@ -214,7 +211,6 @@ void BrokerShard::handle_auth(const net::EndPoint& from, ByteReader& r) {
       });
 
   if (!decision) {
-    ++auth_denied_;
     obs::inc(obs::counter("broker.sap.denied"));
     obs::trace(now, obs::TraceType::SapAuthDenied, txn);
     ByteWriter w;
@@ -391,6 +387,13 @@ void BrokerShard::handle_report(const net::EndPoint& from, ByteReader& r) {
 
 void BrokerShard::handle_resume_notify(const net::EndPoint& from, ByteReader& r) {
   const std::uint64_t txn = r.u64();
+  // A resent notify is answered from the cache, or not at all while its
+  // entry awaits commit, so one resume is logged once.
+  const auto cache_key = std::make_pair(endpoint_key(from), txn);
+  if (auto cached = resume_reply_cache_.find(cache_key); cached != resume_reply_cache_.end()) {
+    if (!cached->second.payload.empty()) reply(from, cached->second.payload);
+    return;
+  }
   const Bytes sealed = r.bytes();
   auto opened = sap_.open_box(sealed);
   if (!opened) return;  // no ack: a clean retransmission may still succeed
@@ -444,7 +447,9 @@ void BrokerShard::handle_resume_notify(const net::EndPoint& from, ByteReader& r)
   ack.u8(static_cast<std::uint8_t>(BrokerMsg::ResumeNotifyAck));
   ack.u64(txn);
   ack.u8(revoke ? 1 : 0);
-  author(std::move(e), [this, from, ack_payload = ack.take()]() mutable {
+  resume_reply_cache_[cache_key] = CachedReply{{}, now};
+  author(std::move(e), [this, cache_key, from, ack_payload = ack.take()]() mutable {
+    resume_reply_cache_[cache_key] = CachedReply{ack_payload, node_.simulator().now()};
     reply(from, std::move(ack_payload));
   });
 }
@@ -856,12 +861,14 @@ void BrokerShard::sweep() {
       author(std::move(e), {});
     }
   }
-  for (auto it = auth_reply_cache_.begin(); it != auth_reply_cache_.end();) {
-    // Empty payload = still awaiting commit; never evict those here.
-    if (!it->second.payload.empty() && now - it->second.at >= config_.broker.reply_cache_ttl) {
-      it = auth_reply_cache_.erase(it);
-    } else {
-      ++it;
+  for (auto* cache : {&auth_reply_cache_, &resume_reply_cache_}) {
+    for (auto it = cache->begin(); it != cache->end();) {
+      // Empty payload = still awaiting commit; never evict those here.
+      if (!it->second.payload.empty() && now - it->second.at >= config_.broker.reply_cache_ttl) {
+        it = cache->erase(it);
+      } else {
+        ++it;
+      }
     }
   }
   for (auto it = report_ack_cache_.begin(); it != report_ack_cache_.end();) {
@@ -888,11 +895,12 @@ void BrokerShard::crash() {
   // commit and cache. The node's config and the subscriber DB (durable by
   // assumption) survive; pre-crash counters stay for observability.
   log_ = SettlementLog();
-  state_ = SettlementState(config_.broker.reputation, config_.broker.test_skip_report_dedup);
+  state_ = SettlementState(config_.broker.test_skip_report_dedup);
   pending_appends_.clear();
   uncommitted_reports_.clear();
   auth_reply_cache_.clear();
   report_ack_cache_.clear();
+  resume_reply_cache_.clear();
   report_ack_keys_.clear();
   fetch_last_.clear();
   for (auto& p : peers_) p = PeerView{};

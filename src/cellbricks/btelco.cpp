@@ -147,7 +147,6 @@ void Btelco::handle_resume(Bytes resume_req, net::Node* ue_node, net::Link* radi
                           reply = std::move(reply)]() mutable {
     if (crashed_) return;
     auto rejected = [this, &reply](std::string why) {
-      ++resumes_rejected_;
       obs::inc(obs::counter("btelco.resume.rejected"));
       CB_LOG(Info, "btelco") << id() << ": resume rejected: " << why;
       reply(R::err(std::move(why)));
@@ -290,7 +289,6 @@ void Btelco::install_session(const TelcoSession& ts, net::Node* ue_node,
   by_ip_[s.ip] = s.id;
   const net::Ipv4Addr ip = s.ip;
   auto [sit, inserted] = sessions_.emplace(s.id, std::move(s));
-  ++attaches_;
   obs::inc(obs::counter("btelco.attaches"));
   obs::set(obs::gauge("btelco.sessions.active"), static_cast<double>(sessions_.size()));
   obs::trace(node_.simulator().now(), obs::TraceType::SessionInstalled, sid);

@@ -83,7 +83,6 @@ class Btelco {
   };
   const std::vector<TicketAudit>& ticket_audit() const { return ticket_audit_; }
   std::uint64_t resumes_served() const { return resumes_; }
-  std::uint64_t resumes_rejected() const { return resumes_rejected_; }
   const std::unordered_set<std::string>& revoked_pseudonyms() const { return revoked_; }
   /// Pseudonyms with a live session (check layer: revoked implies not live).
   std::vector<std::string> session_pseudonyms() const;
@@ -110,7 +109,6 @@ class Btelco {
   const std::string& id() const { return sap_.id_t(); }
   net::Node& node() { return node_; }
   std::size_t active_sessions() const { return sessions_.size(); }
-  std::uint64_t attaches_served() const { return attaches_; }
   /// Sessions reclaimed by the inactivity GC (UE vanished without detach).
   std::uint64_t sessions_gced() const { return sessions_gced_; }
   /// Reports dropped after exhausting every retransmission attempt.
@@ -194,7 +192,6 @@ class Btelco {
   std::uint64_t next_report_seq_ = 1;
   sim::EventHandle gc_timer_;
   bool crashed_ = false;
-  std::uint64_t attaches_ = 0;
   std::uint64_t sessions_gced_ = 0;
   std::uint64_t reports_abandoned_ = 0;
 
@@ -205,7 +202,6 @@ class Btelco {
   std::vector<TicketAudit> ticket_audit_;
   std::uint64_t next_notify_txn_ = 1;
   std::uint64_t resumes_ = 0;
-  std::uint64_t resumes_rejected_ = 0;
 };
 
 }  // namespace cb::cellbricks

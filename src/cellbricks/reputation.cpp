@@ -14,7 +14,7 @@ PairVerdict ReputationSystem::compare(const TrafficReport& from_ue,
   // delta is dl_U * l/(1-l); epsilon is the fixed tolerance on top.
   const double dl_u = static_cast<double>(from_ue.dl_bytes);
   const double l = std::clamp(from_ue.dl_loss_rate, 0.0, 0.95);
-  v.threshold = (l / (1.0 - l) + config_.epsilon) * dl_u + 1500.0;  // +1 MTU slack
+  v.threshold = (l / (1.0 - l) + kEpsilon) * dl_u + 1500.0;  // +1 MTU slack
   v.delta = static_cast<std::int64_t>(from_telco.dl_bytes) -
             static_cast<std::int64_t>(from_ue.dl_bytes);
   const double excess = std::abs(static_cast<double>(v.delta)) - v.threshold;
@@ -41,7 +41,7 @@ void ReputationSystem::record(const std::string& id_u, const std::string& id_t,
   } else {
     t.clean_count += 1;
     t.weighted_mismatches =
-        std::max(0.0, t.weighted_mismatches - config_.recovery_per_clean_pair);
+        std::max(0.0, t.weighted_mismatches - kRecoveryPerCleanPair);
   }
 }
 

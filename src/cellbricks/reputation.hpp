@@ -17,13 +17,6 @@
 
 namespace cb::cellbricks {
 
-struct ReputationConfig {
-  /// Fixed tolerance ratio epsilon from Fig.5 (acceptable link-loss slack).
-  double epsilon = 0.02;
-  /// Mild score recovery per clean (matching) report pair.
-  double recovery_per_clean_pair = 0.01;
-};
-
 /// Result of comparing one aligned (UE, bTelco) report pair.
 struct PairVerdict {
   bool mismatch = false;
@@ -43,8 +36,10 @@ class ReputationSystem {
   /// arrived (the broker's unpaired-report timeout). Much milder than a
   /// billing mismatch: losing reports is unreliability, not dishonesty.
   static constexpr double kMissingReportPenalty = 0.05;
-
-  explicit ReputationSystem(ReputationConfig config = {}) : config_(config) {}
+  /// Fixed tolerance ratio epsilon from Fig.5 (acceptable link-loss slack).
+  static constexpr double kEpsilon = 0.02;
+  /// Mild score recovery per clean (matching) report pair.
+  static constexpr double kRecoveryPerCleanPair = 0.01;
 
   /// Fig.5: compare aligned reports; threshold = (loss_U + eps) * dl_U.
   PairVerdict compare(const TrafficReport& from_ue, const TrafficReport& from_telco) const;
@@ -67,7 +62,6 @@ class ReputationSystem {
   /// Reporting periods for which this party (bTelco or user) never delivered
   /// its half of the report pair.
   std::uint64_t missing_reports(const std::string& id) const;
-  const ReputationConfig& config() const { return config_; }
 
  private:
   struct TelcoState {
@@ -81,7 +75,6 @@ class ReputationSystem {
     std::uint64_t missing_count = 0;
   };
 
-  ReputationConfig config_;
   std::unordered_map<std::string, TelcoState> telcos_;
   std::unordered_map<std::string, UserState> users_;
   std::unordered_set<std::string> suspects_;

@@ -145,8 +145,8 @@ class SettlementState {
  public:
   /// `skip_report_dedup` is a TEST HOOK (BrokerConfig::test_skip_report_dedup):
   /// duplicate reports are accumulated again instead of absorbed.
-  explicit SettlementState(ReputationConfig reputation = {}, bool skip_report_dedup = false)
-      : reputation_(reputation), skip_report_dedup_(skip_report_dedup) {}
+  explicit SettlementState(bool skip_report_dedup = false)
+      : skip_report_dedup_(skip_report_dedup) {}
 
   void apply(const SettlementEntry& e);
 

@@ -15,14 +15,14 @@ constexpr Duration kUeMsg = Duration::millis(1.25);
 constexpr Duration kEnbMsg = Duration::millis(0.375);
 /// Bearer watchdog cadence while attached (detects serving-link death).
 constexpr Duration kWatchdogInterval = Duration::millis(500);
+/// Recovery retry backoff: decorrelated jitter from this base, capped at the
+/// max.
+constexpr Duration kRetryBackoff = Duration::millis(500);
+constexpr Duration kRetryBackoffMax = Duration::s(8);
+/// How long a cell that failed an attach is skipped during recovery.
+constexpr Duration kCellBlacklist = Duration::s(10);
 
 }  // namespace
-
-UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
-                 const ran::RanMap& ran_map, std::function<Btelco*(ran::CellId)> telco_of_cell,
-                 net::EndPoint broker_report_ep)
-    : UeAgent(network, ue_node, std::move(sap), ran_map, std::move(telco_of_cell),
-              broker_report_ep, Config()) {}
 
 UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
                  const ran::RanMap& ran_map, std::function<Btelco*(ran::CellId)> telco_of_cell,
@@ -39,8 +39,7 @@ UeAgent::UeAgent(net::Network& network, net::Node& ue_node, SapUe sap,
       jitter_rng_(ue_node.simulator().rng().fork(0x0EA7)),
       // The source address is set per attach (complete_attach).
       reports_(ue_node, BrokerMsg::Report, net::EndPoint{}, broker_report_ep, jitter_rng_,
-               RetrySchedule{config_.report_retry, kAgentSchedule.attempts,
-                             kAgentSchedule.cap}) {
+               kAgentSchedule) {
   reports_.on_transmit = [](std::uint64_t) { obs::inc(obs::counter("ue_agent.reports.tx")); };
   reports_.on_abandon = [this](std::uint64_t seq) {
     ++reports_abandoned_;
@@ -257,7 +256,7 @@ void UeAgent::attach_with_recovery(ran::CellId preferred) {
   recovery_enabled_ = true;
   cancel_recovery();
   in_recovery_ = true;
-  recovery_backoff_ = config_.retry_backoff;
+  recovery_backoff_ = kRetryBackoff;
   outage_started_ = ue_node_.simulator().now();
   try_attach(preferred);
 }
@@ -306,7 +305,7 @@ void UeAgent::try_attach(ran::CellId preferred) {
     }
     // This cell is sick (denied, timed out, dead AGW): skip it for a while
     // and let the backoff pick the next-best candidate.
-    blacklist_[cell] = ue_node_.simulator().now() + config_.cell_blacklist;
+    blacklist_[cell] = ue_node_.simulator().now() + kCellBlacklist;
     schedule_retry(preferred);
   });
 }
@@ -314,8 +313,8 @@ void UeAgent::try_attach(ran::CellId preferred) {
 void UeAgent::schedule_retry(ran::CellId preferred) {
   obs::inc(obs::counter("ue_agent.attach.retries"));
   obs::trace(ue_node_.simulator().now(), obs::TraceType::AttachRetry, preferred);
-  recovery_backoff_ = decorrelated_backoff(jitter_rng_, config_.retry_backoff,
-                                           recovery_backoff_, config_.retry_backoff_max);
+  recovery_backoff_ =
+      decorrelated_backoff(jitter_rng_, kRetryBackoff, recovery_backoff_, kRetryBackoffMax);
   recovery_timer_ = ue_node_.simulator().schedule(recovery_backoff_,
                                                   [this, preferred] { try_attach(preferred); });
 }
@@ -343,7 +342,7 @@ void UeAgent::watchdog() {
   CB_LOG(Info, "ue-agent") << id() << ": bearer to cell " << lost
                            << " lost, entering recovery";
   detach_locally();
-  blacklist_[lost] = ue_node_.simulator().now() + config_.cell_blacklist;
+  blacklist_[lost] = ue_node_.simulator().now() + kCellBlacklist;
   if (recovery_enabled_) attach_with_recovery(0);
 }
 

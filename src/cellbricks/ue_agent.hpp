@@ -41,19 +41,8 @@ class UeAgent {
     /// Attach deadline: if SAP has not completed by then the attempt is
     /// abandoned (covers a crashed AGW that never answers).
     Duration attach_timeout = Duration::s(3);
-    /// Recovery retry backoff: decorrelated jitter from this base, capped
-    /// at the max.
-    Duration retry_backoff = Duration::millis(500);
-    Duration retry_backoff_max = Duration::s(8);
-    /// How long a cell that failed an attach is skipped during recovery.
-    Duration cell_blacklist = Duration::s(10);
-    /// First traffic-report resend delay; the rest of the schedule is
-    /// kAgentSchedule (the bTelco's).
-    Duration report_retry = kAgentSchedule.first;
   };
 
-  UeAgent(net::Network& network, net::Node& ue_node, SapUe sap, const ran::RanMap& ran_map,
-          std::function<Btelco*(ran::CellId)> telco_of_cell, net::EndPoint broker_report_ep);
   UeAgent(net::Network& network, net::Node& ue_node, SapUe sap, const ran::RanMap& ran_map,
           std::function<Btelco*(ran::CellId)> telco_of_cell, net::EndPoint broker_report_ep,
           Config config);

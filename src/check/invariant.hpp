@@ -73,7 +73,6 @@ class InvariantEngine {
   bool ok() const { return violations_.empty(); }
   const std::vector<Violation>& violations() const { return violations_; }
   std::uint64_t checks_run() const { return checks_run_; }
-  std::size_t checker_count() const { return checkers_.size(); }
 
   /// "name@t: detail" lines, one per violation (repro reports, CI logs).
   std::string summary() const;

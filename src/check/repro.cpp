@@ -14,17 +14,17 @@ namespace {
 /// the replay, and a zero or sub-nanosecond one re-arms at the same instant
 /// forever.
 constexpr double kMinReportIntervalS = 1e-3;
-/// Fault times become Duration nanoseconds, and a window ends at start +
-/// duration: a time past the simulator's own "longer than anything"
-/// sentinel (about 73 years) would overflow one or the other.
-constexpr double kMaxFaultTimeS = Duration::infinite().to_seconds();
+/// The horizon and fault times become Duration nanoseconds, and a window
+/// ends at start + duration: a time past the simulator's own "longer than
+/// anything" sentinel (about 73 years) would overflow one or the other.
+constexpr double kMaxTimeS = Duration::infinite().to_seconds();
 
 /// A fault before t=0 cannot be scheduled, and a negative duration would
 /// inject a window that never heals.
 double fault_time(const std::string& key, double v) {
-  if (!std::isfinite(v) || v < 0.0 || v > kMaxFaultTimeS) {
+  if (!std::isfinite(v) || v < 0.0 || v > kMaxTimeS) {
     throw std::runtime_error("repro: fault " + key + " must be a finite value in [0, " +
-                             std::to_string(kMaxFaultTimeS) + "] s");
+                             std::to_string(kMaxTimeS) + "] s");
   }
   return v;
 }
@@ -144,8 +144,17 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   if (!std::isfinite(s.speed_mps) || s.speed_mps <= 0.0) {
     throw std::runtime_error("repro: speed_mps must be a finite value > 0");
   }
+  // A horizon of zero or less simulates nothing, so the replay would report
+  // the bug fixed; a spacing of zero or less collapses the route geometry.
   s.tower_spacing_m = v.at("tower_spacing_m").as_double();
+  if (!std::isfinite(s.tower_spacing_m) || s.tower_spacing_m <= 0.0) {
+    throw std::runtime_error("repro: tower_spacing_m must be a finite value > 0");
+  }
   s.duration_s = v.at("duration_s").as_double();
+  if (!std::isfinite(s.duration_s) || s.duration_s <= 0.0 || s.duration_s > kMaxTimeS) {
+    throw std::runtime_error("repro: duration_s must be a finite value in (0, " +
+                             std::to_string(kMaxTimeS) + "] s");
+  }
   read_optional(v, "radio_loss", s.radio_loss);
   read_optional(v, "unlimited_policy", s.unlimited_policy);
   read_optional(v, "report_interval_s", s.report_interval_s);

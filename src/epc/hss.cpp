@@ -6,9 +6,15 @@
 
 namespace cb::epc {
 
-Hss::Hss(net::Node& node, Duration service_time)
+namespace {
+
+/// Processing delay per request (Fig.7 calibration; see mme.cpp).
+constexpr Duration kHssReq = Duration::millis(2.75);
+
+}  // namespace
+
+Hss::Hss(net::Node& node)
     : node_(node),
-      service_time_(service_time),
       queue_(node.simulator()),
       rng_(node.simulator().rng().fork(0x455)) {
   node_.bind_udp(kHssPort, [this](const net::Packet& p) { handle(p); });
@@ -16,10 +22,6 @@ Hss::Hss(net::Node& node, Duration service_time)
 
 void Hss::add_subscriber(const std::string& imsi, Bytes k) {
   subscribers_[imsi] = std::move(k);
-}
-
-bool Hss::has_subscriber(const std::string& imsi) const {
-  return subscribers_.contains(imsi);
 }
 
 void Hss::enable_5g(Rng& rng, std::size_t modulus_bits) {
@@ -31,7 +33,7 @@ void Hss::handle(const net::Packet& packet) {
   // The payload is COW, so holding it in the closure is a pointer share.
   CowBytes payload = packet.payload;
   const net::EndPoint from = packet.src;
-  queue_.submit(service_time_, [this, payload = std::move(payload), from] {
+  queue_.submit(kHssReq, [this, payload = std::move(payload), from] {
     try {
       ByteReader r(payload);
       const auto type = static_cast<S6aType>(r.u8());

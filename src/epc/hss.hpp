@@ -36,12 +36,10 @@ enum class S6aType : std::uint8_t {
 
 class Hss {
  public:
-  /// `service_time` is the per-request processing delay (Fig.7 calibration).
-  Hss(net::Node& node, Duration service_time);
+  explicit Hss(net::Node& node);
 
   /// Provision a subscriber with its permanent key K.
   void add_subscriber(const std::string& imsi, Bytes k);
-  bool has_subscriber(const std::string& imsi) const;
 
   /// Enable the 5G-AKA service: generates the home-network keypair SUCIs
   /// are concealed under. Draws from `rng` only when called, so 4G worlds
@@ -68,7 +66,6 @@ class Hss {
   void reply(const net::EndPoint& to, Bytes payload);
 
   net::Node& node_;
-  Duration service_time_;
   sim::ServiceQueue queue_;
   std::unordered_map<std::string, Bytes> subscribers_;
   std::unordered_map<std::string, std::string> locations_;  // imsi -> serving MME

@@ -22,16 +22,6 @@
 
 namespace cb::epc {
 
-/// Per-message processing delays, calibrated so the Fig.7 totals match the
-/// paper's testbed (see DESIGN.md): UE 4 x 0.5 ms, eNB 6 x 0.5 ms,
-/// AGW 4 x 3 ms, HSS 2 x 2.75 ms => 22.5 ms of processing per attach.
-struct EpcProcProfile {
-  Duration ue_msg = Duration::millis(0.5);
-  Duration enb_msg = Duration::millis(0.5);
-  Duration agw_msg = Duration::ms(3);
-  Duration hss_req = Duration::millis(2.75);
-};
-
 class Mme {
  public:
   /// UE-side continuations for the dialog legs that cross the radio
@@ -45,7 +35,7 @@ class Mme {
     std::function<void(Result<net::Ipv4Addr>)> done;
   };
 
-  Mme(net::Node& agw_node, SgwPgw& spgw, net::EndPoint hss, EpcProcProfile profile = {});
+  Mme(net::Node& agw_node, SgwPgw& spgw, net::EndPoint hss);
 
   /// Begin the attach dialog for `imsi` arriving via `tower`/`radio_link`.
   void attach(const std::string& imsi, net::Node* ue_node, net::Node* tower,
@@ -66,7 +56,6 @@ class Mme {
   /// (conformance tests compare it against the UE's derivation).
   const Bytes& last_kseaf() const { return last_kseaf_; }
 
-  const EpcProcProfile& profile() const { return profile_; }
   SgwPgw& spgw() { return spgw_; }
 
  private:
@@ -90,7 +79,6 @@ class Mme {
   net::Node& node_;
   SgwPgw& spgw_;
   net::EndPoint hss_;
-  EpcProcProfile profile_;
   sim::ServiceQueue queue_;
   std::uint16_t port_ = 0;
   std::uint64_t next_txn_ = 1;

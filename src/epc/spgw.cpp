@@ -116,11 +116,6 @@ void SgwPgw::release_session(const std::string& imsi) {
   sessions_.erase(it);
 }
 
-net::Ipv4Addr SgwPgw::session_ip(const std::string& imsi) const {
-  auto it = sessions_.find(imsi);
-  return it == sessions_.end() ? net::Ipv4Addr{} : it->second.ip;
-}
-
 SgwPgw::Usage SgwPgw::usage(const std::string& imsi) const {
   auto it = sessions_.find(imsi);
   return it == sessions_.end() ? Usage{} : it->second.usage;

@@ -32,7 +32,6 @@ class SgwPgw {
 
   void release_session(const std::string& imsi);
   bool has_session(const std::string& imsi) const { return sessions_.contains(imsi); }
-  net::Ipv4Addr session_ip(const std::string& imsi) const;
 
   /// Usage accounting (PGW counters, TS 32.425-style).
   struct Usage {

@@ -6,15 +6,22 @@
 
 namespace cb::epc {
 
+namespace {
+
+/// UE and eNB processing per message (Fig.7 calibration; see mme.cpp).
+constexpr Duration kUeMsg = Duration::millis(0.5);
+constexpr Duration kEnbMsg = Duration::millis(0.5);
+
+}  // namespace
+
 UeNas::UeNas(net::Network& network, net::Node& ue_node, std::string imsi, Bytes k, Mme& mme,
-             const ran::RanMap& ran_map, EpcProcProfile profile)
+             const ran::RanMap& ran_map)
     : network_(network),
       ue_node_(ue_node),
       imsi_(std::move(imsi)),
       k_(std::move(k)),
       mme_(mme),
       ran_map_(ran_map),
-      profile_(profile),
       ue_queue_(ue_node.simulator()),
       enb_queue_(ue_node.simulator()) {}
 
@@ -33,9 +40,9 @@ void UeNas::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> 
   // Radio legs (eNB relay) + UE processing are charged per message; the
   // radio/RRC airtime itself is excluded, as in the paper's measurements.
   hooks.challenge = [this](Bytes rand, Bytes autn, std::function<void(Bytes)> respond) {
-    enb_queue_.submit(profile_.enb_msg, [this, rand = std::move(rand), autn = std::move(autn),
+    enb_queue_.submit(kEnbMsg, [this, rand = std::move(rand), autn = std::move(autn),
                                          respond = std::move(respond)] {
-      ue_queue_.submit(profile_.ue_msg, [this, rand, autn, respond = std::move(respond)] {
+      ue_queue_.submit(kUeMsg, [this, rand, autn, respond = std::move(respond)] {
         Bytes res;
         if (is_5g()) {
           // 5G: the AUTN carries an SQN; a stale or forged challenge aborts
@@ -57,7 +64,7 @@ void UeNas::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> 
           }
           res = compute_res(k_, rand);
         }
-        enb_queue_.submit(profile_.enb_msg,
+        enb_queue_.submit(kEnbMsg,
                           [res = std::move(res), respond = std::move(respond)]() mutable {
                             respond(std::move(res));
                           });
@@ -65,17 +72,17 @@ void UeNas::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> 
     });
   };
   hooks.smc = [this](std::function<void()> complete) {
-    enb_queue_.submit(profile_.enb_msg, [this, complete = std::move(complete)] {
-      ue_queue_.submit(profile_.ue_msg, [this, complete = std::move(complete)] {
+    enb_queue_.submit(kEnbMsg, [this, complete = std::move(complete)] {
+      ue_queue_.submit(kUeMsg, [this, complete = std::move(complete)] {
         // Keys derived (K_ASME -> NAS/AS keys); send Security Mode Complete.
-        enb_queue_.submit(profile_.enb_msg, std::move(complete));
+        enb_queue_.submit(kEnbMsg, std::move(complete));
       });
     });
   };
   hooks.done = [this, cell, site, done_shared](Result<net::Ipv4Addr> result) {
-    enb_queue_.submit(profile_.enb_msg, [this, cell, site, done_shared,
+    enb_queue_.submit(kEnbMsg, [this, cell, site, done_shared,
                                          result = std::move(result)]() mutable {
-      ue_queue_.submit(profile_.ue_msg, [this, cell, site, done_shared,
+      ue_queue_.submit(kUeMsg, [this, cell, site, done_shared,
                                          result = std::move(result)]() mutable {
         if (result.ok()) {
           current_ip_ = result.value();
@@ -91,10 +98,10 @@ void UeNas::attach(ran::CellId cell, std::function<void(Result<net::Ipv4Addr>)> 
 
   // [UE msg 1/4] craft Attach Request, [eNB leg 1/6] relay to the AGW.
   // 5G crafts a SUCI instead of sending the IMSI in clear.
-  ue_queue_.submit(profile_.ue_msg, [this, site, hooks = std::move(hooks)]() mutable {
+  ue_queue_.submit(kUeMsg, [this, site, hooks = std::move(hooks)]() mutable {
     Bytes suci;
     if (is_5g()) suci = conceal_supi(hn_key_, imsi_, suci_rng_);
-    enb_queue_.submit(profile_.enb_msg,
+    enb_queue_.submit(kEnbMsg,
                       [this, site, suci = std::move(suci), hooks = std::move(hooks)]() mutable {
       if (is_5g()) {
         mme_.attach5g(std::move(suci), &ue_node_, site.node, site.radio_link, std::move(hooks));

@@ -17,7 +17,7 @@ namespace cb::epc {
 class UeNas {
  public:
   UeNas(net::Network& network, net::Node& ue_node, std::string imsi, Bytes k, Mme& mme,
-        const ran::RanMap& ran_map, EpcProcProfile profile = {});
+        const ran::RanMap& ran_map);
 
   /// Switch this UE to 5G registration: attaches conceal the SUPI under
   /// `hn_key` (SUCI) and run the RES*/HXRES* dialog. `rng` seeds the SUCI
@@ -51,8 +51,6 @@ class UeNas {
   /// UE-derived KSEAF from the most recent 5G challenge (conformance tests
   /// compare it against the network side's value).
   const Bytes& last_kseaf() const { return last_kseaf_; }
-  /// UE-side SQN high-water mark (5G path), exposed for the vector tests.
-  UeSqnState& sqn_state() { return ue_sqn_; }
 
  private:
   net::Network& network_;
@@ -61,7 +59,6 @@ class UeNas {
   Bytes k_;
   Mme& mme_;
   const ran::RanMap& ran_map_;
-  EpcProcProfile profile_;
   sim::ServiceQueue ue_queue_;
   sim::ServiceQueue enb_queue_;
 

@@ -40,11 +40,6 @@ void Node::clear_route(Ipv4Addr dst) { routes_.erase(dst); }
 
 void Node::set_default_route(Link* via) { default_route_ = via; }
 
-void Node::clear_routes() {
-  routes_.clear();
-  default_route_ = nullptr;
-}
-
 void Node::clear_host_routes() { routes_.clear(); }
 
 void Node::set_forward_hook(std::function<bool(Packet&)> hook) {
@@ -72,7 +67,6 @@ void Node::deliver(Packet packet) {
   }
 
   if (has_address(packet.dst.addr)) {
-    ++delivered_local_;
     switch (packet.proto) {
       case Proto::Udp: {
         auto it = udp_handlers_.find(packet.dst.port);

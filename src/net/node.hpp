@@ -54,8 +54,6 @@ class Node {
   void set_route(Ipv4Addr dst, Link* via);
   void clear_route(Ipv4Addr dst);
   void set_default_route(Link* via);
-  /// Remove everything, including the default route.
-  void clear_routes();
   /// Remove per-destination routes but keep the default route (used by the
   /// routing oracle so host-configured defaults survive recomputation).
   void clear_host_routes();
@@ -85,7 +83,6 @@ class Node {
 
   /// Diagnostics.
   std::uint64_t forwarded() const { return forwarded_; }
-  std::uint64_t delivered_local() const { return delivered_local_; }
   std::uint64_t dropped_no_route() const { return dropped_no_route_; }
   std::uint64_t dropped_down() const { return dropped_down_; }
 
@@ -105,7 +102,6 @@ class Node {
   std::uint16_t next_port_ = 49152;
   bool up_ = true;
   std::uint64_t forwarded_ = 0;
-  std::uint64_t delivered_local_ = 0;
   std::uint64_t dropped_no_route_ = 0;
   std::uint64_t dropped_down_ = 0;
 };

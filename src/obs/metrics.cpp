@@ -149,11 +149,6 @@ const Counter* Registry::find_counter(std::string_view name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* Registry::find_histogram(std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;

@@ -85,10 +85,6 @@ class Histogram {
   static double bucket_lower(std::size_t i);
   static double bucket_upper(std::size_t i);
 
-  std::uint64_t bucket_count(std::size_t i) const {
-    return counts_.empty() ? 0 : counts_[i];
-  }
-
   void merge(const Histogram& other);
 
  private:
@@ -113,15 +109,12 @@ class Registry {
 
   /// Lookup without creating (tests, report generators); null if absent.
   const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   FlightRecorder& trace() { return recorder_; }
   const FlightRecorder& trace() const { return recorder_; }
 
   std::size_t counter_count() const { return counters_.size(); }
-  std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t histogram_count() const { return histograms_.size(); }
 
   /// Fold `other` in: counters and histograms accumulate, gauges take the
   /// merged-in value (last merge wins — callers merge in trial index order),

@@ -45,7 +45,6 @@ void BearerShaper::tick() {
     rate = std::max(phy, cap);  // whichever constraint exists
   }
   if (cap_bps_ > 0.0 && (rate == 0.0 || cap_bps_ < rate)) rate = cap_bps_;
-  current_rate_ = rate;
   obs::set(obs::gauge("ran.shaper.rate_bps"), rate);
 
   net::LinkParams params = link_.params(from_);

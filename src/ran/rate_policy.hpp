@@ -50,9 +50,7 @@ class BearerShaper {
                Duration interval = Duration::s(1));
   ~BearerShaper();
 
-  void set_policy(RatePolicy policy) { policy_ = policy; }
   const RatePolicy& policy() const { return policy_; }
-  double current_rate_bps() const { return current_rate_; }
 
   /// Additional hard ceiling (e.g. a broker-assigned QoS rate in
   /// CellBricks); 0 removes the cap.
@@ -68,7 +66,6 @@ class BearerShaper {
   RatePolicy policy_;
   std::function<double()> phy_rate_fn_;
   Duration interval_;
-  double current_rate_ = 0.0;
   double cap_bps_ = 0.0;
   double policy_cap_ = 0.0;  // AR(1) state of the operator-policy rate
   Rng rng_;

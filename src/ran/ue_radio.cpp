@@ -58,11 +58,6 @@ void UeRadio::set_drive_sink(DriveTestTrace* sink) { drive_sink_ = sink; }
 
 Point UeRadio::position() const { return trajectory_.position(sim_.now() - started_at_); }
 
-double UeRadio::serving_rate_bps() const {
-  if (serving_ == 0) return 0.0;
-  return RadioEnvironment::achievable_rate_bps(env_.cell(serving_), position());
-}
-
 double UeRadio::l3_alpha() const {
   // 3GPP TS 36.331 §5.5.3.2: a = 1/2^(k/4); k = 0 -> a = 1 (no smoothing).
   if (config_.l3_filter_k <= 0) return 1.0;

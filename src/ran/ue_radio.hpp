@@ -106,8 +106,6 @@ class UeRadio {
 
   CellId serving_cell() const { return serving_; }
   Point position() const;
-  /// Achievable PHY rate on the current serving cell at the current spot.
-  double serving_rate_bps() const;
 
   /// Cells in the neighbor table above the floor, strongest (filtered)
   /// first — the fallback order the attach-recovery logic walks when the
@@ -115,8 +113,6 @@ class UeRadio {
   /// fresh geometry scan (asynchronous measurement model).
   std::vector<CellId> candidates() const;
 
-  /// Neighbor-table state from the last measurement tick (registry order).
-  const std::vector<NeighborEntry>& neighbor_table() const { return table_; }
   bool table_contains(CellId cell) const;
 
   /// Number of serving-cell changes seen so far (MTTHO statistics).

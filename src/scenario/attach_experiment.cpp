@@ -162,7 +162,7 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
     }
     sim.run_for(Duration::s(120));
   } else {
-    epc::Hss hss(*cloud, epc::EpcProcProfile{}.hss_req);
+    epc::Hss hss(*cloud);
     network.recompute_routes();
     epc::SgwPgw spgw(network, *tower, 10);
     epc::Mme mme(*tower, spgw, net::EndPoint{cloud_addr, epc::kHssPort});

@@ -33,7 +33,9 @@ constexpr std::size_t kMaxLanes = 4096;
 /// Fraction of scheduler capacity that turns into app bytes: packet mode
 /// loses MSS/(MSS+headers) to framing, and the fluid model applies the same
 /// factor so both modes meter app goodput.
-constexpr double kGoodputEfficiency = 1400.0 / 1455.0;
+constexpr double kGoodputEfficiency =
+    static_cast<double>(transport::kMss) /
+    static_cast<double>(transport::kMss + transport::kTcpHeaderBytes + net::kPacketOverhead);
 /// Hybrid: the cell the capacity-drop fault hits.
 constexpr std::uint32_t kFaultCell = 0;
 /// Hybrid: packet -> fluid re-promotion after this many RTTs of steady state.

@@ -97,10 +97,9 @@ void World::build_topology() {
 
   ue_tcp_ = std::make_unique<transport::TcpStack>(*ue_);
   server_tcp_ = std::make_unique<transport::TcpStack>(*server_);
-  transport::MptcpConfig mcfg;
-  mcfg.address_wait = config_.mptcp_address_wait;
-  ue_mptcp_ = std::make_unique<transport::MptcpStack>(*ue_, *ue_tcp_, mcfg);
-  server_mptcp_ = std::make_unique<transport::MptcpStack>(*server_, *server_tcp_, mcfg);
+  ue_mptcp_ = std::make_unique<transport::MptcpStack>(*ue_, *ue_tcp_, config_.mptcp_address_wait);
+  server_mptcp_ = std::make_unique<transport::MptcpStack>(*server_, *server_tcp_,
+                                                          config_.mptcp_address_wait);
 }
 
 void World::install_shaper(ran::CellId cell) {
@@ -130,7 +129,7 @@ void World::build_mno() {
   network_.register_address(agw_addr, agw_);
   network_.recompute_routes();
 
-  hss_ = std::make_unique<epc::Hss>(*cloud_, epc::EpcProcProfile{}.hss_req);
+  hss_ = std::make_unique<epc::Hss>(*cloud_);
   hss_->add_subscriber("imsi-001", Bytes(32, 0x42));
   spgw_ = std::make_unique<epc::SgwPgw>(network_, *agw_, /*ip_subnet=*/10);
   mme_ = std::make_unique<epc::Mme>(*agw_, *spgw_, net::EndPoint{cloud_addr_, epc::kHssPort});

@@ -70,7 +70,7 @@ struct WorldConfig {
   /// Random loss on the radio links.
   double radio_loss = 0.0;  // LTE HARQ/RLC leaves ~no residual loss
   /// MPTCP address_worker wait (mainline: 500 ms; Fig.9 varies this).
-  Duration mptcp_address_wait = Duration::ms(500);
+  Duration mptcp_address_wait = transport::kMptcpAddressWait;
   /// Disable the operator rate policy (PHY-limited only).
   bool unlimited_policy = false;
   /// Dishonesty knobs (§4.3 threat model): factor applied to the DL usage

@@ -20,6 +20,13 @@ enum class Rec : std::uint8_t {
 };
 
 constexpr std::size_t kDataHeader = 1 + 8 + 4;
+/// Max payload bytes per DATA record.
+constexpr std::size_t kRecordPayload = 1380;
+static_assert(kDataHeader + kRecordPayload <= kMss, "a DATA record must fit in one segment");
+/// Connection-level send buffer.
+constexpr std::size_t kDataSendBuffer = 1 << 20;
+/// Periodic cumulative-DACK refresh (covers lost datagrams / tails).
+constexpr Duration kDackRefresh = Duration::ms(500);
 
 Bytes make_token_record(Rec type, std::uint64_t token) {
   ByteWriter w;
@@ -42,8 +49,8 @@ Bytes make_remove_addr(net::Ipv4Addr addr) {
 // --- MptcpSocket -------------------------------------------------------------
 
 MptcpSocket::MptcpSocket(MptcpStack& stack, Role role, std::uint64_t token,
-                         net::EndPoint remote, MptcpConfig config)
-    : stack_(stack), role_(role), token_(token), remote_(remote), config_(config) {}
+                         net::EndPoint remote)
+    : stack_(stack), role_(role), token_(token), remote_(remote) {}
 
 MptcpSocket::~MptcpSocket() {
   address_wait_timer_.cancel();
@@ -69,14 +76,14 @@ std::size_t MptcpSocket::subflow_count() const {
 }
 
 std::size_t MptcpSocket::send_space() const {
-  return config_.send_buffer - send_buffer_.size();
+  return kDataSendBuffer - send_buffer_.size();
 }
 
 std::size_t MptcpSocket::dead_subflow_bytes() const {
   std::size_t held = 0;
   for (const auto& sf : subflows_) {
     if (!sf.dead) continue;
-    held += sf.rx.capacity() + (stack_.tcp().config().send_buffer - sf.tcp->send_space());
+    held += sf.rx.capacity() + (kSendBuffer - sf.tcp->send_space());
   }
   return held;
 }
@@ -310,8 +317,7 @@ void MptcpSocket::dack_refresh_tick() {
       if (sf->tcp->send_space() >= 9) sf->tcp->send(make_dfin(fin_dseq_));
     }
   }
-  dack_timer_ = stack_.simulator().schedule(config_.dack_refresh,
-                                            [this] { dack_refresh_tick(); });
+  dack_timer_ = stack_.simulator().schedule(kDackRefresh, [this] { dack_refresh_tick(); });
 }
 
 void MptcpSocket::handle_dack(std::uint64_t dack) {
@@ -372,7 +378,7 @@ void MptcpSocket::try_send() {
     const std::size_t unsent =
         send_buffer_.size() > unsent_off ? send_buffer_.size() - unsent_off : 0;
     if (unsent > 0) {
-      const std::size_t len = std::min(unsent, config_.record_payload);
+      const std::size_t len = std::min(unsent, kRecordPayload);
       const std::size_t record_size = kDataHeader + len;
       if (sf->tcp->send_space() < record_size) return;
       ByteWriter w;
@@ -412,7 +418,7 @@ void MptcpSocket::on_subflow_closed(std::size_t index, const std::string& reason
   // No path left: start the watch-for-address timeout unless a replacement
   // is already being set up.
   if (!address_wait_timer_.pending() && !path_timeout_timer_.pending()) {
-    path_timeout_timer_ = stack_.simulator().schedule(config_.path_timeout, [this] {
+    path_timeout_timer_ = stack_.simulator().schedule(kMptcpPathTimeout, [this] {
       finish("path timeout: no address within watch window");
     });
   }
@@ -432,7 +438,7 @@ void MptcpSocket::handle_address_loss(net::Ipv4Addr addr) {
   if (!lost_any) return;
   pending_remove_ = addr;
   if (active_subflow() == nullptr && !path_timeout_timer_.pending()) {
-    path_timeout_timer_ = stack_.simulator().schedule(config_.path_timeout, [this] {
+    path_timeout_timer_ = stack_.simulator().schedule(kMptcpPathTimeout, [this] {
       finish("path timeout: no address within watch window");
     });
   }
@@ -444,12 +450,13 @@ void MptcpSocket::handle_address_available(net::Ipv4Addr addr) {
   address_wait_timer_.cancel();
   obs::inc(obs::counter("mptcp.subflows.switches"));
   obs::trace(stack_.simulator().now(), obs::TraceType::SubflowSwitch, token_);
-  if (config_.address_wait == Duration::zero()) {
+  const Duration wait = stack_.address_wait_;
+  if (wait == Duration::zero()) {
     add_client_subflow(addr);
     return;
   }
   // Mainline MPTCP's address_worker delay before corrective action.
-  address_wait_timer_ = stack_.simulator().schedule(config_.address_wait, [this, addr] {
+  address_wait_timer_ = stack_.simulator().schedule(wait, [this, addr] {
     if (!finished_) add_client_subflow(addr);
   });
 }
@@ -492,8 +499,11 @@ void MptcpSocket::finish(const std::string& reason) {
 
 // --- MptcpStack ----------------------------------------------------------------
 
-MptcpStack::MptcpStack(net::Node& node, TcpStack& tcp, MptcpConfig config)
-    : node_(node), tcp_(tcp), config_(config), rng_(node.simulator().rng().fork(0x3B7C)) {
+MptcpStack::MptcpStack(net::Node& node, TcpStack& tcp, Duration address_wait)
+    : node_(node),
+      tcp_(tcp),
+      address_wait_(address_wait),
+      rng_(node.simulator().rng().fork(0x3B7C)) {
   node_.bind_udp(kMptcpDackPort, [this](const net::Packet& p) { on_dack_datagram(p); });
 }
 
@@ -555,7 +565,7 @@ std::uint64_t MptcpStack::fresh_token() {
 std::shared_ptr<MptcpSocket> MptcpStack::connect(net::EndPoint remote,
                                                  net::Ipv4Addr local_addr) {
   auto conn = std::shared_ptr<MptcpSocket>(
-      new MptcpSocket(*this, MptcpSocket::Role::Client, fresh_token(), remote, config_));
+      new MptcpSocket(*this, MptcpSocket::Role::Client, fresh_token(), remote));
   register_connection(conn);
   conn->start_initial_subflow(local_addr);
   return conn;
@@ -594,7 +604,7 @@ void MptcpStack::on_pending_data(const std::shared_ptr<PendingSubflow>& pending)
 
   if (type == Rec::Cap) {
     auto conn = std::shared_ptr<MptcpSocket>(new MptcpSocket(
-        *this, MptcpSocket::Role::Server, token, sub->tcp->remote(), config_));
+        *this, MptcpSocket::Role::Server, token, sub->tcp->remote()));
     register_connection(conn);
     conn->adopt_server_subflow(sub->tcp, std::move(sub->rx));
     auto it = listeners_.find(sub->port);

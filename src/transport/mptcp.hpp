@@ -8,8 +8,8 @@
 //     retransmit un-acked data on a fresh subflow after a path dies,
 //   * REMOVE_ADDR so the peer drops subflows for an invalidated address,
 //   * the mainline stack's `address_worker` wait period — hard-coded 500 ms
-//     in Linux (mptcp_fullmesh.c), configurable here because Fig.9 of the
-//     paper studies exactly what happens when it is removed,
+//     in Linux (mptcp_fullmesh.c), a MptcpStack parameter here because Fig.9
+//     of the paper studies exactly what happens when it is removed,
 //   * the 60 s "watch for a new address" timeout after which the connection
 //     is torn down.
 #pragma once
@@ -30,19 +30,11 @@ namespace cb::transport {
 /// lost DACK is simply superseded by the next cumulative one).
 inline constexpr std::uint16_t kMptcpDackPort = 60999;
 
-struct MptcpConfig {
-  /// Max payload bytes per DATA record (record header is 13 bytes).
-  std::size_t record_payload = 1380;
-  /// Connection-level send buffer.
-  std::size_t send_buffer = 1 << 20;
-  /// Wait between noticing an address change and opening a new subflow
-  /// (Linux mainline: 500 ms; Fig.9 removes it).
-  Duration address_wait = Duration::ms(500);
-  /// Tear the connection down if no address appears within this window.
-  Duration path_timeout = Duration::s(60);
-  /// Periodic cumulative-DACK refresh (covers lost datagrams / tails).
-  Duration dack_refresh = Duration::ms(500);
-};
+/// Mainline Linux's wait between noticing an address change and opening a
+/// new subflow (Fig.9 removes it).
+inline constexpr Duration kMptcpAddressWait = Duration::ms(500);
+/// Tear a connection down if no address appears within this window.
+inline constexpr Duration kMptcpPathTimeout = Duration::s(60);
 
 class MptcpStack;
 
@@ -62,7 +54,6 @@ class MptcpSocket final : public StreamSocket,
   std::size_t subflow_count() const;
   /// Connection token (for tests/diagnostics).
   std::uint64_t token() const { return token_; }
-  std::uint64_t data_acked() const { return dseq_una_; }
   /// Buffer bytes that dead subflows still hold: record-queue storage plus
   /// their TCP sockets' queued send bytes (zero once each is released).
   std::size_t dead_subflow_bytes() const;
@@ -85,8 +76,7 @@ class MptcpSocket final : public StreamSocket,
     }
   };
 
-  MptcpSocket(MptcpStack& stack, Role role, std::uint64_t token, net::EndPoint remote,
-              MptcpConfig config);
+  MptcpSocket(MptcpStack& stack, Role role, std::uint64_t token, net::EndPoint remote);
 
   void start_initial_subflow(net::Ipv4Addr local_addr);
   void adopt_server_subflow(std::shared_ptr<TcpSocket> tcp, ByteQueue carried_over);
@@ -113,7 +103,6 @@ class MptcpSocket final : public StreamSocket,
   Role role_;
   std::uint64_t token_;
   net::EndPoint remote_;
-  MptcpConfig config_;
   bool established_ = false;
   bool finished_ = false;
 
@@ -167,7 +156,9 @@ class MptcpStack {
     }
   };
 
-  MptcpStack(net::Node& node, TcpStack& tcp, MptcpConfig config = {});
+  /// `address_wait` is the delay between an address becoming available and
+  /// the replacement subflow (Linux mainline: kMptcpAddressWait).
+  MptcpStack(net::Node& node, TcpStack& tcp, Duration address_wait);
   ~MptcpStack();
 
   MptcpStack(const MptcpStack&) = delete;
@@ -184,13 +175,12 @@ class MptcpStack {
   /// Host mobility integration: the device's address went away (detach) —
   /// subflows using it are dead, the 60 s watch starts.
   void notify_address_invalidated(net::Ipv4Addr addr);
-  /// A new address is available (attach complete): after the configured
-  /// wait period each connection opens a replacement subflow.
+  /// A new address is available (attach complete): after the address wait
+  /// each connection opens a replacement subflow.
   void notify_address_available(net::Ipv4Addr addr);
 
   TcpStack& tcp() { return tcp_; }
   sim::Simulator& simulator() { return node_.simulator(); }
-  const MptcpConfig& config() const { return config_; }
   const SanityCounters& sanity() const { return sanity_; }
 
  private:
@@ -214,7 +204,7 @@ class MptcpStack {
 
   net::Node& node_;
   TcpStack& tcp_;
-  MptcpConfig config_;
+  Duration address_wait_;
   Rng rng_;
   SanityCounters sanity_;
   std::unordered_map<std::uint64_t, std::weak_ptr<MptcpSocket>> by_token_;

@@ -6,6 +6,18 @@
 
 namespace cb::transport {
 
+namespace {
+
+// Tuning constants; they approximate a 2020-era Linux stack.
+constexpr std::size_t kInitialCwndSegments = 10;  // IW10
+constexpr std::size_t kReceiveWindow = 4 << 20;   // fixed advertised window
+constexpr Duration kMinRto = Duration::ms(200);
+constexpr Duration kInitialRto = Duration::s(1);
+constexpr Duration kMaxRto = Duration::s(60);
+constexpr int kSynRetries = 6;
+
+}  // namespace
+
 // --- Wire format -----------------------------------------------------------
 
 Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
@@ -59,13 +71,12 @@ bool parse_segment(BytesView wire, TcpHeader& h, BytesView& payload) {
 
 // --- TcpSocket ---------------------------------------------------------------
 
-TcpSocket::TcpSocket(TcpStack& stack, net::EndPoint local, net::EndPoint remote,
-                     TcpConfig config)
-    : stack_(stack), local_(local), remote_(remote), config_(config) {
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
-  ssthresh_ = config_.receive_window;  // effectively "infinite" until loss
-  rto_ = config_.initial_rto;
-  snd_wnd_ = static_cast<std::uint32_t>(config_.receive_window);
+TcpSocket::TcpSocket(TcpStack& stack, net::EndPoint local, net::EndPoint remote)
+    : stack_(stack), local_(local), remote_(remote) {
+  cwnd_ = static_cast<double>(kInitialCwndSegments * kMss);
+  ssthresh_ = kReceiveWindow;  // effectively "infinite" until loss
+  rto_ = kInitialRto;
+  snd_wnd_ = static_cast<std::uint32_t>(kReceiveWindow);
 }
 
 TcpSocket::~TcpSocket() {
@@ -84,7 +95,7 @@ std::size_t TcpSocket::flight_size() const {
 }
 
 std::size_t TcpSocket::send_space() const {
-  return config_.send_buffer - send_buffer_.size();
+  return kSendBuffer - send_buffer_.size();
 }
 
 std::size_t TcpSocket::send(BytesView data) {
@@ -139,10 +150,10 @@ void TcpSocket::start_connect() {
   recover_ = iss_;
   send_control(/*syn=*/true, /*ack=*/false, iss_);
   ++syn_attempts_;
-  const Duration delay = config_.initial_rto * (1LL << std::min(syn_attempts_ - 1, 6));
+  const Duration delay = kInitialRto * (1LL << std::min(syn_attempts_ - 1, 6));
   connect_timer_ = stack_.simulator().schedule(delay, [this] {
     if (state_ != State::SynSent) return;
-    if (syn_attempts_ >= config_.syn_retries) {
+    if (syn_attempts_ >= kSynRetries) {
       finish("connect timeout");
       return;
     }
@@ -159,9 +170,9 @@ void TcpSocket::start_passive(std::uint32_t peer_iss) {
   recover_ = iss_;
   send_control(/*syn=*/true, /*ack=*/true, iss_);
   ++syn_attempts_;
-  connect_timer_ = stack_.simulator().schedule(config_.initial_rto, [this] {
+  connect_timer_ = stack_.simulator().schedule(kInitialRto, [this] {
     if (state_ != State::SynReceived) return;
-    if (syn_attempts_ >= config_.syn_retries) {
+    if (syn_attempts_ >= kSynRetries) {
       finish("accept timeout");
       return;
     }
@@ -175,7 +186,7 @@ void TcpSocket::send_control(bool syn, bool ack, std::uint32_t seq) {
   h.ack = rcv_nxt_;
   h.syn = syn;
   h.ack_flag = ack;
-  h.window = static_cast<std::uint32_t>(config_.receive_window);
+  h.window = static_cast<std::uint32_t>(kReceiveWindow);
   emit(h, {});
 }
 
@@ -184,7 +195,7 @@ void TcpSocket::send_ack() {
   h.seq = snd_nxt_;
   h.ack = rcv_nxt_;
   h.ack_flag = true;
-  h.window = static_cast<std::uint32_t>(config_.receive_window);
+  h.window = static_cast<std::uint32_t>(kReceiveWindow);
   h.sack = receiver_sack_blocks();
   emit(h, {});
 }
@@ -286,7 +297,7 @@ void TcpSocket::retransmit_holes(int budget, bool force_first) {
             ? std::min<std::size_t>(hole_len, send_buffer_.size() - buffer_offset)
             : 0;
     if (data_in_hole > 0) {
-      const std::size_t len = std::min(data_in_hole, config_.mss);
+      const std::size_t len = std::min(data_in_hole, kMss);
       send_segment(seq, len, /*fin=*/false);
       retx_cursor_rel_ = start_rel + static_cast<std::uint32_t>(len);
     } else if (fin_sent_) {
@@ -312,7 +323,7 @@ void TcpSocket::send_segment(std::uint32_t seq, std::size_t len, bool fin) {
   h.ack = rcv_nxt_;
   h.ack_flag = true;
   h.fin = fin;
-  h.window = static_cast<std::uint32_t>(config_.receive_window);
+  h.window = static_cast<std::uint32_t>(kReceiveWindow);
   h.sack = receiver_sack_blocks();
   emit(h, send_buffer_.view(seq - snd_una_, len));
 
@@ -354,7 +365,7 @@ void TcpSocket::try_send() {
         send_buffer_.size() > unsent_offset ? send_buffer_.size() - unsent_offset : 0;
     if (unsent == 0) break;
     if (flight >= usable) break;
-    std::size_t len = std::min({unsent, config_.mss, usable - flight});
+    std::size_t len = std::min({unsent, kMss, usable - flight});
     if (it != sacked_.end()) {
       len = std::min<std::size_t>(len, it->first - rel(snd_nxt_));
     }
@@ -370,7 +381,7 @@ void TcpSocket::try_send() {
     // window residual, not len: a segment clamped sub-MSS by the sacked_
     // boundary (a hole in front of sacked data during a post-RTO walk) must
     // go out now, not wait for the flight to drain.
-    if (usable - flight < config_.mss && len < unsent && flight > 0) break;
+    if (usable - flight < kMss && len < unsent && flight > 0) break;
     send_segment(snd_nxt_, len, /*fin=*/false);
     snd_nxt_ += static_cast<std::uint32_t>(len);
     sent_anything = true;
@@ -393,7 +404,7 @@ void TcpSocket::try_send() {
 void TcpSocket::arm_rtx_timer() {
   rtx_timer_.cancel();
   Duration rto = rto_ * (1LL << std::min(backoff_, 6));
-  rto = std::min(rto, config_.max_rto);
+  rto = std::min(rto, kMaxRto);
   rtx_timer_ = stack_.simulator().schedule(rto, [this] { on_rto(); });
 }
 
@@ -403,8 +414,8 @@ void TcpSocket::on_rto() {
   if (state_ == State::Closed || flight_size() == 0) return;
   CB_LOG(Debug, "tcp") << local_.to_string() << " RTO, cwnd reset, retransmit "
                        << snd_una_;
-  ssthresh_ = std::max<std::size_t>((snd_nxt_ - snd_una_) / 2, 2 * config_.mss);
-  cwnd_ = static_cast<double>(config_.mss);
+  ssthresh_ = std::max<std::size_t>((snd_nxt_ - snd_una_) / 2, 2 * kMss);
+  cwnd_ = static_cast<double>(kMss);
   in_fast_recovery_ = false;
   dup_acks_ = 0;
   recover_ = snd_nxt_;  // RFC 6582: no dup-ack recovery for pre-RTO holes
@@ -501,7 +512,6 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
     const std::uint32_t acked = h.ack - snd_una_;
     const std::size_t popped = std::min<std::size_t>(acked, send_buffer_.size());
     send_buffer_.pop(popped);
-    bytes_acked_total_ += popped;
     snd_una_ = h.ack;
     dup_acks_ = 0;
     backoff_ = 0;
@@ -518,7 +528,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
         rttvar_ = rttvar_ * 0.75 + err * 0.25;
         srtt_ = srtt_ * 0.875 + sample * 0.125;
       }
-      rto_ = std::max(srtt_ + rttvar_ * 4, config_.min_rto);
+      rto_ = std::max(srtt_ + rttvar_ * 4, kMinRto);
       rtt_sampling_ = false;
 
       if (min_rtt_ == Duration::zero() || sample < min_rtt_) min_rtt_ = sample;
@@ -545,9 +555,9 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
       }
     } else {
       if (static_cast<std::size_t>(cwnd_) < ssthresh_) {
-        cwnd_ += static_cast<double>(std::min<std::size_t>(acked, config_.mss));
+        cwnd_ += static_cast<double>(std::min<std::size_t>(acked, kMss));
       } else {
-        cwnd_ += static_cast<double>(config_.mss) * static_cast<double>(config_.mss) / cwnd_;
+        cwnd_ += static_cast<double>(kMss) * static_cast<double>(kMss) / cwnd_;
       }
     }
 
@@ -586,7 +596,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
       // Enter SACK-based loss recovery (RFC 6675 pipe model): halve the
       // window; the SACK-adjusted flight gates every transmission, so each
       // arriving (dup) ack clocks out roughly one repair segment.
-      ssthresh_ = std::max<std::size_t>((snd_nxt_ - snd_una_) / 2, 2 * config_.mss);
+      ssthresh_ = std::max<std::size_t>((snd_nxt_ - snd_una_) / 2, 2 * kMss);
       cwnd_ = static_cast<double>(ssthresh_);
       in_fast_recovery_ = true;
       recover_ = snd_nxt_;
@@ -708,9 +718,8 @@ void TcpSocket::finish(const std::string& reason) {
 
 // --- TcpStack -----------------------------------------------------------------
 
-TcpStack::TcpStack(net::Node& node, TcpConfig config)
+TcpStack::TcpStack(net::Node& node)
     : node_(node),
-      config_(config),
       rng_(node.simulator().rng().fork(0x7C9)),
       obs_tx_(obs::counter("tcp.segments.sent")),
       obs_rx_(obs::counter("tcp.segments.received")),
@@ -744,7 +753,7 @@ std::uint32_t TcpStack::random_iss() { return static_cast<std::uint32_t>(rng_.ne
 std::shared_ptr<TcpSocket> TcpStack::connect(net::EndPoint remote, net::Ipv4Addr local_addr) {
   if (!local_addr.valid()) local_addr = node_.primary_address();
   const net::EndPoint local{local_addr, node_.alloc_port()};
-  auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, local, remote, config_));
+  auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, local, remote));
   socket->iss_ = random_iss();
   sockets_[FlowKey{local, remote}] = socket;
   socket->start_connect();
@@ -784,7 +793,7 @@ void TcpStack::dispatch(net::Packet&& packet) {
 
   // No socket: a SYN to a listening port creates one (passive open).
   if (h.syn && !h.ack_flag && listeners_.contains(local.port)) {
-    auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, local, remote, config_));
+    auto socket = std::shared_ptr<TcpSocket>(new TcpSocket(*this, local, remote));
     socket->iss_ = random_iss();
     sockets_[FlowKey{local, remote}] = socket;
     socket->start_passive(h.seq);

@@ -22,17 +22,12 @@
 
 namespace cb::transport {
 
-/// Tuning knobs; defaults approximate a 2020-era Linux stack.
-struct TcpConfig {
-  std::size_t mss = 1400;
-  std::size_t initial_cwnd_segments = 10;   // IW10
-  std::size_t send_buffer = 1 << 20;        // 1 MiB
-  std::size_t receive_window = 4 << 20;     // fixed advertised window
-  Duration min_rto = Duration::ms(200);
-  Duration initial_rto = Duration::s(1);
-  Duration max_rto = Duration::s(60);
-  int syn_retries = 6;
-};
+/// Maximum segment payload: the one MSS of every stack (a 2020-era Linux
+/// value; the fluid goodput factor is derived from it).
+inline constexpr std::size_t kMss = 1400;
+/// Per-socket send buffer (1 MiB): send() accepts at most this many unacked
+/// plus unsent bytes.
+inline constexpr std::size_t kSendBuffer = 1 << 20;
 
 /// TCP segment header carried inside net::Packet payloads. Up to three SACK
 /// blocks ride along, mirroring the RFC 2018 option.
@@ -77,8 +72,6 @@ class TcpSocket final : public StreamSocket {
   Duration srtt() const { return srtt_; }
   /// Congestion window in bytes (exposed for tests and benches).
   std::size_t cwnd() const { return static_cast<std::size_t>(cwnd_); }
-  std::size_t ssthresh() const { return ssthresh_; }
-  std::uint64_t bytes_acked_total() const { return bytes_acked_total_; }
   std::uint64_t retransmits() const { return retransmits_; }
 
  private:
@@ -96,7 +89,7 @@ class TcpSocket final : public StreamSocket {
     TimeWait,
   };
 
-  TcpSocket(TcpStack& stack, net::EndPoint local, net::EndPoint remote, TcpConfig config);
+  TcpSocket(TcpStack& stack, net::EndPoint local, net::EndPoint remote);
 
   // Sequence-number helpers (wraparound-safe).
   static bool seq_lt(std::uint32_t a, std::uint32_t b) {
@@ -138,7 +131,6 @@ class TcpSocket final : public StreamSocket {
   TcpStack& stack_;
   net::EndPoint local_;
   net::EndPoint remote_;
-  TcpConfig config_;
   State state_ = State::Closed;
 
   // Send side.
@@ -188,14 +180,13 @@ class TcpSocket final : public StreamSocket {
   sim::EventHandle connect_timer_;
   int syn_attempts_ = 0;
 
-  std::uint64_t bytes_acked_total_ = 0;
   std::uint64_t retransmits_ = 0;
 };
 
 /// Per-node TCP instance: demuxes segments to sockets and owns listeners.
 class TcpStack {
  public:
-  explicit TcpStack(net::Node& node, TcpConfig config = {});
+  explicit TcpStack(net::Node& node);
   ~TcpStack();
 
   TcpStack(const TcpStack&) = delete;
@@ -212,7 +203,6 @@ class TcpStack {
 
   net::Node& node() { return node_; }
   sim::Simulator& simulator() { return node_.simulator(); }
-  const TcpConfig& config() const { return config_; }
 
  private:
   friend class TcpSocket;
@@ -237,7 +227,6 @@ class TcpStack {
   std::uint32_t random_iss();
 
   net::Node& node_;
-  TcpConfig config_;
   std::unordered_map<FlowKey, std::shared_ptr<TcpSocket>, FlowKeyHash> sockets_;
   std::unordered_map<std::uint16_t, AcceptCallback> listeners_;
   Rng rng_;

@@ -471,6 +471,36 @@ TEST(ResumeLifecycle, ResumeAgainstCrashedTelcoTimesOutAndKeepsTicket) {
   EXPECT_FALSE(world.ran_map().site(1).radio_link->is_up());
 }
 
+// Regression: the broker logged every copy of a ResumeNotify it received,
+// so one lost ResumeNotifyAck made it count one resume twice. The shard now
+// answers a resent notify from its reply cache.
+TEST(ResumeLifecycle, LostNotifyAckStillCountsOneResume) {
+  WorldConfig cfg = resume_drive();
+  cfg.broker_shards = 4;
+  World world(cfg);
+  // The cloud host is the hub in front of the shards: lose the first
+  // ResumeNotifyAck on its way back to the bTelco.
+  int dropped = 0;
+  world.cloud_node()->set_forward_hook([&dropped](net::Packet& p) {
+    if (dropped > 0 || p.payload.empty() ||
+        p.payload[0] != static_cast<std::uint8_t>(cellbricks::BrokerMsg::ResumeNotifyAck)) {
+      return false;
+    }
+    ++dropped;
+    return true;
+  });
+  world.start();
+  world.simulator().run_for(Duration::s(60));
+
+  ASSERT_EQ(dropped, 1);
+  const cellbricks::UeAgent* ue = world.ue_agent();
+  std::uint64_t served = 0;
+  for (std::size_t i = 0; i < world.n_btelcos(); ++i) served += world.btelco(i)->resumes_served();
+  EXPECT_EQ(ue->resumes_succeeded(), 2u);
+  EXPECT_EQ(served, ue->resumes_succeeded());
+  EXPECT_EQ(world.broker_cluster()->resumes_notified(), ue->resumes_succeeded());
+}
+
 // The pure-layer half of the ticket matrix: replayed / expired / forged
 // tickets fail closed before any session state is touched (the bTelco's
 // single-use cache and revocation list are layered on top — see the

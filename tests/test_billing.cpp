@@ -104,8 +104,7 @@ TEST(Reputation, CleanPairsRecoverSlowly) {
 }
 
 TEST(Reputation, AuthorizationThreshold) {
-  ReputationConfig cfg;
-  ReputationSystem rep(cfg);
+  ReputationSystem rep;
   EXPECT_TRUE(rep.authorize("u", "t"));
   PairVerdict bad;
   bad.mismatch = true;

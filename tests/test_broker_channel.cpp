@@ -176,8 +176,10 @@ TEST(BrokerChannel, PauseCancelsTimersAndKeepsEntries) {
 
 TEST(BrokerChannel, ResumeFlushesOldestFirstAndStrikesNoShard) {
   Harness h(1);
-  // One strike is enough to mark a shard suspect here.
-  ShardRouter router(h.endpoints, ShardRouter::Config{.suspect_after = 1});
+  // Two strikes mark a shard suspect (ShardRouter::kSuspectAfter), and each
+  // timer-driven resend of the three keys below strikes once.
+  static_assert(ShardRouter::kSuspectAfter <= 3);
+  ShardRouter router(h.endpoints);
   BrokerChannel ch = h.channel(kSchedule);
   ch.set_router(&router);
   for (std::uint64_t key : {5, 3, 9}) ch.send(key, {}, 1);

@@ -53,15 +53,13 @@ TEST(ShardRouting, HrwRemovalOnlyMovesVictimBuckets) {
 }
 
 TEST(ShardRouting, RouterFailsOverAfterTimeoutsAndRecovers) {
-  ShardRouter::Config rcfg;
-  rcfg.suspect_after = 2;
-  rcfg.suspect_hold = Duration::s(3);
+  static_assert(ShardRouter::kSuspectAfter == 2);
   std::vector<net::EndPoint> eps;
   for (int i = 0; i < 4; ++i) {
     eps.push_back(net::EndPoint{net::Ipv4Addr(2, 2, 2, static_cast<std::uint8_t>(10 + i)),
                                 kBrokerPort});
   }
-  ShardRouter router(eps, rcfg);
+  ShardRouter router(eps);
   const TimePoint t0 = TimePoint::zero();
   const std::uint64_t sid = bucketed_session_id(0x1234, 7);
   const std::size_t owner = router.pick_for_session(sid, t0);
@@ -71,7 +69,7 @@ TEST(ShardRouting, RouterFailsOverAfterTimeoutsAndRecovers) {
   EXPECT_TRUE(router.suspect(owner, t0));
   EXPECT_NE(router.pick_for_session(sid, t0), owner);
   // After the hold expires the original owner is eligible again.
-  const TimePoint later = t0 + Duration::s(4);
+  const TimePoint later = t0 + ShardRouter::kSuspectHold + Duration::s(1);
   EXPECT_FALSE(router.suspect(owner, later));
   EXPECT_EQ(router.pick_for_session(sid, later), owner);
   // A learned redirect overrides rendezvous until its target goes suspect.

@@ -272,6 +272,10 @@ TEST(FuzzScenario, ReproRejectsValuesThatCannotRun) {
   };
   for (double bad : {-1.0, 0.0, 1e-12, inf}) rejected("report_interval_s", bad, false);
   for (double bad : {0.0, -5.0, inf}) rejected("speed_mps", bad, false);
+  // A horizon or tower spacing that cannot run used to replay with exit 0
+  // ("did not reproduce") after simulating nothing or a degenerate route.
+  for (double bad : {0.0, -5.0, 1e300, inf}) rejected("duration_s", bad, false);
+  for (double bad : {0.0, -800.0, inf}) rejected("tower_spacing_m", bad, false);
   for (double bad : {-5.0, 1e300, inf}) rejected("start_s", bad, true);
   for (double bad : {-5.0, 1e300, inf}) rejected("duration_s", bad, true);
   // The fault shape used above decodes when its times are valid.
@@ -534,8 +538,11 @@ TEST(ReportPathGolden, SapResumeSendsResumeNotifies) {
   EXPECT_GT(counter_value(reg, "ue_agent.resume.success"), 0u);
   EXPECT_GT(counter_value(reg, "btelco.resume.notify_sent"), 0u);
   EXPECT_GT(counter_value(reg, "btelco.resume.notify_abandoned"), 0u);
+  // The broker logs each notify once, however many of its copies arrive.
+  EXPECT_LE(counter_value(reg, "broker.resume.notified"),
+            counter_value(reg, "btelco.resume.notify_sent"));
   EXPECT_EQ(r.fingerprint(), 0xbeca2362ec24cb19ULL);
-  EXPECT_EQ(reg.trace().fingerprint(), 0x059b3db2cfff6ce2ULL);
+  EXPECT_EQ(reg.trace().fingerprint(), 0x5ae3436a91ce9fd2ULL);
 }
 
 TEST(ReportPathGolden, FourShardsWithAShardKillFollowRedirects) {

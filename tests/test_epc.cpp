@@ -273,7 +273,7 @@ struct EpcWorld {
     ran_map.add(1, ran::TowerSite{tower1, radio1});
     ran_map.add(2, ran::TowerSite{tower2, radio2});
 
-    hss = std::make_unique<Hss>(*cloud, EpcProcProfile{}.hss_req);
+    hss = std::make_unique<Hss>(*cloud);
     hss->add_subscriber("imsi-1", Bytes(32, 0x42));
     spgw = std::make_unique<SgwPgw>(network, *agw, 10);
     mme = std::make_unique<Mme>(*agw, *spgw, net::EndPoint{net::Ipv4Addr(2, 2, 2, 2), kHssPort});

@@ -5,6 +5,9 @@
 // the full chaos scenario's determinism witness.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "net/network.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/trial_runner.hpp"
@@ -231,7 +234,6 @@ TEST(AttachRecovery, TelcoAuthSendsFourCopiesOneSecondApartThenDenies) {
 TEST(AttachRecovery, FallsBackToNextBestCellWhenPreferredIsDead) {
   WorldConfig cfg = static_cb_config(2);
   cfg.ue_config.attach_timeout = Duration::s(1);
-  cfg.ue_config.retry_backoff = Duration::millis(100);
   World world(cfg);
   world.btelco(0)->crash();
   world.ue_agent()->set_candidate_source(
@@ -248,9 +250,6 @@ TEST(AttachRecovery, FallsBackToNextBestCellWhenPreferredIsDead) {
 TEST(AttachRecovery, BrokerOutageRetriedUntilHealed) {
   WorldConfig cfg = static_cb_config(1);
   cfg.ue_config.attach_timeout = Duration::s(1);
-  cfg.ue_config.retry_backoff = Duration::millis(200);
-  cfg.ue_config.retry_backoff_max = Duration::s(2);
-  cfg.ue_config.cell_blacklist = Duration::s(2);
   World world(cfg);
   world.cloud_node()->set_up(false);
 
@@ -261,7 +260,9 @@ TEST(AttachRecovery, BrokerOutageRetriedUntilHealed) {
   EXPECT_TRUE(world.ue_agent()->in_recovery());
 
   world.cloud_node()->set_up(true);
-  world.simulator().run_for(Duration::s(10));
+  // The only cell stays blacklisted for 10 s after its failed attach, and
+  // the retries back off up to 8 s.
+  world.simulator().run_for(Duration::s(20));
   EXPECT_TRUE(world.ue_agent()->attached());
   EXPECT_FALSE(world.ue_agent()->in_recovery());
   EXPECT_GE(world.ue_agent()->reattach_latencies().count(), 1u);
@@ -270,7 +271,6 @@ TEST(AttachRecovery, BrokerOutageRetriedUntilHealed) {
 TEST(AttachRecovery, WatchdogDetectsBearerLossAndReattaches) {
   WorldConfig cfg = static_cb_config(2);
   cfg.ue_config.attach_timeout = Duration::s(1);
-  cfg.ue_config.retry_backoff = Duration::millis(100);
   World world(cfg);
   world.ue_agent()->set_candidate_source(
       [] { return std::vector<ran::CellId>{1, 2}; });
@@ -292,21 +292,35 @@ TEST(AttachRecovery, WatchdogDetectsBearerLossAndReattaches) {
 
 TEST(ReliableReports, DuplicatesAreFilteredBeforeBilling) {
   WorldConfig cfg = static_cb_config(1);
-  // Retransmit far faster than the ACK RTT: every report is sent several
-  // times, and every copy past the first must be absorbed idempotently —
-  // answered from the report-ack cache or dropped by the dedup filter —
-  // NOT rejected, and NOT double-billed.
-  cfg.ue_config.report_retry = Duration::millis(1);
   cfg.report_interval = Duration::s(2);
   World world(cfg);
+  // The broker's first ReportAck for each (requester, seq) is lost on its
+  // way out of the cloud host, so every report is sent again. Every copy
+  // past the first must be absorbed idempotently — answered from the
+  // report-ack cache or dropped by the dedup filter — NOT rejected, and NOT
+  // double-billed.
+  std::set<std::tuple<std::uint32_t, std::uint16_t, std::uint64_t>> acks_seen;
+  std::uint64_t acks_dropped = 0;
+  world.cloud_node()->set_forward_hook([&](net::Packet& p) {
+    ByteReader r(p.payload);
+    if (p.payload.size() < 9 ||
+        r.u8() != static_cast<std::uint8_t>(cellbricks::BrokerMsg::ReportAck)) {
+      return false;
+    }
+    if (!acks_seen.emplace(p.dst.addr.value(), p.dst.port, r.u64()).second) return false;
+    ++acks_dropped;
+    return true;
+  });
 
   bool attached = false;
   world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) { attached = r.ok(); });
-  world.simulator().run_for(Duration::s(11));
+  // The last report (~10 s) is resent 1 s later and acked before 11.5 s.
+  world.simulator().run_for(Duration::millis(11500));
   ASSERT_TRUE(attached);
 
   const cellbricks::BrokerCluster& broker = *world.broker_cluster();
-  EXPECT_GT(broker.reports_deduped() + broker.shard(0).report_ack_cache_hits(), 0u);
+  EXPECT_GT(acks_dropped, 0u);
+  EXPECT_GE(broker.reports_deduped() + broker.shard(0).report_ack_cache_hits(), acks_dropped);
   EXPECT_GT(broker.reports_ingested(), 0u);
   EXPECT_EQ(broker.reports_rejected(), 0u);
   // Double-counted UE bytes would show up as billing mismatches.

@@ -16,7 +16,8 @@ using net::LinkParams;
 // a WAN link — a miniature CellBricks topology without the cellular control
 // plane.
 struct MobileWorld {
-  explicit MobileWorld(std::uint64_t seed = 1, MptcpConfig mcfg = {}) : sim(seed), net(sim) {
+  explicit MobileWorld(std::uint64_t seed = 1, Duration address_wait = kMptcpAddressWait)
+      : sim(seed), net(sim) {
     ue = net.add_node("ue");
     gw1 = net.add_node("gw1");
     gw2 = net.add_node("gw2");
@@ -32,8 +33,8 @@ struct MobileWorld {
 
     ue_tcp = std::make_unique<TcpStack>(*ue);
     server_tcp = std::make_unique<TcpStack>(*server);
-    ue_mptcp = std::make_unique<MptcpStack>(*ue, *ue_tcp, mcfg);
-    server_mptcp = std::make_unique<MptcpStack>(*server, *server_tcp, mcfg);
+    ue_mptcp = std::make_unique<MptcpStack>(*ue, *ue_tcp, address_wait);
+    server_mptcp = std::make_unique<MptcpStack>(*server, *server_tcp, address_wait);
   }
 
   // Handover number `i` of a ping-pong between the gateways (even numbers
@@ -174,9 +175,7 @@ TEST(Mptcp, AddressWaitDelaysRecovery) {
   // With the mainline 500 ms wait the first byte after handover appears
   // noticeably later than with the wait removed (Fig.9's comparison).
   auto run = [](Duration wait) {
-    MptcpConfig cfg;
-    cfg.address_wait = wait;
-    MobileWorld w(5, cfg);
+    MobileWorld w(5, wait);
     BulkOverMptcp t(w, 8 * 1024 * 1024);
     w.sim.run_for(Duration::s(3));
     const TimePoint handover_at = w.sim.now();
@@ -199,9 +198,7 @@ TEST(Mptcp, AddressWaitDelaysRecovery) {
 }
 
 TEST(Mptcp, TearsDownAfterPathTimeout) {
-  MptcpConfig cfg;
-  cfg.path_timeout = Duration::s(5);
-  MobileWorld w(3, cfg);
+  MobileWorld w(3);
   BulkOverMptcp t(w, 4 * 1024 * 1024);
   w.sim.run_for(Duration::s(2));
   // Detach and never provide a new address.
@@ -210,20 +207,21 @@ TEST(Mptcp, TearsDownAfterPathTimeout) {
   w.ue->remove_address(w.ip1);
   w.net.recompute_routes();
   w.ue_mptcp->notify_address_invalidated(w.ip1);
-  w.sim.run_for(Duration::s(30));
+  w.sim.run_for(kMptcpPathTimeout - Duration::s(1));
+  EXPECT_FALSE(t.done) << "torn down before the watch window ran out";
+  w.sim.run_for(Duration::s(2));
   EXPECT_TRUE(t.done);
   EXPECT_NE(t.closed_reason, "");
   EXPECT_NE(t.closed_reason, "unset");
 }
 
 TEST(Mptcp, RecoveryBeforeTimeoutKeepsConnection) {
-  MptcpConfig cfg;
-  cfg.path_timeout = Duration::s(5);
-  MobileWorld w(4, cfg);
+  MobileWorld w(4);
   BulkOverMptcp t(w, 512 * 1024);
   w.sim.run_for(Duration::s(2));
-  w.handover(Duration::s(3));  // attach completes inside the 5 s window
-  w.sim.run_for(Duration::s(60));
+  // The attach completes 10 s before the watch window runs out.
+  w.handover(kMptcpPathTimeout - Duration::s(10));
+  w.sim.run_for(kMptcpPathTimeout + Duration::s(60));
   ASSERT_EQ(t.received.size(), t.payload.size());
   EXPECT_EQ(t.received, t.payload);
 }

@@ -37,18 +37,17 @@ TEST(QosThreshold, ZeroTrafficPairIsGovernedByMtuSlackOnly) {
 }
 
 TEST(QosThreshold, ExactlyAtThresholdPassesOneBytePastTrips) {
-  // epsilon = 0.5 makes the threshold exactly representable:
-  // 0.5 * 1000 + 1500 = 2000 bytes of tolerated discrepancy.
-  ReputationConfig cfg;
-  cfg.epsilon = 0.5;
-  const ReputationSystem rep(cfg);
-  const PairVerdict at = rep.compare(report(1000), report(3000));
-  EXPECT_DOUBLE_EQ(at.threshold, 2000.0);
-  EXPECT_EQ(at.delta, 2000);
+  // dl_U = 51200 makes the threshold exact at epsilon = 0.02:
+  // 0.02 * 51200 + 1500 = 2524 bytes of tolerated discrepancy.
+  ASSERT_EQ(ReputationSystem::kEpsilon, 0.02);
+  const ReputationSystem rep;
+  const PairVerdict at = rep.compare(report(51200), report(51200 + 2524));
+  EXPECT_EQ(at.threshold, 2524.0);
+  EXPECT_EQ(at.delta, 2524);
   EXPECT_FALSE(at.mismatch) << "excess must be STRICTLY positive to trip";
   EXPECT_DOUBLE_EQ(at.degree, 0.0);
 
-  const PairVerdict past = rep.compare(report(1000), report(3001));
+  const PairVerdict past = rep.compare(report(51200), report(51200 + 2525));
   EXPECT_TRUE(past.mismatch);
   EXPECT_GT(past.degree, 0.0);
 }
@@ -72,10 +71,10 @@ TEST(QosThreshold, LossRateIsClampedAtNinetyFivePercent) {
   // threshold to infinity: l clamps to 0.95, i.e. factor l/(1-l) = 19.
   const ReputationSystem rep;
   const PairVerdict v = rep.compare(report(1000, 0.999), report(1000));
-  EXPECT_NEAR(v.threshold, (19.0 + rep.config().epsilon) * 1000.0 + 1500.0, 1e-6);
+  EXPECT_NEAR(v.threshold, (19.0 + ReputationSystem::kEpsilon) * 1000.0 + 1500.0, 1e-6);
   // Negative loss input clamps to zero rather than shrinking the MTU term.
   const PairVerdict neg = rep.compare(report(1000, -0.5), report(1000));
-  EXPECT_NEAR(neg.threshold, rep.config().epsilon * 1000.0 + 1500.0, 1e-6);
+  EXPECT_NEAR(neg.threshold, ReputationSystem::kEpsilon * 1000.0 + 1500.0, 1e-6);
 }
 
 TEST(QosThreshold, UnderReportingTripsSymmetrically) {

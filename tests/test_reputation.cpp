@@ -95,9 +95,7 @@ TEST(ReputationRecord, ScoresDecayWithMismatchesAndFloorApplies) {
 }
 
 TEST(ReputationRecord, CleanPairsRecoverScoreButNeverPastOne) {
-  ReputationConfig cfg;
-  cfg.recovery_per_clean_pair = 0.05;
-  ReputationSystem rep(cfg);
+  ReputationSystem rep;
 
   PairVerdict bad;
   bad.mismatch = true;
@@ -108,9 +106,12 @@ TEST(ReputationRecord, CleanPairsRecoverScoreButNeverPastOne) {
 
   PairVerdict clean;  // mismatch = false
   rep.record("u1", "t1", clean);
-  EXPECT_GT(rep.telco_score("t1"), hurt);  // one clean pair: 0.1 -> 0.05
-  rep.record("u1", "t1", clean);
-  rep.record("u1", "t1", clean);
+  EXPECT_GT(rep.telco_score("t1"), hurt);
+  // One clean pair takes one recovery step: 0.1 -> 0.09.
+  EXPECT_DOUBLE_EQ(rep.telco_score("t1"),
+                   1.0 / (1.0 + 0.1 - ReputationSystem::kRecoveryPerCleanPair));
+  // Nine more steps clear the 0.1 (up to rounding); two more push past it.
+  for (int i = 0; i < 11; ++i) rep.record("u1", "t1", clean);
   // Recovery saturates at a pristine score; weighted never goes negative.
   EXPECT_DOUBLE_EQ(rep.telco_score("t1"), 1.0);
 }

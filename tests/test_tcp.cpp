@@ -16,8 +16,7 @@ using net::LinkParams;
 
 // A two-host world with one configurable link.
 struct World {
-  explicit World(LinkParams link_params = {}, std::uint64_t seed = 1,
-                 TcpConfig client_cfg = {})
+  explicit World(LinkParams link_params = {}, std::uint64_t seed = 1)
       : sim(seed), net(sim) {
     client_node = net.add_node("client");
     server_node = net.add_node("server");
@@ -25,7 +24,7 @@ struct World {
     net.register_address(Ipv4Addr(10, 0, 0, 2), server_node);
     link = net.connect(client_node, server_node, link_params);
     net.recompute_routes();
-    client = std::make_unique<TcpStack>(*client_node, client_cfg);
+    client = std::make_unique<TcpStack>(*client_node);
     server = std::make_unique<TcpStack>(*server_node);
   }
 
@@ -390,28 +389,26 @@ TEST(Tcp, SendAfterCloseRejected) {
 }
 
 TEST(Tcp, SendBufferBackpressure) {
-  TcpConfig cfg;
-  cfg.send_buffer = 10000;
-  World w(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(50)}, 1, cfg);
+  World w(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(50)});
   w.server->listen(80, [](std::shared_ptr<TcpSocket>) {});
   auto c = w.client->connect({Ipv4Addr(10, 0, 0, 2), 80});
   std::size_t accepted_at_once = 0;
   c->on_connected = [&] {
-    const Bytes big(50000, 1);
+    const Bytes big(kSendBuffer + 50000, 1);
     accepted_at_once = c->send(big);
   };
   w.sim.run_for(Duration::s(1));
-  EXPECT_EQ(accepted_at_once, 10000u);
+  EXPECT_EQ(accepted_at_once, kSendBuffer);
 }
 
 TEST(Tcp, FinishedSocketReleasesItsSendBuffer) {
   World w(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(50)});
   BulkTransfer t(w, 512 * 1024);
   w.sim.run_for(Duration::s(1));
-  ASSERT_LT(t.client_side->send_space(), TcpConfig{}.send_buffer);  // unacked data queued
+  ASSERT_LT(t.client_side->send_space(), kSendBuffer);  // unacked data queued
   t.client_side->abort();
   EXPECT_TRUE(t.client_closed);
-  EXPECT_EQ(t.client_side->send_space(), TcpConfig{}.send_buffer);
+  EXPECT_EQ(t.client_side->send_space(), kSendBuffer);
 }
 
 TEST(Tcp, ReorderingViaTwoPathsStillInOrder) {

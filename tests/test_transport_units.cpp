@@ -179,20 +179,18 @@ TEST(TcpWire, RandomBytesNeverCrashParser) {
   }
 }
 
-// --- Config knobs ---------------------------------------------------------------
+// --- Segmentation ---------------------------------------------------------------
 
-struct MssWorld {
-  explicit MssWorld(std::size_t mss) : sim(1), net(sim) {
-    TcpConfig cfg;
-    cfg.mss = mss;
+struct PairWorld {
+  PairWorld() : sim(1), net(sim) {
     a = net.add_node("a");
     b = net.add_node("b");
     net.register_address(net::Ipv4Addr(10, 0, 0, 1), a);
     net.register_address(net::Ipv4Addr(10, 0, 0, 2), b);
     net.connect(a, b, net::LinkParams{.rate_bps = 10e6, .delay = Duration::ms(5)});
     net.recompute_routes();
-    stack_a = std::make_unique<TcpStack>(*a, cfg);
-    stack_b = std::make_unique<TcpStack>(*b, cfg);
+    stack_a = std::make_unique<TcpStack>(*a);
+    stack_b = std::make_unique<TcpStack>(*b);
   }
   sim::Simulator sim;
   net::Network net;
@@ -200,10 +198,13 @@ struct MssWorld {
   std::unique_ptr<TcpStack> stack_a, stack_b;
 };
 
-class TcpMssSweep : public ::testing::TestWithParam<std::size_t> {};
+// Transfer lengths around one segment: a lone byte, one byte short of a full
+// segment, exactly one, one byte into a second, and a long multi-segment
+// stream all arrive intact.
+class TcpLengthSweep : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(TcpMssSweep, TransfersWithAnyMss) {
-  MssWorld w(GetParam());
+TEST_P(TcpLengthSweep, TransfersAnyLengthAroundMss) {
+  PairWorld w;
   Bytes received;
   std::shared_ptr<TcpSocket> srv;
   w.stack_b->listen(80, [&](std::shared_ptr<TcpSocket> s) {
@@ -211,7 +212,7 @@ TEST_P(TcpMssSweep, TransfersWithAnyMss) {
     srv->on_data = [&](BytesView d) { received.insert(received.end(), d.begin(), d.end()); };
   });
   auto c = w.stack_a->connect({net::Ipv4Addr(10, 0, 0, 2), 80});
-  Bytes payload(50'000);
+  Bytes payload(GetParam());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 31);
   }
@@ -230,7 +231,9 @@ TEST_P(TcpMssSweep, TransfersWithAnyMss) {
   EXPECT_EQ(received, payload);
 }
 
-INSTANTIATE_TEST_SUITE_P(MssValues, TcpMssSweep, ::testing::Values(128, 536, 1400, 9000));
+INSTANTIATE_TEST_SUITE_P(TransferLengths, TcpLengthSweep,
+                         ::testing::Values(std::size_t{1}, kMss - 1, kMss, kMss + 1,
+                                           std::size_t{50'000}));
 
 // --- ServiceQueue ----------------------------------------------------------------
 

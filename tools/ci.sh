@@ -6,8 +6,10 @@
 #      callback soup are exactly the kind the sanitizers catch and unit
 #      tests miss; the transport-layer socket cycles that used to force
 #      detect_leaks=0 were broken up in PR 3.
-#   2. Release — tier-1 tests at the optimization level users run, plus a
-#      bench smoke run that validates the BENCH_*.json schema, the metrics
+#   2. Release — tier-1 tests at the optimization level users run, the
+#      benchmark harness (cbbench/, its own CMake project over src/) built
+#      from this tree with its gate self-test (cbbench/test_gates.py), plus
+#      a bench smoke run that validates the BENCH_*.json schema, the metrics
 #      section, and the instrumentation-overhead budget.
 #
 # Usage: tools/ci.sh [--skip-sanitized]
@@ -212,6 +214,18 @@ fi
 
 echo "=== release build (incl. scale-labeled fluid tests) ==="
 run_suite build fuzz -DCMAKE_BUILD_TYPE=Release
+
+echo "=== benchmark build and gate self-test (Release) ==="
+# cbbench/ is its own CMake project over src/, and no suite above builds it:
+# a src/ change that breaks the benchmark's build (a renamed function, a
+# deleted config field) would pass them. test_gates.py builds
+# .bench_build/cbbench from this tree, checks that a clean storm run passes,
+# and that four doctored results each fail their gate.
+python3 cbbench/test_gates.py || {
+  echo "benchmark gate self-test FAILED — rerun: python3 cbbench/test_gates.py"
+  exit 1
+}
+echo "benchmark gate self-test ok"
 
 echo "=== packet-vs-fluid agreement gate (Release) ==="
 # The hybrid traffic engine's correctness contract (DESIGN.md §11): the same
