@@ -389,7 +389,7 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   bool raised = false;
   while (c.capped < n) {
     const SessionId id = c.order[c.capped];
-    if (!(order_key(id) < (c.capacity_bps - c.capped_bps) / c.open_weight)) break;
+    if (!(key_[id] < (c.capacity_bps - c.capped_bps) / c.open_weight)) break;
     flip(c, id, out.tally);
     raised = true;
   }
@@ -397,7 +397,7 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
     const SessionId id = c.order[c.capped - 1];
     const double level = (c.capacity_bps - c.capped_bps + arena_.cap_bps(id)) /
                          (c.open_weight + arena_.weight(id));
-    if (order_key(id) < level) break;
+    if (key_[id] < level) break;
     flip(c, id, out.tally);
   }
   c.level =
@@ -628,9 +628,9 @@ void FluidEngine::fire(std::uint32_t cell_id) {
 
 std::vector<SessionId>::iterator FluidEngine::find_in_order(std::vector<SessionId>& v,
                                                            SessionId id) const {
-  const double key = order_key(id);
+  const double key = key_[id];
   return std::lower_bound(v.begin(), v.end(), id, [&](SessionId other, SessionId target) {
-    const double ko = order_key(other);
+    const double ko = key_[other];
     if (ko != key) return ko < key;
     return other < target;
   });
@@ -640,7 +640,9 @@ void FluidEngine::insert_member(Cell& c, SessionId id, Tally& t) {
   if (id >= tag_.size()) {
     tag_.resize(arena_.slots(), 0.0);
     slot_.resize(arena_.slots(), 0);
+    key_.resize(arena_.slots(), 0.0);
   }
+  key_[id] = order_key(id);
   weight_floor_ = std::min(weight_floor_, static_cast<double>(arena_.weight(id)));
   if (arena_.cap_bps(id) > 0.0) cap_floor_ = std::min(cap_floor_, arena_.cap_bps(id));
   auto it = find_in_order(c.order, id);

@@ -280,9 +280,11 @@ class FluidEngine {
   void fire(std::uint32_t cell);
 
   /// Water-filling visit key: ascending cap/weight, uncapped (+inf) last.
+  /// Computed from the arena when a member enters its cell's order and
+  /// read from key_ after that.
   double order_key(SessionId id) const;
   bool at_cap(SessionId id) const { return (slot_[id] & kAtCapBit) != 0; }
-  /// Where `id` sits (or goes) in a vector sorted by (order_key, id).
+  /// Where `id` sits (or goes) in a vector sorted by (key_, id).
   std::vector<SessionId>::iterator find_in_order(std::vector<SessionId>& v, SessionId id) const;
   /// Add a member whose arena row (mode, cell, cap, demand) is set: into
   /// the order (its position there decides its class), then its heap or
@@ -312,9 +314,13 @@ class FluidEngine {
   std::unique_ptr<FillPool> pool_;
 
   // Per-session member state, indexed by SessionId like the arena: the
-  // finish tag, and the heap index with the capped-class bit on top.
+  // finish tag, the heap index with the capped-class bit on top, and the
+  // order key the member entered its cell's order with. A cap change
+  // removes the member at its old key and re-inserts it at the new one, so
+  // the stored key never goes stale.
   std::vector<double> tag_;
   std::vector<std::uint32_t> slot_;
+  std::vector<double> key_;
   /// Smallest weight and cap any member has had: they bound how far past
   /// the heap heads fire() must look for flows within kCompleteEpsBytes.
   double weight_floor_ = std::numeric_limits<double>::infinity();

@@ -270,6 +270,13 @@ struct MobilityCase {
   std::uint64_t seed;
 };
 
+// Names the ctest entry by value, so it is the same in every build: gtest's
+// default prints the struct's raw bytes, including the padding after
+// handover_at_ms.
+void PrintTo(const MobilityCase& c, std::ostream* os) {
+  *os << "loss=" << c.loss << " handover=" << c.handover_at_ms << "ms seed=" << c.seed;
+}
+
 class MptcpMobilitySweep : public ::testing::TestWithParam<MobilityCase> {};
 
 TEST_P(MptcpMobilitySweep, StreamIntegrityAcrossHandover) {

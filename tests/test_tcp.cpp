@@ -218,6 +218,11 @@ struct LossCase {
   std::uint64_t seed;
 };
 
+// Names the ctest entry by value instead of by the struct's raw bytes.
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << "loss=" << c.loss << " size=" << c.size << " seed=" << c.seed;
+}
+
 class TcpLossSweep : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(TcpLossSweep, StreamIntegrity) {

@@ -851,6 +851,33 @@ TEST(ScaleTraffic, FluidWorkPerRateEventCeiling) {
   }
 }
 
+TEST(ScaleTraffic, EventHeapPushesPerEventCeiling) {
+  // Work ceiling: entries pushed onto the simulator's event heap per
+  // executed event, on the FluidWorkPerRateEventCeiling input. Zero-delay
+  // events (every fluid drain) take the same-instant lane instead. The
+  // ceiling is the value measured when the lane landed (30,136 pushes over
+  // 39,991 events, 0.7536); a change that lowers the count tightens it. The
+  // engine before the lane pushed every scheduled event: 50,128 pushes over
+  // the same 39,991 events (1.2535 per event).
+  constexpr double kCeiling = 0.754;
+  scenario::ScaleTrafficConfig cfg;
+  cfg.mode = scenario::TrafficMode::Fluid;
+  cfg.n_ues = 10000;
+  cfg.n_cells = 16;
+  cfg.seed = 13;
+  cfg.mean_flow_mbytes = 1.0;
+  cfg.start_window_s = 2.0;
+  cfg.shaper_resample_s = 5.0;
+  cfg.horizon_s = 3600.0;
+  scenario::ScaleTrafficSim sim(cfg);
+  const auto r = sim.run_to_completion();
+  ASSERT_EQ(r.completed, cfg.n_ues);
+  ASSERT_EQ(r.events, sim.simulator().events_executed());
+  const std::uint64_t pushes = sim.simulator().heap_pushes();
+  const double per_event = static_cast<double>(pushes) / static_cast<double>(r.events);
+  EXPECT_LE(per_event, kCeiling) << pushes << " heap pushes over " << r.events << " events";
+}
+
 TEST(ScaleTraffic, FluidGolden) {
   // Pins a small fluid run with handovers and shaper-resample epochs, at 1
   // and 4 drain threads. The values were computed before small drains were

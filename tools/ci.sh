@@ -172,6 +172,26 @@ else
   echo "skipped (--skip-sanitized)"
 fi
 
+echo "=== engine order oracle seed sweep (ASan/UBSan) ==="
+# The event engine (DESIGN.md §8) splits its queue into a same-instant lane
+# and a 4-ary heap, and tells live entries from cancelled ones by seq stamp.
+# A lane served out of turn or a sift that skips a child reorders events
+# without crashing, so run the reference-order oracle at 8 seeds (40
+# programs of 600 scheduled events each); ASan reports a stale slot read.
+if [[ "${1:-}" != "--skip-sanitized" ]]; then
+  for seed in 1 2 3 4 5 6 7 8; do
+    CB_TEST_SEED=$seed ./build-asan/tests/test_sim --gtest_brief=1 \
+      --gtest_filter='Simulator.MatchesReferenceOrderUnderChurn' || {
+      echo "engine order oracle seed sweep FAILED — rerun: CB_TEST_SEED=$seed" \
+           "build-asan/tests/test_sim --gtest_filter='Simulator.MatchesReferenceOrderUnderChurn'"
+      exit 1
+    }
+  done
+  echo "engine order oracle seed sweep ok"
+else
+  echo "skipped (--skip-sanitized)"
+fi
+
 echo "=== RAN measurement-pipeline leg (ASan/UBSan, ctest -L ran) ==="
 # The ran-labeled tests (channel purity, L3-filter/policy properties, drive-
 # trace round-trips, fixture replays) re-run as their own leg so a
