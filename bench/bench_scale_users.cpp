@@ -10,9 +10,7 @@
 //   - the packet-vs-fluid agreement gate at small N: same seed-derived
 //     workload through both fidelity modes must agree byte-exactly on
 //     delivered bytes + billing and within the documented tolerance on
-//     completion times. Disagreement exits nonzero (CI hard gate);
-//   - the parallel-drain gate: 10k UEs at 1 and 4 drain threads must be
-//     bit-identical, and the 4-thread arm must have used the drain pool.
+//     completion times. Disagreement exits nonzero (CI hard gate).
 //
 // Every sweep point is an independent seeded Simulator, so points run
 // concurrently on a TrialRunner thread pool; results are collected in
@@ -20,13 +18,9 @@
 // The fluid scale-curve points run sequentially so each point's wall-clock
 // and peak-RSS delta are attributable to that point alone.
 //
-// Usage: bench_scale_users [--smoke] [--fluid] [--fluid-threads N]
-//                          [--json FILE] [--no-metrics]
+// Usage: bench_scale_users [--smoke] [--fluid] [--json FILE] [--no-metrics]
 //   --smoke          small point set (CI schema check, not a measurement)
-//   --fluid          add the fluid scale curve + the agreement gates
-//   --fluid-threads  worker threads for the fluid engine's reallocation
-//                    drain on the curve points (default 1; any value is
-//                    bit-identical — the 1-vs-4 gate below proves it)
+//   --fluid          add the fluid scale curve + the agreement gate
 //   --json           also write machine-readable results + wall-clock to FILE
 //   --no-metrics     run with observability disabled (instrumentation-
 //                    overhead baseline for tools/bench.sh)
@@ -141,7 +135,7 @@ class ThreadUse {
   std::set<std::thread::id> ids_;
 };
 
-ScaleTrafficConfig curve_config(int n_ues, int fluid_threads = 1) {
+ScaleTrafficConfig curve_config(int n_ues) {
   ScaleTrafficConfig cfg;
   cfg.mode = TrafficMode::Fluid;
   cfg.n_ues = n_ues;
@@ -150,57 +144,7 @@ ScaleTrafficConfig curve_config(int n_ues, int fluid_threads = 1) {
   cfg.start_window_s = 10.0;
   cfg.shaper_resample_s = 30.0;
   cfg.horizon_s = 3600.0;
-  cfg.fluid_threads = fluid_threads;
   return cfg;
-}
-
-/// The parallel-determinism gate (DESIGN.md §13): the same curve point at 1
-/// and 4 drain threads must produce the same fingerprint (delivered bytes,
-/// billing, segment ledger, event counts — all folded in) and byte-identical
-/// metrics snapshots. Mismatch exits nonzero, like the agreement gate.
-/// Necessary but not sufficient: a preemption-timing-dependent data race can
-/// pass output equality on virtually every run, so the race class itself is
-/// checked by the TSan leg in tools/ci.sh, not by this gate. The engine fills
-/// small drains inline, so the gate also requires that the N-thread arm
-/// handed drains to the pool; otherwise its two arms could not differ.
-struct ThreadAgreement {
-  int n_ues = 0;
-  unsigned threads = 4;
-  bool fingerprint_match = false;
-  bool metrics_match = false;
-  std::uint64_t fingerprint_serial = 0;
-  std::uint64_t fingerprint_parallel = 0;
-  std::uint64_t parallel_drains = 0;
-  bool pass = false;
-};
-
-ThreadAgreement run_thread_agreement(int n_ues) {
-  ThreadAgreement t;
-  t.n_ues = n_ues;
-  struct Arm {
-    std::uint64_t fingerprint = 0;
-    std::string metrics_json;
-    std::uint64_t parallel_drains = 0;
-  };
-  auto run_with = [&](int threads) {
-    obs::Registry reg;
-    obs::ScopedRegistry scope(&reg);
-    ScaleTrafficSim sim(curve_config(n_ues, threads));
-    Arm arm;
-    arm.fingerprint = sim.run_to_completion().fingerprint();
-    arm.metrics_json = reg.to_json();
-    arm.parallel_drains = sim.fluid()->parallel_drains();
-    return arm;
-  };
-  const Arm serial = run_with(1);
-  const Arm parallel = run_with(static_cast<int>(t.threads));
-  t.fingerprint_serial = serial.fingerprint;
-  t.fingerprint_parallel = parallel.fingerprint;
-  t.parallel_drains = parallel.parallel_drains;
-  t.fingerprint_match = t.fingerprint_serial == t.fingerprint_parallel;
-  t.metrics_match = serial.metrics_json == parallel.metrics_json;
-  t.pass = t.fingerprint_match && t.metrics_match && t.parallel_drains > 0;
-  return t;
 }
 
 /// The CI hard gate: the PacketVsFluidAgreementSmallN tolerance, rerun as a
@@ -247,13 +191,10 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool fluid_axis = false;
   bool metrics_enabled = true;
-  int fluid_threads = 1;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     else if (std::strcmp(argv[i], "--fluid") == 0) fluid_axis = true;
-    else if (std::strcmp(argv[i], "--fluid-threads") == 0 && i + 1 < argc)
-      fluid_threads = std::max(std::atoi(argv[++i]), 1);
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
     else if (std::strcmp(argv[i], "--no-metrics") == 0) metrics_enabled = false;
   }
@@ -316,10 +257,9 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   const double cpu_s = process_cpu_s() - cpu_start;
 
-  // Fluid scale curve + agreement gates — sequential on purpose (see header).
+  // Fluid scale curve + agreement gate — sequential on purpose (see header).
   std::vector<FluidPoint> curve;
   Agreement agreement;
-  ThreadAgreement thread_agreement;
   bool rss_reset_ok = true;
   const auto fluid_start = std::chrono::steady_clock::now();
   if (fluid_axis) {
@@ -330,7 +270,7 @@ int main(int argc, char** argv) {
       const bool did_reset = reset_peak_rss();
       rss_reset_ok = rss_reset_ok && did_reset;
       const double t0 = now_s();
-      p.result = run_scale_traffic(curve_config(n, fluid_threads));
+      p.result = run_scale_traffic(curve_config(n));
       p.wall_s = now_s() - t0;
       // Post-reset VmHWM is this point's own peak; without clear_refs fall
       // back to the watermark delta (a floor of the true per-point peak).
@@ -338,9 +278,6 @@ int main(int argc, char** argv) {
       curve.push_back(p);
     }
     agreement = run_agreement_gate();
-    // 10k UEs in 20 cells: the epoch drains cross the engine's pool-size
-    // rule, which 1000 UEs in 2 cells never do.
-    thread_agreement = run_thread_agreement(10000);
   }
   const double fluid_wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - fluid_start).count();
@@ -378,25 +315,12 @@ int main(int argc, char** argv) {
                   p.result.completed, p.n_ues);
     }
     std::printf("\n(Events scale with rate changes, not packets: the arena keeps\n"
-                " per-session state at %zu B so 1M sessions stay in ~74 MB.\n"
-                " peakRSS is per-point%s; fluid drain threads: %d.)\n",
+                " per-session state at %zu B so 1M sessions stay in ~%zu MB.\n"
+                " peakRSS is per-point%s.)\n",
+                traffic::SessionArena::bytes_per_session(),
                 traffic::SessionArena::bytes_per_session(),
                 rss_reset_ok ? " (VmHWM reset between points)"
-                             : " (watermark delta — clear_refs unavailable)",
-                fluid_threads);
-
-    std::printf("\n=== Parallel-drain determinism gate (%d UEs, 1 vs %u fluid threads) ===\n\n",
-                thread_agreement.n_ues, thread_agreement.threads);
-    std::printf("  fingerprint:      %016llx vs %016llx -> %s\n",
-                static_cast<unsigned long long>(thread_agreement.fingerprint_serial),
-                static_cast<unsigned long long>(thread_agreement.fingerprint_parallel),
-                thread_agreement.fingerprint_match ? "identical" : "DIVERGED");
-    std::printf("  metrics snapshot: %s\n",
-                thread_agreement.metrics_match ? "byte-identical" : "DIVERGED");
-    std::printf("  pool drains:      %llu%s\n",
-                static_cast<unsigned long long>(thread_agreement.parallel_drains),
-                thread_agreement.parallel_drains > 0 ? "" : " (pool never ran)");
-    std::printf("  => %s\n", thread_agreement.pass ? "PASS" : "FAIL");
+                             : " (watermark delta — clear_refs unavailable)");
 
     std::printf("\n=== Packet-vs-fluid agreement gate (%d UEs, shaper-dominated) ===\n\n",
                 agreement.n_ues);
@@ -457,24 +381,15 @@ int main(int argc, char** argv) {
         first = false;
       }
       std::fprintf(f,
-                   "\n  ],\n  \"fluid_threads\": %d,\n  \"rss_mode\": \"%s\",\n"
+                   "\n  ],\n  \"rss_mode\": \"%s\",\n"
                    "  \"agreement\": {\"n_ues\": %d, \"pass\": %s, "
                    "\"bytes_exact\": %s, \"billing_exact\": %s, "
                    "\"mean_err_pct\": %.2f, \"p99_err_pct\": %.2f, "
-                   "\"mean_budget_pct\": 15.0, \"p99_budget_pct\": 25.0},\n"
-                   "  \"thread_agreement\": {\"n_ues\": %d, \"threads\": %u, "
-                   "\"pass\": %s, \"fingerprint_match\": %s, \"metrics_match\": %s, "
-                   "\"parallel_drains\": %llu, \"fingerprint\": \"%016llx\"}",
-                   fluid_threads, rss_reset_ok ? "reset" : "delta",
-                   agreement.n_ues, agreement.pass ? "true" : "false",
-                   agreement.bytes_exact ? "true" : "false",
+                   "\"mean_budget_pct\": 15.0, \"p99_budget_pct\": 25.0}",
+                   rss_reset_ok ? "reset" : "delta", agreement.n_ues,
+                   agreement.pass ? "true" : "false", agreement.bytes_exact ? "true" : "false",
                    agreement.billing_exact ? "true" : "false", agreement.mean_err * 100,
-                   agreement.p99_err * 100, thread_agreement.n_ues,
-                   thread_agreement.threads, thread_agreement.pass ? "true" : "false",
-                   thread_agreement.fingerprint_match ? "true" : "false",
-                   thread_agreement.metrics_match ? "true" : "false",
-                   static_cast<unsigned long long>(thread_agreement.parallel_drains),
-                   static_cast<unsigned long long>(thread_agreement.fingerprint_serial));
+                   agreement.p99_err * 100);
     }
     std::fprintf(f, ",\n  \"metrics_enabled\": %s",
                  metrics_enabled ? "true" : "false");
@@ -487,10 +402,6 @@ int main(int argc, char** argv) {
 
   if (fluid_axis && !agreement.pass) {
     std::fprintf(stderr, "FAIL: packet-vs-fluid agreement outside tolerance\n");
-    return 1;
-  }
-  if (fluid_axis && !thread_agreement.pass) {
-    std::fprintf(stderr, "FAIL: parallel drain diverged from serial engine, or never ran\n");
     return 1;
   }
   return 0;

@@ -226,8 +226,7 @@ void ScaleTrafficSim::bill_sweep() {
 // ---------------------------------------------------------------------------
 
 void ScaleTrafficSim::build_fluid() {
-  fluid_ = std::make_unique<traffic::FluidEngine>(
-      impl_->sim, arena_, static_cast<unsigned>(std::max(config_.fluid_threads, 1)));
+  fluid_ = std::make_unique<traffic::FluidEngine>(impl_->sim, arena_);
   for (int c = 0; c < config_.n_cells; ++c) {
     fluid_->add_cell(config_.scheduler_capacity_bps * kGoodputEfficiency);
   }

@@ -74,8 +74,9 @@ struct ScaleTrafficConfig {
   double fault_start_s = 0.0;
   double fault_duration_s = 0.0;
   double fault_capacity_factor = 0.25;
-  /// Worker threads for the fluid engine's per-timestamp reallocation drain
-  /// (1 = serial; any value produces bit-identical results — DESIGN.md §13).
+  /// Read by nothing: the fluid engine's drain worker pool it sized was
+  /// deleted. cbbench still assigns it, and ROADMAP item 1's benchmark PR,
+  /// the one change that edits cbbench, deletes it.
   int fluid_threads = 1;
 };
 

@@ -1,12 +1,8 @@
 #include "traffic/fluid.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 namespace cb::traffic {
 
@@ -21,141 +17,7 @@ constexpr Duration kEventGuard = Duration::us(1);
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// A drain goes to the worker pool only when its dirty cells hold at least
-/// this many members in total. The rule was set when a fill walked every
-/// member (~12 ns each) against a 4-22 µs hand-off. A virtual-clock fill
-/// costs O(1 + flips + ghosts), and no drain gains from the pool any more:
-/// on a 4-vCPU VM, in cbbench's fluid_population at 2 threads, the 4 drains
-/// that cross the rule (200 cells, ~50k members) fill in 61-66 µs pooled
-/// and 15-17 µs inline, and at 1M UEs (2,000 cells, ~498k members) in
-/// 735 µs pooled and 298 µs inline (DESIGN.md §13). The rule stays so that
-/// the thread-identity test and the scale bench's gate still run the pool
-/// while a benchmark still sets fluid_threads; the pool is a candidate for
-/// deletion.
-constexpr std::size_t kPoolMinMembers = 8192;
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// FillPool: the drain-phase worker pool (PR 3 trial_runner idiom, adapted to
-// a reusable barrier: one task list per drain, main thread participates).
-// Work items are claimed off a shared atomic counter, so the ASSIGNMENT of
-// cells to threads is racy on purpose — but cells are disjoint and every
-// observable side effect lives in a per-cell outcome slot committed later in
-// cell-id order, so the race is invisible in the results.
-//
-// Generation retirement: run() may not return — and the next run() may not
-// reset next_/task_ — while any helper is still inside claim_loop for the
-// current generation. Otherwise a helper that finished the last item could
-// loop back to next_.fetch_add after the counter was reset and claim index 0
-// of the NEXT drain with the PREVIOUS, already-destroyed task. active_ counts
-// helpers inside claim_loop; run() waits for done_ == total_ AND active_ == 0,
-// and nulls task_ under the lock so a late-waking helper sees the generation
-// is already retired. The TSan CI leg runs the thread-identity test against
-// exactly this protocol.
-// ---------------------------------------------------------------------------
-class FluidEngine::FillPool {
- public:
-  explicit FillPool(unsigned helpers) {
-    threads_.reserve(helpers);
-    for (unsigned i = 0; i < helpers; ++i) threads_.emplace_back([this] { loop(); });
-  }
-
-  ~FillPool() {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      stop_ = true;
-    }
-    cv_start_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  /// Run task(0..n-1) across helpers + the calling thread; returns when all
-  /// n items are done. Not reentrant.
-  void run(std::size_t n, const std::function<void(std::size_t)>& task) {
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      task_ = &task;
-      total_ = n;
-      next_.store(0, std::memory_order_relaxed);
-      done_ = 0;
-      ++gen_;
-    }
-    cv_start_.notify_all();
-    claim_loop(task, n);
-    // Wait for every item to be done AND every helper to have left
-    // claim_loop: only then is it safe for the caller to destroy `task` and
-    // for the next run() to reset next_/task_ (see class comment).
-    std::unique_lock<std::mutex> l(mu_);
-    cv_done_.wait(l, [&] { return done_ == total_ && active_ == 0; });
-    task_ = nullptr;
-  }
-
- private:
-  void claim_loop(const std::function<void(std::size_t)>& task, std::size_t n) {
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      task(i);
-      std::lock_guard<std::mutex> l(mu_);
-      if (++done_ == total_) cv_done_.notify_all();
-    }
-  }
-
-  void loop() {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* task;
-      std::size_t n;
-      {
-        std::unique_lock<std::mutex> l(mu_);
-        cv_start_.wait(l, [&] { return stop_ || gen_ != seen; });
-        if (stop_) return;
-        seen = gen_;
-        // task_ is nulled (under mu_) when a generation retires, so a helper
-        // that wakes after run() already returned sees nullptr and parks
-        // again instead of touching a destroyed task.
-        if (task_ == nullptr) continue;
-        task = task_;
-        n = total_;
-        ++active_;
-      }
-      claim_loop(*task, n);
-      {
-        std::lock_guard<std::mutex> l(mu_);
-        if (--active_ == 0) cv_done_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_start_, cv_done_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t total_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t done_ = 0;
-  std::size_t active_ = 0;  // helpers currently inside claim_loop
-  std::uint64_t gen_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
-};
-
-// ---------------------------------------------------------------------------
-// FluidEngine
-// ---------------------------------------------------------------------------
-
-FluidEngine::FluidEngine(sim::Simulator& sim, SessionArena& arena, unsigned fill_threads)
-    : sim_(sim), arena_(arena), threads_(fill_threads == 0 ? 1u : fill_threads) {
-  if (threads_ > 1) pool_ = std::make_unique<FillPool>(threads_ - 1);
-}
-
-FluidEngine::~FluidEngine() = default;
-
-void FluidEngine::CellOutcome::reset() {
-  tally = Tally{};
-  min_completion_s = kInf;
-  ghost_changes.clear();
-}
 
 std::uint32_t FluidEngine::add_cell(double capacity_bps) {
   Cell c;
@@ -404,7 +266,7 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
       c.open_weight > 0.0 ? std::max((c.capacity_bps - c.capped_bps) / c.open_weight, 0.0) : 0.0;
 
   // Ghosts: record the share for the packet lane when it moves. The
-  // callback itself runs at commit time on the main thread.
+  // callback itself runs at commit time.
   for (SessionId id : c.ghosts) {
     const double rate = rate_bps(id);
     if (rate != arena_.rate_bps(id)) {
@@ -425,7 +287,7 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   out.min_completion_s = min_dt_s;
 }
 
-void FluidEngine::commit_outcome(std::uint32_t cell_id, CellOutcome& out) {
+void FluidEngine::commit_outcome(std::uint32_t cell_id, const CellOutcome& out) {
   fold(out.tally);
   ++rate_events_;
 
@@ -456,14 +318,12 @@ void FluidEngine::commit_outcome(std::uint32_t cell_id, CellOutcome& out) {
 void FluidEngine::fill_cell_now(std::uint32_t cell_id) {
   Cell& c = cells_[cell_id];
   c.dirty = false;  // a stale drain_queue_ entry just becomes a no-op
-  // Invalidate any not-yet-committed outcome the current drain holds for
-  // this cell: this fill is fresher (see the supersession check in drain()).
   ++c.fill_seq;
   // Local outcome, not a shared scratch: an on_rate_share handler fired by
-  // the commit may re-enter the engine (e.g. a cap change), and a nested
-  // fill must not clobber the outcome being committed.
+  // the commit may re-enter the engine (e.g. a demote), and a nested fill
+  // must not clobber the outcome being committed.
   CellOutcome out;
-  out.reset();
+  out.min_completion_s = kInf;
   fill_cell(c, out);
   commit_outcome(cell_id, out);
 }
@@ -496,70 +356,20 @@ void FluidEngine::drain() {
   // commit order, and therefore the event-scheduling and callback order,
   // is independent of the order mutations happened to queue them.
   drain_cells_.clear();
-  std::size_t members = 0;
   for (std::uint32_t cell_id : drain_queue_) {
     Cell& c = cells_[cell_id];
     c.queued = false;
-    if (c.dirty) {
-      c.dirty = false;
-      drain_cells_.push_back(cell_id);
-      members += c.order.size();
-    }
+    if (c.dirty) drain_cells_.push_back(cell_id);
   }
   drain_queue_.clear();
   std::sort(drain_cells_.begin(), drain_cells_.end());
 
-  const std::size_t n = drain_cells_.size();
-  if (drain_outcomes_.size() < n) drain_outcomes_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    drain_outcomes_[i].reset();
-    // Stamp the outcome with the cell's fill generation; fill_cell_now can
-    // only run from the main-thread commit loop below, so nothing moves the
-    // stamp between here and the cell's fill.
-    drain_outcomes_[i].fill_seq = cells_[drain_cells_[i]].fill_seq;
-  }
-
-  if (pool_ && n > 1 && members >= kPoolMinMembers) {
-    // Parallel phase: workers write only their own cell's state, rows and
-    // outcome slot; the Simulator is never touched off-thread (the main
-    // thread is parked inside run() until every fill is done).
-    ++parallel_drains_;
-    pool_->run(n, [this](std::size_t i) {
-      fill_cell(cells_[drain_cells_[i]], drain_outcomes_[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fill_cell(cells_[drain_cells_[i]], drain_outcomes_[i]);
-  }
-
-  // Serial commit in ascending cell-id order: ledger reduction, completion
-  // event scheduling, and ghost-share callbacks happen in the same order at
-  // any thread count — bit-identical to the serial engine. A callback that
-  // re-dirties a cell schedules a fresh drain event at this timestamp.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t cell_id = drain_cells_[i];
-    CellOutcome& out = drain_outcomes_[i];
-    if (cells_[cell_id].fill_seq != out.fill_seq) {
-      // An earlier commit's callback demoted/promoted a flow in this cell,
-      // and fill_cell_now already committed a fresh completion event and
-      // fresh ghost shares. Committing this outcome would cancel that event
-      // and replay stale shares — keep only its tally: the bytes its flips
-      // banked are in the arena already.
-      fold(out.tally);
-      if (on_rate_share) {
-        // The inline fill records ghost changes against the arena values OUR
-        // fill wrote — which the consumer never heard — so a share this
-        // outcome moved may look "unchanged" to it and go unpublished.
-        // Replay the CURRENT arena share (never this outcome's stale value)
-        // for each ghost we touched, skipping flows the callbacks meanwhile
-        // promoted or finished.
-        for (const auto& [id, stale_rate] : out.ghost_changes) {
-          (void)stale_rate;
-          if (arena_.mode(id) == FlowMode::Packet) on_rate_share(id, arena_.rate_bps(id));
-        }
-      }
-      continue;
-    }
-    commit_outcome(cell_id, out);
+  // A callback fired by one cell's commit may fill a later cell inline
+  // (demote/promote), which clears its dirty bit: that fill already covers
+  // it. A callback that re-dirties a cell already filled here schedules a
+  // fresh drain at this timestamp.
+  for (std::uint32_t cell_id : drain_cells_) {
+    if (cells_[cell_id].dirty) fill_cell_now(cell_id);
   }
 }
 

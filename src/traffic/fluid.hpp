@@ -38,22 +38,15 @@
 // the ghost share synchronously); rates are unchanged either way because no
 // sim time passes between a mutation and its drain.
 //
-// The drain is also the PARALLEL phase: with fill_threads > 1 the dirty
-// cells of one timestamp are filled on a worker pool, provided they hold
-// enough members (smaller drains, such as a two-cell handover, fill inline
-// on the calling thread). Cells are disjoint (a session belongs to exactly
-// one cell), workers only write their own cell's state, its members' arena
-// rows and tags, and a per-cell outcome buffer, and the main thread commits
-// outcomes — ledger sums, completion-event scheduling, on_rate_share
-// callbacks — strictly in ascending cell-id order. Any thread count
-// therefore produces bit-identical results to the serial engine.
-// Commit-time callbacks (on_rate_share / on_complete) may re-enter the
-// engine synchronously: mutations that mark_dirty coalesce into a fresh
-// drain at the same timestamp, and demote()/promote() fill their cell
-// inline — if that cell's outcome from the CURRENT drain has not committed
-// yet, the inline fill supersedes it (per-cell fill sequence numbers) and
-// only its ledger deltas are kept, never its stale completion event or
-// ghost shares.
+// The drain fills its dirty cells one at a time, in ascending cell id, so
+// ledger folds, completion-event scheduling and on_rate_share callbacks
+// happen in an order independent of the order mutations queued the cells.
+// Callbacks (on_rate_share / on_complete) may re-enter the engine
+// synchronously. A mutation that marks a cell dirty is taken up by the
+// current drain if that cell is among its cells and not yet filled, and by
+// a fresh drain at the same timestamp otherwise; demote()/promote() fill
+// their cell inline, and the drain then skips that cell because it is no
+// longer dirty.
 //
 // Byte accounting is per-member and lazy: a member's delivered bytes are
 // banked from its tag only when something touches it (a mutation of that
@@ -68,7 +61,7 @@
 // Determinism: no RNG, the fill order keyed by (cap/weight, SessionId),
 // completions in SessionId order, all arithmetic in double precision in a
 // fixed order — same-seed runs produce bit-identical delivered/billed
-// totals at any thread count. The rates equal a from-scratch water-fill to
+// totals. The rates equal a from-scratch water-fill to
 // within rounding (the level x weight product is not the sequential fill's
 // running arithmetic), which the oracle test in test_traffic.cpp bounds.
 #pragma once
@@ -76,7 +69,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -87,11 +79,7 @@ namespace cb::traffic {
 
 class FluidEngine {
  public:
-  /// `fill_threads` sizes the drain-phase worker pool; 1 (the default, and
-  /// what tier-1 tests use) runs every fill on the calling thread. Results
-  /// are bit-identical at any thread count.
-  FluidEngine(sim::Simulator& sim, SessionArena& arena, unsigned fill_threads = 1);
-  ~FluidEngine();
+  FluidEngine(sim::Simulator& sim, SessionArena& arena) : sim_(sim), arena_(arena) {}
 
   FluidEngine(const FluidEngine&) = delete;
   FluidEngine& operator=(const FluidEngine&) = delete;
@@ -104,7 +92,6 @@ class FluidEngine {
   void set_cell_capacity(std::uint32_t cell, double capacity_bps);
   double cell_capacity(std::uint32_t cell) const { return cells_[cell].capacity_bps; }
   std::size_t n_cells() const { return cells_.size(); }
-  unsigned fill_threads() const { return threads_; }
 
   // --- flow lifecycle -------------------------------------------------------
   /// Start a fluid flow of `bytes` on session `id` (arena supplies cell,
@@ -136,8 +123,8 @@ class FluidEngine {
   /// already shows mode == Done and finish_ns set.
   std::function<void(SessionId)> on_complete;
   /// Fired when a ghost (packet-mode) flow's allocated share changes; hybrid
-  /// lanes mirror the share onto their bottleneck link. Replayed on the main
-  /// thread in ascending cell-id order after a parallel drain.
+  /// lanes mirror the share onto their bottleneck link. Within a drain, in
+  /// ascending cell-id order.
   std::function<void(SessionId, double rate_bps)> on_rate_share;
 
   // --- observation ----------------------------------------------------------
@@ -171,8 +158,8 @@ class FluidEngine {
   std::uint64_t rate_events() const { return rate_events_; }
   /// Per-member operations so far: each bank of a flow's bytes, each class
   /// flip across a cell's cap boundary, and each heap insertion or removal.
-  /// The engine's unit of work; the same at any thread count, and kept out
-  /// of fingerprints and metrics snapshots.
+  /// The engine's unit of work, kept out of fingerprints and metrics
+  /// snapshots.
   std::uint64_t member_ops() const { return member_ops_; }
   /// Fluid-mode completions so far.
   std::uint64_t completions() const { return completions_; }
@@ -180,10 +167,6 @@ class FluidEngine {
   std::uint64_t promotions() const { return promotions_; }
   /// Flows currently progressed by the engine (fluid only, ghosts excluded).
   std::size_t active_fluid_flows() const { return active_fluid_; }
-  /// Drains handed to the worker pool. Always 0 at one thread, and the only
-  /// counter that differs by thread count, so it stays out of fingerprints
-  /// and metrics snapshots.
-  std::uint64_t parallel_drains() const { return parallel_drains_; }
 
  private:
   struct Cell {
@@ -212,18 +195,16 @@ class FluidEngine {
     /// share but have no tag, and each fill publishes their shares.
     std::vector<SessionId> ghosts;
     sim::EventHandle next_completion;
-    /// Bumped by every fill_cell_now (demote/promote/flush path). A drain
-    /// outcome filled under an older value was superseded by an inline fill
-    /// fired from a commit-time callback; the commit loop then keeps only
-    /// its ledger deltas (see drain()).
+    /// Bumped by every fill. A commit whose on_rate_share handler refilled
+    /// this cell inline sees it move and replays its remaining ghosts at
+    /// the current share (see commit_outcome()).
     std::uint64_t fill_seq = 0;
     bool dirty = false;   // needs a fill at the current timestamp
     bool queued = false;  // present in drain_queue_
   };
 
-  /// Ledger deltas and work one cell operation produces. Folded into the
-  /// engine totals on the main thread (in cell-id order after a drain), so
-  /// the totals are the same at any thread count.
+  /// Ledger deltas and work one cell operation produces, folded into the
+  /// engine totals when the operation is done.
   struct Tally {
     double segment_bytes = 0.0;
     double clamped_bytes = 0.0;
@@ -231,21 +212,15 @@ class FluidEngine {
     std::uint64_t member_ops = 0;
   };
 
-  /// Everything one fill produces besides the cell's own state. Workers
-  /// fill these in parallel; the main thread commits them in cell-id order.
+  /// Everything one fill produces besides the cell's own state; committed
+  /// right after the fill.
   struct CellOutcome {
     Tally tally;
     /// Earliest fluid completion at the new rates (seconds; infinity = none).
     double min_completion_s = 0.0;
     /// Ghost flows whose published share changed, in fill order.
     std::vector<std::pair<SessionId, double>> ghost_changes;
-    /// The cell's fill_seq when this outcome was filled; a mismatch at
-    /// commit time means an inline fill superseded it.
-    std::uint64_t fill_seq = 0;
-    void reset();
   };
-
-  class FillPool;
 
   /// Advance the cell's virtual clock to now at the level the last fill set.
   /// Idempotent within a timestamp; every reader of vclock calls it first.
@@ -261,20 +236,18 @@ class FluidEngine {
   /// banking and re-tagging a fluid member on the way.
   void flip(Cell& c, SessionId id, Tally& t);
   /// advance + boundary moves + ghost shares + earliest completion.
-  /// Worker-safe: touches only this cell, its members' rows, and `out`.
+  /// Touches only this cell, its members' rows, and `out`.
   void fill_cell(Cell& c, CellOutcome& out);
-  /// Fold a tally into the engine totals. Main thread only.
+  /// Fold a tally into the engine totals.
   void fold(const Tally& t);
   /// Fold a fill's outcome into the ledger, reschedule the cell's
-  /// completion event, and replay its ghost-share callbacks. Main thread
-  /// only; called in ascending cell-id order after a drain.
-  void commit_outcome(std::uint32_t cell_id, CellOutcome& out);
-  /// Immediate fill of one cell (demote/promote and flush paths).
+  /// completion event, and fire its ghost-share callbacks.
+  void commit_outcome(std::uint32_t cell_id, const CellOutcome& out);
+  /// Fill one cell and commit the outcome (the drain, demote and promote).
   void fill_cell_now(std::uint32_t cell_id);
   /// Mark a cell for reallocation and ensure a drain event is pending.
   void mark_dirty(std::uint32_t cell_id);
-  /// Water-fill every dirty cell (on the pool when threads_ > 1 and the
-  /// drain is large enough), then commit outcomes in ascending cell-id order.
+  /// Fill every still-dirty cell, in ascending cell-id order.
   void drain();
   /// Completion event handler for one cell.
   void fire(std::uint32_t cell);
@@ -310,8 +283,6 @@ class FluidEngine {
   sim::Simulator& sim_;
   SessionArena& arena_;
   std::vector<Cell> cells_;
-  unsigned threads_ = 1;
-  std::unique_ptr<FillPool> pool_;
 
   // Per-session member state, indexed by SessionId like the arena: the
   // finish tag, the heap index with the capped-class bit on top, and the
@@ -331,8 +302,7 @@ class FluidEngine {
   std::vector<std::uint32_t> drain_queue_;
   bool drain_scheduled_ = false;
   sim::EventHandle drain_event_;
-  std::vector<std::uint32_t> drain_cells_;   // this drain's cells, ascending
-  std::vector<CellOutcome> drain_outcomes_;  // slot-per-cell, reused
+  std::vector<std::uint32_t> drain_cells_;  // this drain's cells, ascending
   // Completion scratch: reused across fire() calls so a cell completing
   // flows hundreds of thousands of times never heap-allocates. on_complete
   // handlers must not re-enter fire() (they cannot: fire only runs as a sim
@@ -347,7 +317,6 @@ class FluidEngine {
   std::uint64_t completions_ = 0;
   std::uint64_t demotions_ = 0;
   std::uint64_t promotions_ = 0;
-  std::uint64_t parallel_drains_ = 0;
   std::size_t active_fluid_ = 0;
 };
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "obs/metrics.hpp"
 #include "scenario/scale_traffic.hpp"
 #include "sim/simulator.hpp"
 #include "test_seed.hpp"
@@ -155,13 +154,11 @@ TEST(Fluid, GhostReservationConservesCellCapacity) {
 
 TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
   // Commit-time re-entrancy (DESIGN.md §13): an on_rate_share handler fired
-  // while a drain is committing may synchronously mutate a cell whose
-  // outcome from the SAME drain has not committed yet. The inline fill from
-  // demote() must supersede that outcome — its stale ghost shares must never
-  // be replayed after the fresh ones, its stale completion event must not be
-  // scheduled — while its accrual (banked before the handler ran) still
-  // reaches the ledger, and a ghost only the stale outcome reported is
-  // replayed at the CURRENT share rather than dropped.
+  // while a drain commits one cell may synchronously mutate a later cell of
+  // the same drain. The inline fill from demote() supersedes the drain's
+  // pending fill of that cell: the drain skips it, because the inline fill
+  // cleared its dirty bit. So the cell is filled once, after the mutation,
+  // its shares are published once, and the ledger still conserves.
   sim::Simulator sim(1);
   SessionArena arena(4);
   FluidEngine eng(sim, arena);
@@ -170,18 +167,17 @@ TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
   arena.create(c0, 1.0f, 0.0);  // 0: ghost in c0 (the re-entrancy trigger)
   arena.create(c0, 1.0f, 0.0);  // 1: fluid in c0
   arena.create(c1, 1.0f, 0.0);  // 2: fluid in c1, demoted by the handler
-  arena.create(c1, 1.0f, 0.0);  // 3: ghost in c1 (the stale-share victim)
+  arena.create(c1, 1.0f, 0.0);  // 3: ghost in c1
 
   std::vector<std::pair<SessionId, double>> published;
   bool reacted = false;
   eng.on_rate_share = [&](SessionId id, double share) {
     published.emplace_back(id, share);
     if (id == 0 && share == 20e6 && !reacted) {
-      // Fired from the drain's commit of c0, with c1's outcome still
-      // pending: grow c1 (deferred, dirty) and demote its fluid flow —
-      // fill_cell_now(c1) commits fresh 40 Mb/s shares inline, making the
-      // pending outcome (30 Mb/s shares, a completion event for flow 2)
-      // stale mid-drain.
+      // Fired from the drain's commit of c0, with c1 still dirty and not
+      // yet filled: grow c1 (it stays dirty) and demote its fluid flow —
+      // fill_cell_now(c1) fills it at 80 Mb/s and publishes 40 Mb/s shares
+      // inline.
       reacted = true;
       eng.set_cell_capacity(c1, 80e6);
       eng.demote(2);
@@ -192,10 +188,10 @@ TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
   eng.start_flow(1, 1e9);
   eng.start_flow(2, 1e9);
   eng.start_flow(3, 1e9);
-  eng.demote(0);  // publishes (0, 10e6)
-  eng.demote(3);  // publishes (3, 15e6)
-  // Same-timestamp capacity bumps dirty both cells into one drain; c0
-  // commits first (ascending cell id) and its ghost-share bump triggers the
+  eng.demote(0);  // fill 1: publishes (0, 10e6)
+  eng.demote(3);  // fill 2: publishes (3, 15e6)
+  // Same-timestamp capacity bumps dirty both cells into one drain; c0 is
+  // filled first (ascending cell id) and its ghost-share bump triggers the
   // handler above.
   sim.schedule(Duration::seconds(2.0), [&] {
     eng.set_cell_capacity(c0, 40e6);
@@ -203,28 +199,29 @@ TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
   });
   sim.run();
 
-  // Flow 1 (the only remaining fluid flow) must still complete — a stale
-  // commit for c1 must not have perturbed c0's completion machinery.
+  // Flow 1 (the only remaining fluid flow) must still complete.
   EXPECT_EQ(arena.mode(1), FlowMode::Done);
   EXPECT_DOUBLE_EQ(arena.delivered_bytes(1), 1e9);
   // Final shares: flow 0 alone in c0 at 40 Mb/s; c1's ghosts split 80 Mb/s.
   EXPECT_DOUBLE_EQ(arena.rate_bps(0), 40e6);
   EXPECT_DOUBLE_EQ(arena.rate_bps(2), 40e6);
   EXPECT_DOUBLE_EQ(arena.rate_bps(3), 40e6);
-  // The full publication log, in order. At t=2 the fresh inline fill
-  // publishes (2, 40e6) and (3, 40e6); the superseded outcome then replays
-  // ghost 3 at the CURRENT share — (3, 40e6) again, never its stale 30e6 —
-  // and flow 1's completion later re-fills c0, bumping ghost 0 to 40 Mb/s.
+  // The full publication log, in order. At t=2 the inline fill publishes
+  // (2, 40e6) and (3, 40e6), and nothing republishes c1 after it; flow 1's
+  // completion later re-fills c0, bumping ghost 0 to 40 Mb/s.
   const std::vector<std::pair<SessionId, double>> expected = {
-      {0, 10e6}, {3, 15e6},              // t=0 demotions
-      {0, 20e6},                         // t=2 drain, c0 commit (trigger)
-      {2, 40e6}, {3, 40e6}, {3, 40e6},   // inline fill, then stale-skip replay
-      {0, 40e6},                         // flow 1 completes, c0 re-fills
+      {0, 10e6}, {3, 15e6},  // t=0 demotions
+      {0, 20e6},             // t=2 drain fills c0 (trigger)
+      {2, 40e6}, {3, 40e6},  // inline fill of c1; the drain skips c1
+      {0, 40e6},             // flow 1 completes, c0 re-fills
   };
   EXPECT_EQ(published, expected);
-  // Ledger still conserves: flow 1's 1e9 fluid bytes plus flow 2's 2 s at
-  // 15 Mb/s before its demotion — the accrual banked by the superseded
-  // outcome must not be dropped with it.
+  // Five fills: the two t=0 demotions, c0 in the t=2 drain, the inline fill
+  // of c1, and c0 after flow 1 completes. A drain that filled c1 again
+  // would count six.
+  EXPECT_EQ(eng.rate_events(), 5u);
+  // Ledger conserves: flow 1's 1e9 fluid bytes plus flow 2's 2 s at
+  // 15 Mb/s, banked by its demotion.
   EXPECT_NEAR(eng.segment_bytes(), 1e9 + 2.0 * 15e6 / 8.0, 1.0);
   EXPECT_EQ(eng.negative_residuals(), 0u);
 }
@@ -268,12 +265,12 @@ TEST(Fluid, PromoteAfterPacketWindowDoesNotDoubleCount) {
 
 // --- the from-scratch oracle ------------------------------------------------
 
-/// Single-threaded reference for FluidEngine, built from the O(members)
-/// arithmetic the virtual clock replaced. A touched cell first accrues every
-/// fluid member at its old rate, then is water-filled from scratch; its next
-/// completion is the earliest residual/rate plus the engine's 1 µs event
-/// guard; a completion finishes every flow within 0.5 B of its demand, in id
-/// order; ghosts hold their share and make no progress.
+/// Reference for FluidEngine, built from the O(members) arithmetic the
+/// virtual clock replaced. A touched cell first accrues every fluid member
+/// at its old rate, then is water-filled from scratch; its next completion
+/// is the earliest residual/rate plus the engine's 1 µs event guard; a
+/// completion finishes every flow within 0.5 B of its demand, in id order;
+/// ghosts hold their share and make no progress.
 class FluidOracle {
  public:
   struct Flow {
@@ -741,84 +738,11 @@ TEST(ScaleTraffic, FullOutageThrottlesLanes) {
   }
 }
 
-TEST(ScaleTraffic, FluidThreadsBitIdentical) {
-  // DESIGN.md §13 determinism contract: the parallel drain at 4 worker
-  // threads must be BIT-identical to the serial engine on the same seed —
-  // same fingerprint (delivered/segment/billing totals, event counts), same
-  // per-session delivered bytes, and byte-identical metrics snapshots. Two
-  // inputs. The small hybrid run exercises every commit-time path:
-  // multi-cell churn via mobility, epoch-aligned cap resamples (many dirty
-  // cells per drain), and a hybrid fault window (ghost-share callbacks
-  // replayed at commit). Its drains are too small for the pool, so they
-  // fill inline at any thread count. The 10k-UE fluid run's epoch drains
-  // cross the pool-size rule, and its parallel_drains count proves the
-  // 4-thread arm really ran the pool.
-  const std::uint64_t seed = cb::test::seed_or(13);
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  auto hybrid = small_config(seed);
-  hybrid.mode = scenario::TrafficMode::Hybrid;
-  hybrid.n_cells = 4;
-  hybrid.mobility_interval_s = 15.0;
-  hybrid.shaper_resample_s = 20.0;
-  hybrid.fault_start_s = 3.0;
-  hybrid.fault_duration_s = 5.0;
-
-  scenario::ScaleTrafficConfig pooled;
-  pooled.mode = scenario::TrafficMode::Fluid;
-  pooled.n_ues = 10000;
-  pooled.n_cells = 16;
-  pooled.seed = seed;
-  pooled.mean_flow_mbytes = 1.0;
-  pooled.start_window_s = 2.0;
-  pooled.shaper_resample_s = 5.0;
-  pooled.horizon_s = 3600.0;
-
-  struct Run {
-    scenario::ScaleTrafficResult result;
-    std::string metrics_json;
-    std::vector<double> per_session;
-    std::uint64_t parallel_drains = 0;
-  };
-  auto run_with = [](scenario::ScaleTrafficConfig cfg, int threads) {
-    cfg.fluid_threads = threads;
-    obs::Registry reg;
-    obs::ScopedRegistry scope(&reg);
-    scenario::ScaleTrafficSim sim(cfg);
-    Run run;
-    run.result = sim.run_to_completion();
-    run.metrics_json = reg.to_json();
-    for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(cfg.n_ues); ++i) {
-      run.per_session.push_back(sim.arena().delivered_bytes(i));
-      run.per_session.push_back(sim.arena().billed_usd(i));
-    }
-    run.parallel_drains = sim.fluid()->parallel_drains();
-    return run;
-  };
-
-  for (const scenario::ScaleTrafficConfig& cfg : {hybrid, pooled}) {
-    SCOPED_TRACE(std::string("mode=") + scenario::traffic_mode_name(cfg.mode));
-    const Run serial = run_with(cfg, 1);
-    const Run parallel = run_with(cfg, 4);
-    EXPECT_EQ(serial.result.fingerprint(), parallel.result.fingerprint());
-    EXPECT_EQ(serial.result.events, parallel.result.events);
-    EXPECT_EQ(serial.result.rate_events, parallel.result.rate_events);
-    // Exact: every session's delivered + billed.
-    EXPECT_EQ(serial.per_session, parallel.per_session);
-    EXPECT_EQ(serial.metrics_json, parallel.metrics_json);  // byte-identical snapshot
-    EXPECT_EQ(serial.result.completed, cfg.n_ues);
-    EXPECT_EQ(serial.parallel_drains, 0u);
-    if (cfg.mode == scenario::TrafficMode::Fluid) {
-      EXPECT_GT(parallel.parallel_drains, 0u);
-    }
-  }
-}
-
 TEST(ScaleTraffic, FluidWorkPerRateEventCeiling) {
   // Work ceiling: the fluid engine's per-member operations
   // — banks, class flips, heap insertions and removals — per rate event, on
-  // the 10k-UE, 16-cell input FluidThreadsBitIdentical sends through the
-  // pool. The count is folded in cell-id order, so it is exact and the same
-  // at any thread count. The ceiling is the value measured when the
+  // a 10k-UE, 16-cell input whose resample epochs dirty every cell at once.
+  // The count is exact. The ceiling is the value measured when the
   // virtual-clock fill landed (268,949 ops over 20,135 rate events, 13.357);
   // a change that lowers the count tightens it. The O(members) fill it
   // replaced walked each cell three times per fill, and once more per
@@ -834,21 +758,14 @@ TEST(ScaleTraffic, FluidWorkPerRateEventCeiling) {
   cfg.start_window_s = 2.0;
   cfg.shaper_resample_s = 5.0;
   cfg.horizon_s = 3600.0;
-  std::uint64_t serial_ops = 0;
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cfg.fluid_threads = threads;
-    scenario::ScaleTrafficSim sim(cfg);
-    const auto r = sim.run_to_completion();
-    ASSERT_EQ(r.completed, cfg.n_ues);
-    ASSERT_GT(r.rate_events, 0u);
-    const std::uint64_t ops = sim.fluid()->member_ops();
-    if (threads == 1) serial_ops = ops;
-    EXPECT_EQ(ops, serial_ops);
-    const double per_event = static_cast<double>(ops) / static_cast<double>(r.rate_events);
-    EXPECT_LE(per_event, kCeiling) << ops << " member ops over " << r.rate_events
-                                   << " rate events";
-  }
+  scenario::ScaleTrafficSim sim(cfg);
+  const auto r = sim.run_to_completion();
+  ASSERT_EQ(r.completed, cfg.n_ues);
+  ASSERT_GT(r.rate_events, 0u);
+  const std::uint64_t ops = sim.fluid()->member_ops();
+  const double per_event = static_cast<double>(ops) / static_cast<double>(r.rate_events);
+  EXPECT_LE(per_event, kCeiling) << ops << " member ops over " << r.rate_events
+                                 << " rate events";
 }
 
 TEST(ScaleTraffic, EventHeapPushesPerEventCeiling) {
@@ -879,11 +796,11 @@ TEST(ScaleTraffic, EventHeapPushesPerEventCeiling) {
 }
 
 TEST(ScaleTraffic, FluidGolden) {
-  // Pins a small fluid run with handovers and shaper-resample epochs, at 1
-  // and 4 drain threads. The values were computed before small drains were
-  // filled inline, the completion scan was folded into the fill, and the
-  // per-UE resample timers became one event per epoch; they must never be
-  // edited to follow a change.
+  // Pins a small fluid run with handovers and shaper-resample epochs. The
+  // values were computed before small drains were filled inline, the
+  // completion scan was folded into the fill, the per-UE resample timers
+  // became one event per epoch, and the drain worker pool was deleted; they
+  // must never be edited to follow a change.
   //
   // Explained re-freezes since:
   // - resampling now costs one sim event per epoch instead of one per live
@@ -904,19 +821,15 @@ TEST(ScaleTraffic, FluidGolden) {
   cfg.mobility_interval_s = 10.0;
   cfg.horizon_s = 600.0;
   auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    cfg.fluid_threads = threads;
-    const auto r = scenario::run_scale_traffic(cfg);
-    EXPECT_EQ(r.completed, cfg.n_ues);
-    EXPECT_EQ(bits(r.completion_mean_s), 0x40157a22247d4de1ULL);
-    EXPECT_EQ(bits(r.completion_p99_s), 0x402b4a5cf86ca368ULL);
-    EXPECT_EQ(bits(r.delivered_bytes), 0x41c9dda069800000ULL);
-    EXPECT_EQ(bits(r.segment_bytes), 0x41c9dda0697ffffeULL);
-    EXPECT_EQ(bits(r.billing_usd), 0x3ffbc5eadcf1f7c3ULL);
-    EXPECT_EQ(r.rate_events, 1235u);
-    EXPECT_EQ(r.events, 2433u);
-  }
+  const auto r = scenario::run_scale_traffic(cfg);
+  EXPECT_EQ(r.completed, cfg.n_ues);
+  EXPECT_EQ(bits(r.completion_mean_s), 0x40157a22247d4de1ULL);
+  EXPECT_EQ(bits(r.completion_p99_s), 0x402b4a5cf86ca368ULL);
+  EXPECT_EQ(bits(r.delivered_bytes), 0x41c9dda069800000ULL);
+  EXPECT_EQ(bits(r.segment_bytes), 0x41c9dda0697ffffeULL);
+  EXPECT_EQ(bits(r.billing_usd), 0x3ffbc5eadcf1f7c3ULL);
+  EXPECT_EQ(r.rate_events, 1235u);
+  EXPECT_EQ(r.events, 2433u);
 }
 
 TEST(ScaleTraffic, PacketModeRefusesAbsurdN) {
