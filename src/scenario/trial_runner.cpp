@@ -26,10 +26,11 @@ void TrialRunner::submit(std::function<void()> task, Batch& batch) {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back([task = std::move(task), &batch] {
       task();
-      {
-        std::lock_guard<std::mutex> lock(batch.mu);
-        ++batch.done;
-      }
+      // Notify under the lock: once wait() sees the last increment, map()
+      // returns and destroys the Batch, so the worker must be done with
+      // batch.cv before it releases batch.mu.
+      std::lock_guard<std::mutex> lock(batch.mu);
+      ++batch.done;
       batch.cv.notify_one();
     });
   }

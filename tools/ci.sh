@@ -208,6 +208,32 @@ else
   echo "skipped (--skip-sanitized)"
 fi
 
+echo "=== thread-sanitized TrialRunner check (TSan) ==="
+# TrialRunner (scenario/trial_runner.hpp) is the one thread pool in the
+# tree: it runs cbfuzz's corpus, the chaos determinism replicas and the
+# benches' sweep points. An output-equality check is weak evidence against a
+# timing-dependent race, such as a worker still signalling a batch that
+# map() has already destroyed; TSan reports the unsynchronized accesses
+# themselves. TSan is incompatible with ASan, hence its own build; only the
+# three test binaries that hold TrialRunner tests are built, and the three
+# filters below run all of them.
+if [[ "${1:-}" != "--skip-sanitized" ]]; then
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCB_SANITIZE=thread
+  cmake --build build-tsan -j "$(nproc)" --target test_scenario test_obs test_faults
+  for run in "test_scenario TrialRunnerEdge.*" "test_obs ObsTrialRunner.*" \
+             "test_faults Chaos.TrialRunnerWorkerThreadIsBitIdentical"; do
+    read -r suite filter <<<"$run"
+    TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/$suite --gtest_filter="$filter" || {
+      echo "TSan TrialRunner check FAILED — rerun: build-tsan/tests/$suite" \
+           "--gtest_filter='$filter'"
+      exit 1
+    }
+  done
+  echo "TSan TrialRunner check ok"
+else
+  echo "skipped (--skip-sanitized)"
+fi
+
 echo "=== release build (incl. scale-labeled fluid tests) ==="
 run_suite build fuzz -DCMAKE_BUILD_TYPE=Release
 
