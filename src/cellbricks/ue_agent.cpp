@@ -19,7 +19,8 @@ constexpr Duration kWatchdogInterval = Duration::millis(500);
 /// max.
 constexpr Duration kRetryBackoff = Duration::millis(500);
 constexpr Duration kRetryBackoffMax = Duration::s(8);
-/// How long a cell that failed an attach is skipped during recovery.
+/// How long a cell that failed an attach is skipped during recovery, while
+/// another usable cell exists.
 constexpr Duration kCellBlacklist = Duration::s(10);
 
 }  // namespace
@@ -258,7 +259,7 @@ void UeAgent::attach_with_recovery(ran::CellId preferred) {
   in_recovery_ = true;
   recovery_backoff_ = kRetryBackoff;
   outage_started_ = ue_node_.simulator().now();
-  try_attach(preferred);
+  try_attach(preferred, /*retry=*/false);
 }
 
 void UeAgent::cancel_recovery() {
@@ -271,21 +272,30 @@ bool UeAgent::cell_blacklisted(ran::CellId cell) const {
   return it != blacklist_.end() && it->second > ue_node_.simulator().now();
 }
 
-ran::CellId UeAgent::pick_candidate(ran::CellId preferred) {
-  if (preferred != 0 && !cell_blacklisted(preferred) && telco_of_cell_(preferred) != nullptr) {
-    return preferred;
+ran::CellId UeAgent::pick_candidate(ran::CellId preferred, bool retry) {
+  const auto usable = [this](ran::CellId cell) {
+    return cell != 0 && telco_of_cell_(cell) != nullptr;
+  };
+  if (usable(preferred) && !cell_blacklisted(preferred)) return preferred;
+  std::vector<ran::CellId> candidates;
+  if (candidate_source_) candidates = candidate_source_();
+  for (ran::CellId cell : candidates) {
+    if (usable(cell) && !cell_blacklisted(cell)) return cell;
   }
-  if (candidate_source_) {
-    for (ran::CellId cell : candidate_source_()) {
-      if (!cell_blacklisted(cell) && telco_of_cell_(cell) != nullptr) return cell;
-    }
+  if (!retry) return 0;  // back off before trying a blacklisted cell
+  // Every usable cell is blacklisted. The blacklist exists to move the UE
+  // to another cell; with none left, waiting it out only delays recovery,
+  // so retry on the backoff: the preferred cell, else the best candidate.
+  if (usable(preferred)) return preferred;
+  for (ran::CellId cell : candidates) {
+    if (usable(cell)) return cell;
   }
   return 0;  // nothing usable right now: back off and retry
 }
 
-void UeAgent::try_attach(ran::CellId preferred) {
+void UeAgent::try_attach(ran::CellId preferred, bool retry) {
   if (!in_recovery_ || attached()) return;
-  const ran::CellId cell = pick_candidate(preferred);
+  const ran::CellId cell = pick_candidate(preferred, retry);
   if (cell == 0) {
     schedule_retry(preferred);
     return;
@@ -315,8 +325,8 @@ void UeAgent::schedule_retry(ran::CellId preferred) {
   obs::trace(ue_node_.simulator().now(), obs::TraceType::AttachRetry, preferred);
   recovery_backoff_ =
       decorrelated_backoff(jitter_rng_, kRetryBackoff, recovery_backoff_, kRetryBackoffMax);
-  recovery_timer_ = ue_node_.simulator().schedule(recovery_backoff_,
-                                                  [this, preferred] { try_attach(preferred); });
+  recovery_timer_ = ue_node_.simulator().schedule(
+      recovery_backoff_, [this, preferred] { try_attach(preferred, /*retry=*/true); });
 }
 
 void UeAgent::start_watchdog() {

@@ -58,7 +58,8 @@ class UeAgent {
   /// Resilient attach: try `preferred` first, then fall back to the best
   /// non-blacklisted candidate (see set_candidate_source), retrying with
   /// decorrelated-jitter backoff until some attach succeeds or
-  /// cancel_recovery().
+  /// cancel_recovery(). A retry that finds every usable cell blacklisted
+  /// tries the preferred cell, else the best candidate, anyway.
   void attach_with_recovery(ran::CellId preferred);
   void cancel_recovery();
   bool in_recovery() const { return in_recovery_; }
@@ -121,8 +122,10 @@ class UeAgent {
   void send_report(bool final_report);
   void detach_locally();  // radio + IP teardown, no bTelco signalling
   void drop_superseded_bearer(ran::CellId next);
-  void try_attach(ran::CellId preferred);
-  ran::CellId pick_candidate(ran::CellId preferred);
+  /// `retry`: called after a backoff, so a blacklisted cell may be picked
+  /// when no other usable cell exists.
+  void try_attach(ran::CellId preferred, bool retry);
+  ran::CellId pick_candidate(ran::CellId preferred, bool retry);
   void schedule_retry(ran::CellId preferred);
   void start_watchdog();
   void watchdog();
