@@ -7,8 +7,7 @@
 // SessionArena keeps every per-session field in a structure-of-arrays
 // layout — parallel dense vectors indexed by SessionId — so the fluid
 // engine's share recomputation and the billing sweep touch contiguous
-// memory. Sessions are recycled through a free list; a SessionId is stable
-// for the lifetime of the session.
+// memory. A SessionId is the session's row, stable for the whole run.
 //
 // The arena is plain data: it never schedules events, owns no sockets, and
 // is safe to size up front (reserve()) so a million-UE run does no
@@ -41,7 +40,6 @@ class SessionArena {
   void reserve(std::size_t n) {
     cell_.reserve(n);
     weight_.reserve(n);
-    qci_.reserve(n);
     mode_.reserve(n);
     cap_bps_.reserve(n);
     rate_bps_.reserve(n);
@@ -54,55 +52,37 @@ class SessionArena {
   }
 
   /// Create a session pinned to `cell` with the given scheduler weight and
-  /// per-bearer rate cap (0 = uncapped). Recycles released slots.
-  SessionId create(std::uint32_t cell, float weight, double cap_bps, std::uint8_t qci = 9) {
-    SessionId id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-    } else {
-      id = static_cast<SessionId>(cell_.size());
-      grow_one();
-    }
-    cell_[id] = cell;
-    weight_[id] = weight;
-    qci_[id] = qci;
-    mode_[id] = FlowMode::Idle;
-    cap_bps_[id] = cap_bps;
-    rate_bps_[id] = 0.0;
-    demand_bytes_[id] = 0.0;
-    delivered_bytes_[id] = 0.0;
-    billed_bytes_[id] = 0.0;
-    billed_usd_[id] = 0.0;
-    start_ns_[id] = -1;
-    finish_ns_[id] = -1;
-    ++live_;
+  /// per-bearer rate cap (0 = uncapped), in a new row.
+  SessionId create(std::uint32_t cell, float weight, double cap_bps) {
+    const auto id = static_cast<SessionId>(cell_.size());
+    cell_.push_back(cell);
+    weight_.push_back(weight);
+    mode_.push_back(FlowMode::Idle);
+    cap_bps_.push_back(cap_bps);
+    rate_bps_.push_back(0.0);
+    demand_bytes_.push_back(0.0);
+    delivered_bytes_.push_back(0.0);
+    billed_bytes_.push_back(0.0);
+    billed_usd_.push_back(0.0);
+    start_ns_.push_back(-1);
+    finish_ns_.push_back(-1);
     return id;
   }
 
-  void release(SessionId id) {
-    mode_[id] = FlowMode::Idle;
-    free_.push_back(id);
-    --live_;
-  }
-
-  /// Live sessions (created minus released).
-  std::size_t size() const { return live_; }
   /// Slots ever allocated (column length).
   std::size_t slots() const { return cell_.size(); }
 
   /// Bytes of arena memory per session slot — the working-set figure the
-  /// scale bench reports (every column, free-list overhead excluded).
+  /// scale bench reports (every column).
   static constexpr std::size_t bytes_per_session() {
-    return sizeof(std::uint32_t) + sizeof(float) + 2 * sizeof(std::uint8_t) +
-           6 * sizeof(double) + 2 * sizeof(std::int64_t);
+    return sizeof(std::uint32_t) + sizeof(float) + sizeof(FlowMode) + 6 * sizeof(double) +
+           2 * sizeof(std::int64_t);
   }
 
   // Column accessors. References stay valid until the next create() that
   // grows the arena — reserve() up front makes them stable for a whole run.
   std::uint32_t& cell(SessionId id) { return cell_[id]; }
   float& weight(SessionId id) { return weight_[id]; }
-  std::uint8_t& qci(SessionId id) { return qci_[id]; }
   FlowMode& mode(SessionId id) { return mode_[id]; }
   double& cap_bps(SessionId id) { return cap_bps_[id]; }
   double& rate_bps(SessionId id) { return rate_bps_[id]; }
@@ -128,28 +108,12 @@ class SessionArena {
   double residual_bytes(SessionId id) const { return demand_bytes_[id] - delivered_bytes_[id]; }
 
  private:
-  void grow_one() {
-    cell_.push_back(0);
-    weight_.push_back(1.0f);
-    qci_.push_back(9);
-    mode_.push_back(FlowMode::Idle);
-    cap_bps_.push_back(0.0);
-    rate_bps_.push_back(0.0);
-    demand_bytes_.push_back(0.0);
-    delivered_bytes_.push_back(0.0);
-    billed_bytes_.push_back(0.0);
-    billed_usd_.push_back(0.0);
-    start_ns_.push_back(-1);
-    finish_ns_.push_back(-1);
-  }
-
   // Structure-of-arrays columns (hot first: the fluid engine's order and
   // banking read cell/weight/cap/demand/delivered; rate holds only the share
   // last published to a packet-mode ghost — FluidEngine::rate_bps is the
   // current rate of any member).
   std::vector<std::uint32_t> cell_;
   std::vector<float> weight_;
-  std::vector<std::uint8_t> qci_;
   std::vector<FlowMode> mode_;
   std::vector<double> cap_bps_;
   std::vector<double> rate_bps_;
@@ -159,8 +123,6 @@ class SessionArena {
   std::vector<double> billed_usd_;
   std::vector<std::int64_t> start_ns_;
   std::vector<std::int64_t> finish_ns_;
-  std::vector<SessionId> free_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace cb::traffic

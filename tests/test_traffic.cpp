@@ -18,23 +18,19 @@
 namespace cb::traffic {
 namespace {
 
-TEST(Arena, SoALayoutAndRecycling) {
+TEST(Arena, SoALayout) {
   SessionArena arena(8);
   const SessionId a = arena.create(0, 1.0f, 5e6);
-  const SessionId b = arena.create(1, 2.0f, 0.0, 2);
+  const SessionId b = arena.create(3, 2.0f, 0.0);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
-  EXPECT_EQ(arena.size(), 2u);
-  arena.release(a);
-  EXPECT_EQ(arena.size(), 1u);
-  // Freed slot is recycled, not grown.
-  const SessionId c = arena.create(3, 1.0f, 1e6);
-  EXPECT_EQ(c, a);
   EXPECT_EQ(arena.slots(), 2u);
-  EXPECT_EQ(arena.cell(c), 3u);
-  EXPECT_EQ(arena.mode(c), FlowMode::Idle);
+  EXPECT_EQ(arena.cell(b), 3u);
+  EXPECT_EQ(arena.weight(b), 2.0f);
+  EXPECT_EQ(arena.cap_bps(a), 5e6);
+  EXPECT_EQ(arena.mode(b), FlowMode::Idle);
   // The working-set figure is a compile-time constant of the column set.
-  EXPECT_EQ(SessionArena::bytes_per_session(), 4u + 4u + 2u + 6u * 8u + 2u * 8u);
+  EXPECT_EQ(SessionArena::bytes_per_session(), 4u + 4u + 1u + 6u * 8u + 2u * 8u);
 }
 
 TEST(Fluid, EqualShareSplitsCapacity) {

@@ -75,7 +75,7 @@ TEST(ScaleCurve, MillionUesCompleteWithinEventBudget) {
   EXPECT_EQ(r.negative_residuals, 0u);
   // Event budget: O(flows-per-cell) per flow, nowhere near packet counts.
   EXPECT_LT(static_cast<double>(r.events) / cfg.n_ues, 16.0);
-  // Arena working set stays within the 74 B/session SoA budget (~71 MB).
+  // Arena working set stays within the 73 B/session SoA budget (~70 MB).
   EXPECT_LT(r.arena_bytes, 80u * 1024 * 1024);
 }
 
