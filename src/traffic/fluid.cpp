@@ -323,7 +323,6 @@ void FluidEngine::fill_cell_now(std::uint32_t cell_id) {
   // the commit may re-enter the engine (e.g. a demote), and a nested fill
   // must not clobber the outcome being committed.
   CellOutcome out;
-  out.min_completion_s = kInf;
   fill_cell(c, out);
   commit_outcome(cell_id, out);
 }

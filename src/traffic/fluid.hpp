@@ -61,9 +61,9 @@
 // Determinism: no RNG, the fill order keyed by (cap/weight, SessionId),
 // completions in SessionId order, all arithmetic in double precision in a
 // fixed order — same-seed runs produce bit-identical delivered/billed
-// totals. The rates equal a from-scratch water-fill to
-// within rounding (the level x weight product is not the sequential fill's
-// running arithmetic), which the oracle test in test_traffic.cpp bounds.
+// totals. The rates equal a from-scratch water-fill to within rounding (the
+// level x weight product is not the sequential fill's running arithmetic),
+// which the oracle test in test_traffic.cpp bounds.
 #pragma once
 
 #include <cstdint>
