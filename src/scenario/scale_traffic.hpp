@@ -75,8 +75,8 @@ struct ScaleTrafficConfig {
   double fault_duration_s = 0.0;
   double fault_capacity_factor = 0.25;
   /// Read by nothing: the fluid engine's drain worker pool it sized was
-  /// deleted. cbbench still assigns it, and ROADMAP item 1's benchmark PR,
-  /// the one change that edits cbbench, deletes it.
+  /// deleted. cbbench still assigns it; the benchmark change of ROADMAP
+  /// item 1, the one change that may edit cbbench, deletes it.
   int fluid_threads = 1;
 };
 
