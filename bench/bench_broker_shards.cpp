@@ -5,9 +5,10 @@
 //
 //   1. Scaling: a fixed report-ingest load offered to 1/2/4/8 shards. The
 //      offered rate is sized above one shard's report service capacity
-//      (BrokerShard::kReportServiceTime = 1 ms -> ~1000 rps/shard), so the
-//      single-shard point saturates and the curve shows ingest spreading
-//      across bucket owners.
+//      (BrokerShard::kReportServiceTime = 1 ms -> ~1000 rps/shard) and below
+//      two shards', so only the single-shard point is overloaded. Its gate
+//      is the same as every other point's: no report abandoned, no verdict
+//      lost or in conflict.
 //   2. Failover availability: 4 shards under steady load; one shard is
 //      killed at t=10 s for 10 s. The acceptance gate: ZERO billing verdicts
 //      lost (every ingested report pair gets exactly one verdict, possibly
@@ -77,13 +78,14 @@ BrokerLoadgenConfig failover_config(bool smoke) {
 void print_result(const char* tag, const BrokerLoadgenResult& r) {
   std::printf(
       "  %-10s sessions=%llu ingested=%llu (%.0f rps) acked=%llu/%llu "
-      "abandoned=%llu redirects=%llu takeovers=%llu\n"
+      "abandoned=%llu dropped_copies=%llu redirects=%llu takeovers=%llu\n"
       "  %-10s verdicts: paired=%llu missing=%llu conflicts=%llu LOST=%llu "
       "ack p50/p99=%.1f/%.1f ms\n",
       tag, (unsigned long long)r.sessions_issued, (unsigned long long)r.reports_ingested,
       r.ingest_rps, (unsigned long long)r.reports_acked, (unsigned long long)r.reports_sent,
-      (unsigned long long)r.reports_abandoned, (unsigned long long)r.redirects_sent,
-      (unsigned long long)r.takeovers, "", (unsigned long long)r.verdicts_paired,
+      (unsigned long long)r.reports_abandoned, (unsigned long long)r.reports_coalesced,
+      (unsigned long long)r.redirects_sent, (unsigned long long)r.takeovers, "",
+      (unsigned long long)r.verdicts_paired,
       (unsigned long long)r.verdicts_missing, (unsigned long long)r.verdict_conflicts,
       (unsigned long long)r.verdicts_lost, r.ack_p50_ms, r.ack_p99_ms);
 }
@@ -93,6 +95,7 @@ void json_result(FILE* f, const BrokerLoadgenResult& r, double wall_s) {
                "{\"sessions_issued\": %llu, \"reports_sent\": %llu, "
                "\"reports_acked\": %llu, \"reports_abandoned\": %llu, "
                "\"reports_ingested\": %llu, \"reports_deduped\": %llu, "
+               "\"reports_coalesced\": %llu, "
                "\"ingest_rps\": %.1f, \"redirects_sent\": %llu, "
                "\"takeovers\": %llu, \"verdicts_paired\": %llu, "
                "\"verdicts_missing\": %llu, \"verdict_conflicts\": %llu, "
@@ -102,9 +105,9 @@ void json_result(FILE* f, const BrokerLoadgenResult& r, double wall_s) {
                (unsigned long long)r.sessions_issued, (unsigned long long)r.reports_sent,
                (unsigned long long)r.reports_acked, (unsigned long long)r.reports_abandoned,
                (unsigned long long)r.reports_ingested, (unsigned long long)r.reports_deduped,
-               r.ingest_rps, (unsigned long long)r.redirects_sent,
-               (unsigned long long)r.takeovers, (unsigned long long)r.verdicts_paired,
-               (unsigned long long)r.verdicts_missing,
+               (unsigned long long)r.reports_coalesced, r.ingest_rps,
+               (unsigned long long)r.redirects_sent, (unsigned long long)r.takeovers,
+               (unsigned long long)r.verdicts_paired, (unsigned long long)r.verdicts_missing,
                (unsigned long long)r.verdict_conflicts, (unsigned long long)r.verdicts_lost,
                r.ack_p50_ms, r.ack_p99_ms, (unsigned long long)r.fingerprint(), wall_s);
 }
@@ -167,19 +170,16 @@ int main(int argc, char** argv) {
     for (const auto& p : points) {
       std::printf("shards=%d\n", p.n_shards);
       print_result("scale", p.r);
-      // Gate: every offered report eventually ingested+deduped (no loss in
-      // steady state) and zero pairing anomalies at every shard count.
+      // Gate: no report abandoned after its last resend (the overloaded
+      // single-shard point included) and zero pairing anomalies at every
+      // shard count.
       const bool point_ok = p.r.verdicts_lost == 0 && p.r.verdict_conflicts == 0 &&
-                            p.r.attach_failures == 0 && p.r.sessions_issued > 0;
+                            p.r.attach_failures == 0 && p.r.sessions_issued > 0 &&
+                            p.r.reports_abandoned == 0;
       if (!point_ok) {
         std::printf("  gate FAIL at shards=%d\n", p.n_shards);
         ok = false;
       }
-    }
-    // The sharded points must clear the single-shard saturation ceiling.
-    if (points.size() == 4 && points[0].r.ingest_rps > 0) {
-      const double speedup = points[2].r.ingest_rps / points[0].r.ingest_rps;
-      std::printf("# 4-shard / 1-shard sustained ingest: %.2fx\n", speedup);
     }
   }
 

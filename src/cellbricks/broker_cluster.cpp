@@ -152,6 +152,18 @@ void BrokerShard::handle_client(const net::Packet& packet) {
         type != BrokerMsg::ResumeNotify) {
       return;
     }
+    // A resent report whose earlier copy still waits in the queue is dropped
+    // here: the sender needs one answer per seq, and the queued copy gives
+    // it. Keyed like the ack cache.
+    ReplyKey report_key{};
+    if (type == BrokerMsg::Report) {
+      report_key = {endpoint_key(from), peek.u64()};
+      if (!queued_reports_.insert(report_key).second) {
+        ++reports_coalesced_;
+        obs::inc(obs::counter("broker.reports.coalesced"));
+        return;
+      }
+    }
     const Duration service =
         type == BrokerMsg::AuthReq ? BrokerConfig::sap_service_time : kReportServiceTime;
     if (type == BrokerMsg::AuthReq) {
@@ -161,8 +173,9 @@ void BrokerShard::handle_client(const net::Packet& packet) {
     // SAP latency = queueing behind earlier requests + service time, measured
     // on the broker's own clock from packet arrival to reply readiness.
     const TimePoint arrived = node_.simulator().now();
-    queue_.submit(service, [this, payload = std::move(payload), from, arrived, type] {
-      if (crashed_ || recovering_) return;
+    queue_.submit(service, [this, payload = std::move(payload), from, arrived, type,
+                            report_key] {
+      if (type == BrokerMsg::Report) queued_reports_.erase(report_key);
       try {
         ByteReader r(payload);
         r.u8();  // type, already peeked
@@ -891,11 +904,14 @@ void BrokerShard::crash() {
   heartbeat_timer_.cancel();
   sweep_timer_.cancel();
   append_retry_timer_.cancel();
-  // Process memory is gone: the log replica, the fold, every in-flight
-  // commit and cache. The node's config and the subscriber DB (durable by
-  // assumption) survive; pre-crash counters stay for observability.
+  // Process memory is gone: the queued client jobs, the log replica, the
+  // fold, every in-flight commit and cache. The node's config and the
+  // subscriber DB (durable by assumption) survive; pre-crash counters stay
+  // for observability.
   log_ = SettlementLog();
   state_ = SettlementState(config_.broker.test_skip_report_dedup);
+  queue_.clear();
+  queued_reports_.clear();
   pending_appends_.clear();
   uncommitted_reports_.clear();
   auth_reply_cache_.clear();

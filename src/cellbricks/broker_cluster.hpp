@@ -180,9 +180,10 @@ class BrokerShard {
   void add_telco(const std::string& id_t, crypto::RsaPublicKey key);
   void set_plan(const std::string& id_u, QosInfo qos);
 
-  /// Fault injection: crash wipes the log, fold, and every in-flight
-  /// commit/cache — only the node config and the subscriber DB (durable by
-  /// assumption) survive. Restart re-joins in `recovering` state.
+  /// Fault injection: crash wipes the queued client jobs, the log, fold, and
+  /// every in-flight commit/cache — only the node config and the subscriber
+  /// DB (durable by assumption) survive. Restart re-joins in `recovering`
+  /// state.
   void crash();
   void restart();
   bool crashed() const { return crashed_; }
@@ -202,6 +203,10 @@ class BrokerShard {
   std::uint64_t reports_rejected() const { return reports_rejected_; }
   std::uint64_t reports_ingested() const { return reports_ingested_; }
   std::uint64_t reports_deduped() const { return reports_deduped_; }
+  /// Report copies dropped on arrival because an earlier copy (same sender
+  /// endpoint and seq) still waited in the service queue. reports_received()
+  /// does not count them.
+  std::uint64_t reports_coalesced() const { return reports_coalesced_; }
   std::uint64_t redirects_sent() const { return redirects_sent_; }
   std::uint64_t takeovers() const { return takeovers_; }
   Duration busy_time() const { return queue_.busy_time(); }
@@ -298,19 +303,22 @@ class BrokerShard {
   // lost response is answered idempotently instead of tripping the nonce
   // replay check, re-running ingestion or logging a resume twice.
   // TTL-evicted by the sweeper.
+  using ReplyKey = std::pair<std::uint64_t, std::uint64_t>;
   struct CachedReply {
     Bytes payload;  // empty while the backing entry awaits commit
     TimePoint at;
   };
-  std::map<std::pair<std::uint64_t, std::uint64_t>, CachedReply> auth_reply_cache_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, CachedReply> report_ack_cache_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, CachedReply> resume_reply_cache_;
+  std::map<ReplyKey, CachedReply> auth_reply_cache_;
+  std::map<ReplyKey, CachedReply> report_ack_cache_;
+  std::map<ReplyKey, CachedReply> resume_reply_cache_;
   /// Ack-cache key of each acked report still awaiting its verdict. A
   /// missing-counterpart verdict evicts the cached ack too: a late
   /// retransmit must be re-judged against the post-expiry state, not
   /// answered from a cache entry the verdict superseded.
-  std::map<SettlementState::PendingKey, std::pair<std::uint64_t, std::uint64_t>>
-      report_ack_keys_;
+  std::map<SettlementState::PendingKey, ReplyKey> report_ack_keys_;
+  /// Ack-cache keys of the reports waiting in queue_: a copy that arrives
+  /// while its key is here is dropped (reports_coalesced_).
+  std::set<ReplyKey> queued_reports_;
 
   bool crashed_ = false;
   bool recovering_ = false;
@@ -323,6 +331,7 @@ class BrokerShard {
   std::uint64_t reports_rejected_ = 0;
   std::uint64_t reports_ingested_ = 0;
   std::uint64_t reports_deduped_ = 0;
+  std::uint64_t reports_coalesced_ = 0;
   std::uint64_t report_ack_cache_hits_ = 0;
   std::uint64_t redirects_sent_ = 0;
   std::uint64_t takeovers_ = 0;
@@ -379,6 +388,7 @@ class BrokerCluster {
   std::uint64_t reports_received() const { return sum(&BrokerShard::reports_received); }
   std::uint64_t reports_rejected() const { return sum(&BrokerShard::reports_rejected); }
   std::uint64_t reports_deduped() const { return sum(&BrokerShard::reports_deduped); }
+  std::uint64_t reports_coalesced() const { return sum(&BrokerShard::reports_coalesced); }
   std::uint64_t redirects_sent() const { return sum(&BrokerShard::redirects_sent); }
   std::size_t nonces_seen() const { return sum(&BrokerShard::nonces_seen); }
   Duration sap_busy_time() const { return sum(&BrokerShard::sap_busy_time); }

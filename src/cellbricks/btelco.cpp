@@ -102,8 +102,6 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
   // signature, then forward it to the subscriber's broker.
   queue_.submit(kAgwMsg, [this, auth_req_u = std::move(auth_req_u), ue_node, radio_link,
                           reply = std::move(reply)]() mutable {
-    // A job queued before a crash dies with the AGW.
-    if (crashed_) return;
     const Bytes auth_req_t = sap_.make_auth_req_t(auth_req_u, kQosCap);
     const std::uint64_t txn = next_txn_++;
 
@@ -120,7 +118,6 @@ void Btelco::handle_attach(Bytes auth_req_u, net::Node* ue_node, net::Link* radi
       queue_.submit(kAgwMsg, [this, ue_node, radio_link, auth_resp_t = std::move(auth_resp_t),
                               auth_resp_u = std::move(auth_resp_u),
                               reply = std::move(reply)]() mutable {
-        if (crashed_) return;
         auto session = sap_.process_auth_resp(auth_resp_t, broker_cert_,
                                               node_.simulator().now());
         if (!session) {
@@ -145,7 +142,6 @@ void Btelco::handle_resume(Bytes resume_req, net::Node* ue_node, net::Link* radi
   // expiry, STEK seal, proof-of-possession MAC, single-use, revocation.
   queue_.submit(kAgwMsg, [this, resume_req = std::move(resume_req), ue_node, radio_link,
                           reply = std::move(reply)]() mutable {
-    if (crashed_) return;
     auto rejected = [this, &reply](std::string why) {
       obs::inc(obs::counter("btelco.resume.rejected"));
       CB_LOG(Info, "btelco") << id() << ": resume rejected: " << why;
@@ -181,7 +177,6 @@ void Btelco::handle_resume(Bytes resume_req, net::Node* ue_node, net::Link* radi
     // leg on the critical path — that is the latency win.
     queue_.submit(kAgwMsg, [this, g = std::move(g), ue_node, radio_link,
                             reply = std::move(reply)]() mutable {
-      if (crashed_) return;
       TicketAudit audit;
       audit.ticket_id = g.inner.ticket_id;
       audit.session_id = g.inner.session_id;
@@ -367,6 +362,7 @@ void Btelco::crash() {
     }
     release_session(sid);
   }
+  queue_.clear();
   auth_.clear();
   reports_.clear();
   notifies_.clear();

@@ -247,6 +247,7 @@ BrokerLoadgenResult BrokerLoadgen::run() {
   res.reports_abandoned = reports_abandoned_;
   res.reports_ingested = cluster_->reports_ingested();
   res.reports_deduped = cluster_->reports_deduped();
+  res.reports_coalesced = cluster_->reports_coalesced();
   res.redirects_sent = cluster_->redirects_sent();
   for (auto& c : clients_) res.redirects_learned += c->router->redirects_learned();
   for (std::size_t i = 0; i < cluster_->n_shards(); ++i) {

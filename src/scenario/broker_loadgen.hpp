@@ -53,6 +53,9 @@ struct BrokerLoadgenResult {
   // Cluster-side accounting (observer fold = auditor ground truth).
   std::uint64_t reports_ingested = 0;
   std::uint64_t reports_deduped = 0;
+  /// Report copies a shard dropped on arrival because an earlier copy still
+  /// waited in its queue. Left out of fingerprint().
+  std::uint64_t reports_coalesced = 0;
   std::uint64_t redirects_sent = 0;
   std::uint64_t takeovers = 0;
   std::uint64_t verdicts_paired = 0;

@@ -200,6 +200,32 @@ TEST(AttachRecovery, CrashBetweenAuthAndInstallLeavesNoSession) {
   EXPECT_EQ(world.btelco(0)->active_sessions(), 0u);
 }
 
+TEST(AttachRecovery, CrashDropsQueuedAgwJobs) {
+  // The AGW serves one message at a time. A restart inside its backlog must
+  // not run the jobs queued before the crash, and the restarted AGW serves
+  // new work one service time after it arrives. Each resume request here is
+  // junk, so each served job answers with a rejection.
+  World world(static_cb_config(1));
+  cellbricks::Btelco& telco = *world.btelco(0);
+  int stale = 0;
+  bool fresh = false;
+  const Duration busy_before = telco.busy_time();
+  for (int i = 0; i < 10; ++i) {
+    telco.handle_resume(Bytes{0x01}, nullptr, nullptr, [&](auto) { ++stale; });
+  }
+  const Duration job = (telco.busy_time() - busy_before) / 10;
+  world.simulator().run_for(job * 2 + job / 2);
+  ASSERT_EQ(stale, 2);
+
+  telco.crash();
+  telco.restart();
+  telco.handle_resume(Bytes{0x01}, nullptr, nullptr, [&](auto) { fresh = true; });
+  world.simulator().run_for(job);
+  EXPECT_TRUE(fresh) << "the new request waited behind the dead backlog";
+  world.simulator().run_for(Duration::s(1));
+  EXPECT_EQ(stale, 2) << "a job queued before the crash ran after the restart";
+}
+
 TEST(AttachRecovery, TelcoAuthSendsFourCopiesOneSecondApartThenDenies) {
   // Pins the bTelco's SAP auth schedule toward a dead broker: a fixed 1 s
   // gap, 4 copies, then a denial.

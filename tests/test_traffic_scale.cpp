@@ -1,11 +1,13 @@
-// Scale-labeled traffic checks (`ctest -L scale`): mid-size fluid runs that
-// gate the event-budget and memory properties behind the 100k-1M-UE claim.
-// Kept out of the default unit tier — tools/ci.sh runs them in the Release
-// leg only (they are too slow for the sanitizer leg).
+// Scale-labeled checks (`ctest -L scale`): mid-size fluid runs that gate
+// the event-budget and memory properties behind the 100k-1M-UE claim, and
+// a full-size overloaded broker shard's work ceiling. Kept out of the
+// default unit tier — tools/ci.sh runs them in the Release leg only (they
+// are too slow for the sanitizer leg).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "scenario/broker_loadgen.hpp"
 #include "scenario/scale_traffic.hpp"
 #include "test_seed.hpp"
 #include "traffic/arena.hpp"
@@ -77,6 +79,37 @@ TEST(ScaleCurve, MillionUesCompleteWithinEventBudget) {
   EXPECT_LT(static_cast<double>(r.events) / cfg.n_ues, 16.0);
   // Arena working set stays within the 73 B/session SoA budget (~70 MB).
   EXPECT_LT(r.arena_bytes, 80u * 1024 * 1024);
+}
+
+TEST(BrokerWork, UnsealsPerDistinctReportCeiling) {
+  // Work ceiling: reports a shard unsealed and verified (handled copies the
+  // ack cache did not answer) per distinct report sent, on cbbench
+  // report_ingest's input at seed 1: one shard offered 1200 reports/s
+  // against ~1000/s of service for 12 s, then drained. Every report must
+  // still be acked, none abandoned. The count is exact. The ceiling is the
+  // value measured when a shard began dropping copies of reports still
+  // waiting in its queue (14,064 over 14,064, 1.000); a change that lowers
+  // the count tightens it. Before, copies that outlived the 30 s ack cache
+  // in the queue were unsealed again: 22,405 over the same 14,064 (1.593).
+  // At shorter loads the queue wait stays under the cache's lifetime, and
+  // both read 1.
+  constexpr double kCeiling = 1.0;
+  scenario::BrokerLoadgenConfig cfg;
+  cfg.n_shards = 1;
+  cfg.n_clients = 48;
+  cfg.report_interval = Duration::millis(80);
+  cfg.duration_s = 12.0;
+  cfg.drain_s = 240.0;
+  cfg.seed = 1;
+  scenario::BrokerLoadgen gen(cfg);
+  const scenario::BrokerLoadgenResult r = gen.run();
+  ASSERT_GT(r.reports_sent, 0u);
+  EXPECT_EQ(r.reports_abandoned, 0u);
+  const auto& shard = gen.cluster().shard(0);
+  const std::uint64_t unsealed = shard.reports_received() - shard.report_ack_cache_hits();
+  const double per_report = static_cast<double>(unsealed) / static_cast<double>(r.reports_sent);
+  EXPECT_LE(per_report, kCeiling) << unsealed << " unseals for " << r.reports_sent
+                                  << " distinct reports";
 }
 
 }  // namespace

@@ -271,6 +271,18 @@ build/bench/bench_broker_shards --replay >/dev/null || {
 }
 echo "chaos replay gate ok"
 
+echo "=== sharded-broker scaling gate (Release) ==="
+# The full sweep (DESIGN.md §12): 1200 reports/s offered to 1, 2, 4 and 8
+# shards. One shard serves ~1000 reports/s, so its point is past the knee;
+# there too every report must be acked, none abandoned after its last
+# resend, and no verdict lost or in conflict. The bench exits nonzero on any
+# of these.
+build/bench/bench_broker_shards >/dev/null || {
+  echo "shard scaling gate FAILED — rerun: build/bench/bench_broker_shards"
+  exit 1
+}
+echo "shard scaling gate ok"
+
 echo "=== chaos fault-list dump/replay gate (Release) ==="
 # One fault list (DESIGN.md §6): the chaos bench writes its built-in
 # schedule with the repro codec (--dump-faults), then runs again on the
