@@ -226,13 +226,15 @@ BrokerLoadgenResult BrokerLoadgen::run() {
   }
 
   // Availability timeline: cumulative observer verdicts, one sample per
-  // sim second.
+  // sim second. The samples in the load phase also read the reports
+  // ingested so far, for ingest_rps.
   const auto n_samples =
       static_cast<std::uint64_t>(config_.duration_s + config_.drain_s);
   for (std::uint64_t t = 1; t <= n_samples; ++t) {
     sim_.schedule(Duration::seconds(static_cast<double>(t)), [this] {
       verdict_timeline_.push_back(cluster_->observer().verdicts_paired() +
                                   cluster_->observer().verdicts_missing());
+      if (sim_.now() <= load_end_) ingested_by_load_end_ = cluster_->reports_ingested();
     });
   }
 
@@ -275,7 +277,7 @@ BrokerLoadgenResult BrokerLoadgen::run() {
     res.ack_p99_ms = lat[static_cast<std::size_t>(
         static_cast<double>(lat.size() - 1) * 0.99)];
   }
-  res.ingest_rps = static_cast<double>(res.reports_ingested) / config_.duration_s;
+  res.ingest_rps = static_cast<double>(ingested_by_load_end_) / config_.duration_s;
   res.verdicts_per_s = verdict_timeline_;
   res.events_executed = sim_.events_executed();
   return res;

@@ -68,7 +68,10 @@ struct BrokerLoadgenResult {
 
   double ack_p50_ms = 0.0;
   double ack_p99_ms = 0.0;
-  /// Sustained ingest rate over the load phase (reports / duration_s).
+  /// Sustained ingest rate over the load phase: reports ingested by the
+  /// last per-second sample at or before its end, over duration_s. Late
+  /// ingests in the drain are left out, so a shard past its knee reads the
+  /// rate it served, not the rate offered.
   double ingest_rps = 0.0;
   /// Cumulative observer verdict count sampled once per sim second —
   /// the availability timeline plotted by the failover trial.
@@ -119,6 +122,7 @@ class BrokerLoadgen {
   std::uint64_t reports_abandoned_ = 0;
   std::vector<double> ack_latencies_ms_;
   std::vector<std::uint64_t> verdict_timeline_;
+  std::uint64_t ingested_by_load_end_ = 0;
 };
 
 }  // namespace cb::scenario

@@ -390,9 +390,9 @@ void ScaleTrafficSim::demote_to_lane(traffic::SessionId id) {
   im.lane_of[id] = idx;
 
   // Register the lane BEFORE demoting so the ghost-share publication lands
-  // on the lane link; demote() then returns the byte-exact residual.
-  const double residual = fluid_->demote(id);
-  const std::uint64_t residual_bytes = static_cast<std::uint64_t>(std::ceil(residual));
+  // on the lane link. The residual demote() returns is read back from the
+  // arena when the lane's connection arrives.
+  fluid_->demote(id);
 
   // Set the lane rate unconditionally from the post-demote ghost share: the
   // on_rate_share callback fires only when the share *changes*, so a zero
@@ -408,7 +408,6 @@ void ScaleTrafficSim::demote_to_lane(traffic::SessionId id) {
     const double r = arena_.residual_bytes(l.session);
     attach_pusher(l.srv_conn, static_cast<std::uint64_t>(std::ceil(r)), impl_->chunk);
   });
-  (void)residual_bytes;
   lane.ue_sock = lane.ue_stack->connect(net::EndPoint{lane.srv_addr, lane.port});
   lane.ue_sock->on_data = [this, idx](BytesView data) {
     Lane& l = *impl_->lanes[idx];

@@ -104,7 +104,7 @@ struct ScaleTrafficResult {
   double packet_ledger_bytes = 0.0;
   std::uint64_t negative_residuals = 0;
   /// FNV-1a over the bit patterns of the totals above — the same-seed
-  /// determinism witness (byte-stable across runs and thread counts).
+  /// determinism witness (byte-stable across runs).
   std::uint64_t fingerprint() const;
 };
 
@@ -137,7 +137,6 @@ class ScaleTrafficSim {
   double delivered_now();
 
  private:
-  struct PacketFlow;
   struct Lane;
   struct Impl;
 

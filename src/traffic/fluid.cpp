@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace cb::traffic {
 
@@ -43,9 +44,7 @@ void FluidEngine::start_flow(SessionId id, double bytes) {
   arena_.start_ns(id) = sim_.now().nanos();
   Cell& c = cells_[arena_.cell(id)];
   advance(c);  // the newcomer's tag is relative to the clock at now
-  Tally t;
-  insert_member(c, id, t);
-  fold(t);
+  insert_member(c, id);
   ++active_fluid_;
   mark_dirty(arena_.cell(id));
 }
@@ -59,12 +58,10 @@ void FluidEngine::handover(SessionId id, std::uint32_t new_cell) {
   Cell& to = cells_[new_cell];
   advance(from);
   advance(to);
-  Tally t;
-  if (arena_.mode(id) == FlowMode::Fluid) bank(from, id, t);
-  remove_member(from, id, t);
+  if (arena_.mode(id) == FlowMode::Fluid) bank(from, id);
+  remove_member(from, id);
   arena_.cell(id) = new_cell;
-  insert_member(to, id, t);
-  fold(t);
+  insert_member(to, id);
   mark_dirty(old_cell);
   mark_dirty(new_cell);
 }
@@ -80,12 +77,10 @@ void FluidEngine::set_flow_cap(SessionId id, double cap_bps) {
   // first and is re-tagged at its new class on the way back in.
   Cell& c = cells_[arena_.cell(id)];
   advance(c);
-  Tally t;
-  if (mode == FlowMode::Fluid) bank(c, id, t);
-  remove_member(c, id, t);
+  if (mode == FlowMode::Fluid) bank(c, id);
+  remove_member(c, id);
   arena_.cap_bps(id) = cap_bps;
-  insert_member(c, id, t);
-  fold(t);
+  insert_member(c, id);
   mark_dirty(arena_.cell(id));
 }
 
@@ -96,18 +91,16 @@ double FluidEngine::demote(SessionId id) {
   // heap entry go.
   Cell& c = cells_[arena_.cell(id)];
   advance(c);
-  Tally t;
-  bank(c, id, t);
-  delist(c, id, t);
+  bank(c, id);
+  delist(c, id);
   arena_.mode(id) = FlowMode::Packet;
   arena_.rate_bps(id) = 0.0;  // the fill below publishes the ghost share
-  enlist(c, id, t);
-  fold(t);
+  enlist(c, id);
   --active_fluid_;
   ++demotions_;
   // Immediate fill (not deferred to the drain): the caller sizes the packet
   // lane from the ghost share the moment we return.
-  fill_cell_now(arena_.cell(id));
+  fill_cell(arena_.cell(id));
   return arena_.residual_bytes(id);
 }
 
@@ -117,23 +110,19 @@ void FluidEngine::promote(SessionId id) {
   // byte the lane delivered: the packet window earns no fluid bytes.
   Cell& c = cells_[arena_.cell(id)];
   advance(c);
-  Tally t;
-  delist(c, id, t);
+  delist(c, id);
   arena_.mode(id) = FlowMode::Fluid;
   arena_.rate_bps(id) = 0.0;  // the column holds only ghost shares
-  enlist(c, id, t);
-  fold(t);
+  enlist(c, id);
   ++active_fluid_;
   ++promotions_;
-  fill_cell_now(arena_.cell(id));
+  fill_cell(arena_.cell(id));
 }
 
 void FluidEngine::finish_packet_flow(SessionId id) {
   assert(arena_.mode(id) == FlowMode::Packet);
   Cell& c = cells_[arena_.cell(id)];
-  Tally t;
-  remove_member(c, id, t);
-  fold(t);
+  remove_member(c, id);
   arena_.mode(id) = FlowMode::Done;
   arena_.rate_bps(id) = 0.0;
   arena_.finish_ns(id) = sim_.now().nanos();
@@ -150,10 +139,8 @@ double FluidEngine::rate_bps(SessionId id) const {
 void FluidEngine::accrue_all() {
   for (Cell& c : cells_) {
     advance(c);
-    Tally t;
-    for (SessionId id : c.open) bank(c, id, t);
-    for (SessionId id : c.at_cap) bank(c, id, t);
-    fold(t);
+    for (SessionId id : c.open) bank(c, id);
+    for (SessionId id : c.at_cap) bank(c, id);
   }
 }
 
@@ -182,30 +169,23 @@ double FluidEngine::owed_bytes(const Cell& c, SessionId id) const {
                     : arena_.weight(id) * (tag_[id] - c.vclock) / 8.0;
 }
 
-void FluidEngine::bank(const Cell& c, SessionId id, Tally& t) {
-  ++t.member_ops;
+void FluidEngine::bank(const Cell& c, SessionId id) {
+  ++member_ops_;
   // Everything the tag no longer owes was served since the last bank.
   const double residual = arena_.residual_bytes(id);
   const double offered = residual - owed_bytes(c, id);
   if (!(offered > 0.0)) return;
-  if (residual < 0.0) ++t.negative_residuals;
+  if (residual < 0.0) ++negative_residuals_;
   const double add = std::min(offered, std::max(residual, 0.0));
   arena_.delivered_bytes(id) += add;
-  t.segment_bytes += add;
-  t.clamped_bytes += offered - add;
+  segment_bytes_ += add;
+  clamped_bytes_ += offered - add;
 }
 
 void FluidEngine::retag(const Cell& c, SessionId id) {
   const double bits = arena_.residual_bytes(id) * 8.0;
   tag_[id] = at_cap(id) ? sim_.now().to_seconds() + bits / arena_.cap_bps(id)
                         : c.vclock + bits / arena_.weight(id);
-}
-
-void FluidEngine::fold(const Tally& t) {
-  segment_bytes_ += t.segment_bytes;
-  clamped_bytes_ += t.clamped_bytes;
-  negative_residuals_ += t.negative_residuals;
-  member_ops_ += t.member_ops;
 }
 
 // --- water-filling ----------------------------------------------------------
@@ -215,13 +195,13 @@ double FluidEngine::order_key(SessionId id) const {
   return cap > 0.0 ? cap / arena_.weight(id) : kInf;
 }
 
-void FluidEngine::flip(Cell& c, SessionId id, Tally& t) {
-  ++t.member_ops;
+void FluidEngine::flip(Cell& c, SessionId id) {
+  ++member_ops_;
   const bool fluid = arena_.mode(id) == FlowMode::Fluid;
   const bool to_cap = !at_cap(id);
   if (fluid) {
-    bank(c, id, t);
-    delist(c, id, t);
+    bank(c, id);
+    delist(c, id);
   }
   const double cap = arena_.cap_bps(id);
   const double w = arena_.weight(id);
@@ -236,10 +216,13 @@ void FluidEngine::flip(Cell& c, SessionId id, Tally& t) {
     c.open_weight += w;
     slot_[id] &= ~kAtCapBit;
   }
-  if (fluid) enlist(c, id, t);
+  if (fluid) enlist(c, id);
 }
 
-void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
+void FluidEngine::fill_cell(std::uint32_t cell_id) {
+  Cell& c = cells_[cell_id];
+  c.dirty = false;  // a later drain_queue_ entry for this cell is skipped
+  ++rate_events_;
   advance(c);  // the elapsed window is served at the old level
 
   // Weighted max-min fairness with per-flow caps: member order[k] is capped
@@ -252,7 +235,7 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   while (c.capped < n) {
     const SessionId id = c.order[c.capped];
     if (!(key_[id] < (c.capacity_bps - c.capped_bps) / c.open_weight)) break;
-    flip(c, id, out.tally);
+    flip(c, id);
     raised = true;
   }
   while (!raised && c.capped > 0) {
@@ -260,20 +243,10 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
     const double level = (c.capacity_bps - c.capped_bps + arena_.cap_bps(id)) /
                          (c.open_weight + arena_.weight(id));
     if (key_[id] < level) break;
-    flip(c, id, out.tally);
+    flip(c, id);
   }
   c.level =
       c.open_weight > 0.0 ? std::max((c.capacity_bps - c.capped_bps) / c.open_weight, 0.0) : 0.0;
-
-  // Ghosts: record the share for the packet lane when it moves. The
-  // callback itself runs at commit time.
-  for (SessionId id : c.ghosts) {
-    const double rate = rate_bps(id);
-    if (rate != arena_.rate_bps(id)) {
-      arena_.rate_bps(id) = rate;
-      out.ghost_changes.emplace_back(id, rate);
-    }
-  }
 
   // The next rate-change point this cell generates on its own: the earlier
   // of the two heap heads' finishes at the new rates.
@@ -284,56 +257,35 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   if (!c.open.empty() && c.level > 0.0) {
     min_dt_s = std::min(min_dt_s, std::max((tag_[c.open.front()] - c.vclock) / c.level, 0.0));
   }
-  out.min_completion_s = min_dt_s;
-}
-
-void FluidEngine::commit_outcome(std::uint32_t cell_id, const CellOutcome& out) {
-  fold(out.tally);
-  ++rate_events_;
-
-  Cell& c = cells_[cell_id];
   c.next_completion.cancel();
-  if (out.min_completion_s != kInf) {
-    c.next_completion = sim_.schedule(Duration::seconds(out.min_completion_s) + kEventGuard,
+  if (min_dt_s != kInf) {
+    c.next_completion = sim_.schedule(Duration::seconds(min_dt_s) + kEventGuard,
                                       [this, cell_id] { fire(cell_id); });
   }
-  if (on_rate_share) {
-    const std::uint64_t seq = c.fill_seq;
-    for (const auto& [id, rate] : out.ghost_changes) {
-      if (c.fill_seq == seq) {
-        on_rate_share(id, rate);
-      } else if (arena_.mode(id) == FlowMode::Packet) {
-        // A handler above demoted/promoted in THIS cell: fill_cell_now has
-        // already committed fresh shares, so our remaining entries are
-        // stale. Replay each at the current arena share (the inline fill
-        // only reported ghosts that moved relative to values we wrote, so
-        // skipping would lose updates), dropping flows no longer in packet
-        // mode.
-        on_rate_share(id, arena_.rate_bps(id));
-      }
+
+  // Ghosts: store each moved share for the packet lane, then publish it. A
+  // handler may re-enter and change or refill this cell, hence the local
+  // list, and the share and mode read again at each publication.
+  std::vector<SessionId> moved;
+  for (SessionId id : c.ghosts) {
+    const double rate = rate_bps(id);
+    if (rate != arena_.rate_bps(id)) {
+      arena_.rate_bps(id) = rate;
+      moved.push_back(id);
     }
   }
-}
-
-void FluidEngine::fill_cell_now(std::uint32_t cell_id) {
-  Cell& c = cells_[cell_id];
-  c.dirty = false;  // a stale drain_queue_ entry just becomes a no-op
-  ++c.fill_seq;
-  // Local outcome, not a shared scratch: an on_rate_share handler fired by
-  // the commit may re-enter the engine (e.g. a demote), and a nested fill
-  // must not clobber the outcome being committed.
-  CellOutcome out;
-  fill_cell(c, out);
-  commit_outcome(cell_id, out);
+  if (!on_rate_share) return;
+  for (SessionId id : moved) {
+    if (arena_.mode(id) == FlowMode::Packet) on_rate_share(id, arena_.rate_bps(id));
+  }
 }
 
 // --- dirty-cell epochs ------------------------------------------------------
 
 void FluidEngine::mark_dirty(std::uint32_t cell_id) {
   Cell& c = cells_[cell_id];
-  c.dirty = true;
-  if (!c.queued) {
-    c.queued = true;
+  if (!c.dirty) {
+    c.dirty = true;
     drain_queue_.push_back(cell_id);
   }
   if (!drain_scheduled_) {
@@ -349,26 +301,21 @@ void FluidEngine::mark_dirty(std::uint32_t cell_id) {
 
 void FluidEngine::drain() {
   drain_scheduled_ = false;
-  if (drain_queue_.empty()) return;
-
-  // Snapshot this epoch's dirty cells in ascending cell-id order — the
-  // commit order, and therefore the event-scheduling and callback order,
-  // is independent of the order mutations happened to queue them.
-  drain_cells_.clear();
-  for (std::uint32_t cell_id : drain_queue_) {
-    Cell& c = cells_[cell_id];
-    c.queued = false;
-    if (c.dirty) drain_cells_.push_back(cell_id);
-  }
+  // This epoch's queued cells in ascending cell-id order — the fill order,
+  // and therefore the event-scheduling and callback order, is independent
+  // of the order mutations happened to queue them. A cell queued twice
+  // (filled inline by demote/promote, then dirtied again) is taken once.
+  drain_cells_.swap(drain_queue_);
   drain_queue_.clear();
   std::sort(drain_cells_.begin(), drain_cells_.end());
+  drain_cells_.erase(std::unique(drain_cells_.begin(), drain_cells_.end()), drain_cells_.end());
 
-  // A callback fired by one cell's commit may fill a later cell inline
+  // A callback fired by one cell's fill may fill a later cell inline
   // (demote/promote), which clears its dirty bit: that fill already covers
-  // it. A callback that re-dirties a cell already filled here schedules a
-  // fresh drain at this timestamp.
+  // it. A callback that re-dirties a cell already filled here queues it for
+  // a fresh drain at this timestamp.
   for (std::uint32_t cell_id : drain_cells_) {
-    if (cells_[cell_id].dirty) fill_cell_now(cell_id);
+    if (cells_[cell_id].dirty) fill_cell(cell_id);
   }
 }
 
@@ -411,12 +358,11 @@ void FluidEngine::fire(std::uint32_t cell_id) {
               scratch_done_);
   std::sort(scratch_done_.begin(), scratch_done_.end());
 
-  Tally t;
   for (SessionId id : scratch_done_) {
-    bank(c, id, t);
-    remove_member(c, id, t);
+    bank(c, id);
+    remove_member(c, id);
     // The sub-epsilon remainder is the final segment, delivered now.
-    t.segment_bytes += arena_.residual_bytes(id);
+    segment_bytes_ += arena_.residual_bytes(id);
     arena_.delivered_bytes(id) = arena_.demand_bytes(id);
     arena_.mode(id) = FlowMode::Done;
     arena_.rate_bps(id) = 0.0;
@@ -424,7 +370,6 @@ void FluidEngine::fire(std::uint32_t cell_id) {
     --active_fluid_;
     ++completions_;
   }
-  fold(t);
   mark_dirty(cell_id);
   if (on_complete) {
     // on_complete may start/demote/handover flows; those marks coalesce
@@ -445,7 +390,7 @@ std::vector<SessionId>::iterator FluidEngine::find_in_order(std::vector<SessionI
   });
 }
 
-void FluidEngine::insert_member(Cell& c, SessionId id, Tally& t) {
+void FluidEngine::insert_member(Cell& c, SessionId id) {
   if (id >= tag_.size()) {
     tag_.resize(arena_.slots(), 0.0);
     slot_.resize(arena_.slots(), 0);
@@ -466,11 +411,11 @@ void FluidEngine::insert_member(Cell& c, SessionId id, Tally& t) {
     slot_[id] &= ~kAtCapBit;
   }
   c.order.insert(it, id);
-  enlist(c, id, t);
+  enlist(c, id);
 }
 
-void FluidEngine::remove_member(Cell& c, SessionId id, Tally& t) {
-  delist(c, id, t);
+void FluidEngine::remove_member(Cell& c, SessionId id) {
+  delist(c, id);
   auto it = find_in_order(c.order, id);
   assert(it != c.order.end() && *it == id);
   assert((static_cast<std::size_t>(it - c.order.begin()) < c.capped) == at_cap(id));
@@ -484,18 +429,18 @@ void FluidEngine::remove_member(Cell& c, SessionId id, Tally& t) {
   }
 }
 
-void FluidEngine::enlist(Cell& c, SessionId id, Tally& t) {
+void FluidEngine::enlist(Cell& c, SessionId id) {
   if (arena_.mode(id) == FlowMode::Fluid) {
     retag(c, id);
-    heap_push(at_cap(id) ? c.at_cap : c.open, id, t);
+    heap_push(at_cap(id) ? c.at_cap : c.open, id);
   } else {
     c.ghosts.insert(find_in_order(c.ghosts, id), id);
   }
 }
 
-void FluidEngine::delist(Cell& c, SessionId id, Tally& t) {
+void FluidEngine::delist(Cell& c, SessionId id) {
   if (arena_.mode(id) == FlowMode::Fluid) {
-    heap_erase(at_cap(id) ? c.at_cap : c.open, id, t);
+    heap_erase(at_cap(id) ? c.at_cap : c.open, id);
   } else {
     auto it = find_in_order(c.ghosts, id);
     assert(it != c.ghosts.end() && *it == id);
@@ -505,14 +450,14 @@ void FluidEngine::delist(Cell& c, SessionId id, Tally& t) {
 
 // --- indexed heaps ----------------------------------------------------------
 
-void FluidEngine::heap_push(std::vector<SessionId>& heap, SessionId id, Tally& t) {
-  ++t.member_ops;
+void FluidEngine::heap_push(std::vector<SessionId>& heap, SessionId id) {
+  ++member_ops_;
   heap.push_back(id);
   sift_up(heap, heap.size() - 1);
 }
 
-void FluidEngine::heap_erase(std::vector<SessionId>& heap, SessionId id, Tally& t) {
-  ++t.member_ops;
+void FluidEngine::heap_erase(std::vector<SessionId>& heap, SessionId id) {
+  ++member_ops_;
   const std::size_t i = slot_[id] & ~kAtCapBit;
   assert(i < heap.size() && heap[i] == id);
   const SessionId last = heap.back();

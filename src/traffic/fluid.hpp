@@ -39,14 +39,13 @@
 // sim time passes between a mutation and its drain.
 //
 // The drain fills its dirty cells one at a time, in ascending cell id, so
-// ledger folds, completion-event scheduling and on_rate_share callbacks
-// happen in an order independent of the order mutations queued the cells.
-// Callbacks (on_rate_share / on_complete) may re-enter the engine
-// synchronously. A mutation that marks a cell dirty is taken up by the
-// current drain if that cell is among its cells and not yet filled, and by
-// a fresh drain at the same timestamp otherwise; demote()/promote() fill
-// their cell inline, and the drain then skips that cell because it is no
-// longer dirty.
+// completion-event scheduling and on_rate_share callbacks happen in an
+// order independent of the order mutations queued the cells. Callbacks
+// (on_rate_share / on_complete) may re-enter the engine synchronously. A
+// mutation that marks a cell dirty is taken up by the current drain if
+// that cell is queued in it and not yet reached, and by a fresh drain at
+// the same timestamp otherwise; demote()/promote() fill their cell inline,
+// and the drain then skips that cell because it is no longer dirty.
 //
 // Byte accounting is per-member and lazy: a member's delivered bytes are
 // banked from its tag only when something touches it (a mutation of that
@@ -69,7 +68,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -124,7 +122,9 @@ class FluidEngine {
   std::function<void(SessionId)> on_complete;
   /// Fired when a ghost (packet-mode) flow's allocated share changes; hybrid
   /// lanes mirror the share onto their bottleneck link. Within a drain, in
-  /// ascending cell-id order.
+  /// ascending cell-id order. Each call sends the ghost's share as it is at
+  /// that call, so a handler may refill the cell being published; a flow
+  /// that has left packet mode is skipped.
   std::function<void(SessionId, double rate_bps)> on_rate_share;
 
   // --- observation ----------------------------------------------------------
@@ -195,31 +195,9 @@ class FluidEngine {
     /// share but have no tag, and each fill publishes their shares.
     std::vector<SessionId> ghosts;
     sim::EventHandle next_completion;
-    /// Bumped by every fill. A commit whose on_rate_share handler refilled
-    /// this cell inline sees it move and replays its remaining ghosts at
-    /// the current share (see commit_outcome()).
-    std::uint64_t fill_seq = 0;
-    bool dirty = false;   // needs a fill at the current timestamp
-    bool queued = false;  // present in drain_queue_
-  };
-
-  /// Ledger deltas and work one cell operation produces, folded into the
-  /// engine totals when the operation is done.
-  struct Tally {
-    double segment_bytes = 0.0;
-    double clamped_bytes = 0.0;
-    std::uint64_t negative_residuals = 0;
-    std::uint64_t member_ops = 0;
-  };
-
-  /// Everything one fill produces besides the cell's own state; committed
-  /// right after the fill.
-  struct CellOutcome {
-    Tally tally;
-    /// Earliest fluid completion at the new rates (seconds; infinity = none).
-    double min_completion_s = 0.0;
-    /// Ghost flows whose published share changed, in fill order.
-    std::vector<std::pair<SessionId, double>> ghost_changes;
+    /// Needs a fill at the current timestamp. A cell is queued in
+    /// drain_queue_ each time it turns dirty.
+    bool dirty = false;
   };
 
   /// Advance the cell's virtual clock to now at the level the last fill set.
@@ -229,25 +207,18 @@ class FluidEngine {
   /// the clock, or cap·(tag − now)/8 at its cap. Negative past its finish.
   double owed_bytes(const Cell& c, SessionId id) const;
   /// Bank a fluid member's bytes from its tag up to now (clamped at demand).
-  void bank(const Cell& c, SessionId id, Tally& t);
+  void bank(const Cell& c, SessionId id);
   /// Set a fluid member's tag from its banked residual and current class.
   void retag(const Cell& c, SessionId id);
   /// Move a member across the capped-prefix boundary (the one at its edge),
   /// banking and re-tagging a fluid member on the way.
-  void flip(Cell& c, SessionId id, Tally& t);
-  /// advance + boundary moves + ghost shares + earliest completion.
-  /// Touches only this cell, its members' rows, and `out`.
-  void fill_cell(Cell& c, CellOutcome& out);
-  /// Fold a tally into the engine totals.
-  void fold(const Tally& t);
-  /// Fold a fill's outcome into the ledger, reschedule the cell's
-  /// completion event, and fire its ghost-share callbacks.
-  void commit_outcome(std::uint32_t cell_id, const CellOutcome& out);
-  /// Fill one cell and commit the outcome (the drain, demote and promote).
-  void fill_cell_now(std::uint32_t cell_id);
+  void flip(Cell& c, SessionId id);
+  /// advance + boundary moves + level + completion event + ghost shares,
+  /// then the on_rate_share publications (the drain, demote and promote).
+  void fill_cell(std::uint32_t cell_id);
   /// Mark a cell for reallocation and ensure a drain event is pending.
   void mark_dirty(std::uint32_t cell_id);
-  /// Fill every still-dirty cell, in ascending cell-id order.
+  /// Fill every queued cell still dirty at its turn, in ascending cell id.
   void drain();
   /// Completion event handler for one cell.
   void fire(std::uint32_t cell);
@@ -262,16 +233,16 @@ class FluidEngine {
   /// Add a member whose arena row (mode, cell, cap, demand) is set: into
   /// the order (its position there decides its class), then its heap or
   /// the ghost list. The cell's clock must be advanced.
-  void insert_member(Cell& c, SessionId id, Tally& t);
+  void insert_member(Cell& c, SessionId id);
   /// The inverse; call before the arena mode leaves Fluid/Packet.
-  void remove_member(Cell& c, SessionId id, Tally& t);
+  void remove_member(Cell& c, SessionId id);
   /// The tag half of membership, by arena mode: a fluid flow gets a fresh
   /// tag and its class's heap; a ghost goes in the ghost list. demote and
   /// promote swap one for the other and keep the member's place in order.
-  void enlist(Cell& c, SessionId id, Tally& t);
-  void delist(Cell& c, SessionId id, Tally& t);
-  void heap_push(std::vector<SessionId>& heap, SessionId id, Tally& t);
-  void heap_erase(std::vector<SessionId>& heap, SessionId id, Tally& t);
+  void enlist(Cell& c, SessionId id);
+  void delist(Cell& c, SessionId id);
+  void heap_push(std::vector<SessionId>& heap, SessionId id);
+  void heap_erase(std::vector<SessionId>& heap, SessionId id);
   void sift_up(std::vector<SessionId>& heap, std::size_t i);
   void sift_down(std::vector<SessionId>& heap, std::size_t i);
   void set_heap_index(SessionId id, std::size_t i) {
@@ -306,7 +277,7 @@ class FluidEngine {
   // Completion scratch: reused across fire() calls so a cell completing
   // flows hundreds of thousands of times never heap-allocates. on_complete
   // handlers must not re-enter fire() (they cannot: fire only runs as a sim
-  // event), and engine mutations they make use their own local tallies.
+  // event).
   std::vector<SessionId> scratch_done_;
 
   double segment_bytes_ = 0.0;

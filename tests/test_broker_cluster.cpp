@@ -567,6 +567,9 @@ TEST(BrokerWork, QueuedCopiesPerDistinctReportCeiling) {
   const double per_report = static_cast<double>(queued) / static_cast<double>(r.reports_sent);
   EXPECT_LE(per_report, kCeiling) << queued << " copies queued for " << r.reports_sent
                                   << " distinct reports";
+  // Past its knee, the load phase's ingest rate is at most what one shard
+  // serves; reports ingested late, in the drain, do not count.
+  EXPECT_LE(r.ingest_rps, 1.0 / cellbricks::BrokerShard::kReportServiceTime.to_seconds());
 }
 
 TEST(BrokerClusterSteadyState, NoKillMeansNoRedirectsAndCleanPairing) {

@@ -249,17 +249,6 @@ python3 cbbench/test_gates.py || {
 }
 echo "benchmark gate self-test ok"
 
-echo "=== packet-vs-fluid agreement gate (Release) ==="
-# The hybrid traffic engine's correctness contract (DESIGN.md §11): the same
-# seeded workload through fluid and packet fidelity must agree byte-exactly
-# on delivered bytes + billing and within tolerance on completion times.
-# The bench exits nonzero on disagreement — a hard CI failure.
-build/bench/bench_scale_users --smoke --fluid --no-metrics >/dev/null || {
-  echo "agreement gate FAILED — rerun: build/bench/bench_scale_users --smoke --fluid"
-  exit 1
-}
-echo "agreement gate ok"
-
 echo "=== sharded-broker chaos replay gate (Release) ==="
 # Failover determinism (DESIGN.md §12): the same seeded shard-kill trial run
 # twice must produce bit-identical fingerprints, lose zero billing verdicts,
