@@ -28,7 +28,6 @@ namespace {
 
 double drive_goodput_mbps(Duration wait, Duration cloud_rtt) {
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.seed = 31;
   cfg.route = RouteSpec{"ablation", true, 25.0, 900.0, ran::RatePolicy::night()};
   cfg.n_towers = 10;
@@ -67,7 +66,6 @@ int main() {
   std::printf("%14s %14s %22s %12s\n", "interval (s)", "reports", "detection (s)", "caught");
   for (int interval_s : {2, 5, 10, 30}) {
     WorldConfig cfg;
-    cfg.arch = Architecture::CellBricks;
     cfg.seed = 32;
     cfg.n_towers = 1;
     cfg.route = RouteSpec{"static", false, 0.1, 500.0, ran::RatePolicy::unlimited()};

@@ -35,7 +35,7 @@ struct Stats {
 
 Stats run(const RouteSpec& route) {
   WorldConfig cfg;
-  cfg.arch = Architecture::Mno;  // Fig.10 measured today's MNO network
+  cfg.protocol = AttachProtocol::EpsAka;  // Fig.10 measured today's MNO network
   cfg.seed = 10;
   cfg.route = route;
   const double distance = route.speed_mps * 520.0;

@@ -15,8 +15,10 @@
 //   --smoke  8 attach cycles per cell instead of 100 (schema validation
 //            only; smoke numbers are not representative)
 //   --json   write the per-protocol sweep as machine-readable JSON to FILE
+#include <array>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "scenario/attach_experiment.hpp"
@@ -41,6 +43,7 @@ constexpr PaperRef kPaper[] = {
 
 constexpr AttachProtocol kProtocols[] = {AttachProtocol::EpsAka, AttachProtocol::Aka5g,
                                          AttachProtocol::Sap, AttachProtocol::SapResume};
+static_assert(kProtocols[0] == AttachProtocol::EpsAka && kProtocols[2] == AttachProtocol::Sap);
 
 }  // namespace
 
@@ -70,21 +73,28 @@ int main(int argc, char** argv) {
   std::printf("%-11s %-4s %10s %12s %8s %8s %8s   %s\n", "placement", "arch", "total(ms)",
               "agw+core", "eNB", "UE", "other", "paper-total(ms)");
 
+  // One run per (placement, protocol); the BL and CB rows reuse two of them.
   const auto placements = attach_placements();
+  std::vector<std::array<AttachBreakdown, std::size(kProtocols)>> runs(placements.size());
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    for (std::size_t j = 0; j < std::size(kProtocols); ++j) {
+      runs[i][j] = run_attach_experiment(kProtocols[j], placements[i].cloud_rtt, n);
+    }
+  }
+
   for (std::size_t i = 0; i < placements.size(); ++i) {
     const auto& p = placements[i];
-    double totals[2] = {0, 0};
-    for (Architecture arch : {Architecture::Mno, Architecture::CellBricks}) {
-      const AttachBreakdown b = run_attach_experiment(arch, p.cloud_rtt, n);
-      const bool cb = arch == Architecture::CellBricks;
-      totals[cb ? 1 : 0] = b.total_ms;
+    const AttachBreakdown& bl = runs[i][0];  // eps_aka
+    const AttachBreakdown& cb = runs[i][2];  // sap
+    for (const AttachBreakdown* b : {&bl, &cb}) {
+      const bool is_cb = b == &cb;
       std::printf("%-11s %-4s %10.2f %12.2f %8.2f %8.2f %8.2f   %.2f\n", p.name.c_str(),
-                  cb ? "CB" : "BL", b.total_ms, b.agw_core_ms, b.enb_ms, b.ue_ms, b.other_ms,
-                  cb ? kPaper[i].cb_total : kPaper[i].bl_total);
+                  is_cb ? "CB" : "BL", b->total_ms, b->agw_core_ms, b->enb_ms, b->ue_ms,
+                  b->other_ms, is_cb ? kPaper[i].cb_total : kPaper[i].bl_total);
     }
-    if (totals[0] > 0) {
+    if (bl.total_ms > 0) {
       std::printf("  -> CB vs BL: %+.1f%%  (paper: %+.1f%%)\n\n",
-                  (totals[1] / totals[0] - 1.0) * 100.0,
+                  (cb.total_ms / bl.total_ms - 1.0) * 100.0,
                   (kPaper[i].cb_total / kPaper[i].bl_total - 1.0) * 100.0);
     }
   }
@@ -114,7 +124,7 @@ int main(int argc, char** argv) {
     }
     for (std::size_t j = 0; j < std::size(kProtocols); ++j) {
       const AttachProtocol proto = kProtocols[j];
-      const AttachBreakdown b = run_attach_experiment(proto, p.cloud_rtt, n);
+      const AttachBreakdown& b = runs[i][j];
       if (proto == AttachProtocol::SapResume) {
         std::printf("%-11s %-11s %10.2f %10.2f %10d %10d\n", p.name.c_str(), to_string(proto),
                     b.total_ms, b.resume_ms, b.resumes, b.resume_fallbacks);

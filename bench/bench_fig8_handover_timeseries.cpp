@@ -92,7 +92,7 @@ Trace run(AttachProtocol protocol) {
 // One policy arm of the measured-MTTHO A/B: the full suburb/day route under
 // a noisy channel, handover statistics read back from the reselection log.
 struct MtthoArm {
-  const char* policy = "a3";
+  ran::ReselectionPolicyKind policy = ran::ReselectionPolicyKind::A3Hysteresis;
   std::uint64_t handovers = 0;
   double measured_s = 0.0;  // mean gap between consecutive handovers
 };
@@ -116,7 +116,7 @@ MtthoArm run_mttho(ran::ReselectionPolicyKind policy, Duration ttt) {
   world.simulator().run_for(Duration::seconds(route_s + 4.0));
 
   MtthoArm arm;
-  arm.policy = ran::to_string(policy);
+  arm.policy = policy;
   arm.handovers = world.handovers();
   // Mean gap between handover instants (initial acquisition excluded): the
   // measured MTTHO, independent of warmup and of where the route ends.
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   const MtthoArm ttt = run_mttho(ran::ReselectionPolicyKind::A3TimeToTrigger, Duration::ms(480));
   const MtthoArm rank = run_mttho(ran::ReselectionPolicyKind::RankBased, Duration::ms(0));
   for (const MtthoArm* arm : {&a3, &ttt, &rank}) {
-    std::printf("  %-7s: %3llu handover(s), mttho %6.2f s\n", arm->policy,
+    std::printf("  %-7s: %3llu handover(s), mttho %6.2f s\n", ran::to_string(arm->policy),
                 static_cast<unsigned long long>(arm->handovers), arm->measured_s);
   }
   // Calibration gate on the damped (a3_ttt) arm: the reselection loop must
@@ -231,27 +231,29 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"fig8_handover\",\n  \"reattach\": {\n"
-                 "    \"sap\": {\"mean_ms\": %.3f, \"count\": %zu},\n"
-                 "    \"sap_resume\": {\"mean_ms\": %.3f, \"count\": %zu, "
+                 "    \"%s\": {\"mean_ms\": %.3f, \"count\": %zu},\n"
+                 "    \"%s\": {\"mean_ms\": %.3f, \"count\": %zu, "
                  "\"resumes\": %llu, \"fallbacks\": %llu},\n"
                  "    \"delta_ms\": %.3f,\n    \"pass\": %s\n  },\n"
                  "  \"mttho\": {\n    \"route\": \"Suburb/D\",\n"
                  "    \"expected_s\": %.3f,\n    \"measured_s\": %.3f,\n"
                  "    \"policy\": \"%s\",\n    \"handovers\": %llu,\n"
                  "    \"arms\": {\n"
-                 "      \"a3\": {\"handovers\": %llu, \"mttho_s\": %.3f},\n"
-                 "      \"a3_ttt\": {\"handovers\": %llu, \"mttho_s\": %.3f},\n"
-                 "      \"rank\": {\"handovers\": %llu, \"mttho_s\": %.3f}\n"
+                 "      \"%s\": {\"handovers\": %llu, \"mttho_s\": %.3f},\n"
+                 "      \"%s\": {\"handovers\": %llu, \"mttho_s\": %.3f},\n"
+                 "      \"%s\": {\"handovers\": %llu, \"mttho_s\": %.3f}\n"
                  "    },\n    \"pass\": %s\n  }\n}\n",
-                 sap_ms, cbr.reattach_ms.count(), resume_ms, cbt.reattach_ms.count(),
+                 to_string(AttachProtocol::Sap), sap_ms, cbr.reattach_ms.count(),
+                 to_string(AttachProtocol::SapResume), resume_ms, cbt.reattach_ms.count(),
                  static_cast<unsigned long long>(cbt.resumes),
                  static_cast<unsigned long long>(cbt.fallbacks), delta_ms,
-                 reattach_pass ? "true" : "false", expected_s, ttt.measured_s, ttt.policy,
-                 static_cast<unsigned long long>(ttt.handovers),
-                 static_cast<unsigned long long>(a3.handovers), a3.measured_s,
+                 reattach_pass ? "true" : "false", expected_s, ttt.measured_s,
+                 ran::to_string(ttt.policy), static_cast<unsigned long long>(ttt.handovers),
+                 ran::to_string(a3.policy), static_cast<unsigned long long>(a3.handovers),
+                 a3.measured_s, ran::to_string(ttt.policy),
                  static_cast<unsigned long long>(ttt.handovers), ttt.measured_s,
-                 static_cast<unsigned long long>(rank.handovers), rank.measured_s,
-                 mttho_pass ? "true" : "false");
+                 ran::to_string(rank.policy), static_cast<unsigned long long>(rank.handovers),
+                 rank.measured_s, mttho_pass ? "true" : "false");
     std::fclose(f);
   }
 

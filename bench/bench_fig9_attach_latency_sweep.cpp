@@ -197,10 +197,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"fig9_sweep\",\n  \"mode\": \"%s\",\n"
                     "  \"protocols\": {\n",
                  smoke ? "smoke" : "full");
-    std::fprintf(f, "    \"sap\": {\"windows_pct\": [");
+    std::fprintf(f, "    \"%s\": {\"windows_pct\": [", to_string(AttachProtocol::Sap));
     emit_windows(sap32);
     std::fprintf(f, "], \"handovers\": %zu},\n", sap32_handovers);
-    std::fprintf(f, "    \"sap_resume\": {\"windows_pct\": [");
+    std::fprintf(f, "    \"%s\": {\"windows_pct\": [", to_string(AttachProtocol::SapResume));
     emit_windows(resume_windows);
     std::fprintf(f, "], \"handovers\": %zu}\n  }\n}\n", resume32.handovers_s.size());
     std::fclose(f);

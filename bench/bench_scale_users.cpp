@@ -52,7 +52,7 @@ namespace {
 
 struct StormPoint {
   int n_ues;
-  Architecture arch;
+  AttachProtocol protocol;
   double loss;
   AttachStorm result;
   double wall_s = 0.0;
@@ -75,7 +75,7 @@ struct Agreement {
   bool pass = false;
 };
 
-const char* arch_name(Architecture a) { return a == Architecture::CellBricks ? "CB" : "BL"; }
+const char* arm_name(AttachProtocol p) { return p == AttachProtocol::Sap ? "CB" : "BL"; }
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -219,13 +219,13 @@ int main(int argc, char** argv) {
 
   std::vector<StormPoint> points;
   for (int n : storm_sizes) {
-    for (Architecture arch : {Architecture::Mno, Architecture::CellBricks}) {
-      points.push_back({n, arch, 0.0, {}});
+    for (AttachProtocol protocol : {AttachProtocol::EpsAka, AttachProtocol::Sap}) {
+      points.push_back({n, protocol, 0.0, {}});
     }
   }
   std::vector<StormPoint> loss_points;
   for (double loss : losses) {
-    loss_points.push_back({loss_ues, Architecture::CellBricks, loss, {}});
+    loss_points.push_back({loss_ues, AttachProtocol::Sap, loss, {}});
   }
 
   ThreadUse threads_used;
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
       threads_used.note();
       const double t0 = now_s();
       StormPoint out = p;
-      out.result = run_attach_storm(p.arch, p.n_ues, Duration::millis(7.2), p.loss);
+      out.result = run_attach_storm(p.protocol, p.n_ues, Duration::millis(7.2), p.loss);
       out.wall_s = now_s() - t0;
       return out;
     };
@@ -286,7 +286,7 @@ int main(int argc, char** argv) {
   std::printf("%6s %-4s %12s %12s %10s\n", "N UEs", "arch", "mean(ms)", "p99(ms)",
               "completed");
   for (const StormPoint& p : points) {
-    std::printf("%6d %-4s %12.2f %12.2f %6d/%d\n", p.n_ues, arch_name(p.arch),
+    std::printf("%6d %-4s %12.2f %12.2f %6d/%d\n", p.n_ues, arm_name(p.protocol),
                 p.result.mean_ms, p.result.p99_ms, p.result.completed, p.n_ues);
   }
   std::printf("\n(Queueing at the serial control-plane services dominates at high N;\n"
@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
                    "%s    {\"n_ues\": %d, \"arch\": \"%s\", \"loss\": %.2f, "
                    "\"mean_ms\": %.2f, \"p99_ms\": %.2f, \"completed\": %d, "
                    "\"wall_s\": %.4f, \"sim_s\": %.4f, \"sim_per_wall\": %.1f}",
-                   first ? "" : ",\n", p.n_ues, arch_name(p.arch), p.loss,
+                   first ? "" : ",\n", p.n_ues, arm_name(p.protocol), p.loss,
                    p.result.mean_ms, p.result.p99_ms, p.result.completed, p.wall_s,
                    p.result.sim_s, p.result.sim_s / std::max(p.wall_s, 1e-9));
       first = false;

@@ -56,8 +56,8 @@ int main() {
 
   for (std::size_t i = 0; i < routes.size(); ++i) {
     const RouteSpec& route = routes[i];
-    const Table1Cell mno = run_table1_cell(Architecture::Mno, route, opt);
-    const Table1Cell cbr = run_table1_cell(Architecture::CellBricks, route, opt);
+    const Table1Cell mno = run_table1_cell(AttachProtocol::EpsAka, route, opt);
+    const Table1Cell cbr = run_table1_cell(AttachProtocol::Sap, route, opt);
 
     std::printf("%-11s %-4s %9s %9.2f %11.2f %6.2f %7.2f %7.2f\n", route.name.c_str(), "MNO",
                 "-", mno.ping_p50_ms, mno.iperf_mbps, mno.voip_mos, mno.video_level,

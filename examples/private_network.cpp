@@ -23,7 +23,6 @@ int main() {
 
   // Tower 1 = public "metro-cell", tower 2 = enterprise "campus-cell".
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = 2;
   cfg.route = RouteSpec{"walk", false, 2.0, 600.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;

@@ -17,7 +17,6 @@ int main() {
   std::printf("CellBricks quickstart\n=====================\n\n");
 
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = 2;
   cfg.route = RouteSpec{"static", false, 0.1, 500.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;

@@ -20,7 +20,6 @@ int main() {
               "==============================================\n\n");
 
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.seed = 2026;
   cfg.n_towers = 8;
   cfg.route = RouteSpec{"downtown", true, 14.0, 700.0, ran::RatePolicy::night()};

@@ -2,45 +2,6 @@
 
 namespace cb::apps {
 
-IperfSink::IperfSink(transport::StreamTransport transport, std::uint16_t port,
-                     sim::Simulator& sim, Duration bucket)
-    : sim_(sim), series_(bucket) {
-  transport.listen(port, [this](std::shared_ptr<transport::StreamSocket> s) {
-    auto* raw = s.get();
-    raw->on_data = [this](BytesView data) {
-      if (!saw_data_) {
-        saw_data_ = true;
-        first_byte_ = sim_.now();
-      }
-      last_byte_ = sim_.now();
-      total_ += data.size();
-      series_.add(sim_.now(), static_cast<double>(data.size()));
-    };
-    raw->on_closed = [this, raw](const std::string& reason) {
-      if (reason.empty()) raw->close();
-    };
-    conns_.push_back(std::move(s));
-  });
-}
-
-double IperfSink::mean_throughput_bps() const {
-  if (!saw_data_ || last_byte_ <= first_byte_) return 0.0;
-  return static_cast<double>(total_) * 8.0 / (last_byte_ - first_byte_).to_seconds();
-}
-
-IperfSender::IperfSender(transport::StreamTransport transport, net::EndPoint server,
-                         sim::Simulator& sim, Duration duration)
-    : sim_(sim), chunk_(16384, 0xA5) {
-  deadline_ = sim.now() + duration;
-  socket_ = transport.connect(server);
-  socket_->on_connected = [this] { pump(); };
-  socket_->on_send_space = [this] { pump(); };
-  socket_->on_closed = [this](const std::string&) { finished_ = true; };
-  // Time-based stop: check the deadline on a timer too, in case the socket
-  // never fills (fast link).
-  sim_.schedule(duration, [this] { pump(); });
-}
-
 struct IperfPushServer::Conn {
   std::shared_ptr<transport::StreamSocket> socket;
   Bytes chunk = Bytes(16384, 0x5C);
@@ -101,18 +62,6 @@ IperfDownloadClient::IperfDownloadClient(transport::StreamTransport transport,
 double IperfDownloadClient::mean_throughput_bps() const {
   if (!saw_data_ || last_byte_ <= first_byte_) return 0.0;
   return static_cast<double>(total_) * 8.0 / (last_byte_ - first_byte_).to_seconds();
-}
-
-void IperfSender::pump() {
-  if (closed_) return;
-  if (sim_.now() >= deadline_) {
-    closed_ = true;
-    socket_->close();
-    return;
-  }
-  for (;;) {
-    if (socket_->send(chunk_) < chunk_.size()) break;  // buffer full: wait for on_send_space
-  }
 }
 
 }  // namespace cb::apps

@@ -1,8 +1,10 @@
 #include "check/repro.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "common/time.hpp"
 
@@ -12,8 +14,8 @@ namespace {
 
 /// The report timers re-arm by report_interval_s: a negative interval aborts
 /// the replay, and a zero or sub-nanosecond one re-arms at the same instant
-/// forever.
-constexpr double kMinReportIntervalS = 1e-3;
+/// forever. The invariant sweep's cadence has the same floor.
+constexpr double kMinIntervalS = 1e-3;
 /// The horizon and fault times become Duration nanoseconds, and a window
 /// ends at start + duration: a time past the simulator's own "longer than
 /// anything" sentinel (about 73 years) would overflow one or the other.
@@ -59,6 +61,23 @@ void read_optional(const JsonValue& v, const std::string& key, bool& field) {
 }
 void read_optional(const JsonValue& v, const std::string& key, int& field) {
   if (v.contains(key)) field = static_cast<int>(v.at(key).as_int());
+}
+
+/// Both scenario axes are stored by their to_string names. A number is the
+/// retired integer form: replaying it as the default would report a bug it
+/// no longer trips as fixed.
+template <typename Axis>
+void read_axis(const JsonValue& v, const std::string& key, Axis& field,
+               std::optional<Axis> (*from_string)(std::string_view)) {
+  if (!v.contains(key)) return;
+  const JsonValue& name = v.at(key);
+  const std::optional<Axis> value =
+      name.type() == JsonValue::Type::String ? from_string(name.as_string()) : std::nullopt;
+  if (!value) {
+    throw std::runtime_error("repro: " + key + " must be a name such as \"" + to_string(field) +
+                             "\", not " + name.dump());
+  }
+  field = *value;
 }
 
 }  // namespace
@@ -120,14 +139,15 @@ JsonValue scenario_to_json(const scenario::FuzzScenario& s) {
     o["fluid_hybrid"] = s.fluid_hybrid;
   }
   if (s.broker_shards > d.broker_shards) o["broker_shards"] = s.broker_shards;
-  if (s.attach_protocol != d.attach_protocol) o["attach_protocol"] = s.attach_protocol;
-  if (s.resume_ticket != d.resume_ticket) o["resume_ticket"] = s.resume_ticket;
+  if (s.protocol != d.protocol) o["attach_protocol"] = scenario::to_string(s.protocol);
   if (s.shadow_sigma_db != d.shadow_sigma_db) {
     o["shadow_sigma_db"] = s.shadow_sigma_db;
     o["decorrelation_m"] = s.decorrelation_m;
   }
   if (s.fast_fading != d.fast_fading) o["fast_fading"] = s.fast_fading;
-  if (s.reselection_policy != d.reselection_policy) o["reselection_policy"] = s.reselection_policy;
+  if (s.reselection_policy != d.reselection_policy) {
+    o["reselection_policy"] = ran::to_string(s.reselection_policy);
+  }
   if (s.ttt_ms != d.ttt_ms) o["ttt_ms"] = s.ttt_ms;
   if (s.l3_filter_k != d.l3_filter_k) o["l3_filter_k"] = s.l3_filter_k;
   o["faults"] = faults_to_json(s.faults);
@@ -158,7 +178,7 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   read_optional(v, "radio_loss", s.radio_loss);
   read_optional(v, "unlimited_policy", s.unlimited_policy);
   read_optional(v, "report_interval_s", s.report_interval_s);
-  if (!std::isfinite(s.report_interval_s) || s.report_interval_s < kMinReportIntervalS) {
+  if (!std::isfinite(s.report_interval_s) || s.report_interval_s < kMinIntervalS) {
     throw std::runtime_error("repro: report_interval_s must be a finite value >= 0.001");
   }
   read_optional(v, "telco0_overreport", s.telco0_overreport);
@@ -168,19 +188,18 @@ scenario::FuzzScenario scenario_from_json(const JsonValue& v) {
   read_optional(v, "fluid_hybrid", s.fluid_hybrid);
   read_optional(v, "broker_shards", s.broker_shards);
   if (s.broker_shards < 1) throw std::runtime_error("repro: broker_shards must be >= 1");
-  read_optional(v, "attach_protocol", s.attach_protocol);
-  if (s.attach_protocol < 0 || s.attach_protocol > 2) {
-    throw std::runtime_error("repro: attach_protocol must be 0 (eps_aka), 1 (5g_aka) or 2 (sap)");
+  if (v.contains("resume_ticket")) {
+    throw std::runtime_error(std::string("repro: resume_ticket is retired; attach_protocol \"") +
+                             to_string(scenario::AttachProtocol::SapResume) + "\" replaces it");
   }
-  read_optional(v, "resume_ticket", s.resume_ticket);
+  read_axis(v, "attach_protocol", s.protocol, &scenario::from_string);
+  if (s.protocol == scenario::AttachProtocol::Default) {
+    throw std::runtime_error("repro: attach_protocol must name a protocol");
+  }
   read_optional(v, "shadow_sigma_db", s.shadow_sigma_db);
   read_optional(v, "decorrelation_m", s.decorrelation_m);
   read_optional(v, "fast_fading", s.fast_fading);
-  read_optional(v, "reselection_policy", s.reselection_policy);
-  if (s.reselection_policy < 0 || s.reselection_policy > 2) {
-    throw std::runtime_error(
-        "repro: reselection_policy must be 0 (a3), 1 (a3_ttt) or 2 (rank)");
-  }
+  read_axis(v, "reselection_policy", s.reselection_policy, &ran::from_string);
   read_optional(v, "ttt_ms", s.ttt_ms);
   read_optional(v, "l3_filter_k", s.l3_filter_k);
   read_optional(v, "plant_dedup_bug", s.plant_dedup_bug);
@@ -210,10 +229,21 @@ std::string write_repro(const ShrinkResult& result, const RunOptions& run_option
   return JsonValue(std::move(doc)).dump(2);
 }
 
-scenario::FuzzScenario load_repro(const std::string& text) {
+Duration check_cadence(double seconds) {
+  if (!std::isfinite(seconds) || seconds < kMinIntervalS) {
+    throw std::runtime_error("check cadence must be a finite value >= 0.001 s");
+  }
+  return Duration::seconds(seconds);
+}
+
+Repro load_repro(const std::string& text) {
   const JsonValue doc = json_parse(text);
-  if (doc.contains("scenario")) return scenario_from_json(doc.at("scenario"));
-  return scenario_from_json(doc);
+  // A bare scenario records no cadence: RunOptions' default stands.
+  Repro repro{scenario_from_json(doc.get("scenario", doc)), {}};
+  if (doc.contains("check_cadence_s")) {
+    repro.run.check_cadence = check_cadence(doc.at("check_cadence_s").as_double());
+  }
+  return repro;
 }
 
 std::string replay_command(const std::string& path) { return "cbfuzz --replay " + path; }

@@ -31,8 +31,20 @@ std::vector<scenario::FuzzFault> faults_from_json(const JsonValue& v);
 std::string write_repro(const ShrinkResult& result, const RunOptions& run_options,
                         const std::string& replay_path);
 
+/// The sweep cadence of `seconds` (--cadence-s or check_cadence_s). arm()
+/// schedules every tick up front, so this throws std::runtime_error below
+/// report_interval_s's 1 ms floor, or for a non-finite value.
+Duration check_cadence(double seconds);
+
+/// A repro's scenario and the options it was found under (the document's
+/// check_cadence_s; RunOptions' 1 s for a bare scenario).
+struct Repro {
+  scenario::FuzzScenario scenario;
+  RunOptions run;
+};
+
 /// Parse a repro document or bare scenario from JSON text.
-scenario::FuzzScenario load_repro(const std::string& text);
+Repro load_repro(const std::string& text);
 
 /// The exact command that replays a repro file.
 std::string replay_command(const std::string& path);

@@ -22,17 +22,7 @@ namespace {
 
 scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   scenario::WorldConfig w;
-  w.arch = scenario::Architecture::CellBricks;
-  // The protocol axis overrides the architecture (EPC protocols build the
-  // MNO world).
-  switch (s.attach_protocol) {
-    case 0: w.protocol = scenario::AttachProtocol::EpsAka; break;
-    case 1: w.protocol = scenario::AttachProtocol::Aka5g; break;
-    default:
-      w.protocol = s.resume_ticket ? scenario::AttachProtocol::SapResume
-                                   : scenario::AttachProtocol::Sap;
-      break;
-  }
+  w.protocol = s.protocol;
   w.route = scenario::RouteSpec{"Fuzz", s.night, s.speed_mps, s.tower_spacing_m,
                                 s.night ? ran::RatePolicy::night() : ran::RatePolicy::day()};
   w.seed = s.seed;
@@ -49,7 +39,7 @@ scenario::WorldConfig world_config(const scenario::FuzzScenario& s) {
   w.radio_config.channel.shadow_sigma_db = s.shadow_sigma_db;
   w.radio_config.channel.decorrelation_m = s.decorrelation_m;
   w.radio_config.channel.fast_fading = s.fast_fading;
-  w.radio_config.policy = static_cast<ran::ReselectionPolicyKind>(s.reselection_policy);
+  w.radio_config.policy = s.reselection_policy;
   w.radio_config.time_to_trigger = Duration::ms(s.ttt_ms);
   w.radio_config.l3_filter_k = s.l3_filter_k;
   return w;

@@ -7,6 +7,9 @@ namespace cb::check {
 
 namespace {
 
+using scenario::AttachProtocol;
+using PolicyKind = ran::ReselectionPolicyKind;
+
 /// True when the candidate still trips the anchored invariant; records the
 /// surviving violation into `witness` when it does.
 class Oracle {
@@ -154,8 +157,8 @@ bool simplify_knobs(scenario::FuzzScenario& best, Oracle& oracle, Violation& wit
        [](const scenario::FuzzScenario& s) { return s.fluid_ues > 0; }},
       {"fluid-no-hybrid", [](scenario::FuzzScenario& s) { s.fluid_hybrid = false; },
        [](const scenario::FuzzScenario& s) { return s.fluid_ues > 0 && s.fluid_hybrid; }},
-      {"resume-off", [](scenario::FuzzScenario& s) { s.resume_ticket = false; },
-       [](const scenario::FuzzScenario& s) { return s.resume_ticket; }},
+      {"resume-off", [](scenario::FuzzScenario& s) { s.protocol = AttachProtocol::Sap; },
+       [](const scenario::FuzzScenario& s) { return s.protocol == AttachProtocol::SapResume; }},
       {"fading-off",
        [](scenario::FuzzScenario& s) {
          // Quiet channel: pure path loss (the pre-measurement engine).
@@ -170,10 +173,12 @@ bool simplify_knobs(scenario::FuzzScenario& best, Oracle& oracle, Violation& wit
        }},
       {"policy-a3",
        [](scenario::FuzzScenario& s) {
-         s.reselection_policy = 0;
+         s.reselection_policy = PolicyKind::A3Hysteresis;
          s.ttt_ms = 0;
        },
-       [](const scenario::FuzzScenario& s) { return s.reselection_policy != 0; }},
+       [](const scenario::FuzzScenario& s) {
+         return s.reselection_policy != PolicyKind::A3Hysteresis;
+       }},
       {"l3-off", [](scenario::FuzzScenario& s) { s.l3_filter_k = 0; },
        [](const scenario::FuzzScenario& s) { return s.l3_filter_k != 0; }},
       {"protocol-eps",
@@ -182,10 +187,9 @@ bool simplify_knobs(scenario::FuzzScenario& best, Oracle& oracle, Violation& wit
          // smallest attach machinery (no broker, no tickets, two HSS
          // round-trips). Only survives when the violation is not tied to
          // the CellBricks layers, i.e. it genuinely simplifies the repro.
-         s.attach_protocol = 0;
-         s.resume_ticket = false;
+         s.protocol = AttachProtocol::EpsAka;
        },
-       [](const scenario::FuzzScenario& s) { return s.attach_protocol != 0; }},
+       [](const scenario::FuzzScenario& s) { return s.protocol != AttachProtocol::EpsAka; }},
       {"single-shard",
        [](scenario::FuzzScenario& s) {
          // Collapse the broker cluster; shard kills are meaningless on a

@@ -13,9 +13,7 @@ JsonValue duration_ns(Duration d) { return JsonValue(static_cast<std::int64_t>(d
 Duration ns_from(const JsonValue& v) { return Duration::ns(v.as_int()); }
 
 ran::ReselectionPolicyKind policy_from(const std::string& name) {
-  if (name == "a3") return ran::ReselectionPolicyKind::A3Hysteresis;
-  if (name == "a3_ttt") return ran::ReselectionPolicyKind::A3TimeToTrigger;
-  if (name == "rank") return ran::ReselectionPolicyKind::RankBased;
+  if (const auto kind = ran::from_string(name)) return *kind;
   throw std::runtime_error("trace: unknown reselection policy '" + name + "'");
 }
 

@@ -33,6 +33,15 @@ const char* to_string(ReselectionPolicyKind kind) {
   return "unknown";
 }
 
+std::optional<ReselectionPolicyKind> from_string(std::string_view name) {
+  for (ReselectionPolicyKind kind :
+       {ReselectionPolicyKind::A3Hysteresis, ReselectionPolicyKind::A3TimeToTrigger,
+        ReselectionPolicyKind::RankBased}) {
+    if (name == to_string(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 UeRadio::UeRadio(sim::Simulator& sim, const RadioEnvironment& env, Trajectory trajectory,
                  UeRadioConfig config)
     : sim_(sim), env_(env), trajectory_(std::move(trajectory)), config_(config),

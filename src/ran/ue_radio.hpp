@@ -14,6 +14,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "ran/channel.hpp"
@@ -39,7 +41,10 @@ enum class ReselectionPolicyKind : int {
   RankBased = 2,
 };
 
+/// The policy axis's canonical spelling, and its one parser (nullopt for any
+/// other spelling).
 const char* to_string(ReselectionPolicyKind kind);
+std::optional<ReselectionPolicyKind> from_string(std::string_view name);
 
 struct UeRadioConfig {
   /// Measurement / reselection period.

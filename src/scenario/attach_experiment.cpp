@@ -1,15 +1,8 @@
 #include "scenario/attach_experiment.hpp"
 
-namespace cb::scenario {
+#include <stdexcept>
 
-AttachBreakdown run_attach_experiment(Architecture arch, Duration cloud_rtt, int n,
-                                      std::uint64_t seed) {
-  // The architecture's native protocol: bit-identical to the pre-protocol-
-  // axis experiment (World resolves EpsAka -> Mno, Sap -> CellBricks).
-  return run_attach_experiment(
-      arch == Architecture::Mno ? AttachProtocol::EpsAka : AttachProtocol::Sap, cloud_rtt, n,
-      seed);
-}
+namespace cb::scenario {
 
 AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rtt, int n,
                                       std::uint64_t seed) {
@@ -23,14 +16,14 @@ AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rt
   cfg.route = RouteSpec{"static", false, 0.1, 100.0, ran::RatePolicy::unlimited()};
   World world(cfg);
   auto& sim = world.simulator();
-  const Architecture arch = world.config().arch;
+  const bool sap = world.ue_agent() != nullptr;  // else an EPC world
 
   Summary latency_ms;  // clean full attaches
   Summary resume_ms;   // ticket-resumed attaches
   int cycles = 0;      // completed attach/detach cycles of any flavour
   for (int i = 0; i < n; ++i) {
     bool done = false;
-    if (arch == Architecture::CellBricks) {
+    if (sap) {
       const std::uint64_t resumes_before = world.ue_agent()->resumes_succeeded();
       const std::uint64_t fallbacks_before = world.ue_agent()->resume_fallbacks();
       world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr>) { done = true; });
@@ -60,18 +53,17 @@ AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rt
   }
 
   AttachBreakdown out;
-  out.arch = arch;
   out.protocol = world.protocol();
   out.attaches = static_cast<int>(latency_ms.count());
   out.total_ms = latency_ms.empty() ? 0.0 : latency_ms.mean();
   out.resume_ms = resume_ms.empty() ? 0.0 : resume_ms.mean();
   out.resumes = static_cast<int>(resume_ms.count());
-  if (arch == Architecture::CellBricks) {
+  if (sap) {
     out.resume_fallbacks = static_cast<int>(world.ue_agent()->resume_fallbacks());
   }
   // Busy time accrues over every completed cycle, resumes included.
   const double denom = std::max(1.0, static_cast<double>(cycles));
-  if (arch == Architecture::CellBricks) {
+  if (sap) {
     out.agw_core_ms = (world.btelco(0)->busy_time().to_millis() +
                        world.broker_cluster()->sap_busy_time().to_millis()) /
                       denom;
@@ -87,8 +79,12 @@ AttachBreakdown run_attach_experiment(AttachProtocol protocol, Duration cloud_rt
   return out;
 }
 
-AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
+AttachStorm run_attach_storm(AttachProtocol protocol, int n_ues, Duration cloud_rtt,
                              double control_loss, std::uint64_t seed) {
+  if (protocol != AttachProtocol::EpsAka && protocol != AttachProtocol::Sap) {
+    throw std::invalid_argument(std::string("run_attach_storm: no storm for ") +
+                                to_string(protocol));
+  }
   sim::Simulator sim(seed);
   net::Network network(sim);
   Rng key_rng = sim.rng().fork(0x570);
@@ -106,7 +102,7 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
   Summary latency_ms;
   int completed = 0;
 
-  if (arch == Architecture::CellBricks) {
+  if (protocol == AttachProtocol::Sap) {
     crypto::CertificateAuthority ca("root", key_rng, 512);
     const TimePoint forever = TimePoint::zero() + Duration::s(1e9);
     auto broker_keys = crypto::RsaKeyPair::generate(key_rng, 512);

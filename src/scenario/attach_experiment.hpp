@@ -1,5 +1,5 @@
 // Fig.7 experiment harness: measure end-to-end attachment latency (radio
-// legs excluded, as in the paper) under both architectures, with the
+// legs excluded, as in the paper) under each attach protocol, with the
 // SubscriberDB/broker placed "local", in "us-west-1", or in "us-east-1",
 // and break the latency down by module.
 #pragma once
@@ -23,8 +23,6 @@ inline std::vector<AttachPlacement> attach_placements() {
 }
 
 struct AttachBreakdown {
-  std::string placement;
-  Architecture arch;
   AttachProtocol protocol = AttachProtocol::Default;
   double total_ms = 0.0;      // mean end-to-end attach latency (full attaches)
   double agw_core_ms = 0.0;   // AGW + SubscriberDB/broker processing
@@ -39,12 +37,8 @@ struct AttachBreakdown {
   int resume_fallbacks = 0;
 };
 
-/// Run `n` sequential attach/detach cycles and return the mean breakdown.
-AttachBreakdown run_attach_experiment(Architecture arch, Duration cloud_rtt, int n,
-                                      std::uint64_t seed = 1);
-
-/// Protocol-axis variant (fig7 per-protocol rows): same cycle under an
-/// explicit attach protocol. Under SapResume the first cycle is a full SAP
+/// Run `n` sequential attach/detach cycles under `protocol` and return the
+/// mean breakdown. Under SapResume the first cycle is a full SAP
 /// attach that mints the ticket; because a ticket is single-use per bTelco,
 /// later cycles on the one-tower world alternate resume / fallback-and-remint
 /// — `total_ms` averages the clean full attaches, `resume_ms` the resumes,
@@ -64,7 +58,9 @@ struct AttachStorm {
   /// well before the 120 s guard) — feeds the bench's sim-per-wall ratio.
   double sim_s = 0.0;
 };
-AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
+/// `protocol` is EpsAka (queueing at the HSS) or Sap (at the broker); any
+/// other protocol throws std::invalid_argument.
+AttachStorm run_attach_storm(AttachProtocol protocol, int n_ues, Duration cloud_rtt,
                              double radio_loss, std::uint64_t seed = 1);
 
 }  // namespace cb::scenario

@@ -1,6 +1,7 @@
 #include "scenario/chaos.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "common/fnv.hpp"
@@ -91,7 +92,12 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   obs::ScopedRegistry scoped(&metrics);
 
   WorldConfig wcfg = config.world;
-  wcfg.arch = Architecture::CellBricks;
+  if (wcfg.protocol == AttachProtocol::Default) wcfg.protocol = AttachProtocol::Sap;
+  if (wcfg.protocol != AttachProtocol::Sap && wcfg.protocol != AttachProtocol::SapResume) {
+    // The availability sampler reads the UE agent, which an EPC world lacks.
+    throw std::invalid_argument(std::string("run_chaos: ") + to_string(wcfg.protocol) +
+                                " builds no UE agent to sample");
+  }
   World world(wcfg);
   sim::Simulator& sim = world.simulator();
 

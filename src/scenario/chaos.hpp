@@ -21,7 +21,7 @@
 namespace cb::scenario {
 
 struct ChaosConfig {
-  WorldConfig world;  // arch is forced to CellBricks
+  WorldConfig world;  // Default runs sap; an EPC protocol throws invalid_argument
   /// Simulated run length.
   Duration duration = Duration::s(300);
   /// Bound in list order, which is FaultPlan spec order: it breaks ties

@@ -70,9 +70,9 @@ FuzzScenario random_scenario(std::uint64_t seed) {
   // ~20% EPC baselines (split EPS-AKA / 5G-AKA) so the attach invariants see
   // the MNO world under chaos; resumption rides on ~half the SAP worlds.
   if (rng.chance(0.2)) {
-    s.attach_protocol = rng.chance(0.5) ? 0 : 1;
+    s.protocol = rng.chance(0.5) ? AttachProtocol::EpsAka : AttachProtocol::Aka5g;
   } else if (rng.chance(0.5)) {
-    s.resume_ticket = true;
+    s.protocol = AttachProtocol::SapResume;
   }
   // Measurement axis — again appended, again with a fixed draw count per
   // branch so older seeds reproduce bit-exactly. ~35% of worlds get a noisy
@@ -85,11 +85,11 @@ FuzzScenario random_scenario(std::uint64_t seed) {
   }
   const std::uint64_t policy = rng.next_below(4);  // 0/1 -> A3 (weighted)
   if (policy == 2) {
-    s.reselection_policy = 1;
+    s.reselection_policy = ran::ReselectionPolicyKind::A3TimeToTrigger;
     const int ttts[] = {160, 320, 480, 640};
     s.ttt_ms = ttts[rng.next_below(4)];
   } else if (policy == 3) {
-    s.reselection_policy = 2;
+    s.reselection_policy = ran::ReselectionPolicyKind::RankBased;
   }
   if (rng.chance(0.3)) {
     const int ks[] = {4, 8, 12};
@@ -99,7 +99,8 @@ FuzzScenario random_scenario(std::uint64_t seed) {
   // pathologically (that is the point of the strawman, but it swamps the
   // checker's horizon); give those worlds at least the k=4 filter. Pure
   // post-processing — no extra rng draws.
-  if (s.reselection_policy == 2 && s.shadow_sigma_db > 0.0 && s.l3_filter_k < 4) {
+  if (s.reselection_policy == ran::ReselectionPolicyKind::RankBased && s.shadow_sigma_db > 0.0 &&
+      s.l3_filter_k < 4) {
     s.l3_filter_k = 4;
   }
   // Sorted by start time so the schedule reads chronologically and shrinking

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ran/ue_radio.hpp"
+#include "scenario/world.hpp"
 
 namespace cb::scenario {
 
@@ -67,23 +69,19 @@ struct FuzzScenario {
   /// BrokerCluster with the replicated settlement log (DESIGN.md §12) —
   /// sampled occasionally so the settlement invariants see chaos too.
   int broker_shards = 1;
-  /// Attach-protocol axis (scenario::AttachProtocol): 0 = EPS-AKA, 1 =
-  /// 5G-AKA (both select the MNO/EPC world), 2 = SAP (CellBricks, the
-  /// default). Sampled occasionally so the attach conformance invariants
+  /// Attach-protocol axis: never Default. EPS-AKA and 5G-AKA select the
+  /// EPC world. Sampled occasionally so the attach conformance invariants
   /// run under the same chaos schedules as the billing ones.
-  int attach_protocol = 2;
-  /// SAP resumption tickets (attach_protocol == 2 only).
-  bool resume_ticket = false;
+  AttachProtocol protocol = AttachProtocol::Sap;
   /// Measurement-channel axis (ran::ChannelConfig): log-normal shadowing
   /// sigma (0 = the pure-path-loss engine), its spatial decorrelation
   /// distance, and per-tick fast fading.
   double shadow_sigma_db = 0.0;
   double decorrelation_m = 50.0;
   bool fast_fading = false;
-  /// Reselection-policy axis (ran::ReselectionPolicyKind): 0 = A3
-  /// hysteresis (default), 1 = A3 + time-to-trigger, 2 = rank-based.
-  int reselection_policy = 0;
-  int ttt_ms = 0;       // A3+TTT only
+  /// Reselection-policy axis, with its TTT and L3-filter knobs.
+  ran::ReselectionPolicyKind reselection_policy = ran::ReselectionPolicyKind::A3Hysteresis;
+  int ttt_ms = 0;       // A3TimeToTrigger only
   int l3_filter_k = 0;  // 3GPP L3 filter k; 0 = no smoothing
   std::vector<FuzzFault> faults;
   /// TEST HOOK passthrough: re-introduce the broker's report double-count

@@ -10,9 +10,10 @@ namespace cb::scenario {
 
 namespace {
 
-WorldConfig make_config(Architecture arch, const RouteSpec& route, const Table1Options& opt) {
+WorldConfig make_config(AttachProtocol protocol, const RouteSpec& route,
+                        const Table1Options& opt) {
   WorldConfig cfg;
-  cfg.arch = arch;
+  cfg.protocol = protocol;
   cfg.route = route;
   cfg.seed = opt.seed;
   // Enough towers to cover the drive plus margin.
@@ -26,14 +27,13 @@ constexpr Duration kWarmup = Duration::s(3);
 
 }  // namespace
 
-Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
+Table1Cell run_table1_cell(AttachProtocol protocol, const RouteSpec& route,
                            const Table1Options& opt) {
   Table1Cell cell;
   cell.route = route.name;
-  cell.arch = arch;
 
   {  // --- ping + MTTHO (cheap; share one world) -------------------------
-    World world(make_config(arch, route, opt));
+    World world(make_config(protocol, route, opt));
     apps::PingServer server(*world.server_node(), 7);
     apps::PingClient client(*world.ue_node(), net::EndPoint{world.server_addr(), 7});
     world.start();
@@ -48,7 +48,7 @@ Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
   }
 
   {  // --- iperf (download) ----------------------------------------------
-    World world(make_config(arch, route, opt));
+    World world(make_config(protocol, route, opt));
     apps::IperfPushServer server(world.server_transport(), 5001, world.simulator(),
                                  opt.duration);
     world.start();
@@ -61,7 +61,7 @@ Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
   }
 
   {  // --- VoIP -----------------------------------------------------------
-    World world(make_config(arch, route, opt));
+    World world(make_config(protocol, route, opt));
     apps::VoipEndpoint callee(*world.server_node(), 6000);
     apps::VoipEndpoint caller(*world.ue_node(), 6000);
     world.start();
@@ -76,7 +76,7 @@ Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
   }
 
   {  // --- video ----------------------------------------------------------
-    World world(make_config(arch, route, opt));
+    World world(make_config(protocol, route, opt));
     apps::HlsServer server(world.server_transport(), 8080);
     world.start();
     world.simulator().run_for(kWarmup);
@@ -89,7 +89,7 @@ Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
   }
 
   {  // --- web ------------------------------------------------------------
-    World world(make_config(arch, route, opt));
+    World world(make_config(protocol, route, opt));
     apps::WebServer server(world.server_transport(), 80);
     world.start();
     world.simulator().run_for(kWarmup);

@@ -1,5 +1,6 @@
 // Table 1 experiment harness: run each application class over a (route,
-// time-of-day, architecture) configuration and collect the paper's metrics.
+// time-of-day, attach protocol) configuration and collect the paper's
+// metrics.
 #pragma once
 
 #include <string>
@@ -11,7 +12,6 @@ namespace cb::scenario {
 
 struct Table1Cell {
   std::string route;
-  Architecture arch;
   double mttho_s = 0.0;
   double ping_p50_ms = 0.0;
   double iperf_mbps = 0.0;
@@ -28,7 +28,7 @@ struct Table1Options {
 
 /// Run all four application classes (each in a fresh world with the same
 /// seed, so handover patterns match) and fill one Table-1 cell.
-Table1Cell run_table1_cell(Architecture arch, const RouteSpec& route,
+Table1Cell run_table1_cell(AttachProtocol protocol, const RouteSpec& route,
                            const Table1Options& options = Table1Options());
 
 }  // namespace cb::scenario

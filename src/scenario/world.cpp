@@ -19,19 +19,14 @@ constexpr Duration kTicketTtl = Duration::s(60);
 }  // namespace
 
 World::World(WorldConfig config) : config_(config), sim_(config.seed), network_(sim_) {
-  // Resolve the protocol axis before building (the architecture it selects
-  // shapes the topology's provider naming and which core gets built).
+  // Resolve the protocol axis before building (it shapes the topology's
+  // provider naming and which core gets built); `arch` matters only here.
   protocol_ = config_.protocol;
   if (protocol_ == AttachProtocol::Default) {
-    protocol_ = config_.arch == Architecture::Mno ? AttachProtocol::EpsAka
-                                                  : AttachProtocol::Sap;
-  } else if (protocol_ == AttachProtocol::EpsAka || protocol_ == AttachProtocol::Aka5g) {
-    config_.arch = Architecture::Mno;
-  } else {
-    config_.arch = Architecture::CellBricks;
+    protocol_ = config_.arch == Architecture::Mno ? AttachProtocol::EpsAka : AttachProtocol::Sap;
   }
   build_topology();
-  if (config_.arch == Architecture::Mno) {
+  if (epc()) {
     build_mno();
   } else {
     build_cellbricks();
@@ -69,7 +64,7 @@ void World::build_topology() {
     ran::Cell c;
     c.id = cell;
     c.position = ran::Point{spacing * i, 0.0};
-    c.provider = config_.arch == Architecture::Mno ? "mno" : "btelco-" + std::to_string(i);
+    c.provider = epc() ? "mno" : "btelco-" + std::to_string(i);
     env_.add_cell(c);
 
     network_.connect(tower, internet_,
@@ -230,7 +225,7 @@ void World::build_cellbricks() {
 }
 
 void World::start() {
-  if (config_.arch == Architecture::CellBricks) {
+  if (!epc()) {
     // Chain: keep any observer the embedding program installed.
     auto user_cb = ue_agent_->on_attached;
     ue_agent_->on_attached = [this, user_cb](ran::CellId cell, Duration latency) {
@@ -269,13 +264,13 @@ void World::start() {
 }
 
 transport::StreamTransport World::ue_transport() {
-  return config_.arch == Architecture::Mno ? transport::make_tcp_transport(*ue_tcp_)
-                                           : transport::make_mptcp_transport(*ue_mptcp_);
+  return epc() ? transport::make_tcp_transport(*ue_tcp_)
+               : transport::make_mptcp_transport(*ue_mptcp_);
 }
 
 transport::StreamTransport World::server_transport() {
-  return config_.arch == Architecture::Mno ? transport::make_tcp_transport(*server_tcp_)
-                                           : transport::make_mptcp_transport(*server_mptcp_);
+  return epc() ? transport::make_tcp_transport(*server_tcp_)
+               : transport::make_mptcp_transport(*server_mptcp_);
 }
 
 std::uint64_t World::handovers() const {

@@ -1,20 +1,21 @@
 // World builder: assembles a complete end-to-end experiment — radio
 // environment, towers, core(s), broker or HSS, WAN, app server, and a
-// moving UE — under either architecture:
+// moving UE. The attach protocol picks the world:
 //
-//   Mno        — one operator owns every tower; EPC (MME/HSS/SPGW) anchors
-//                the UE IP; handovers are network-driven (X2 path switch);
-//                apps run over plain TCP. The paper's baseline.
-//   CellBricks — every tower is an independent bTelco (the §6.2 extreme
-//                design point); SAP + the broker; host-driven mobility;
-//                apps run over MPTCP.
+//   eps_aka, 5g_aka — one operator owns every tower; EPC (MME/HSS/SPGW)
+//                anchors the UE IP; handovers are network-driven (X2 path
+//                switch); apps run over plain TCP. The paper's baseline.
+//   sap, sap_resume — every tower is an independent bTelco (the §6.2
+//                extreme design point); SAP + the broker; host-driven
+//                mobility; apps run over MPTCP.
 //
 // Both share identical geometry, radio model, rate policy, and WAN delays,
-// so any app-level difference is attributable to the architecture.
+// so any app-level difference is attributable to the protocol's world.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "cellbricks/broker_cluster.hpp"
@@ -31,12 +32,13 @@
 
 namespace cb::scenario {
 
+/// Read only to resolve AttachProtocol::Default (Mno -> EpsAka, CellBricks
+/// -> Sap); cbbench is the one program that still sets it.
 enum class Architecture { Mno, CellBricks };
 
-/// Attach-protocol axis (the conformance suite's test matrix). `Default`
-/// keeps the architecture's native protocol (Mno -> EpsAka, CellBricks ->
-/// Sap); any other value selects BOTH the protocol and the architecture it
-/// runs on, overriding `arch`:
+/// Attach-protocol axis (the conformance suite's test matrix). Each value
+/// selects both the protocol and the world it runs on; `Default` resolves
+/// from `WorldConfig::arch`:
 ///   EpsAka     4G EPS-AKA against the HSS (two home round-trips).
 ///   Aka5g      5G-AKA (SUCI concealment, RES*/HXRES*, three round-trips).
 ///   Sap        CellBricks SAP (one broker round-trip).
@@ -45,8 +47,8 @@ enum class Architecture { Mno, CellBricks };
 ///              path; the broker logs each resumption (DESIGN.md §14).
 enum class AttachProtocol { Default = 0, EpsAka, Aka5g, Sap, SapResume };
 
-/// Canonical spelling of the protocol axis (bench JSON keys, cbfuzz
-/// --protocol values, conformance-test labels).
+/// Canonical spelling of the protocol axis (bench JSON keys, cbsim and
+/// cbfuzz --protocol values, repro files, conformance-test labels).
 inline const char* to_string(AttachProtocol p) {
   switch (p) {
     case AttachProtocol::Default: return "default";
@@ -56,6 +58,16 @@ inline const char* to_string(AttachProtocol p) {
     case AttachProtocol::SapResume: return "sap_resume";
   }
   return "unknown";
+}
+
+/// The one parser of the protocol axis: the inverse of to_string, nullopt
+/// for any other spelling.
+inline std::optional<AttachProtocol> from_string(std::string_view name) {
+  for (AttachProtocol p : {AttachProtocol::Default, AttachProtocol::EpsAka, AttachProtocol::Aka5g,
+                           AttachProtocol::Sap, AttachProtocol::SapResume}) {
+    if (name == to_string(p)) return p;
+  }
+  return std::nullopt;
 }
 
 struct WorldConfig {
@@ -105,7 +117,7 @@ class World {
   /// Kick off: initial attach and the mobility loop.
   void start();
 
-  /// Observer for serving-cell changes (fired for both architectures);
+  /// Observer for serving-cell changes (fired in every world);
   /// benches use it to align time series on handover instants.
   std::function<void(ran::CellId from, ran::CellId to)> on_cell_change;
 
@@ -138,8 +150,8 @@ class World {
   /// CellBricks attach latencies (the paper's d).
   const Summary* attach_latencies_ms() const;
 
-  // Architecture internals (exposed for experiments and examples).
-  /// The broker (CellBricks worlds; null under Mno).
+  // Protocol internals (exposed for experiments and examples).
+  /// The broker (SAP worlds; null in EPC worlds).
   cellbricks::BrokerCluster* broker_cluster() { return broker_cluster_.get(); }
   cellbricks::UeAgent* ue_agent() { return ue_agent_.get(); }
   cellbricks::Btelco* btelco(std::size_t i) { return btelcos_[i].get(); }
@@ -156,6 +168,10 @@ class World {
   void build_mno();
   void build_cellbricks();
   void install_shaper(ran::CellId cell);
+  /// EPS-AKA or 5G-AKA: an operator's EPC instead of bTelcos and a broker.
+  bool epc() const {
+    return protocol_ == AttachProtocol::EpsAka || protocol_ == AttachProtocol::Aka5g;
+  }
 
   WorldConfig config_;
   AttachProtocol protocol_ = AttachProtocol::Default;

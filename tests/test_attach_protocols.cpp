@@ -36,17 +36,11 @@ using scenario::WorldConfig;
 // The scenario matrix: run_scenario across every protocol variant
 // ---------------------------------------------------------------------------
 
-struct ProtocolCase {
-  const char* name;
-  int code;     // FuzzScenario::attach_protocol
-  bool resume;  // FuzzScenario::resume_ticket
-};
-
 struct MatrixCase {
-  ProtocolCase protocol;
+  AttachProtocol protocol;
   int broker_shards;
   std::string label(const char* scenario) const {
-    return std::string(scenario) + "/" + protocol.name + "/shards=" +
+    return std::string(scenario) + "/" + to_string(protocol) + "/shards=" +
            std::to_string(broker_shards);
   }
 };
@@ -54,15 +48,12 @@ struct MatrixCase {
 // Every protocol at one and at four broker shards (the EPC worlds build no
 // broker and ignore the shard count).
 std::vector<MatrixCase> matrix_cases() {
-  constexpr ProtocolCase kProtocols[] = {
-      {"eps_aka", 0, false},
-      {"5g_aka", 1, false},
-      {"sap", 2, false},
-      {"sap_resume", 2, true},
-  };
   std::vector<MatrixCase> cases;
   for (int shards : {1, 4}) {
-    for (const ProtocolCase& p : kProtocols) cases.push_back({p, shards});
+    for (AttachProtocol p : {AttachProtocol::EpsAka, AttachProtocol::Aka5g, AttachProtocol::Sap,
+                             AttachProtocol::SapResume}) {
+      cases.push_back({p, shards});
+    }
   }
   return cases;
 }
@@ -72,8 +63,7 @@ std::vector<MatrixCase> matrix_cases() {
 FuzzScenario matrix_scenario(const MatrixCase& c) {
   FuzzScenario s;
   s.seed = 1234;
-  s.attach_protocol = c.protocol.code;
-  s.resume_ticket = c.protocol.resume;
+  s.protocol = c.protocol;
   s.broker_shards = c.broker_shards;
   s.n_towers = 3;
   s.night = false;
@@ -112,7 +102,6 @@ TEST(AttachMatrix, CleanAttach) {
 
 TEST(AttachMatrix, HandoverReattach) {
   for (const MatrixCase& c : matrix_cases()) {
-    const ProtocolCase& p = c.protocol;
     FuzzScenario s = matrix_scenario(c);
     s.app = 2;  // ping keeps the user plane observable across re-attaches
     const check::RunReport r = expect_conformant(s, c.label("handover"), /*require_attached=*/true);
@@ -120,9 +109,9 @@ TEST(AttachMatrix, HandoverReattach) {
     // attach); sap_resume keeps the ORIGINAL session across resumed
     // re-attaches — billing continuity is the differential signature of the
     // ticket path. The EPC variants never touch the broker.
-    if (p.code != 2) {
+    if (c.protocol == AttachProtocol::EpsAka || c.protocol == AttachProtocol::Aka5g) {
       EXPECT_EQ(r.sessions_issued, 0u) << c.label("handover");
-    } else if (p.resume) {
+    } else if (c.protocol == AttachProtocol::SapResume) {
       EXPECT_EQ(r.sessions_issued, 1u) << c.label("handover");
     } else {
       EXPECT_GE(r.sessions_issued, 2u) << c.label("handover");
@@ -309,7 +298,7 @@ TEST(ProtocolResolution, DegradedResumeScenarioStillPairsBilling) {
   s.duration_s = 60.0;
   s.report_interval_s = 5.0;
   s.app = 1;
-  s.resume_ticket = true;
+  s.protocol = AttachProtocol::SapResume;
   s.broker_shards = 2;
   const check::RunReport report = check::run_scenario(s, check::RunOptions{});
   for (const auto& v : report.violations) {
@@ -329,6 +318,17 @@ TEST(ProtocolResolution, ToStringCoversTheAxis) {
   EXPECT_STREQ(to_string(AttachProtocol::Aka5g), "5g_aka");
   EXPECT_STREQ(to_string(AttachProtocol::Sap), "sap");
   EXPECT_STREQ(to_string(AttachProtocol::SapResume), "sap_resume");
+}
+
+TEST(ProtocolResolution, FromStringInvertsToString) {
+  for (AttachProtocol p : {AttachProtocol::Default, AttachProtocol::EpsAka, AttachProtocol::Aka5g,
+                           AttachProtocol::Sap, AttachProtocol::SapResume}) {
+    EXPECT_EQ(scenario::from_string(to_string(p)), p) << to_string(p);
+  }
+  // The retired cbsim spellings, a wrong case and the empty string.
+  for (const char* bad : {"MNO", "mno", "cb", "SAP", "ttt", ""}) {
+    EXPECT_EQ(scenario::from_string(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ namespace {
 
 WorldConfig static_cb_config(int towers = 2) {
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = towers;
   cfg.route = RouteSpec{"static", false, 0.1, 500.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -50,14 +49,14 @@ TEST(CellBricksAttach, LatencyMatchesCalibration) {
 
 TEST(CellBricksAttach, FasterThanEpcWhenCloudIsFar) {
   // One broker round-trip vs two HSS round-trips (the Fig.7 headline).
-  auto run = [](Architecture arch) {
+  auto run = [](AttachProtocol protocol) {
     WorldConfig cfg = static_cb_config(1);
-    cfg.arch = arch;
+    cfg.protocol = protocol;
     cfg.cloud_rtt = Duration::millis(73.5);  // us-east-1
     World world(cfg);
     bool done = false;
     double ms = 0;
-    if (arch == Architecture::CellBricks) {
+    if (protocol == AttachProtocol::Sap) {
       world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr>) { done = true; });
       world.simulator().run_for(Duration::s(5));
       ms = world.ue_agent()->last_attach_latency().to_millis();
@@ -69,8 +68,8 @@ TEST(CellBricksAttach, FasterThanEpcWhenCloudIsFar) {
     EXPECT_TRUE(done);
     return ms;
   };
-  const double cb = run(Architecture::CellBricks);
-  const double bl = run(Architecture::Mno);
+  const double cb = run(AttachProtocol::Sap);
+  const double bl = run(AttachProtocol::EpsAka);
   EXPECT_LT(cb, bl);
   // Paper: 98.62 vs 166.48 ms — roughly 40% lower.
   EXPECT_NEAR(cb / bl, 98.62 / 166.48, 0.12);
@@ -109,7 +108,6 @@ TEST(CellBricksMobility, DriveSurvivesWithMptcpBulkTransfer) {
   obs::Registry metrics;
   obs::ScopedRegistry scoped(&metrics);
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = 5;
   cfg.route = RouteSpec{"drive", false, 25.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;

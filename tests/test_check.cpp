@@ -136,8 +136,7 @@ void expect_same_scenario(const scenario::FuzzScenario& a, const scenario::FuzzS
   EXPECT_EQ(a.fluid_ues, b.fluid_ues);
   EXPECT_EQ(a.fluid_hybrid, b.fluid_hybrid);
   EXPECT_EQ(a.broker_shards, b.broker_shards);
-  EXPECT_EQ(a.attach_protocol, b.attach_protocol);
-  EXPECT_EQ(a.resume_ticket, b.resume_ticket);
+  EXPECT_EQ(a.protocol, b.protocol);
   EXPECT_DOUBLE_EQ(a.shadow_sigma_db, b.shadow_sigma_db);
   EXPECT_DOUBLE_EQ(a.decorrelation_m, b.decorrelation_m);
   EXPECT_EQ(a.fast_fading, b.fast_fading);
@@ -177,9 +176,8 @@ TEST(FuzzScenario, GeneratorIsDeterministicAndInRange) {
     EXPECT_LE(a.shadow_sigma_db, 8.0);
     EXPECT_GE(a.decorrelation_m, 25.0);
     EXPECT_LE(a.decorrelation_m, 110.0);
-    EXPECT_GE(a.reselection_policy, 0);
-    EXPECT_LE(a.reselection_policy, 2);
-    if (a.reselection_policy == 1) {
+    EXPECT_NE(a.protocol, scenario::AttachProtocol::Default);
+    if (a.reselection_policy == ran::ReselectionPolicyKind::A3TimeToTrigger) {
       EXPECT_GE(a.ttt_ms, 160);
       EXPECT_LE(a.ttt_ms, 640);
     } else {
@@ -187,7 +185,8 @@ TEST(FuzzScenario, GeneratorIsDeterministicAndInRange) {
     }
     EXPECT_TRUE(a.l3_filter_k == 0 || a.l3_filter_k == 4 || a.l3_filter_k == 8 ||
                 a.l3_filter_k == 12);
-    if (a.reselection_policy == 2 && a.shadow_sigma_db > 0.0) {
+    if (a.reselection_policy == ran::ReselectionPolicyKind::RankBased &&
+        a.shadow_sigma_db > 0.0) {
       EXPECT_GE(a.l3_filter_k, 4) << "rank + noise must keep at least the k=4 filter";
     }
     for (std::size_t i = 1; i < a.faults.size(); ++i) {
@@ -208,7 +207,7 @@ TEST(FuzzScenario, JsonRoundTripPreservesEveryField) {
     s.plant_dedup_bug = (seed % 2) == 0;
     expect_same_scenario(s, scenario_from_json(json_parse(scenario_to_json(s).dump())));
     // load_repro accepts a bare scenario object, not just full documents.
-    expect_same_scenario(s, load_repro(scenario_to_json(s).dump(2)));
+    expect_same_scenario(s, load_repro(scenario_to_json(s).dump(2)).scenario);
   }
 }
 
@@ -284,6 +283,84 @@ TEST(FuzzScenario, ReproRejectsValuesThatCannotRun) {
                                                          {"start_s", JsonValue(10.0)},
                                                          {"duration_s", JsonValue(5.0)}})});
   EXPECT_NO_THROW(load_repro(JsonValue(std::move(o)).dump()));
+}
+
+// Both axes are written by their to_string names and read back by
+// from_string; each key is still omitted at its default (sap, a3).
+TEST(FuzzScenario, AxesRoundTripByName) {
+  scenario::FuzzScenario s = scenario::random_scenario(1);
+  s.protocol = scenario::AttachProtocol::SapResume;
+  s.reselection_policy = ran::ReselectionPolicyKind::A3TimeToTrigger;
+  s.ttt_ms = 480;
+  const JsonValue encoded = scenario_to_json(s);
+  EXPECT_EQ(encoded.at("attach_protocol").as_string(), "sap_resume");
+  EXPECT_EQ(encoded.at("reselection_policy").as_string(), "a3_ttt");
+  EXPECT_FALSE(encoded.contains("resume_ticket"));
+  expect_same_scenario(s, scenario_from_json(json_parse(encoded.dump())));
+
+  s.protocol = scenario::AttachProtocol::Sap;
+  s.reselection_policy = ran::ReselectionPolicyKind::A3Hysteresis;
+  s.ttt_ms = 0;
+  const JsonValue defaults = scenario_to_json(s);
+  EXPECT_FALSE(defaults.contains("attach_protocol"));
+  EXPECT_FALSE(defaults.contains("reselection_policy"));
+}
+
+// A document in the retired integer form once replayed as SAP/A3 whatever it
+// recorded, so a bug the recorded protocol tripped would read as fixed.
+TEST(FuzzScenario, ReproRejectsRetiredAxisEncodings) {
+  const JsonObject valid = scenario_to_json(scenario::random_scenario(1)).as_object();
+  auto rejected = [&](const std::string& key, JsonValue bad) {
+    SCOPED_TRACE(key + "=" + bad.dump());
+    JsonObject o = valid;
+    o[key] = std::move(bad);
+    EXPECT_THROW(load_repro(JsonValue(std::move(o)).dump()), std::runtime_error);
+  };
+  rejected("attach_protocol", JsonValue(0));
+  rejected("attach_protocol", JsonValue(2));
+  rejected("resume_ticket", JsonValue(true));
+  rejected("resume_ticket", JsonValue(false));
+  rejected("reselection_policy", JsonValue(1));
+  rejected("attach_protocol", JsonValue("MNO"));
+  rejected("attach_protocol", JsonValue("default"));
+  rejected("reselection_policy", JsonValue("ttt"));
+  try {
+    JsonObject o = valid;
+    o["attach_protocol"] = 0;
+    load_repro(JsonValue(std::move(o)).dump());
+    FAIL() << "a numeric attach_protocol must not decode";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"sap\""), std::string::npos) << e.what();
+  }
+}
+
+// write_repro records the sweep cadence and load_repro hands it back, so a
+// replay checks at the cadence the violation was found at.
+TEST(FuzzScenario, ReproCarriesItsCheckCadence) {
+  ShrinkResult found;
+  found.minimal = scenario::random_scenario(3);
+  found.witness = Violation{"billing.dedup", TimePoint::zero() + Duration::s(12), "planted"};
+  RunOptions half;
+  half.check_cadence = Duration::millis(500);
+  const Repro repro = load_repro(write_repro(found, half, "repro.json"));
+  EXPECT_EQ(repro.run.check_cadence, Duration::millis(500));
+  expect_same_scenario(found.minimal, repro.scenario);
+  // A bare scenario records no cadence: the 1 s default.
+  EXPECT_EQ(load_repro(scenario_to_json(found.minimal).dump()).run.check_cadence,
+            Duration::s(1));
+
+  // InvariantEngine::arm schedules every tick up front: 0 and -1 once
+  // aborted a run, and 1e-9 would exhaust memory. The same 1 ms floor holds
+  // for --cadence-s and for a document's value.
+  JsonObject doc = json_parse(write_repro(found, half, "repro.json")).as_object();
+  for (double bad : {0.0, -1.0, 1e-9}) {
+    SCOPED_TRACE(::testing::Message() << "cadence " << bad);
+    EXPECT_THROW(check_cadence(bad), std::runtime_error);
+    doc["check_cadence_s"] = bad;
+    EXPECT_THROW(load_repro(JsonValue(doc).dump()), std::runtime_error);
+  }
+  EXPECT_THROW(check_cadence(std::numeric_limits<double>::infinity()), std::runtime_error);
+  EXPECT_EQ(check_cadence(0.001), Duration::millis(1));
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +521,7 @@ TEST(Shrink, PlantedDedupBugIsCaughtShrunkAndReplays) {
   // And it survives the repro file round-trip: write_repro -> load_repro
   // reproduces the identical run.
   const std::string doc = write_repro(res, RunOptions{}, "repro.json");
-  const scenario::FuzzScenario reloaded = load_repro(doc);
+  const scenario::FuzzScenario reloaded = load_repro(doc).scenario;
   expect_same_scenario(res.minimal, reloaded);
   const RunReport replayed = run_scenario(reloaded);
   EXPECT_TRUE(violates(replayed, "billing.dedup"));
@@ -489,8 +566,7 @@ TEST(Shrink, PlantedDedupBugIsCaughtOnAFourShardBroker) {
 // before, and the trace pins did not move.
 scenario::FuzzScenario report_path_case(std::uint64_t seed) {
   scenario::FuzzScenario s = scenario::random_scenario(seed);
-  s.attach_protocol = 2;  // SAP
-  s.resume_ticket = false;
+  s.protocol = scenario::AttachProtocol::Sap;
   s.broker_shards = 1;
   s.fluid_ues = 0;
   s.faults.clear();
@@ -523,7 +599,7 @@ TEST(ReportPathGolden, OneShardWanDegradeRetransmitsUeAndTelcoReports) {
 
 TEST(ReportPathGolden, SapResumeSendsResumeNotifies) {
   scenario::FuzzScenario s = report_path_case(9);
-  s.resume_ticket = true;
+  s.protocol = scenario::AttachProtocol::SapResume;
   // A lossy WAN for the whole run, so notify acks go missing and notifies
   // are resent (some to exhaustion).
   s.faults.push_back({.kind = scenario::FuzzFault::Kind::WanDegrade,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <tuple>
 
 #include "net/network.hpp"
@@ -19,7 +20,6 @@ namespace {
 
 WorldConfig static_cb_config(int towers = 2) {
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = towers;
   cfg.route = RouteSpec{"static", false, 0.1, 500.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -544,6 +544,18 @@ TEST(Chaos, EngineEquivalenceGolden) {
   EXPECT_EQ(r.unpaired_expired, 6u);
   EXPECT_EQ(r.pairs_compared, 24u);
   EXPECT_TRUE(r.ue_attached_at_end);
+}
+
+// The availability sampler reads the UE agent, which an EPC world lacks: a
+// chaos run once built one for a non-Default EPC protocol and dereferenced
+// its null agent at the first sample.
+TEST(Chaos, RejectsAnEpcProtocol) {
+  for (AttachProtocol p : {AttachProtocol::EpsAka, AttachProtocol::Aka5g}) {
+    ChaosConfig cfg;
+    cfg.world.protocol = p;
+    cfg.duration = Duration::s(5);
+    EXPECT_THROW(run_chaos(cfg), std::invalid_argument) << to_string(p);
+  }
 }
 
 TEST(Chaos, TrialRunnerWorkerThreadIsBitIdentical) {

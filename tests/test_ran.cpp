@@ -356,6 +356,18 @@ PolicyStats run_noisy_drive(std::uint64_t channel_seed, ReselectionPolicyKind po
   return st;
 }
 
+TEST(ReselectionPolicyKind, FromStringInvertsToString) {
+  for (ReselectionPolicyKind k : {ReselectionPolicyKind::A3Hysteresis,
+                                  ReselectionPolicyKind::A3TimeToTrigger,
+                                  ReselectionPolicyKind::RankBased}) {
+    EXPECT_EQ(from_string(to_string(k)), k) << to_string(k);
+  }
+  // cbfuzz's retired `--policy ttt`, a wrong case and the empty string.
+  for (const char* bad : {"ttt", "A3", "MNO", ""}) {
+    EXPECT_EQ(from_string(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 TEST(PolicyProperties, TimeToTriggerDampsPingPong) {
   const std::uint64_t base = cb::test::seed_or(31000);
   SCOPED_TRACE(::testing::Message() << "replay with CB_TEST_SEED=" << base);

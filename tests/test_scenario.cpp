@@ -32,11 +32,11 @@ TEST(Routes, NightSelectsNightPolicy) {
   EXPECT_LT(suburb_day().policy.mean_bps, 2e6);
 }
 
-class WorldArchSweep : public ::testing::TestWithParam<Architecture> {};
+class WorldProtocolSweep : public ::testing::TestWithParam<AttachProtocol> {};
 
-TEST_P(WorldArchSweep, BuildsAndAcquiresCoverage) {
+TEST_P(WorldProtocolSweep, BuildsAndAcquiresCoverage) {
   WorldConfig cfg;
-  cfg.arch = GetParam();
+  cfg.protocol = GetParam();
   cfg.n_towers = 4;
   cfg.route = RouteSpec{"t", false, 10.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -48,9 +48,9 @@ TEST_P(WorldArchSweep, BuildsAndAcquiresCoverage) {
   EXPECT_TRUE(world.ue_node()->primary_address().valid());
 }
 
-TEST_P(WorldArchSweep, DriveProducesExpectedHandovers) {
+TEST_P(WorldProtocolSweep, DriveProducesExpectedHandovers) {
   WorldConfig cfg;
-  cfg.arch = GetParam();
+  cfg.protocol = GetParam();
   cfg.n_towers = 5;
   cfg.route = RouteSpec{"t", false, 20.0, 600.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -63,13 +63,13 @@ TEST_P(WorldArchSweep, DriveProducesExpectedHandovers) {
   EXPECT_EQ(changes, 4);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothArchitectures, WorldArchSweep,
-                         ::testing::Values(Architecture::Mno, Architecture::CellBricks));
+INSTANTIATE_TEST_SUITE_P(BothWorlds, WorldProtocolSweep,
+                         ::testing::Values(AttachProtocol::EpsAka, AttachProtocol::Sap),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
 
 TEST(WorldDeterminism, SameSeedSameOutcome) {
   auto run = [] {
     WorldConfig cfg;
-    cfg.arch = Architecture::CellBricks;
     cfg.seed = 77;
     cfg.n_towers = 4;
     cfg.route = RouteSpec{"t", false, 15.0, 700.0, ran::RatePolicy::day()};
@@ -92,9 +92,9 @@ TEST(WorldDeterminism, SameSeedSameOutcome) {
 
 TEST(AttachExperiment, Fig7ShapeHolds) {
   const auto bl_west =
-      run_attach_experiment(Architecture::Mno, Duration::millis(7.2), 20);
+      run_attach_experiment(AttachProtocol::EpsAka, Duration::millis(7.2), 20);
   const auto cb_west =
-      run_attach_experiment(Architecture::CellBricks, Duration::millis(7.2), 20);
+      run_attach_experiment(AttachProtocol::Sap, Duration::millis(7.2), 20);
   ASSERT_EQ(bl_west.attaches, 20);
   ASSERT_EQ(cb_west.attaches, 20);
   // CB beats BL at us-west by roughly the paper's 14%.
@@ -106,27 +106,37 @@ TEST(AttachExperiment, Fig7ShapeHolds) {
 }
 
 TEST(AttachExperiment, BreakdownMatchesCalibratedProfiles) {
-  const auto bl = run_attach_experiment(Architecture::Mno, Duration::millis(0.5), 10);
+  const auto bl = run_attach_experiment(AttachProtocol::EpsAka, Duration::millis(0.5), 10);
   EXPECT_NEAR(bl.agw_core_ms, 17.5, 0.5);  // 4 x 3 ms MME + 2 x 2.75 ms HSS
   EXPECT_NEAR(bl.enb_ms, 3.0, 0.2);
   EXPECT_NEAR(bl.ue_ms, 2.0, 0.2);
-  const auto cb = run_attach_experiment(Architecture::CellBricks, Duration::millis(0.5), 10);
+  const auto cb = run_attach_experiment(AttachProtocol::Sap, Duration::millis(0.5), 10);
   EXPECT_NEAR(cb.agw_core_ms, 21.25, 0.5);  // 2 x 6.5 ms AGW + 8.25 ms broker
   EXPECT_NEAR(cb.ue_ms, 2.5, 0.2);
 }
 
 TEST(AttachStorm, AllCompleteAndLatencyGrowsWithLoad) {
-  const AttachStorm small = run_attach_storm(Architecture::CellBricks, 5,
+  const AttachStorm small = run_attach_storm(AttachProtocol::Sap, 5,
                                              Duration::millis(7.2), 0.0);
-  const AttachStorm big = run_attach_storm(Architecture::CellBricks, 40,
+  const AttachStorm big = run_attach_storm(AttachProtocol::Sap, 40,
                                            Duration::millis(7.2), 0.0);
   EXPECT_EQ(small.completed, 5);
   EXPECT_EQ(big.completed, 40);
   EXPECT_GT(big.p99_ms, small.p99_ms * 3);  // queueing at the broker
 }
 
+TEST(AttachStorm, RunsOnlyTheEpsAkaAndSapLadders) {
+  EXPECT_THROW(run_attach_storm(AttachProtocol::Aka5g, 2, Duration::millis(7.2), 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_attach_storm(AttachProtocol::SapResume, 2, Duration::millis(7.2), 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_attach_storm(AttachProtocol::Default, 2, Duration::millis(7.2), 0.0),
+               std::invalid_argument);
+  EXPECT_EQ(run_attach_storm(AttachProtocol::EpsAka, 2, Duration::millis(7.2), 0.0).completed, 2);
+}
+
 TEST(AttachStorm, SurvivesControlPathLoss) {
-  const AttachStorm lossy = run_attach_storm(Architecture::CellBricks, 20,
+  const AttachStorm lossy = run_attach_storm(AttachProtocol::Sap, 20,
                                              Duration::millis(7.2), 0.08);
   EXPECT_EQ(lossy.completed, 20);  // the SAP retransmission recovers everything
 }
@@ -145,7 +155,6 @@ TEST(Routes, ExpectedMtthoIsSpacingOverSpeed) {
 
 TEST(WorldWiring, CellBricksBuildsOneBtelcoPerTower) {
   WorldConfig cfg;
-  cfg.arch = Architecture::CellBricks;
   cfg.n_towers = 6;
   cfg.route = RouteSpec{"t", false, 10.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -164,7 +173,7 @@ TEST(WorldWiring, CellBricksBuildsOneBtelcoPerTower) {
 
 TEST(WorldWiring, MnoHasNoBrokerAndNoBtelcos) {
   WorldConfig cfg;
-  cfg.arch = Architecture::Mno;
+  cfg.protocol = AttachProtocol::EpsAka;
   cfg.n_towers = 3;
   cfg.route = RouteSpec{"t", false, 10.0, 700.0, ran::RatePolicy::unlimited()};
   cfg.unlimited_policy = true;
@@ -210,7 +219,7 @@ TEST(TrialRunnerEdge, FirstExceptionByIndexIsRethrownAfterBarrier) {
 TEST(Table1, QuickCellProducesSaneMetrics) {
   Table1Options opt;
   opt.duration = Duration::s(60);
-  const Table1Cell cell = run_table1_cell(Architecture::CellBricks, suburb_night(), opt);
+  const Table1Cell cell = run_table1_cell(AttachProtocol::Sap, suburb_night(), opt);
   EXPECT_GT(cell.ping_p50_ms, 30.0);
   EXPECT_LT(cell.ping_p50_ms, 80.0);
   EXPECT_GT(cell.iperf_mbps, 1.0);

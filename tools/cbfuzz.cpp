@@ -1,7 +1,7 @@
 // cbfuzz — scenario fuzzer for the CellBricks simulation checker.
 //
 //   cbfuzz --seeds N [--base B] [--threads T] [--cadence-s C]
-//          [--protocol eps_aka|5g_aka|sap|sap_resume] [--policy a3|ttt|rank]
+//          [--protocol eps_aka|5g_aka|sap|sap_resume] [--policy a3|a3_ttt|rank]
 //          [--plant-dedup-bug] [--out FILE] [--no-shrink] [--verbose]
 //       Run the seed corpus [B, B+N) (each seed samples one random scenario
 //       via scenario::random_scenario) under the full invariant catalogue.
@@ -12,9 +12,10 @@
 //   cbfuzz --seed S [...]
 //       Single-seed corpus (same as --seeds 1 --base S).
 //
-//   cbfuzz --replay FILE
-//       Re-run a repro document (or bare scenario JSON) and report whether
-//       the violation still reproduces.
+//   cbfuzz --replay FILE [--cadence-s C]
+//       Re-run a repro document (or bare scenario JSON) at the cadence it
+//       records (1 s for a bare scenario) unless --cadence-s is given, and
+//       report whether the violation still reproduces.
 //
 // CB_TEST_SEED overrides the corpus base when --base/--seed is not given,
 // so a failing seed printed by CI can be re-run without editing anything.
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -39,12 +41,12 @@ struct Args {
   std::uint64_t base = 1;
   std::size_t seeds = 0;  // 0 = not a corpus run
   unsigned threads = 0;   // 0 = hardware concurrency
-  double cadence_s = 1.0;
+  std::optional<Duration> cadence;  // unset: 1 s, or the repro's own
   bool plant_dedup_bug = false;
   bool shrink = true;
   bool verbose = false;
-  std::string protocol;  // empty = let the sampler choose the attach protocol
-  std::string policy;    // empty = let the sampler choose the reselection policy
+  std::optional<scenario::AttachProtocol> protocol;  // unset: the sampler chooses
+  std::optional<ran::ReselectionPolicyKind> policy;    // unset: the sampler chooses
   std::string out = "cbfuzz_repro.json";
   std::string replay;  // non-empty: replay mode
 };
@@ -53,10 +55,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: cbfuzz --seeds N [--base B] [--threads T] [--cadence-s C]\n"
                "              [--protocol eps_aka|5g_aka|sap|sap_resume]\n"
-               "              [--policy a3|ttt|rank]\n"
+               "              [--policy a3|a3_ttt|rank]\n"
                "              [--plant-dedup-bug] [--out FILE] [--no-shrink] [--verbose]\n"
                "       cbfuzz --seed S [...]\n"
-               "       cbfuzz --replay FILE\n");
+               "       cbfuzz --replay FILE [--cadence-s C]\n");
   return 2;
 }
 
@@ -87,21 +89,25 @@ bool parse(int argc, char** argv, Args& out) {
     } else if (flag == "--cadence-s") {
       const char* v = next();
       if (v == nullptr) return false;
-      out.cadence_s = std::atof(v);
+      try {
+        out.cadence = check::check_cadence(std::atof(v));
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cbfuzz: --cadence-s %s: %s\n", v, e.what());
+        return false;
+      }
     } else if (flag == "--protocol") {
       const char* v = next();
       if (v == nullptr) return false;
-      out.protocol = v;
-      if (out.protocol != "eps_aka" && out.protocol != "5g_aka" && out.protocol != "sap" &&
-          out.protocol != "sap_resume") {
+      out.protocol = scenario::from_string(v);
+      if (!out.protocol || *out.protocol == scenario::AttachProtocol::Default) {
         std::fprintf(stderr, "unknown protocol: %s\n", v);
         return false;
       }
     } else if (flag == "--policy") {
       const char* v = next();
       if (v == nullptr) return false;
-      out.policy = v;
-      if (out.policy != "a3" && out.policy != "ttt" && out.policy != "rank") {
+      out.policy = ran::from_string(v);
+      if (!out.policy) {
         std::fprintf(stderr, "unknown policy: %s\n", v);
         return false;
       }
@@ -139,33 +145,19 @@ scenario::FuzzScenario scenario_for(const Args& args, std::uint64_t seed) {
   s.plant_dedup_bug = args.plant_dedup_bug;
   // --protocol pins the attach axis for the whole corpus (conformance
   // sweeps); everything else about each scenario is untouched.
-  if (args.protocol == "eps_aka") {
-    s.attach_protocol = 0;
-    s.resume_ticket = false;
-  } else if (args.protocol == "5g_aka") {
-    s.attach_protocol = 1;
-    s.resume_ticket = false;
-  } else if (args.protocol == "sap") {
-    s.attach_protocol = 2;
-    s.resume_ticket = false;
-  } else if (args.protocol == "sap_resume") {
-    s.attach_protocol = 2;
-    s.resume_ticket = true;
-  }
+  if (args.protocol) s.protocol = *args.protocol;
   // --policy pins the reselection axis the same way (policy A/B sweeps).
-  // TTT gets a mid-range trigger when the sampler did not pick one.
-  if (args.policy == "a3") {
-    s.reselection_policy = 0;
-    s.ttt_ms = 0;
-  } else if (args.policy == "ttt") {
-    s.reselection_policy = 1;
-    if (s.ttt_ms == 0) s.ttt_ms = 480;
-  } else if (args.policy == "rank") {
-    s.reselection_policy = 2;
-    s.ttt_ms = 0;
+  if (args.policy) {
+    using Kind = ran::ReselectionPolicyKind;
+    s.reselection_policy = *args.policy;
+    // TTT gets a mid-range trigger when the sampler did not pick one.
+    if (*args.policy != Kind::A3TimeToTrigger) s.ttt_ms = 0;
+    if (*args.policy == Kind::A3TimeToTrigger && s.ttt_ms == 0) s.ttt_ms = 480;
     // Same churn containment as the sampler: rank on a noisy channel needs
     // at least the k=4 filter to keep the horizon tractable.
-    if (s.shadow_sigma_db > 0.0 && s.l3_filter_k < 4) s.l3_filter_k = 4;
+    if (*args.policy == Kind::RankBased && s.shadow_sigma_db > 0.0 && s.l3_filter_k < 4) {
+      s.l3_filter_k = 4;
+    }
   }
   return s;
 }
@@ -185,18 +177,17 @@ int run_replay(const Args& args) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  scenario::FuzzScenario s;
+  check::Repro repro;
   try {
-    s = check::load_repro(buf.str());
+    repro = check::load_repro(buf.str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cbfuzz: %s\n", e.what());
     return 2;
   }
-  check::RunOptions run_options;
-  run_options.check_cadence = Duration::seconds(args.cadence_s);
-  const check::RunReport report = check::run_scenario(s, run_options);
+  if (args.cadence) repro.run.check_cadence = *args.cadence;
+  const check::RunReport report = check::run_scenario(repro.scenario, repro.run);
   std::printf("seed %llu\nchecks_run %llu\nviolations %zu\nfingerprint %016llx\n",
-              static_cast<unsigned long long>(s.seed),
+              static_cast<unsigned long long>(repro.scenario.seed),
               static_cast<unsigned long long>(report.checks_run), report.violations.size(),
               static_cast<unsigned long long>(report.fingerprint()));
   if (!report.ok()) {
@@ -210,7 +201,7 @@ int run_replay(const Args& args) {
 
 int run_corpus(const Args& args) {
   check::RunOptions run_options;
-  run_options.check_cadence = Duration::seconds(args.cadence_s);
+  if (args.cadence) run_options.check_cadence = *args.cadence;
 
   struct TrialResult {
     std::uint64_t seed = 0;

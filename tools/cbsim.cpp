@@ -1,21 +1,16 @@
-// cbsim — command-line driver for the CellBricks simulation library.
-//
-//   cbsim attach  [--arch mno|cb] [--rtt-ms R] [--n N]
-//       Run N sequential attachments and print latency + module breakdown.
-//
-//   cbsim drive   [--arch mno|cb] [--route suburb|downtown|highway]
-//                 [--night] [--app iperf|ping|voip|video|web] [--secs S]
-//                 [--seed K]
-//       Drive the route running one application; print its metrics.
-//
-//   cbsim storm   [--arch mno|cb] [--ues N] [--loss P] [--rtt-ms R]
-//       N simultaneous attach requests against one cell.
-//
-// Exit code 0 on success; metrics go to stdout, one `key value` per line —
-// convenient for scripting sweeps.
+// cbsim — command-line driver for the CellBricks simulation library:
+// `attach` runs N sequential attachments and prints latency + module
+// breakdown, `drive` drives a route running one application and prints its
+// metrics, `storm` sends N simultaneous attach requests against one cell
+// (usage() lists the flags). Exit code 0 on success, 2 on an unknown flag
+// or value; metrics go to stdout, one `key value` per line — convenient
+// for scripting sweeps.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "apps/iperf.hpp"
@@ -33,7 +28,7 @@ namespace {
 
 struct Args {
   std::string command;
-  Architecture arch = Architecture::CellBricks;
+  AttachProtocol protocol = AttachProtocol::Sap;
   std::string route = "suburb";
   bool night = false;
   std::string app = "iperf";
@@ -47,12 +42,28 @@ struct Args {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cbsim attach [--arch mno|cb] [--rtt-ms R] [--n N]\n"
-               "       cbsim drive  [--arch mno|cb] [--route suburb|downtown|highway]\n"
+               "usage: cbsim attach [--protocol P] [--rtt-ms R] [--n N]\n"
+               "       cbsim drive  [--protocol P] [--route suburb|downtown|highway]\n"
                "                    [--night] [--app iperf|ping|voip|video|web]\n"
                "                    [--secs S] [--seed K]\n"
-               "       cbsim storm  [--arch mno|cb] [--ues N] [--loss P] [--rtt-ms R]\n");
+               "       cbsim storm  [--protocol eps_aka|sap] [--ues N] [--loss P] [--rtt-ms R]\n"
+               "       P: eps_aka | 5g_aka | sap (default) | sap_resume\n");
   return 2;
+}
+
+constexpr const char* kApps[] = {"iperf", "ping", "voip", "video", "web"};
+
+bool unknown(const char* what, const std::string& value) {
+  std::fprintf(stderr, "unknown %s: %s\n", what, value.c_str());
+  return false;
+}
+
+/// The named route at the given time of day; nullopt for an unknown name.
+std::optional<RouteSpec> pick_route(const std::string& name, bool night) {
+  if (name == "suburb") return night ? suburb_night() : suburb_day();
+  if (name == "downtown") return night ? downtown_night() : downtown_day();
+  if (name == "highway") return night ? highway_night() : highway_day();
+  return std::nullopt;
 }
 
 bool parse(int argc, char** argv, Args& out) {
@@ -63,18 +74,24 @@ bool parse(int argc, char** argv, Args& out) {
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (flag == "--night") {
       out.night = true;
-    } else if (flag == "--arch") {
+    } else if (flag == "--protocol") {
       const char* v = next();
       if (v == nullptr) return false;
-      out.arch = std::strcmp(v, "mno") == 0 ? Architecture::Mno : Architecture::CellBricks;
+      const auto protocol = from_string(v);
+      if (!protocol || *protocol == AttachProtocol::Default) return unknown("protocol", v);
+      out.protocol = *protocol;
     } else if (flag == "--route") {
       const char* v = next();
       if (v == nullptr) return false;
       out.route = v;
+      if (!pick_route(out.route, false)) return unknown("route", v);
     } else if (flag == "--app") {
       const char* v = next();
       if (v == nullptr) return false;
       out.app = v;
+      if (std::find(std::begin(kApps), std::end(kApps), out.app) == std::end(kApps)) {
+        return unknown("app", v);
+      }
     } else if (flag == "--rtt-ms") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -100,42 +117,40 @@ bool parse(int argc, char** argv, Args& out) {
       if (v == nullptr) return false;
       out.seed = static_cast<std::uint64_t>(std::atoll(v));
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      return false;
+      return unknown("flag", flag);
     }
   }
   return true;
 }
 
-RouteSpec pick_route(const Args& a) {
-  if (a.route == "downtown") return a.night ? downtown_night() : downtown_day();
-  if (a.route == "highway") return a.night ? highway_night() : highway_day();
-  return a.night ? suburb_night() : suburb_day();
-}
-
 int cmd_attach(const Args& a) {
   const AttachBreakdown b =
-      run_attach_experiment(a.arch, Duration::millis(a.rtt_ms), a.n, a.seed);
-  std::printf("arch %s\nattaches %d\ntotal_ms %.3f\nagw_core_ms %.3f\nenb_ms %.3f\n"
+      run_attach_experiment(a.protocol, Duration::millis(a.rtt_ms), a.n, a.seed);
+  std::printf("protocol %s\nattaches %d\ntotal_ms %.3f\nagw_core_ms %.3f\nenb_ms %.3f\n"
               "ue_ms %.3f\nother_ms %.3f\n",
-              a.arch == Architecture::CellBricks ? "cellbricks" : "mno", b.attaches,
-              b.total_ms, b.agw_core_ms, b.enb_ms, b.ue_ms, b.other_ms);
-  return b.attaches == a.n ? 0 : 1;
+              to_string(b.protocol), b.attaches, b.total_ms, b.agw_core_ms, b.enb_ms, b.ue_ms,
+              b.other_ms);
+  // Under sap_resume, cycles that resumed or fell back are not `attaches`.
+  return b.attaches + b.resumes + b.resume_fallbacks == a.n ? 0 : 1;
 }
 
 int cmd_storm(const Args& a) {
-  const AttachStorm s = run_attach_storm(a.arch, a.ues, Duration::millis(a.rtt_ms), a.loss,
-                                         a.seed);
-  std::printf("arch %s\nues %d\ncompleted %d\nmean_ms %.3f\np99_ms %.3f\n",
-              a.arch == Architecture::CellBricks ? "cellbricks" : "mno", s.n_ues,
-              s.completed, s.mean_ms, s.p99_ms);
+  AttachStorm s;
+  try {
+    s = run_attach_storm(a.protocol, a.ues, Duration::millis(a.rtt_ms), a.loss, a.seed);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cbsim: %s\n", e.what());
+    return usage();
+  }
+  std::printf("protocol %s\nues %d\ncompleted %d\nmean_ms %.3f\np99_ms %.3f\n",
+              to_string(a.protocol), s.n_ues, s.completed, s.mean_ms, s.p99_ms);
   return s.completed == a.ues ? 0 : 1;
 }
 
 int cmd_drive(const Args& a) {
-  const RouteSpec route = pick_route(a);
+  const RouteSpec route = *pick_route(a.route, a.night);
   WorldConfig cfg;
-  cfg.arch = a.arch;
+  cfg.protocol = a.protocol;
   cfg.route = route;
   cfg.seed = a.seed;
   cfg.n_towers =
@@ -145,9 +160,7 @@ int cmd_drive(const Args& a) {
   World world(cfg);
   const Duration run_time = Duration::s(a.secs);
 
-  std::printf("arch %s\nroute %s\n",
-              a.arch == Architecture::CellBricks ? "cellbricks" : "mno",
-              route.name.c_str());
+  std::printf("protocol %s\nroute %s\n", to_string(world.protocol()), route.name.c_str());
 
   if (a.app == "ping") {
     apps::PingServer server(*world.server_node(), 7);

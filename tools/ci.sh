@@ -31,6 +31,18 @@ if [[ -n "$broker_frames" ]]; then
 fi
 echo "one broker client ok"
 
+echo "=== one attach-protocol axis (source guard) ==="
+# AttachProtocol names the attach axis (DESIGN.md §14). The architecture enum
+# lives on only in scenario/world.{hpp,cpp}, as the type of the field cbbench
+# sets (ROADMAP item 4); the bracket keeps this script from matching itself.
+arch_uses=$(grep -rnw 'Architectur[e]' src tools bench examples |
+  grep -vE '^src/scenario/world\.(hpp|cpp):' || true)
+if [[ -n "$arch_uses" ]]; then
+  echo "the architecture enum used outside scenario/world.{hpp,cpp}:"; echo "$arch_uses"
+  exit 1
+fi
+echo "one attach-protocol axis ok"
+
 echo "=== one report frame (source guard) ==="
 # ReportFrame (cellbricks/billing.hpp) is the only writer and reader of the
 # sealed report frame {str reporter_id, u8 reporter, bytes report, bytes sig}.
@@ -316,11 +328,11 @@ run_fuzz build/tools/cbfuzz 96
 for proto in eps_aka 5g_aka sap_resume; do
   run_fuzz build/tools/cbfuzz 16 "$proto"
 done
-# Reselection-policy sweeps: the damped (ttt) and strawman (rank) policies
-# pinned across the corpus so the ran.* invariants (margin evidence, hold
-# times, change conservation) see both extremes under chaos, not just the
-# sampler's policy mix.
-for policy in ttt rank; do
+# Reselection-policy sweeps: the damped (a3_ttt) and strawman (rank)
+# policies pinned across the corpus so the ran.* invariants (margin evidence,
+# hold times, change conservation) see both extremes under chaos, not just
+# the sampler's policy mix.
+for policy in a3_ttt rank; do
   run_fuzz build/tools/cbfuzz 16 "" "$policy"
 done
 [[ -x build-asan/tools/cbfuzz ]] && run_fuzz build-asan/tools/cbfuzz 8
