@@ -14,6 +14,11 @@
 #include "scenario/world.hpp"
 
 namespace cb::scenario {
+
+// Names the ctest entry by the protocol's canonical spelling instead of the
+// enum's raw bytes. It sits in the enum's namespace so that gtest finds it.
+static void PrintTo(AttachProtocol p, std::ostream* os) { *os << to_string(p); }
+
 namespace {
 
 TEST(Routes, MtthoCalibrationMatchesPaper) {
@@ -64,8 +69,7 @@ TEST_P(WorldProtocolSweep, DriveProducesExpectedHandovers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothWorlds, WorldProtocolSweep,
-                         ::testing::Values(AttachProtocol::EpsAka, AttachProtocol::Sap),
-                         [](const auto& info) { return std::string(to_string(info.param)); });
+                         ::testing::Values(AttachProtocol::EpsAka, AttachProtocol::Sap));
 
 TEST(WorldDeterminism, SameSeedSameOutcome) {
   auto run = [] {
