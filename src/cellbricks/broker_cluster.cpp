@@ -8,8 +8,8 @@
 namespace cb::cellbricks {
 namespace {
 
-/// The subscriber plan handed to bTelcos as qosInfo: unconstrained rates,
-/// the best-effort bearer.
+/// The qosInfo every subscriber's sessions get: unconstrained rates, the
+/// best-effort bearer.
 constexpr QosInfo kDefaultQos{};
 
 std::uint64_t endpoint_key(const net::EndPoint& ep) {
@@ -105,15 +105,9 @@ void BrokerShard::add_subscriber(const std::string& id_u, crypto::RsaPublicKey k
   sap_.add_subscriber(id_u, std::move(key));
 }
 
-void BrokerShard::remove_subscriber(const std::string& id_u) {
-  sap_.remove_subscriber(id_u);
-}
-
 void BrokerShard::add_telco(const std::string& id_t, crypto::RsaPublicKey key) {
   telco_keys_[id_t] = std::move(key);
 }
-
-void BrokerShard::set_plan(const std::string& id_u, QosInfo qos) { plans_[id_u] = qos; }
 
 std::vector<std::size_t> BrokerShard::live_view(bool ready_only) const {
   std::vector<std::size_t> out;
@@ -236,8 +230,7 @@ void BrokerShard::handle_auth(const net::EndPoint& from, ByteReader& r) {
     return;
   }
 
-  BrokerDecision& d = decision.value();
-  if (auto plan = plans_.find(d.id_u); plan != plans_.end()) d.qos = plan->second;
+  const BrokerDecision& d = decision.value();
   telco_keys_[d.id_t] = d.telco_key;
   ++sessions_issued_;
   obs::inc(obs::counter("broker.sap.ok"));
@@ -986,16 +979,8 @@ void BrokerCluster::add_subscriber(const std::string& id_u, crypto::RsaPublicKey
   for (auto& s : shards_) s->add_subscriber(id_u, key);
 }
 
-void BrokerCluster::remove_subscriber(const std::string& id_u) {
-  for (auto& s : shards_) s->remove_subscriber(id_u);
-}
-
 void BrokerCluster::add_telco(const std::string& id_t, crypto::RsaPublicKey key) {
   for (auto& s : shards_) s->add_telco(id_t, key);
-}
-
-void BrokerCluster::set_plan(const std::string& id_u, QosInfo qos) {
-  for (auto& s : shards_) s->set_plan(id_u, qos);
 }
 
 void BrokerCluster::observe_author(std::size_t stream, std::uint64_t index,

@@ -173,12 +173,10 @@ class BrokerShard {
   net::Node& node() { return node_; }
 
   void add_subscriber(const std::string& id_u, crypto::RsaPublicKey key);
-  void remove_subscriber(const std::string& id_u);
   /// Pre-register a bTelco's report-signing key (normally learned from the
   /// auth certificate; registered cluster-wide so a report can be verified
   /// at a shard that never served that bTelco's attach).
   void add_telco(const std::string& id_t, crypto::RsaPublicKey key);
-  void set_plan(const std::string& id_u, QosInfo qos);
 
   /// Fault injection: crash wipes the queued client jobs, the log, fold, and
   /// every in-flight commit/cache — only the node config and the subscriber
@@ -270,7 +268,6 @@ class BrokerShard {
   SettlementState state_;
 
   std::unordered_map<std::string, crypto::RsaPublicKey> telco_keys_;
-  std::unordered_map<std::string, QosInfo> plans_;
 
   // Authoring/commit state. The stream index advances by n_shards per
   // incarnation so a restarted shard never reuses indices it may have
@@ -363,9 +360,7 @@ class BrokerCluster {
   /// Cluster-wide registration (broker-issued material, present on every
   /// shard — the "durable subscriber DB" of DESIGN.md §12).
   void add_subscriber(const std::string& id_u, crypto::RsaPublicKey key);
-  void remove_subscriber(const std::string& id_u);
   void add_telco(const std::string& id_t, crypto::RsaPublicKey key);
-  void set_plan(const std::string& id_u, QosInfo qos);
 
   void crash_shard(std::size_t i) { shards_.at(i)->crash(); }
   void restart_shard(std::size_t i) { shards_.at(i)->restart(); }

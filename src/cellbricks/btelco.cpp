@@ -292,7 +292,6 @@ void Btelco::install_session(const TelcoSession& ts, net::Node* ue_node,
   sit->second.report_timer = node_.simulator().schedule(
       config_.report_interval, [this, sid] { send_report(sid, /*final=*/false); });
 
-  if (on_session_installed) on_session_installed(radio_link, sit->second.qos);
   ensure_gc();
   CB_LOG(Debug, "btelco") << id() << ": session " << sit->second.pseudonym << " ip "
                           << ip.to_string();

@@ -4,7 +4,8 @@
 //
 // Responsibilities (§3/§4): forward SAP messages between UE and broker
 // (adding qosCap and its signature), install sessions on authorization
-// (assign an IP from its own pool, anchor the user plane, enforce qosInfo),
+// (assign an IP from its own pool, anchor the user plane, keep the
+// negotiated qosInfo on the session; nothing enforces it),
 // meter per-session usage at its gateway, and periodically send signed,
 // encrypted traffic reports to the broker. Everything it sends the broker
 // (SAP auth requests, reports, resume notifies) rides one BrokerChannel per
@@ -124,10 +125,6 @@ class Btelco {
   /// horizon). Gateway counters are consulted so a session with fresh
   /// not-yet-swept uplink traffic is not reported stale.
   std::size_t sessions_stale_since(TimePoint cutoff) const;
-
-  /// Callback fired when a session is installed (the scenario uses it to
-  /// hook the QoS cap into the bearer shaper).
-  std::function<void(net::Link* radio_link, const QosInfo&)> on_session_installed;
 
  private:
   struct Session {

@@ -187,8 +187,6 @@ void SapBroker::add_subscriber(const std::string& id_u, crypto::RsaPublicKey key
   subscribers_[id_u] = std::move(key);
 }
 
-void SapBroker::remove_subscriber(const std::string& id_u) { subscribers_.erase(id_u); }
-
 const crypto::RsaPublicKey* SapBroker::subscriber_key(const std::string& id_u) const {
   auto it = subscribers_.find(id_u);
   return it == subscribers_.end() ? nullptr : &it->second;

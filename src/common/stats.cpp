@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace cb {
@@ -65,12 +64,6 @@ std::vector<double> TimeSeries::rates() const {
   const double w = width_.to_seconds();
   for (std::size_t i = 0; i < values_.size(); ++i) out[i] = values_[i] / w;
   return out;
-}
-
-std::string fmt(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
 }
 
 }  // namespace cb

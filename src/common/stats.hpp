@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/time.hpp"
@@ -45,7 +44,6 @@ class TimeSeries {
   std::size_t buckets() const { return values_.size(); }
   /// Sum accumulated in bucket i (0 if untouched).
   double bucket(std::size_t i) const;
-  Duration bucket_width() const { return width_; }
   /// Bucket sums divided by bucket width in seconds (rate series).
   std::vector<double> rates() const;
 
@@ -53,8 +51,5 @@ class TimeSeries {
   Duration width_;
   std::vector<double> values_;
 };
-
-/// Formats a value with fixed precision — tiny helper for bench tables.
-std::string fmt(double v, int decimals = 2);
 
 }  // namespace cb

@@ -67,15 +67,6 @@ void attach_pusher(const std::shared_ptr<transport::StreamSocket>& sock,
 
 }  // namespace
 
-const char* traffic_mode_name(TrafficMode mode) {
-  switch (mode) {
-    case TrafficMode::Packet: return "packet";
-    case TrafficMode::Fluid: return "fluid";
-    case TrafficMode::Hybrid: return "hybrid";
-  }
-  return "?";
-}
-
 std::uint64_t ScaleTrafficResult::fingerprint() const {
   std::uint64_t h = kFnvOffset;
   fnv_mix(h, static_cast<std::uint64_t>(n_ues));
@@ -179,7 +170,7 @@ ScaleTrafficSim::ScaleTrafficSim(const ScaleTrafficConfig& config) : config_(con
     // Block assignment (UE i -> cell i/per_cell): a cell's members occupy a
     // contiguous SessionId range, so the fill pass streams adjacent arena
     // rows instead of striding n_cells apart — measurably faster at 100k+.
-    arena_.create(static_cast<std::uint32_t>(i / per_cell), 1.0f, cap);
+    arena_.create(static_cast<std::uint32_t>(i / per_cell), cap);
   }
   if (config_.mobility_interval_s > 0.0 && config_.mode != TrafficMode::Packet) {
     impl_->mobility_rngs.reserve(n);

@@ -40,8 +40,6 @@ namespace cb::scenario {
 
 enum class TrafficMode { Packet, Fluid, Hybrid };
 
-const char* traffic_mode_name(TrafficMode mode);
-
 /// Flat $/GB the billing sweep accrues into the arena (fluid.billing checks
 /// billed dollars against it).
 inline constexpr double kPricePerGbUsd = 2.0;

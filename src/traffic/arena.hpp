@@ -39,7 +39,6 @@ class SessionArena {
   /// Pre-size every column; a sized arena never reallocates during a run.
   void reserve(std::size_t n) {
     cell_.reserve(n);
-    weight_.reserve(n);
     mode_.reserve(n);
     cap_bps_.reserve(n);
     rate_bps_.reserve(n);
@@ -51,12 +50,11 @@ class SessionArena {
     finish_ns_.reserve(n);
   }
 
-  /// Create a session pinned to `cell` with the given scheduler weight and
-  /// per-bearer rate cap (0 = uncapped), in a new row.
-  SessionId create(std::uint32_t cell, float weight, double cap_bps) {
+  /// Create a session pinned to `cell` with the given per-bearer rate cap
+  /// (0 = uncapped), in a new row.
+  SessionId create(std::uint32_t cell, double cap_bps) {
     const auto id = static_cast<SessionId>(cell_.size());
     cell_.push_back(cell);
-    weight_.push_back(weight);
     mode_.push_back(FlowMode::Idle);
     cap_bps_.push_back(cap_bps);
     rate_bps_.push_back(0.0);
@@ -75,14 +73,13 @@ class SessionArena {
   /// Bytes of arena memory per session slot — the working-set figure the
   /// scale bench reports (every column).
   static constexpr std::size_t bytes_per_session() {
-    return sizeof(std::uint32_t) + sizeof(float) + sizeof(FlowMode) + 6 * sizeof(double) +
+    return sizeof(std::uint32_t) + sizeof(FlowMode) + 6 * sizeof(double) +
            2 * sizeof(std::int64_t);
   }
 
   // Column accessors. References stay valid until the next create() that
   // grows the arena — reserve() up front makes them stable for a whole run.
   std::uint32_t& cell(SessionId id) { return cell_[id]; }
-  float& weight(SessionId id) { return weight_[id]; }
   FlowMode& mode(SessionId id) { return mode_[id]; }
   double& cap_bps(SessionId id) { return cap_bps_[id]; }
   double& rate_bps(SessionId id) { return rate_bps_[id]; }
@@ -94,7 +91,6 @@ class SessionArena {
   std::int64_t& finish_ns(SessionId id) { return finish_ns_[id]; }
 
   std::uint32_t cell(SessionId id) const { return cell_[id]; }
-  float weight(SessionId id) const { return weight_[id]; }
   FlowMode mode(SessionId id) const { return mode_[id]; }
   double cap_bps(SessionId id) const { return cap_bps_[id]; }
   double rate_bps(SessionId id) const { return rate_bps_[id]; }
@@ -109,11 +105,10 @@ class SessionArena {
 
  private:
   // Structure-of-arrays columns (hot first: the fluid engine's order and
-  // banking read cell/weight/cap/demand/delivered; rate holds only the share
+  // banking read cell/cap/demand/delivered; rate holds only the share
   // last published to a packet-mode ghost — FluidEngine::rate_bps is the
   // current rate of any member).
   std::vector<std::uint32_t> cell_;
-  std::vector<float> weight_;
   std::vector<FlowMode> mode_;
   std::vector<double> cap_bps_;
   std::vector<double> rate_bps_;

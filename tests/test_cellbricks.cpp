@@ -233,7 +233,11 @@ TEST(CellBricksAttach, BrokerDenialLeavesRadioDown) {
   // A failed attach must fully unwind: no IP, no session, and the radio
   // bearer back down (it is optimistically raised before SAP runs).
   World world(static_cb_config(1));
-  world.broker_cluster()->remove_subscriber("user-001");
+  // The broker now holds a key for user-001 that the UE does not: it
+  // refuses the UE's signature and denies the attach.
+  Rng key_rng(77);
+  world.broker_cluster()->add_subscriber("user-001",
+                                         crypto::RsaKeyPair::generate(key_rng, 512).public_key());
   bool failed = false;
   world.ue_agent()->attach(1, [&](Result<net::Ipv4Addr> r) { failed = !r.ok(); });
   world.simulator().run_for(Duration::s(5));

@@ -267,10 +267,14 @@ TEST_F(SapTest, SecurityContextDerivationIsDeterministicAndSeparated) {
 }
 
 TEST_F(SapTest, RevokedSubscriberRejected) {
-  broker_->remove_subscriber("alice");
-  const Bytes req_u = ue_->make_auth_req("telco-1", rng_);
+  // The broker's key record is the subscription: a UE it holds no key for
+  // (revoked, or never registered) is refused.
+  SapUe mallory("mallory", "broker", crypto::RsaKeyPair::generate(rng_, kBits), broker_pk_);
+  const Bytes req_u = mallory.make_auth_req("telco-1", rng_);
   const Bytes req_t = telco1_->make_auth_req_t(req_u, QosCap{});
-  EXPECT_FALSE(broker_process(req_t).ok());
+  const auto decision = broker_process(req_t);
+  ASSERT_FALSE(decision.ok());
+  EXPECT_EQ(decision.error(), "authVec: unknown subscriber");
 }
 
 TEST_F(SapTest, SessionKeysDifferAcrossAttachments) {

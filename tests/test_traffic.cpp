@@ -22,17 +22,16 @@ namespace {
 
 TEST(Arena, SoALayout) {
   SessionArena arena(8);
-  const SessionId a = arena.create(0, 1.0f, 5e6);
-  const SessionId b = arena.create(3, 2.0f, 0.0);
+  const SessionId a = arena.create(0, 5e6);
+  const SessionId b = arena.create(3, 0.0);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(arena.slots(), 2u);
   EXPECT_EQ(arena.cell(b), 3u);
-  EXPECT_EQ(arena.weight(b), 2.0f);
   EXPECT_EQ(arena.cap_bps(a), 5e6);
   EXPECT_EQ(arena.mode(b), FlowMode::Idle);
   // The working-set figure is a compile-time constant of the column set.
-  EXPECT_EQ(SessionArena::bytes_per_session(), 4u + 4u + 1u + 6u * 8u + 2u * 8u);
+  EXPECT_EQ(SessionArena::bytes_per_session(), 4u + 1u + 6u * 8u + 2u * 8u);
 }
 
 TEST(Fluid, EqualShareSplitsCapacity) {
@@ -40,7 +39,7 @@ TEST(Fluid, EqualShareSplitsCapacity) {
   SessionArena arena(4);
   FluidEngine eng(sim, arena);
   const std::uint32_t cell = eng.add_cell(100e6);
-  for (int i = 0; i < 4; ++i) arena.create(cell, 1.0f, 0.0);
+  for (int i = 0; i < 4; ++i) arena.create(cell, 0.0);
   for (SessionId id = 0; id < 4; ++id) eng.start_flow(id, 1e9);
   eng.flush();  // mutations defer the water-fill to the same-timestamp drain
   for (SessionId id = 0; id < 4; ++id) EXPECT_DOUBLE_EQ(eng.rate_bps(id), 25e6);
@@ -51,9 +50,9 @@ TEST(Fluid, CapBoundFlowsReleaseCapacityToOthers) {
   SessionArena arena(3);
   FluidEngine eng(sim, arena);
   const std::uint32_t cell = eng.add_cell(90e6);
-  arena.create(cell, 1.0f, 10e6);  // shaper-capped
-  arena.create(cell, 1.0f, 0.0);
-  arena.create(cell, 1.0f, 0.0);
+  arena.create(cell, 10e6);  // shaper-capped
+  arena.create(cell, 0.0);
+  arena.create(cell, 0.0);
   for (SessionId id = 0; id < 3; ++id) eng.start_flow(id, 1e9);
   eng.flush();
   // Water-filling: capped flow keeps 10, the other two split the remaining 80.
@@ -62,26 +61,12 @@ TEST(Fluid, CapBoundFlowsReleaseCapacityToOthers) {
   EXPECT_DOUBLE_EQ(eng.rate_bps(2), 40e6);
 }
 
-TEST(Fluid, WeightedShares) {
-  sim::Simulator sim(1);
-  SessionArena arena(2);
-  FluidEngine eng(sim, arena);
-  const std::uint32_t cell = eng.add_cell(30e6);
-  arena.create(cell, 2.0f, 0.0);  // premium QCI, weight 2
-  arena.create(cell, 1.0f, 0.0);
-  eng.start_flow(0, 1e9);
-  eng.start_flow(1, 1e9);
-  eng.flush();
-  EXPECT_DOUBLE_EQ(eng.rate_bps(0), 20e6);
-  EXPECT_DOUBLE_EQ(eng.rate_bps(1), 10e6);
-}
-
 TEST(Fluid, CompletionTimeIsAnalytic) {
   sim::Simulator sim(1);
   SessionArena arena(1);
   FluidEngine eng(sim, arena);
   const std::uint32_t cell = eng.add_cell(8e6);  // 1 MB/s
-  arena.create(cell, 1.0f, 0.0);
+  arena.create(cell, 0.0);
   std::vector<SessionId> done;
   eng.on_complete = [&](SessionId id) { done.push_back(id); };
   eng.start_flow(0, 10e6);  // 10 MB at 1 MB/s -> 10 s
@@ -100,7 +85,7 @@ TEST(Fluid, ConservationLedgerAcrossChurn) {
   FluidEngine eng(sim, arena);
   const std::uint32_t c0 = eng.add_cell(50e6);
   const std::uint32_t c1 = eng.add_cell(50e6);
-  for (int i = 0; i < 16; ++i) arena.create(i % 2 ? c0 : c1, 1.0f, 0.0);
+  for (int i = 0; i < 16; ++i) arena.create(i % 2 ? c0 : c1, 0.0);
   for (SessionId id = 0; id < 16; ++id) {
     sim.schedule(Duration::ms(50 * id), [&eng, id] { eng.start_flow(id, 4e6); });
   }
@@ -129,8 +114,8 @@ TEST(Fluid, GhostReservationConservesCellCapacity) {
   SessionArena arena(2);
   FluidEngine eng(sim, arena);
   const std::uint32_t cell = eng.add_cell(20e6);
-  arena.create(cell, 1.0f, 0.0);
-  arena.create(cell, 1.0f, 0.0);
+  arena.create(cell, 0.0);
+  arena.create(cell, 0.0);
   double ghost_share = -1.0;
   eng.on_rate_share = [&](SessionId id, double share) {
     EXPECT_EQ(id, 0u);
@@ -162,10 +147,10 @@ TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
   FluidEngine eng(sim, arena);
   const std::uint32_t c0 = eng.add_cell(20e6);
   const std::uint32_t c1 = eng.add_cell(30e6);
-  arena.create(c0, 1.0f, 0.0);  // 0: ghost in c0 (the re-entrancy trigger)
-  arena.create(c0, 1.0f, 0.0);  // 1: fluid in c0
-  arena.create(c1, 1.0f, 0.0);  // 2: fluid in c1, demoted by the handler
-  arena.create(c1, 1.0f, 0.0);  // 3: ghost in c1
+  arena.create(c0, 0.0);  // 0: ghost in c0 (the re-entrancy trigger)
+  arena.create(c0, 0.0);  // 1: fluid in c0
+  arena.create(c1, 0.0);  // 2: fluid in c1, demoted by the handler
+  arena.create(c1, 0.0);  // 3: ghost in c1
 
   std::vector<std::pair<SessionId, double>> published;
   bool reacted = false;
@@ -232,7 +217,7 @@ TEST(Fluid, CommitCallbackDemoteMidDrainSupersedes) {
 class FluidPublication : public ::testing::Test {
  protected:
   FluidPublication() {
-    for (int i = 0; i < 4; ++i) arena.create(cell, 1.0f, 0.0);
+    for (int i = 0; i < 4; ++i) arena.create(cell, 0.0);
     for (SessionId id = 0; id < 4; ++id) eng.start_flow(id, 1e9);
     eng.demote(0);
     eng.demote(1);
@@ -323,8 +308,8 @@ TEST(Fluid, PromoteAfterPacketWindowDoesNotDoubleCount) {
   SessionArena arena(2);
   FluidEngine eng(sim, arena);
   const std::uint32_t cell = eng.add_cell(20e6);
-  arena.create(cell, 1.0f, 0.0);
-  arena.create(cell, 1.0f, 0.0);
+  arena.create(cell, 0.0);
+  arena.create(cell, 0.0);
   eng.start_flow(0, 100e6);
   eng.start_flow(1, 1e9);
   double packet_bytes = 0.0;
@@ -363,7 +348,6 @@ class FluidOracle {
  public:
   struct Flow {
     std::uint32_t cell = 0;
-    double weight = 1.0;
     double cap = 0.0;
     FlowMode mode = FlowMode::Idle;
     double demand = 0.0;
@@ -385,23 +369,18 @@ class FluidOracle {
     return f.mode == FlowMode::Fluid || f.mode == FlowMode::Packet;
   }
 
-  /// Sequential water-fill of cell `c`: visit members in (cap/weight, id)
-  /// order and give each min(cap, remaining x w / weight_left), the weight
-  /// sum taken fresh in id order. Writes rates into `flows` when `apply`;
-  /// returns the level (remaining / weight_left at the first member below
-  /// its cap, +inf when every member is capped).
+  /// Sequential water-fill of cell `c`: visit members in (cap, id) order
+  /// and give each min(cap, remaining / members_left). Writes rates into
+  /// `flows` when `apply`; returns the level (remaining / members_left at
+  /// the first member below its cap, +inf when every member is capped).
   double fill(std::uint32_t c, bool apply) {
     auto key = [&](SessionId id) {
       const Flow& f = flows[id];
-      return f.cap > 0.0 ? f.cap / f.weight : std::numeric_limits<double>::infinity();
+      return f.cap > 0.0 ? f.cap : std::numeric_limits<double>::infinity();
     };
     std::vector<SessionId> members;
-    double weight_left = 0.0;
     for (SessionId id = 0; id < flows.size(); ++id) {
-      if (member(flows[id]) && flows[id].cell == c) {
-        members.push_back(id);
-        weight_left += flows[id].weight;
-      }
+      if (member(flows[id]) && flows[id].cell == c) members.push_back(id);
     }
     std::sort(members.begin(), members.end(), [&](SessionId a, SessionId b) {
       const double ka = key(a);
@@ -411,18 +390,17 @@ class FluidOracle {
     });
     double remaining = cells[c].capacity;
     double level = std::numeric_limits<double>::infinity();
+    std::size_t left = members.size();
     for (SessionId id : members) {
       Flow& f = flows[id];
       double rate = 0.0;
-      if (remaining > 0.0 && weight_left > 0.0) {
-        const double fair = remaining * f.weight / weight_left;
+      if (remaining > 0.0) {
+        const double fair = remaining / static_cast<double>(left);
         rate = (f.cap > 0.0 && f.cap < fair) ? f.cap : fair;
-        if (rate == fair && level == std::numeric_limits<double>::infinity()) {
-          level = remaining / weight_left;
-        }
+        if (rate == fair && level == std::numeric_limits<double>::infinity()) level = fair;
       }
       remaining -= rate;
-      weight_left -= f.weight;
+      --left;
       if (apply) f.rate = rate;
     }
     return level;
@@ -523,8 +501,8 @@ TEST(Fluid, MatchesFromScratchOracleUnderChurn) {
   // order, capped-prefix boundary, finish-tag heaps, lazy banking, deferred
   // drains — computes what a from-scratch water-fill with eager accrual
   // computes, after any interleaving of join / leave / cap change / demote /
-  // promote / handover / capacity churn. The level x weight product is not
-  // the sequential fill's running arithmetic, so the agreement is within
+  // promote / handover / capacity churn. The engine's level is one division,
+  // not the sequential fill's running arithmetic, so the agreement is within
   // stated tolerances: rates within 1e-12 relative and finish times within
   // 1 µs after every op of 40 seeds x 120, and delivered bytes within 1e-9
   // of the session's demand at every tenth op. Two ops aim at the engine's own edges: a cap
@@ -552,8 +530,7 @@ TEST(Fluid, MatchesFromScratchOracleUnderChurn) {
       FluidOracle::Flow f;
       f.cap = rng.chance(0.5) ? rng.uniform(1e6, 30e6) : 0.0;
       f.cell = static_cast<std::uint32_t>(rng.next_below(kCells));
-      f.weight = rng.chance(0.25) ? 2.0 : 1.0;
-      arena.create(f.cell, static_cast<float>(f.weight), f.cap);
+      arena.create(f.cell, f.cap);
       ref.flows.push_back(f);
     }
 
@@ -619,8 +596,8 @@ TEST(Fluid, MatchesFromScratchOracleUnderChurn) {
             const double level = ref.fill(f.cell, false);
             double cap = 0.0;
             if (level < std::numeric_limits<double>::infinity()) {
-              const bool capped = f.cap > 0.0 && f.cap / f.weight < level;
-              cap = f.weight * level * (capped ? rng.uniform(1.02, 1.5) : rng.uniform(0.5, 0.98));
+              const bool capped = f.cap > 0.0 && f.cap < level;
+              cap = level * (capped ? rng.uniform(1.02, 1.5) : rng.uniform(0.5, 0.98));
             }
             set_cap(id, cap);
           }
