@@ -48,8 +48,8 @@ double drive_goodput_mbps(Duration wait, Duration cloud_rtt) {
 }  // namespace
 
 int main() {
-  // Root obs registry: per-trial metrics merge here in index order
-  // (TrialRunner) and the digest prints as the bench footer.
+  // Root obs registry: every run's metrics land here, and the digest
+  // prints as the bench footer.
   obs::Registry metrics;
   obs::ScopedRegistry scoped(&metrics);
 

@@ -33,8 +33,8 @@ double pct(double cb, double mno) { return mno != 0.0 ? (1.0 - cb / mno) * 100.0
 }  // namespace
 
 int main() {
-  // Root obs registry: per-trial metrics merge here in index order
-  // (TrialRunner) and the digest prints as the bench footer.
+  // Root obs registry: every run's metrics land here, and the digest
+  // prints as the bench footer.
   obs::Registry metrics;
   obs::ScopedRegistry scoped(&metrics);
 
@@ -50,9 +50,7 @@ int main() {
               "ping(ms)", "iperf(mbps)", "MOS", "video", "web(s)");
 
   const auto routes = all_routes();
-  double slow_iperf_n = 0, slow_mos_n = 0, slow_video_n = 0, slow_web_n = 0;
-  double slow_iperf_d = 0, slow_mos_d = 0, slow_video_d = 0, slow_web_d = 0;
-  int routes_done = 0;
+  double slow_iperf = 0, slow_mos = 0, slow_video = 0, slow_web = 0;
 
   for (std::size_t i = 0; i < routes.size(); ++i) {
     const RouteSpec& route = routes[i];
@@ -72,21 +70,17 @@ int main() {
     // Accumulate overall slowdown (positive = CB worse), like the last rows
     // of Table 1: higher-is-better metrics use 1 - cb/mno, load time uses
     // cb/mno - 1.
-    slow_iperf_n += pct(cbr.iperf_mbps, mno.iperf_mbps);
-    slow_mos_n += pct(cbr.voip_mos, mno.voip_mos);
-    slow_video_n += pct(cbr.video_level, mno.video_level);
-    slow_web_n += -pct(cbr.web_load_s, mno.web_load_s);
-    slow_iperf_d += 1;
-    slow_mos_d += 1;
-    slow_video_d += 1;
-    slow_web_d += 1;
-    ++routes_done;
+    slow_iperf += pct(cbr.iperf_mbps, mno.iperf_mbps);
+    slow_mos += pct(cbr.voip_mos, mno.voip_mos);
+    slow_video += pct(cbr.video_level, mno.video_level);
+    slow_web += -pct(cbr.web_load_s, mno.web_load_s);
   }
+  const double n_routes = static_cast<double>(routes.size());
 
   std::printf("Overall perf. slowdown of CellBricks (positive = CB worse):\n");
   std::printf("  iperf: %+.2f%%   VoIP MOS: %+.2f%%   video: %+.2f%%   web: %+.2f%%\n",
-              slow_iperf_n / slow_iperf_d, slow_mos_n / slow_mos_d,
-              slow_video_n / slow_video_d, slow_web_n / slow_web_d);
+              slow_iperf / n_routes, slow_mos / n_routes, slow_video / n_routes,
+              slow_web / n_routes);
   std::printf("  (paper: iperf 2.06-3.06%%, MOS 0.92-1.15%%, video -0.20-0.51%%, "
               "web -1.61-2.60%%)\n");
   std::printf("\n%s\n", metrics.digest().c_str());
